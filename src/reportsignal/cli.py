@@ -2,7 +2,7 @@
 
 Verbs:
   synth    generate a synthetic dataset with planted effects
-  ingest   parse and validate all inputs, persist a cleaned cache
+  ingest   parse and validate all inputs, report counts and rejects
   label    rank-label the training-range reports by market reaction
   score    produce sentiment scores (lexicon scorer or external file)
   analyze  build the panel, fit the regressions, run the group tests
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import shutil
 import sys
 from dataclasses import asdict
 from datetime import date as Date, timedelta
@@ -31,7 +30,7 @@ from .config import (
     VALID_TTEST,
     load_config,
 )
-from .corpus import CorpusIndex, load_risk_warning_patterns, parse_corpus, prepare_report, serialize_corpus
+from .corpus import CorpusIndex, load_risk_warning_patterns, parse_corpus, prepare_report
 from .econometrics import (
     build_majority_samples,
     build_panel,
@@ -77,9 +76,12 @@ REPORT_FORMAT_VERSION = 1
 _REJECT_CAP = 1000  # rejects listed per report file; counts stay exact
 
 
-def _ensure_out(config: RunConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+def _ensure_out(path) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot use {out} as the output directory: {exc.strerror}") from None
     return out
 
 
@@ -118,7 +120,7 @@ def firewall_fence(calendar: TradingCalendar, test_start: Date) -> Date:
     below that point can only concern the training period.
     """
     try:
-        anchor = calendar.align(test_start - timedelta(days=LONG_COUNT_WINDOW), "same-or-next")
+        anchor = calendar.align(test_start - timedelta(days=LONG_COUNT_WINDOW))
         return calendar.shift(anchor, -60)
     except CalendarRangeError:
         return calendar.first()
@@ -129,6 +131,7 @@ def firewall_fence(calendar: TradingCalendar, test_start: Date) -> Date:
 
 
 def cmd_synth(out_dir: Path, seed: int) -> int:
+    _ensure_out(out_dir)
     spec = SynthSpec(seed=seed)
     dataset = generate(spec)
     write_dataset(dataset, out_dir, seed=seed)
@@ -140,24 +143,12 @@ def cmd_synth(out_dir: Path, seed: int) -> int:
 
 
 def cmd_ingest(config: RunConfig) -> int:
-    out = _ensure_out(config)
+    out = _ensure_out(config.out)
     parse, loaded = _load_inputs(config)
     market = loaded.market
     market.calendar.require_coverage(
         config.train_start, config.test_end, lookback_days=LONG_COUNT_WINDOW, post_trading_days=1
     )
-
-    cache = out / "cache"
-    cache.mkdir(parents=True, exist_ok=True)
-    # The corpus cache is canonical (rejected rows gone, fields re-escaped);
-    # market files are validated here but cached verbatim, their loaders
-    # re-apply the same row filters deterministically.
-    serialize_corpus(parse.records, cache / "corpus.csv")
-    shutil.copyfile(config.bars, cache / "bars.csv")
-    shutil.copyfile(config.indices, cache / "indices.csv")
-    shutil.copyfile(config.industry, cache / "industry.csv")
-    with open(cache / "calendar.txt", "w", encoding="utf-8") as stream:
-        stream.write("".join(d.isoformat() + "\n" for d in market.calendar.dates))
 
     report = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -186,7 +177,7 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_label(config: RunConfig) -> int:
-    out = _ensure_out(config)
+    out = _ensure_out(config.out)
     parse, loaded = _load_inputs(config)
     market = loaded.market
 
@@ -201,7 +192,7 @@ def cmd_label(config: RunConfig) -> int:
             continue
         for stock_id in record.stock_codes:
             try:
-                release_day = market.calendar.align(record.release_date, "same-or-next")
+                release_day = market.calendar.align(record.release_date)
             except CalendarRangeError:
                 drop("release date beyond calendar")
                 continue
@@ -250,7 +241,7 @@ def _loaded_lexicon(config: RunConfig):
 
 
 def cmd_score(config: RunConfig) -> int:
-    out = _ensure_out(config)
+    out = _ensure_out(config.out)
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
 
     if config.scorer == "lexicon":
@@ -285,7 +276,7 @@ def cmd_score(config: RunConfig) -> int:
 
 
 def cmd_analyze(config: RunConfig) -> int:
-    out = _ensure_out(config)
+    out = _ensure_out(config.out)
     parse, loaded = _load_inputs(config)
     market = loaded.market
     market.calendar.require_coverage(
@@ -360,11 +351,11 @@ def cmd_analyze(config: RunConfig) -> int:
                 n_series_skipped += 1
                 continue
             try:
-                market.calendar.align(record.release_date, "same-or-next")
+                day = market.calendar.align(record.release_date)
             except CalendarRangeError:
                 n_series_skipped += 1
                 continue
-            series_entries.append((record.release_date, score))
+            series_entries.append((day, score))
     series = daily_average_sentiment(series_entries)
 
     write_panel(panel.rows, out / "panel.csv")
@@ -480,7 +471,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for verb, text in (
         ("synth", "generate a synthetic dataset with planted effects"),
-        ("ingest", "validate inputs and persist a cleaned cache"),
+        ("ingest", "validate inputs and report what was read and rejected"),
         ("label", "rank-label training-range reports by market reaction"),
         ("score", "produce sentiment scores for the corpus"),
         ("analyze", "build the panel, run regressions and group tests"),

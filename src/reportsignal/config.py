@@ -156,11 +156,11 @@ def load_config(path) -> RunConfig:
     """Parse, resolve, and validate a JSON run configuration."""
     config_path = Path(path)
     try:
-        with open(config_path, "r", encoding="utf-8") as stream:
+        with open(config_path, "r", encoding="utf-8-sig") as stream:
             raw = json.load(stream)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {config_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
         raise ConfigurationError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")

@@ -1,6 +1,7 @@
 """Analyst-report corpus: parsing, cleaning, and dictionary segmentation.
 
-Corpus files are UTF-8 CSV with the exact header
+Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
+exact header
 
     report_id,title,abstract,stock_codes,release_date
 
@@ -18,14 +19,14 @@ matching against a word dictionary.
 from __future__ import annotations
 
 import csv
-import io
 import re
 import unicodedata
 from bisect import bisect_left, bisect_right
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable
 
 from .errors import ArgumentError, DataError, SchemaError
 
@@ -69,26 +70,32 @@ class ParseResult:
         return len(self.rejects) / total if total else 0.0
 
 
-def _open_source(source) -> tuple[TextIO, bool]:
-    if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8", newline=""), True
-    return source, False
+@contextmanager
+def open_input(source):
+    """Open an input file path as text, or pass a text stream through.
+
+    Files are read as UTF-8 with an optional leading byte-order mark; a
+    byte sequence that is not UTF-8 raises DataError naming the file.
+    """
+    if not isinstance(source, (str, Path)):
+        yield source
+        return
+    try:
+        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
+            yield stream
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
 
-def parse_corpus(
-    source,
-    date_range: tuple[Date, Date] | None = None,
-    max_error_rate: float = 0.1,
-) -> ParseResult:
+def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     """Parse a corpus file (path or text stream) into validated records.
 
     Rows with the wrong field count, an empty report_id, malformed stock
-    codes, an unparseable date, or a date outside ``date_range`` are
-    rejected individually. A wrong header, a duplicate report_id, or a
-    reject share above ``max_error_rate`` aborts the parse.
+    codes, or an unparseable date are rejected individually. A wrong
+    header, a duplicate report_id, or a reject share above
+    ``max_error_rate`` aborts the parse.
     """
-    stream, owned = _open_source(source)
-    try:
+    with open_input(source) as stream:
         reader = csv.reader(stream)
         try:
             header = next(reader)
@@ -127,12 +134,7 @@ def parse_corpus(
                         except ValueError:
                             reason = f"unparseable release_date {date_raw!r}"
                         else:
-                            if date_range is not None and not (
-                                date_range[0] <= release <= date_range[1]
-                            ):
-                                reason = f"release_date {release} outside {date_range[0]}..{date_range[1]}"
-                            else:
-                                record = ReportRecord(report_id, title, abstract, codes, release)
+                            record = ReportRecord(report_id, title, abstract, codes, release)
             if reason is not None:
                 rejects.append(RowReject(line_no, reason))
                 continue
@@ -149,9 +151,6 @@ def parse_corpus(
                 f"({len(rejects)} of {len(records) + len(rejects)} rows)"
             )
         return result
-    finally:
-        if owned:
-            stream.close()
 
 
 def serialize_corpus(records: Iterable[ReportRecord], destination) -> None:
@@ -176,7 +175,9 @@ def serialize_corpus(records: Iterable[ReportRecord], destination) -> None:
 def load_risk_warning_patterns(path) -> tuple[str, ...]:
     """Read boilerplate tail markers, one per line; '#' lines are comments."""
     patterns = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    with open_input(path) as stream:
+        lines = stream.read().splitlines()
+    for raw in lines:
         line = raw.strip()
         if line and not line.startswith("#"):
             patterns.append(line)
@@ -219,33 +220,14 @@ def clean_text(
 
 
 class SegmentDictionary:
-    """Word list with lookup set and max word length, for greedy matching.
+    """Word set and max word length, for greedy longest-first matching."""
 
-    Accepts an iterable of words or of (word, weight) pairs, or a mapping
-    word -> weight. Weights are kept only for callers that want them;
-    matching itself is purely longest-first.
-    """
-
-    def __init__(self, entries):
-        weights: dict[str, float] = {}
-        if isinstance(entries, Mapping):
-            items: Iterator = iter(entries.items())
-        else:
-            items = iter(entries)
-        for entry in items:
-            if isinstance(entry, str):
-                word, weight = entry, 1.0
-            else:
-                word, weight = entry
-            if not word:
-                raise ArgumentError("empty word in segmentation dictionary")
-            prior = weights.get(word)
-            if prior is None or weight > prior:
-                weights[word] = float(weight)
-        if not weights:
+    def __init__(self, words: Iterable[str]):
+        self.words = frozenset(words)
+        if "" in self.words:
+            raise ArgumentError("empty word in segmentation dictionary")
+        if not self.words:
             raise ArgumentError("segmentation dictionary is empty")
-        self.weights = weights
-        self.words = frozenset(weights)
         self.max_len = max(len(w) for w in self.words)
 
     def __contains__(self, word: str) -> bool:
@@ -255,15 +237,13 @@ class SegmentDictionary:
         return len(self.words)
 
 
-def segment(text: str, dictionary) -> list[str]:
+def segment(text: str, dictionary: SegmentDictionary) -> list[str]:
     """Greedy forward maximum matching.
 
     Scanning left to right, the longest dictionary word starting at the
     cursor becomes the next token; if none matches, the single character
     does. Whitespace separates tokens and is never part of one.
     """
-    if not isinstance(dictionary, SegmentDictionary):
-        dictionary = SegmentDictionary(dictionary)
     tokens: list[str] = []
     i, n = 0, len(text)
     max_len = dictionary.max_len
@@ -296,7 +276,7 @@ class CleanedReport:
 
 def prepare_report(
     record: ReportRecord,
-    dictionary,
+    dictionary: SegmentDictionary,
     risk_warning_patterns: Iterable[str] = (),
     tail_fraction: float = 0.25,
 ) -> CleanedReport:
@@ -329,6 +309,3 @@ class CorpusIndex:
         if not dates:
             return 0
         return bisect_right(dates, last) - bisect_left(dates, first)
-
-    def stocks(self) -> list[str]:
-        return sorted(self._dates)

@@ -22,7 +22,6 @@ from datetime import date as Date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 from scipy.special import betainc
 
 from .corpus import CorpusIndex, ReportRecord
@@ -182,7 +181,7 @@ def build_panel(
                 drop("no score")
                 continue
             try:
-                s_day = calendar.align(record.release_date, "same-or-next")
+                s_day = calendar.align(record.release_date)
             except CalendarRangeError:
                 drop("release date beyond calendar")
                 continue
@@ -358,12 +357,12 @@ def ols_fit(
         raise SingularityError(bad)
 
     qty = Q.T @ y
-    coef = solve_triangular(R, qty)
+    coef = np.linalg.solve(R, qty)
     resid = y - X @ coef
     rss = float(resid @ resid)
     df_resid = n - k
 
-    r_inv = solve_triangular(R, np.eye(k))
+    r_inv = np.linalg.solve(R, np.eye(k))
     xtx_inv = r_inv @ r_inv.T
     s2 = rss / df_resid
     if se_type == "classical":
@@ -615,7 +614,7 @@ def build_majority_samples(
         cls = classify_majority(tokens, lexicon)
         for stock_id in record.stock_codes:
             try:
-                s_day = calendar.align(record.release_date, "same-or-next")
+                s_day = calendar.align(record.release_date)
                 prev_day = calendar.shift(s_day, -1)
                 next_day = calendar.shift(s_day, 1)
                 sample = MajoritySample(

@@ -1,7 +1,8 @@
 """Daily market data: trading calendar, per-stock OHLCV bars, index levels,
 and industry membership.
 
-File formats (UTF-8 CSV with header, except the calendar):
+File formats (UTF-8 CSV with header, except the calendar; a leading
+byte-order mark is allowed):
 
     bars:     stock_id,date,open,high,low,close,volume
     indices:  index_id,date,level
@@ -18,15 +19,14 @@ from __future__ import annotations
 
 import csv
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject
+from .corpus import RowReject, open_input
 from .errors import (
     CalendarRangeError,
     ConfigurationError,
@@ -122,26 +122,10 @@ class TradingCalendar:
             raise CalendarRangeError(f"no trading day after {d} on this calendar")
         return self.dates[i]
 
-    def previous(self, d: Date) -> Date:
-        """Last trading day strictly before ``d`` (d need not be a trading day)."""
-        i = bisect_left(self.dates, d)
-        if i == 0:
-            raise CalendarRangeError(f"no trading day before {d} on this calendar")
-        return self.dates[i - 1]
-
-    def align(self, d: Date, direction: str = "same-or-next") -> Date:
-        """Map an arbitrary date onto the calendar.
-
-        direction 'same-or-next' returns d itself when it is a trading
-        day and otherwise the next one; 'next'/'previous' always move.
-        """
-        if direction == "same-or-next":
-            return d if d in self._pos else self.next(d)
-        if direction == "next":
-            return self.next(d)
-        if direction == "previous":
-            return self.previous(d)
-        raise ConfigurationError(f"unknown alignment direction {direction!r}")
+    def align(self, d: Date) -> Date:
+        """Map an arbitrary date onto the calendar: d itself when it is a
+        trading day, otherwise the next one."""
+        return d if d in self._pos else self.next(d)
 
     def require_coverage(
         self,
@@ -163,7 +147,7 @@ class TradingCalendar:
                 f"{need_start} ({lookback_days} days before first event {first_event})"
             )
         try:
-            anchor = self.align(last_event, "same-or-next")
+            anchor = self.align(last_event)
             self.shift(anchor, post_trading_days)
         except CalendarRangeError:
             raise ConfigurationError(
@@ -202,9 +186,6 @@ class BarStore:
             grouped.setdefault(bar.stock_id, []).append(bar)
         self._series = {sid: _StockSeries(blist, calendar) for sid, blist in grouped.items()}
 
-    def stocks(self) -> list[str]:
-        return sorted(self._series)
-
     def _fence_check(self, earliest: Date) -> None:
         if self.fence is not None and earliest < self.fence:
             raise DataError(
@@ -216,10 +197,6 @@ class BarStore:
         if series is None:
             raise GapError(stock_id, None, f"no bars at all for stock {stock_id}")
         return series
-
-    def has_bar(self, stock_id: str, d: Date) -> bool:
-        series = self._series.get(stock_id)
-        return series is not None and d in series.pos
 
     def bar(self, stock_id: str, d: Date) -> DailyBar:
         self._fence_check(d)
@@ -289,9 +266,6 @@ class IndexStore:
         self._levels: dict[str, dict[Date, float]] = {}
         for index_id, d, level in rows:
             self._levels.setdefault(index_id, {})[d] = level
-
-    def ids(self) -> list[str]:
-        return sorted(self._levels)
 
     def __contains__(self, index_id: str) -> bool:
         return index_id in self._levels
@@ -380,7 +354,9 @@ class MarketData:
 
 def load_calendar(path) -> TradingCalendar:
     dates = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    with open_input(path) as stream:
+        lines = stream.read().splitlines()
+    for raw in lines:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -392,7 +368,7 @@ def load_calendar(path) -> TradingCalendar:
 
 
 def _read_csv_rows(path, header: tuple[str, ...]):
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open_input(path) as stream:
         reader = csv.reader(stream)
         try:
             actual = next(reader)

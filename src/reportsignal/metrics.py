@@ -16,15 +16,11 @@ panel builder, not here.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from datetime import date as Date, timedelta
-from pathlib import Path
-from typing import Iterable
 
 from .corpus import CorpusIndex
-from .errors import DomainError, SchemaError
+from .errors import DomainError
 from .market import DailyBar, MarketData
 
 VOLUME_WINDOW = 60
@@ -32,23 +28,28 @@ SHORT_COUNT_WINDOW = 7
 LONG_COUNT_WINDOW = 90
 
 
-def garman_klass_range(bar: DailyBar) -> float:
-    """Range-based variance estimate for one OHLC bar.
+def garman_klass(o: float, h: float, l: float, c: float) -> float:
+    """Range-based variance estimate from open, high, low and close prices.
 
-    With u = ln(high/open), d = ln(low/open), c = ln(close/open):
+    With u = ln(h/o), d = ln(l/o), cc = ln(c/o):
 
-        0.511 (u - d)^2 - 0.019 (c (u + d) - 2 u d) - 0.383 c^2
+        0.511 (u - d)^2 - 0.019 (cc (u + d) - 2 u d) - 0.383 cc^2
 
-    A flat bar (open = high = low = close) gives exactly 0.0. The
-    estimator can go slightly negative on unusual bars; values are
-    returned as-is and only flagged downstream.
+    A flat bar (o = h = l = c) gives exactly 0.0. The estimator can go
+    slightly negative on unusual bars; values are returned as-is and only
+    flagged downstream. Prices must be positive.
     """
+    u = math.log(h / o)
+    d = math.log(l / o)
+    cc = math.log(c / o)
+    return 0.511 * (u - d) ** 2 - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * cc**2
+
+
+def garman_klass_range(bar: DailyBar) -> float:
+    """Garman-Klass estimate for one bar; a non-positive price raises."""
     if min(bar.open, bar.high, bar.low, bar.close) <= 0.0:
         raise DomainError(f"non-positive price in bar {bar.stock_id} {bar.date}")
-    u = math.log(bar.high / bar.open)
-    d = math.log(bar.low / bar.open)
-    c = math.log(bar.close / bar.open)
-    return 0.511 * (u - d) ** 2 - 0.019 * (c * (u + d) - 2.0 * u * d) - 0.383 * c**2
+    return garman_klass(bar.open, bar.high, bar.low, bar.close)
 
 
 def excess_return(market: MarketData, stock_id: str, d: Date) -> float:
@@ -102,72 +103,3 @@ def label_window_return(market: MarketData, stock_id: str, release_day: Date) ->
         day = market.calendar.shift(release_day, offset)
         total += excess_return(market, stock_id, day)
     return total / 3.0
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    """All metrics for one (stock, trading day), in natural units."""
-
-    stock_id: str
-    date: Date
-    ret_ex: float
-    delta_volume: float
-    gk_range: float
-    num7: int
-    num90: int
-
-
-METRIC_DUMP_HEADER = ("stock_id", "date", "ret_ex", "delta_volume", "gk_range", "num7", "num90")
-
-
-def compute_metric_row(market: MarketData, index: CorpusIndex, stock_id: str, d: Date) -> MetricRow:
-    num7, num90 = recommendation_counts(index, stock_id, d)
-    return MetricRow(
-        stock_id,
-        d,
-        excess_return(market, stock_id, d),
-        delta_volume(market, stock_id, d),
-        garman_klass_range(market.bars.bar(stock_id, d)),
-        num7,
-        num90,
-    )
-
-
-def write_metric_dump(rows: Iterable[MetricRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(METRIC_DUMP_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.stock_id,
-                    r.date.isoformat(),
-                    repr(r.ret_ex),
-                    repr(r.delta_volume),
-                    repr(r.gk_range),
-                    r.num7,
-                    r.num90,
-                ]
-            )
-
-
-def read_metric_dump(path) -> list[MetricRow]:
-    rows = []
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = tuple(next(reader))
-        if header != METRIC_DUMP_HEADER:
-            raise SchemaError(f"{path}: bad metric dump header {header!r}")
-        for row in reader:
-            rows.append(
-                MetricRow(
-                    row[0],
-                    Date.fromisoformat(row[1]),
-                    float(row[2]),
-                    float(row[3]),
-                    float(row[4]),
-                    int(row[5]),
-                    int(row[6]),
-                )
-            )
-    return rows

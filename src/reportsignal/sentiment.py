@@ -15,10 +15,9 @@ import csv
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from pathlib import Path
 from typing import Iterable, Mapping
 
-from .corpus import RowReject, SegmentDictionary
+from .corpus import RowReject, SegmentDictionary, open_input
 from .errors import ArgumentError, DataError, DomainError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -94,7 +93,7 @@ class SentimentLexicon:
 def load_lexicon(path) -> SentimentLexicon:
     """Load a word,label CSV into a lexicon (fatal on any bad row)."""
     entries = []
-    with open(path, "r", encoding="utf-8", newline="") as stream:
+    with open_input(path) as stream:
         reader = csv.reader(stream)
         try:
             header = tuple(next(reader))
@@ -161,14 +160,9 @@ def load_external_scores(
     A reject share above ``max_error_rate`` is fatal.
     """
     known = set(known_ids)
-    stream, owned = (
-        (open(source, "r", encoding="utf-8", newline=""), True)
-        if isinstance(source, (str, Path))
-        else (source, False)
-    )
     scores: list[SentimentScore] = []
     rejects: list[RowReject] = []
-    try:
+    with open_input(source) as stream:
         reader = csv.reader(stream)
         try:
             header = tuple(next(reader))
@@ -217,9 +211,6 @@ def load_external_scores(
             raise DataError(
                 f"score reject rate {len(rejects) / total_rows:.3f} exceeds {max_error_rate:.3f}"
             )
-    finally:
-        if owned:
-            stream.close()
     return scores, rejects
 
 

@@ -30,17 +30,17 @@ from __future__ import annotations
 
 import json
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import ReportRecord, serialize_corpus
+from .corpus import CorpusIndex, ReportRecord, serialize_corpus
 from .econometrics import NAMED_SECTORS, OTHER_SECTOR
 from .errors import ConfigurationError
 from .market import CSI500, DailyBar, SSE, SZSE, VIX
+from .metrics import garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
 SECTORS = NAMED_SECTORS + (OTHER_SECTOR,)
@@ -228,13 +228,6 @@ def _weekdays(start: Date, count: int) -> list[Date]:
     return out
 
 
-def _gk_from_prices(o: float, h: float, l: float, c: float) -> float:
-    u = math.log(h / o)
-    d = math.log(l / o)
-    cc = math.log(c / o)
-    return 0.511 * (u - d) ** 2 - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * cc**2
-
-
 def _lexicon_word_lists() -> tuple[list[str], list[str], list[str]]:
     from .config import packaged_data_path
     from .sentiment import load_lexicon
@@ -363,17 +356,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
                 )
         prev_cited = today_cited
 
-    # release dates per stock, for the citation-count regressors
-    releases: dict[str, list[Date]] = {sid: [] for sid in stock_ids}
-    for record in records:
-        for sid in record.stock_codes:
-            releases[sid].append(record.release_date)
-    for dates in releases.values():
-        dates.sort()
-
-    def count_between(sid: str, lo: Date, hi: Date) -> int:
-        dates = releases[sid]
-        return bisect_right(dates, hi) - bisect_left(dates, lo)
+    # the citation-count regressors come from the pipeline's own index
+    corpus_index = CorpusIndex(records)
 
     # --- bar chains ----------------------------------------------------------
     beta_r = [spec.betas["range"][k] for k in BETA_KEYS]
@@ -409,9 +393,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
                 n_planted += 1
                 pos, neg, eps_r, eps_e, eps_d = slot
                 s = j - 1
-                day_t = cal_dates[j]
-                num7 = count_between(sid, day_t - timedelta(days=7), day_t - timedelta(days=1))
-                num90 = count_between(sid, day_t - timedelta(days=90), day_t - timedelta(days=1))
+                num7, num90 = recommendation_counts(corpus_index, sid, cal_dates[j])
                 mean60_s = (vol_prefix[s] - vol_prefix[s - 60]) / 60.0
                 x = (
                     1.0,
@@ -450,7 +432,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             closes[j] = close
             vols[j] = vol
             vol_prefix.append(vol_prefix[-1] + vol)
-            gk[j] = _gk_from_prices(o, h, l, close)
+            gk[j] = garman_klass(o, h, l, close)
             bars.append(
                 DailyBar(sid, cal_dates[j], float(o), float(h), float(l), float(close), float(vol))
             )

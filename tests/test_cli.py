@@ -2,11 +2,12 @@
 
 import json
 import shutil
-from datetime import date as Date
+from datetime import date as Date, timedelta
 
 import pytest
 
 from reportsignal.cli import firewall_fence, main
+from reportsignal.config import packaged_data_path
 from reportsignal.econometrics import read_panel
 from reportsignal.market import load_calendar
 from reportsignal.synthkit import write_dataset
@@ -25,6 +26,19 @@ ANALYZE_FILES = (
     "analyze_report.json",
 )
 
+# Every input file a run reads: the dataset files plus the lexicon and the
+# risk-warning patterns, which clone_with_text_inputs copies in as well.
+INPUT_FILES = (
+    "corpus.csv",
+    "bars.csv",
+    "indices.csv",
+    "industry.csv",
+    "calendar.txt",
+    "scores.csv",
+    "lexicon.csv",
+    "risk_warnings.txt",
+)
+
 
 @pytest.fixture(scope="module")
 def dataset_dir(tmp_path_factory):
@@ -41,6 +55,18 @@ def read_json(path):
     return json.loads(path.read_text(encoding="utf-8"))
 
 
+def clone_with_text_inputs(dataset_dir, clone):
+    """Copy the dataset and point its config at local lexicon and
+    risk-warning copies, so every input file can be edited in place."""
+    shutil.copytree(dataset_dir, clone)
+    for name in ("lexicon.csv", "risk_warnings.txt"):
+        shutil.copyfile(packaged_data_path(name), clone / name)
+    raw = read_json(clone / "config.json")
+    raw.update(lexicon="lexicon.csv", risk_warnings="risk_warnings.txt")
+    (clone / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    return clone / "config.json"
+
+
 def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     config = dataset_dir / "config.json"
 
@@ -49,8 +75,7 @@ def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     assert ingest_report["format_version"] == 1
     assert ingest_report["corpus"]["n_rejects"] == 0
     assert ingest_report["bars"]["n_rejects"] == 0
-    for name in ("corpus.csv", "bars.csv", "indices.csv", "industry.csv", "calendar.txt"):
-        assert (tmp_path / "ingest" / "cache" / name).exists()
+    assert [p.name for p in (tmp_path / "ingest").iterdir()] == ["ingest_report.json"]
 
     assert run("label", "--config", config, "--out", tmp_path / "label") == 0
     label_report = read_json(tmp_path / "label" / "label_report.json")
@@ -167,6 +192,13 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
     assert run("ingest", "--config", missing) == 1
     assert "does not exist" in capsys.readouterr().err
 
+    occupied = tmp_path / "occupied"
+    occupied.write_text("", encoding="utf-8")
+    for argv in (("ingest", "--config", dataset_dir / "config.json"), ("synth",)):
+        assert run(*argv, "--out", occupied) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "output directory" in err, err
+
     not_json = tmp_path / "broken.json"
     not_json.write_text("{", encoding="utf-8")
     assert run("ingest", "--config", not_json) == 1
@@ -176,7 +208,7 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
     assert run("ingest", "--config", coverage) == 1
 
 
-def test_corrupt_market_data_exits_two(dataset_dir, tmp_path):
+def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
     clone = tmp_path / "data"
     shutil.copytree(dataset_dir, clone)
     bars = clone / "bars.csv"
@@ -184,6 +216,59 @@ def test_corrupt_market_data_exits_two(dataset_dir, tmp_path):
     lines[0] = "totally,wrong,header"
     bars.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert run("ingest", "--config", clone / "config.json", "--out", tmp_path / "out") == 2
+
+    # A byte that is not UTF-8 in any input file is a data error that
+    # names the file; analyze reads every input, so it meets each one.
+    config = clone_with_text_inputs(dataset_dir, tmp_path / "bytes")
+    capsys.readouterr()
+    for name in INPUT_FILES:
+        path = config.parent / name
+        clean = path.read_bytes()
+        second_line = clean.index(b"\n") + 1
+        path.write_bytes(clean[:second_line] + b"\xff" + clean[second_line:])
+        assert run("analyze", "--config", config, "--out", tmp_path / "out") == 2, name
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and name in err and "UTF-8" in err, err
+        path.write_bytes(clean)
+
+
+def test_byte_order_marks_read_like_clean_files(dataset_dir, tmp_path):
+    config = clone_with_text_inputs(dataset_dir, tmp_path / "clean")
+    bom_config = clone_with_text_inputs(dataset_dir, tmp_path / "bom")
+    for name in INPUT_FILES + ("config.json",):
+        path = bom_config.parent / name
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    for verb in ("ingest", "analyze"):
+        assert run(verb, "--config", config, "--out", tmp_path / "clean_out") == 0
+        assert run(verb, "--config", bom_config, "--out", tmp_path / "bom_out") == 0
+    for name in ("ingest_report.json",) + ANALYZE_FILES:
+        expected = (tmp_path / "clean_out" / name).read_bytes()
+        assert (tmp_path / "bom_out" / name).read_bytes() == expected, name
+
+
+def test_daily_series_puts_a_weekend_release_on_its_trading_day(dataset_dir, tmp_path):
+    """A report moved from a Monday to the Saturday before joins the Monday
+    point of the daily series, the day the panel aligns it to."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    test_start = Date.fromisoformat(read_json(clone / "config.json")["test_start"])
+    corpus = clone / "corpus.csv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    for i, line in enumerate(lines[1:], start=1):
+        head, released = line.rsplit(",", 1)
+        saturday = Date.fromisoformat(released) - timedelta(days=2)
+        if saturday.weekday() == 5 and saturday >= test_start:
+            lines[i] = f"{head},{saturday.isoformat()}"
+            break
+    else:
+        pytest.fail("no Monday release in the test range")
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    assert run("analyze", "--config", dataset_dir / "config.json", "--out", tmp_path / "a") == 0
+    assert run("analyze", "--config", clone / "config.json", "--out", tmp_path / "b") == 0
+    series = (tmp_path / "b" / "daily_sentiment.dat").read_text(encoding="utf-8")
+    assert saturday.isoformat() not in series
+    assert series == (tmp_path / "a" / "daily_sentiment.dat").read_text(encoding="utf-8")
 
 
 def test_empty_lexicon_with_lexicon_scorer_exits_one(dataset_dir, tmp_path, capsys):

@@ -240,7 +240,7 @@ def test_build_panel_accounts_for_every_pair():
     calendar = market.calendar
     for row in result.rows[:10]:
         record = next(r for r in in_range if r.report_id == row.report_id)
-        s_day = calendar.align(record.release_date, "same-or-next")
+        s_day = calendar.align(record.release_date)
         assert row.outcome_date == calendar.shift(s_day, 1)
         bar = market.bars.bar(row.stock_id, s_day)
         assert row.range_lag == garman_klass_range(bar) * 100.0

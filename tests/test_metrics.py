@@ -18,14 +18,11 @@ from reportsignal.market import (
     TradingCalendar,
 )
 from reportsignal.metrics import (
-    MetricRow,
     delta_volume,
     excess_return,
     garman_klass_range,
     label_window_return,
-    read_metric_dump,
     recommendation_counts,
-    write_metric_dump,
 )
 
 D0 = Date(2021, 3, 1)  # a Monday
@@ -163,13 +160,3 @@ def test_label_window_return_needs_room_on_both_sides():
     market, days = make_market([100.0, 101.0, 103.0], [1000.0] * 3)
     with pytest.raises(CalendarRangeError):
         label_window_return(market, "600000.SH", days[2])  # no day after
-
-
-def test_metric_dump_round_trip_is_exact(tmp_path):
-    rows = [
-        MetricRow("600000.SH", D0, 0.1 + 0.2, -1.2345678901234567e-05, 3.3e-4, 2, 17),
-        MetricRow("000001.SZ", Date(2022, 1, 5), -0.0, 1e-300, 0.0, 0, 0),
-    ]
-    path = tmp_path / "metrics.csv"
-    write_metric_dump(rows, path)
-    assert read_metric_dump(path) == rows
