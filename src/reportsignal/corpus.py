@@ -1,4 +1,10 @@
-"""Analyst-report corpus: parsing, cleaning, and dictionary segmentation.
+"""Analyst-report corpus: parsing, cleaning, and dictionary segmentation,
+plus the framing of every input file.
+
+Every input file is opened through ``open_input``. CSV inputs are framed by
+``read_csv_rows`` (header check, line numbers, blank rows, ``csv`` errors);
+one-value-per-line inputs with ``#`` comments are read by ``read_lines``.
+Each reader keeps its own row checks and rejects.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header
@@ -87,6 +93,41 @@ def open_input(source):
         raise DataError(f"{source} is not UTF-8 text ({exc.reason})") from None
 
 
+def read_csv_rows(source, header: tuple[str, ...]):
+    """Yield ``(line_no, row)`` for each non-blank row of a CSV input.
+
+    The first row must match ``header`` once each cell is stripped; an
+    empty file or another header raises SchemaError. Rows are numbered
+    from 2, blank rows counted but not yielded. Text the csv module cannot
+    frame (a field over its 131,072-character limit, which an unclosed
+    quote in a large file also makes) raises DataError naming the source
+    and the line.
+    """
+    name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input stream")
+    expected = ",".join(header)
+    with open_input(source) as stream:
+        reader = csv.reader(stream)
+        try:
+            actual = next(reader, None)
+            if actual is None:
+                raise SchemaError(f"{name} is empty, expected header {expected}")
+            if tuple(h.strip() for h in actual) != header:
+                raise SchemaError(f"{name} header {actual!r} does not match {expected}")
+            for line_no, row in enumerate(reader, start=2):
+                if row:
+                    yield line_no, row
+        except csv.Error as exc:
+            raise DataError(f"{name} line {reader.line_num}: malformed CSV ({exc})") from None
+
+
+def read_lines(source) -> list[str]:
+    """Stripped lines of a one-value-per-line input, without blank lines
+    and '#' comment lines."""
+    with open_input(source) as stream:
+        lines = [raw.strip() for raw in stream.read().splitlines()]
+    return [line for line in lines if line and not line.startswith("#")]
+
+
 def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     """Parse a corpus file (path or text stream) into validated records.
 
@@ -95,62 +136,49 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     header, a duplicate report_id, or a reject share above
     ``max_error_rate`` aborts the parse.
     """
-    with open_input(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise SchemaError("corpus file is empty, expected a header row")
-        if tuple(h.strip() for h in header) != CORPUS_HEADER:
-            raise SchemaError(
-                f"corpus header {header!r} does not match {','.join(CORPUS_HEADER)}"
-            )
-
-        records: list[ReportRecord] = []
-        rejects: list[RowReject] = []
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            reason = None
-            record = None
-            if len(row) != len(CORPUS_HEADER):
-                reason = f"expected {len(CORPUS_HEADER)} fields, got {len(row)}"
+    records: list[ReportRecord] = []
+    rejects: list[RowReject] = []
+    seen: set[str] = set()
+    for line_no, row in read_csv_rows(source, CORPUS_HEADER):
+        reason = None
+        record = None
+        if len(row) != len(CORPUS_HEADER):
+            reason = f"expected {len(CORPUS_HEADER)} fields, got {len(row)}"
+        else:
+            report_id, title, abstract, codes_raw, date_raw = row
+            report_id = report_id.strip()
+            if not report_id:
+                reason = "empty report_id"
             else:
-                report_id, title, abstract, codes_raw, date_raw = row
-                report_id = report_id.strip()
-                if not report_id:
-                    reason = "empty report_id"
+                codes = tuple(c.strip() for c in codes_raw.split(";") if c.strip())
+                bad = [c for c in codes if not _STOCK_CODE_RE.match(c)]
+                if not codes:
+                    reason = "no stock codes"
+                elif bad:
+                    reason = f"malformed stock code {bad[0]!r}"
                 else:
-                    codes = tuple(c.strip() for c in codes_raw.split(";") if c.strip())
-                    bad = [c for c in codes if not _STOCK_CODE_RE.match(c)]
-                    if not codes:
-                        reason = "no stock codes"
-                    elif bad:
-                        reason = f"malformed stock code {bad[0]!r}"
+                    try:
+                        release = Date.fromisoformat(date_raw.strip())
+                    except ValueError:
+                        reason = f"unparseable release_date {date_raw!r}"
                     else:
-                        try:
-                            release = Date.fromisoformat(date_raw.strip())
-                        except ValueError:
-                            reason = f"unparseable release_date {date_raw!r}"
-                        else:
-                            record = ReportRecord(report_id, title, abstract, codes, release)
-            if reason is not None:
-                rejects.append(RowReject(line_no, reason))
-                continue
-            assert record is not None
-            if record.report_id in seen:
-                raise DataError(f"duplicate report_id {record.report_id!r} at line {line_no}")
-            seen.add(record.report_id)
-            records.append(record)
+                        record = ReportRecord(report_id, title, abstract, codes, release)
+        if reason is not None:
+            rejects.append(RowReject(line_no, reason))
+            continue
+        assert record is not None
+        if record.report_id in seen:
+            raise DataError(f"duplicate report_id {record.report_id!r} at line {line_no}")
+        seen.add(record.report_id)
+        records.append(record)
 
-        result = ParseResult(records, rejects)
-        if result.error_rate > max_error_rate:
-            raise DataError(
-                f"corpus reject rate {result.error_rate:.3f} exceeds {max_error_rate:.3f} "
-                f"({len(rejects)} of {len(records) + len(rejects)} rows)"
-            )
-        return result
+    result = ParseResult(records, rejects)
+    if result.error_rate > max_error_rate:
+        raise DataError(
+            f"corpus reject rate {result.error_rate:.3f} exceeds {max_error_rate:.3f} "
+            f"({len(rejects)} of {len(records) + len(rejects)} rows)"
+        )
+    return result
 
 
 def serialize_corpus(records: Iterable[ReportRecord], destination) -> None:
@@ -174,14 +202,7 @@ def serialize_corpus(records: Iterable[ReportRecord], destination) -> None:
 
 def load_risk_warning_patterns(path) -> tuple[str, ...]:
     """Read boilerplate tail markers, one per line; '#' lines are comments."""
-    patterns = []
-    with open_input(path) as stream:
-        lines = stream.read().splitlines()
-    for raw in lines:
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            patterns.append(line)
-    return tuple(patterns)
+    return tuple(read_lines(path))
 
 
 def clean_text(

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 from scipy.special import betainc
 
-from .corpus import CorpusIndex, ReportRecord
+from .corpus import CorpusIndex, ReportRecord, read_csv_rows
 from .errors import (
     ArgumentError,
     CalendarRangeError,
@@ -33,7 +33,6 @@ from .errors import (
     GapError,
     HistoryError,
     MappingError,
-    SchemaError,
     SingularityError,
 )
 from .labeling import NEGATIVE, POSITIVE
@@ -257,20 +256,15 @@ def write_panel(rows: Iterable[PanelRow], path) -> None:
 
 def read_panel(path) -> list[PanelRow]:
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = tuple(next(reader))
-        if header != PANEL_HEADER:
-            raise SchemaError(f"{path}: bad panel header {header!r}")
-        for raw in reader:
-            out.append(
-                PanelRow(
-                    raw[0],
-                    raw[1],
-                    Date.fromisoformat(raw[2]),
-                    *(float(x) for x in raw[3:]),
-                )
+    for _, raw in read_csv_rows(path, PANEL_HEADER):
+        out.append(
+            PanelRow(
+                raw[0],
+                raw[1],
+                Date.fromisoformat(raw[2]),
+                *(float(x) for x in raw[3:]),
             )
+        )
     return out
 
 

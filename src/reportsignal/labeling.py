@@ -10,9 +10,9 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable
 
+from .corpus import read_csv_rows
 from .errors import ArgumentError, SchemaError
 
 POSITIVE = "positive"
@@ -86,13 +86,8 @@ def write_labels(labels: Iterable[LabeledReport], path) -> None:
 
 def read_labels(path) -> list[LabeledReport]:
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as stream:
-        reader = csv.reader(stream)
-        header = tuple(next(reader))
-        if header != LABELS_HEADER:
-            raise SchemaError(f"{path}: bad labels header {header!r}")
-        for row in reader:
-            if row[3] not in LABELS:
-                raise SchemaError(f"{path}: unknown label {row[3]!r}")
-            out.append(LabeledReport(row[0], row[1], float(row[2]), row[3]))
+    for _, row in read_csv_rows(path, LABELS_HEADER):
+        if row[3] not in LABELS:
+            raise SchemaError(f"{path}: unknown label {row[3]!r}")
+        out.append(LabeledReport(row[0], row[1], float(row[2]), row[3]))
     return out

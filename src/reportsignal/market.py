@@ -1,8 +1,9 @@
 """Daily market data: trading calendar, per-stock OHLCV bars, index levels,
 and industry membership.
 
-File formats (UTF-8 CSV with header, except the calendar; a leading
-byte-order mark is allowed):
+File formats (CSV with header, except the calendar; files are opened and
+framed by ``corpus.read_csv_rows`` and ``corpus.read_lines``, which also
+handle a leading byte-order mark):
 
     bars:     stock_id,date,open,high,low,close,volume
     indices:  index_id,date,level
@@ -17,7 +18,6 @@ pre-test history beyond its declared lookback.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject, open_input
+from .corpus import RowReject, read_csv_rows, read_lines
 from .errors import (
     CalendarRangeError,
     ConfigurationError,
@@ -288,10 +288,7 @@ class IndexStore:
 
     def log_return(self, index_id: str, d: Date) -> float:
         """ln(level_d / level_prev) over the previous trading day."""
-        prev = self.calendar.shift(d, -1)
-        a = self.level(index_id, prev)
-        b = self.level(index_id, d)
-        return math.log(b / a)
+        return self.change(index_id, d, "logdiff")
 
     def change(self, index_id: str, d: Date, mode: str = "diff") -> float:
         """Day-over-day change of a level series.
@@ -354,29 +351,12 @@ class MarketData:
 
 def load_calendar(path) -> TradingCalendar:
     dates = []
-    with open_input(path) as stream:
-        lines = stream.read().splitlines()
-    for raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in read_lines(path):
         try:
             dates.append(Date.fromisoformat(line))
         except ValueError:
             raise DataError(f"calendar file {path}: unparseable date {line!r}")
     return TradingCalendar(dates)
-
-
-def _read_csv_rows(path, header: tuple[str, ...]):
-    with open_input(path) as stream:
-        reader = csv.reader(stream)
-        try:
-            actual = next(reader)
-        except StopIteration:
-            raise SchemaError(f"{path} is empty, expected a header row")
-        if tuple(h.strip() for h in actual) != header:
-            raise SchemaError(f"{path} header {actual!r} does not match {','.join(header)}")
-        yield from enumerate(reader, start=2)
 
 
 @dataclass
@@ -407,9 +387,7 @@ def load_market(
 
     raw_bars: list[tuple[int, DailyBar]] = []
     bar_rejects: list[RowReject] = []
-    for line_no, row in _read_csv_rows(bars_path, BARS_HEADER):
-        if not row:
-            continue
+    for line_no, row in read_csv_rows(bars_path, BARS_HEADER):
         if len(row) != len(BARS_HEADER):
             bar_rejects.append(RowReject(line_no, f"expected {len(BARS_HEADER)} fields, got {len(row)}"))
             continue
@@ -457,9 +435,7 @@ def load_market(
     index_rows: list[tuple[str, Date, float]] = []
     index_rejects: list[RowReject] = []
     seen_index: set[tuple[str, Date]] = set()
-    for line_no, row in _read_csv_rows(indices_path, INDICES_HEADER):
-        if not row:
-            continue
+    for line_no, row in read_csv_rows(indices_path, INDICES_HEADER):
         if len(row) != len(INDICES_HEADER):
             index_rejects.append(RowReject(line_no, f"expected 3 fields, got {len(row)}"))
             continue
@@ -484,12 +460,15 @@ def load_market(
         index_rows.append((index_id, d, level))
 
     industry_rows: list[tuple[str, str, str]] = []
-    for line_no, row in _read_csv_rows(industry_path, INDUSTRY_HEADER):
-        if not row:
-            continue
+    mapped: set[str] = set()
+    for line_no, row in read_csv_rows(industry_path, INDUSTRY_HEADER):
         if len(row) != len(INDUSTRY_HEADER):
             raise SchemaError(f"{industry_path} line {line_no}: expected 3 fields, got {len(row)}")
-        industry_rows.append((row[0].strip(), row[1].strip(), row[2].strip()))
+        stock_id = row[0].strip()
+        if stock_id in mapped:
+            raise DataError(f"{industry_path} line {line_no}: second industry row for {stock_id}")
+        mapped.add(stock_id)
+        industry_rows.append((stock_id, row[1].strip(), row[2].strip()))
 
     market = MarketData(
         calendar=calendar,

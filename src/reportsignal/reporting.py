@@ -10,7 +10,6 @@ presets because the source tables use different thresholds.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from .econometrics import (
@@ -221,7 +220,6 @@ def format_industry_table(
 
 
 def industry_records(results: Iterable[SectorResult], stars: str = "table4") -> list[tuple]:
-    preset = star_preset(stars)
     rows = []
     for result in results:
         if result.fits is None:
@@ -229,25 +227,8 @@ def industry_records(results: Iterable[SectorResult], stars: str = "table4") -> 
                 (result.sector, result.n_rows, "skipped", "", "", "", "", "", "", "", "", "")
             )
             continue
-        for key in OUTCOME_ORDER:
-            fit = result.fits[key]
-            for i, regressor in enumerate(fit.regressors):
-                rows.append(
-                    (
-                        result.sector,
-                        result.n_rows,
-                        "fitted",
-                        OUTCOME_NAMES[key],
-                        regressor,
-                        repr(float(fit.coef[i])),
-                        repr(float(fit.se[i])),
-                        repr(float(fit.t_stats[i])),
-                        repr(float(fit.p_values[i])),
-                        star_marker(fit.p_values[i], preset),
-                        fit.n_obs,
-                        repr(float(fit.r_squared)),
-                    )
-                )
+        for row in regression_records(result.fits, stars):
+            rows.append((result.sector, result.n_rows, "fitted") + row)
     return rows
 
 

@@ -7,6 +7,9 @@ hit scores the uninformative (1/3, 1/3, 1/3). External model scores are
 ingested from CSV and renormalised onto the simplex. The majority rule
 is the blunt classifier used for group comparisons: positive hits versus
 negative hits, neutral words ignored.
+
+Lexicon (``word,label``) and score (``report_id,pos,neu,neg``) files are
+CSV with a header, opened and framed by ``corpus.read_csv_rows``.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable, Mapping
 
-from .corpus import RowReject, SegmentDictionary, open_input
+from .corpus import RowReject, SegmentDictionary, read_csv_rows
 from .errors import ArgumentError, DataError, DomainError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -93,20 +96,10 @@ class SentimentLexicon:
 def load_lexicon(path) -> SentimentLexicon:
     """Load a word,label CSV into a lexicon (fatal on any bad row)."""
     entries = []
-    with open_input(path) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise SchemaError(f"{path} is empty, expected a header row")
-        if header != LEXICON_HEADER:
-            raise SchemaError(f"{path}: bad lexicon header {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise SchemaError(f"{path} line {line_no}: expected 2 fields")
-            entries.append((row[0].strip(), row[1].strip()))
+    for line_no, row in read_csv_rows(path, LEXICON_HEADER):
+        if len(row) != 2:
+            raise SchemaError(f"{path} line {line_no}: expected 2 fields")
+        entries.append((row[0].strip(), row[1].strip()))
     return SentimentLexicon(entries)
 
 
@@ -162,55 +155,45 @@ def load_external_scores(
     known = set(known_ids)
     scores: list[SentimentScore] = []
     rejects: list[RowReject] = []
-    with open_input(source) as stream:
-        reader = csv.reader(stream)
-        try:
-            header = tuple(next(reader))
-        except StopIteration:
-            raise SchemaError("scores file is empty, expected a header row")
-        if header != SCORES_HEADER:
-            raise SchemaError(f"bad scores header {header!r}, expected {','.join(SCORES_HEADER)}")
-        seen: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            reason = None
-            if len(row) != 4:
-                reason = f"expected 4 fields, got {len(row)}"
-            else:
-                report_id = row[0].strip()
-                try:
-                    parts = [float(x) for x in row[1:4]]
-                except ValueError:
-                    parts = []
-                    reason = "non-numeric score component"
-                if reason is None:
-                    total = math.fsum(parts)
-                    if report_id not in known:
-                        reason = f"unknown report_id {report_id!r}"
-                    elif report_id in seen:
-                        reason = f"duplicate report_id {report_id!r}"
-                    elif any(
-                        not math.isfinite(p) or p < -sum_tolerance or p > 1.0 + sum_tolerance
-                        for p in parts
-                    ):
-                        reason = f"component outside [0, 1]: {row[1:4]}"
-                    elif abs(total - 1.0) > sum_tolerance:
-                        reason = f"components sum to {total!r}"
-            if reason is not None:
-                rejects.append(RowReject(line_no, reason))
-                continue
-            seen.add(report_id)
-            clipped = [min(max(p, 0.0), 1.0) for p in parts]
-            norm = math.fsum(clipped)
-            scores.append(
-                SentimentScore(report_id, clipped[0] / norm, clipped[1] / norm, clipped[2] / norm)
-            )
-        total_rows = len(scores) + len(rejects)
-        if total_rows and len(rejects) / total_rows > max_error_rate:
-            raise DataError(
-                f"score reject rate {len(rejects) / total_rows:.3f} exceeds {max_error_rate:.3f}"
-            )
+    seen: set[str] = set()
+    for line_no, row in read_csv_rows(source, SCORES_HEADER):
+        reason = None
+        if len(row) != 4:
+            reason = f"expected 4 fields, got {len(row)}"
+        else:
+            report_id = row[0].strip()
+            try:
+                parts = [float(x) for x in row[1:4]]
+            except ValueError:
+                parts = []
+                reason = "non-numeric score component"
+            if reason is None:
+                total = math.fsum(parts)
+                if report_id not in known:
+                    reason = f"unknown report_id {report_id!r}"
+                elif report_id in seen:
+                    reason = f"duplicate report_id {report_id!r}"
+                elif any(
+                    not math.isfinite(p) or p < -sum_tolerance or p > 1.0 + sum_tolerance
+                    for p in parts
+                ):
+                    reason = f"component outside [0, 1]: {row[1:4]}"
+                elif abs(total - 1.0) > sum_tolerance:
+                    reason = f"components sum to {total!r}"
+        if reason is not None:
+            rejects.append(RowReject(line_no, reason))
+            continue
+        seen.add(report_id)
+        clipped = [min(max(p, 0.0), 1.0) for p in parts]
+        norm = math.fsum(clipped)
+        scores.append(
+            SentimentScore(report_id, clipped[0] / norm, clipped[1] / norm, clipped[2] / norm)
+        )
+    total_rows = len(scores) + len(rejects)
+    if total_rows and len(rejects) / total_rows > max_error_rate:
+        raise DataError(
+            f"score reject rate {len(rejects) / total_rows:.3f} exceeds {max_error_rate:.3f}"
+        )
     return scores, rejects
 
 

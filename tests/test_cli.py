@@ -219,17 +219,30 @@ def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
 
     # A byte that is not UTF-8 in any input file is a data error that
     # names the file; analyze reads every input, so it meets each one.
+    # So is a CSV field longer than the csv module's 131,072-character limit.
     config = clone_with_text_inputs(dataset_dir, tmp_path / "bytes")
     capsys.readouterr()
-    for name in INPUT_FILES:
+    long_field = b"x" * 140_000
+    cases = [(name, b"\xff", "UTF-8") for name in INPUT_FILES]
+    cases += [(name, long_field, "malformed CSV") for name in INPUT_FILES if name.endswith(".csv")]
+    for name, inserted, expected in cases:
         path = config.parent / name
         clean = path.read_bytes()
         second_line = clean.index(b"\n") + 1
-        path.write_bytes(clean[:second_line] + b"\xff" + clean[second_line:])
+        path.write_bytes(clean[:second_line] + inserted + clean[second_line:])
         assert run("analyze", "--config", config, "--out", tmp_path / "out") == 2, name
         err = capsys.readouterr().err
-        assert err.count("error:") == 1 and name in err and "UTF-8" in err, err
+        assert err.count("error:") == 1 and name in err and expected in err, err
         path.write_bytes(clean)
+
+    # A second industry row for a mapped stock fails like a repeated report_id.
+    industry = config.parent / "industry.csv"
+    first_stock = industry.read_text(encoding="utf-8").splitlines()[1].split(",")[0]
+    with industry.open("a", encoding="utf-8") as stream:
+        stream.write(f"{first_stock},IND99,Bank\n")
+    assert run("ingest", "--config", config, "--out", tmp_path / "dup") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "industry.csv" in err and first_stock in err, err
 
 
 def test_byte_order_marks_read_like_clean_files(dataset_dir, tmp_path):

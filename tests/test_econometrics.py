@@ -11,7 +11,6 @@ from reportsignal.config import packaged_data_path
 from reportsignal.corpus import prepare_report
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
-    PANEL_HEADER,
     REGRESSOR_NAMES,
     MajoritySample,
     PanelRow,

@@ -10,7 +10,6 @@ from reportsignal.labeling import (
     NEGATIVE,
     NEUTRAL,
     POSITIVE,
-    LabeledReport,
     assign_labels,
     read_labels,
     write_labels,

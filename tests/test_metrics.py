@@ -8,7 +8,7 @@ import pytest
 
 from tests.helpers import flat_bar, weekdays
 from reportsignal.corpus import CorpusIndex, ReportRecord
-from reportsignal.errors import CalendarRangeError, DomainError, GapError, HistoryError
+from reportsignal.errors import CalendarRangeError, DomainError, HistoryError
 from reportsignal.market import (
     BarStore,
     DailyBar,

@@ -11,7 +11,7 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ConfigurationError
 from reportsignal.metrics import garman_klass_range
-from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
+from reportsignal.synthkit import BETA_KEYS, generate, write_dataset
 from tests.helpers import assemble, small_dataset, small_spec
 
 
