@@ -99,14 +99,14 @@ def read_csv_rows(source, header: tuple[str, ...]):
     The first row must match ``header`` once each cell is stripped; an
     empty file or another header raises SchemaError. Rows are numbered
     from 2, blank rows counted but not yielded. Text the csv module cannot
-    frame (a field over its 131,072-character limit, which an unclosed
-    quote in a large file also makes) raises DataError naming the source
-    and the line.
+    frame strictly (a quote left open to the end of the file, text after a
+    closing quote, a field over its 131,072-character limit) raises
+    DataError naming the source and the line.
     """
     name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input stream")
     expected = ",".join(header)
     with open_input(source) as stream:
-        reader = csv.reader(stream)
+        reader = csv.reader(stream, strict=True)
         try:
             actual = next(reader, None)
             if actual is None:

@@ -22,7 +22,6 @@ from datetime import date as Date
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betainc
 
 from .corpus import CorpusIndex, ReportRecord, read_csv_rows
 from .errors import (
@@ -281,6 +280,8 @@ def student_t_sf2(t_stat: float, df: float) -> float:
     if math.isinf(t_stat):
         return 0.0
     x = df / (df + t_stat * t_stat)
+    from scipy.special import betainc  # imported here: no verb but analyze needs it
+
     return float(betainc(df / 2.0, 0.5, x))
 
 

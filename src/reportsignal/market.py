@@ -22,7 +22,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -47,9 +47,8 @@ INDICES_HEADER = ("index_id", "date", "level")
 INDUSTRY_HEADER = ("stock_id", "industry_index_id", "sector_name")
 
 
-@dataclass(frozen=True)
-class DailyBar:
-    """One stock-day OHLCV observation.
+class DailyBar(NamedTuple):
+    """One stock-day OHLCV observation, an immutable NamedTuple.
 
     Prices must be positive, volume non-negative, and the high/low must
     bracket both open and close.

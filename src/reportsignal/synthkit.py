@@ -24,6 +24,24 @@ Outcome days are the trading days following report days; report days get
 reports_per_day reports each, every report cites one stock (occasionally
 two), and no stock is cited twice on one day, so outcome slots never
 collide.
+
+Array layout: each report day picks the token classes and words of its
+whole (reports x tokens) block at once. The bar chains are (stocks x
+days) arrays, drawn per stock; a loop over the days advances every stock
+at once and solves that day's planted rows (the stocks cited the day
+before) as one gathered block. Open, high and low follow for all bars in
+one pass after the loop.
+
+Every exp and log on the chain goes through libm (``math``) element by
+element, as the pipeline computes it: numpy's own exp and log round
+differently (numpy 2.4 on x86-64: ``np.exp`` differed from ``math.exp``
+on 46k of 1M draws of N(0, 0.05), ``np.log`` from ``math.log`` on 40k of
+1M ratios near 1), so one last-ulp change would move a planted bar. The
+planted targets are ``math.fsum`` over the same 12 products. ``np.exp``
+appears only where the draws' own scale is set (index levels, base
+prices and volumes, natural ranges). ``tests/reference_synth.py`` keeps
+the scalar loop this replaced, and the tests hold the two to identical
+files.
 """
 
 from __future__ import annotations
@@ -32,6 +50,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -237,6 +256,19 @@ def _lexicon_word_lists() -> tuple[list[str], list[str], list[str]]:
     return lex.words(POSITIVE), lex.words(NEUTRAL), lex.words(NEGATIVE)
 
 
+def _libm(fn, a: np.ndarray) -> np.ndarray:
+    """``fn`` (math.exp or math.log) element by element over a 1-D array."""
+    return np.fromiter(map(fn, a.tolist()), float, count=a.size)
+
+
+def _bar_shape(close, target, z):
+    """Open, high and low around ``close`` for a range target (module docstring)."""
+    c = z * 0.4 * np.sqrt(target)
+    m = np.sqrt((target + 0.3925 * c * c) / 2.006)
+    o = close / _libm(math.exp, c)
+    return o, o * _libm(math.exp, 0.5 * c + m), o * _libm(math.exp, 0.5 * c - m)
+
+
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate one dataset; deterministic for a fixed spec and seed."""
     spec.validate()
@@ -259,47 +291,42 @@ def generate(spec: SynthSpec) -> SynthDataset:
         np.concatenate(([0.0], np.cumsum(vix_steps)))
     )
 
-    # Log returns via math.log, element by element, matching the pipeline's
-    # arithmetic bit for bit (np.log can differ in the last ulp).
-    index_logret: dict[str, list[float]] = {}
-    for index_id, levels in index_levels.items():
-        if index_id == VIX:
-            continue
-        floats = [float(v) for v in levels]
-        index_logret[index_id] = [math.nan] + [
-            math.log(b / a) for a, b in zip(floats, floats[1:])
-        ]
-    vix_floats = [float(v) for v in index_levels[VIX]]
-    vix_diff = [math.nan] + [b - a for a, b in zip(vix_floats, vix_floats[1:])]
+    # Log returns (VIX: differences), NaN on the first day.
+    logret = {
+        index_id: np.concatenate(([math.nan], _libm(math.log, levels[1:] / levels[:-1])))
+        for index_id, levels in index_levels.items()
+        if index_id != VIX
+    }
+    vix_diff = np.concatenate(([math.nan], np.diff(index_levels[VIX])))
+    ind_logret = np.array([logret[index_id] for index_id in INDUSTRY_IDS])
 
     # --- stocks -------------------------------------------------------------
     stock_ids = [f"{600000 + i}.SH" for i in range(spec.n_stocks)]
-    industry_of = [i % len(SECTORS) for i in range(spec.n_stocks)]
+    industry_of = np.arange(spec.n_stocks) % len(SECTORS)
     close0 = spec.base_price * np.exp(rng.normal(0.0, spec.price_spread, spec.n_stocks))
     vbase = spec.base_volume * np.exp(rng.normal(0.0, spec.volume_base_spread, spec.n_stocks))
 
     # --- report schedule, scores, text, outcome noise ------------------------
     pos_words, neu_words, neg_words = _lexicon_word_lists()
-    class_words = (pos_words, neu_words, neg_words)
+    words = np.array(pos_words + neu_words + neg_words, dtype=object)
+    n_words = np.array([len(pos_words), len(neu_words), len(neg_words)])
+    first_word = np.cumsum(n_words) - n_words
     warning_tail = " 风险提示 后市存在波动"
+    sd = np.array([spec.noise[k] for k in OUTCOME_KEYS])
+    n_reports = spec.reports_per_day
+    n_tokens = spec.tokens_per_title + spec.tokens_per_abstract
 
     records: list[ReportRecord] = []
     scores: list[SentimentScore] = []
-    # (stock index, calendar pos of outcome day) -> planted values
-    slots: dict[tuple[int, int], tuple[float, float, float, float, float]] = {}
+    # outcome day -> (cited stocks, their pos, neg, scaled outcome noise)
+    planted: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
     n_multi = 0
-    sd_range = spec.noise["range"]
-    sd_ret = spec.noise["ret_ex"]
-    sd_dvol = spec.noise["delta_volume"]
-    n_tokens = spec.tokens_per_title + spec.tokens_per_abstract
-
-    prev_cited: set[int] = set()
+    cited_yesterday = np.zeros(spec.n_stocks, dtype=bool)
     for day_pos in range(spec.warmup_days, spec.warmup_days + spec.n_days):
         day = cal_dates[day_pos]
         perm = rng.permutation(spec.n_stocks)
-        n_reports = spec.reports_per_day
         multi_flags = rng.random(n_reports) < spec.multi_stock_rate
-        score_draws = rng.dirichlet(spec.score_alpha, n_reports)
+        triples = rng.dirichlet(spec.score_alpha, n_reports)
         class_u = rng.random((n_reports, n_tokens))
         word_u = rng.random((n_reports, n_tokens))
         warn_u = rng.random(n_reports)
@@ -310,139 +337,111 @@ def generate(spec: SynthSpec) -> SynthDataset:
         # covering it again immediately would feed the noise back into
         # the new row's lagged regressors; a one-day gap keeps every
         # regressor window clear of planted noise.
-        pool = [int(s) for s in perm if int(s) not in prev_cited]
-        today_cited: set[int] = set()
-        cursor = 0
-        for r in range(n_reports):
-            n_cited = 2 if multi_flags[r] else 1
-            cited = [pool[cursor + j] for j in range(n_cited)]
-            cursor += n_cited
-            today_cited.update(cited)
-            if n_cited == 2:
-                n_multi += 1
-            triple = score_draws[r]
-            pos, neu, neg = float(triple[0]), float(triple[1]), float(triple[2])
+        n_cited = 1 + multi_flags
+        ends = np.cumsum(n_cited)
+        cited = perm[~cited_yesterday[perm]][: ends[-1]]
+        report_of = np.repeat(np.arange(n_reports), n_cited)
+        second = np.arange(ends[-1]) - (ends - n_cited)[report_of]
+        planted[day_pos + 1] = (
+            cited,
+            triples[report_of, 0],
+            triples[report_of, 2],
+            eps[report_of, second] * sd,
+        )
+        cited_yesterday[:] = False
+        cited_yesterday[cited] = True
+        n_multi += int(multi_flags.sum())
 
-            cum1, cum2 = pos, pos + neu
-            tokens = []
-            for t in range(n_tokens):
-                u = class_u[r, t]
-                cls = 0 if u < cum1 else (1 if u < cum2 else 2)
-                words = class_words[cls]
-                tokens.append(words[min(int(word_u[r, t] * len(words)), len(words) - 1)])
-            title = "".join(tokens[: spec.tokens_per_title])
-            abstract = "".join(tokens[spec.tokens_per_title :])
+        # Token class 0/1/2 from the cumulative score, then a word of it.
+        cls = (class_u >= triples[:, :1]).astype(np.intp)
+        cls += class_u >= (triples[:, 0] + triples[:, 1])[:, None]
+        n_cls = n_words[cls]
+        tokens = words[first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)]
+        cited_ids = [stock_ids[s] for s in cited.tolist()]
+        for r, (row, triple, end, k) in enumerate(
+            zip(tokens.tolist(), triples.tolist(), ends.tolist(), n_cited.tolist())
+        ):
+            abstract = "".join(row[spec.tokens_per_title :])
             if warn_u[r] < spec.risk_warning_rate:
                 abstract += warning_tail
-
             report_id = f"R{day_pos:04d}{r:03d}"
-            records.append(
-                ReportRecord(
-                    report_id,
-                    title,
-                    abstract,
-                    tuple(stock_ids[s] for s in cited),
-                    day,
-                )
-            )
-            scores.append(SentimentScore(report_id, pos, neu, neg))
-            for j, stock_idx in enumerate(cited):
-                slots[(stock_idx, day_pos + 1)] = (
-                    pos,
-                    neg,
-                    float(eps[r, j, 0]) * sd_range,
-                    float(eps[r, j, 1]) * sd_ret,
-                    float(eps[r, j, 2]) * sd_dvol,
-                )
-        prev_cited = today_cited
+            title = "".join(row[: spec.tokens_per_title])
+            cited_by = tuple(cited_ids[end - k : end])
+            records.append(ReportRecord(report_id, title, abstract, cited_by, day))
+            scores.append(SentimentScore(report_id, *triple))
 
     # the citation-count regressors come from the pipeline's own index
     corpus_index = CorpusIndex(records)
 
     # --- bar chains ----------------------------------------------------------
-    beta_r = [spec.betas["range"][k] for k in BETA_KEYS]
-    beta_e = [spec.betas["ret_ex"][k] for k in BETA_KEYS]
-    beta_d = [spec.betas["delta_volume"][k] for k in BETA_KEYS]
-    bars: list[DailyBar] = []
+    # (stock x day) arrays drawn stock by stock; targets start as natural ranges.
+    shape = (spec.n_stocks, n_cal)
+    growth, targets, zc, vols = (np.empty(shape) for _ in range(4))
+    for i in range(spec.n_stocks):
+        idio = rng.normal(0.0, spec.idio_vol, n_cal)
+        targets[i] = spec.base_range * np.exp(rng.normal(0.0, spec.range_spread, n_cal))
+        zc[i] = np.clip(rng.normal(0.0, 1.0, n_cal), -2.0, 2.0)
+        vnoise = rng.normal(0.0, spec.volume_sd, n_cal)
+        growth[i] = _libm(math.exp, ind_logret[industry_of[i]] + idio)
+        vols[i] = vbase[i] * _libm(math.exp, vnoise)
+
+    betas = np.array([[spec.betas[k][key] for key in BETA_KEYS] for k in OUTCOME_KEYS])
+    market_x = np.column_stack((logret[SZSE], logret[SSE], logret[CSI500], vix_diff))
+    closes = np.empty(shape)
+    closes[:, 0] = close0
+    vol_prefix = np.zeros((spec.n_stocks, n_cal + 1))
+    vol_prefix[:, 1] = vols[:, 0]
     n_planted = 0
     n_clamped = 0
-
-    for idx, sid in enumerate(stock_ids):
-        ind_ret = index_logret[INDUSTRY_IDS[industry_of[idx]]]
-        idio = rng.normal(0.0, spec.idio_vol, n_cal)
-        nat_range = spec.base_range * np.exp(rng.normal(0.0, spec.range_spread, n_cal))
-        zc = np.clip(rng.normal(0.0, 1.0, n_cal), -2.0, 2.0)
-        vnoise = rng.normal(0.0, spec.volume_sd, n_cal)
-
-        closes = [0.0] * n_cal
-        vols = [0.0] * n_cal
-        gk = [0.0] * n_cal
-        vol_prefix = [0.0]
-
-        for j in range(n_cal):
-            slot = slots.get((idx, j))
-            if slot is None:
-                close = (
-                    float(close0[idx])
-                    if j == 0
-                    else closes[j - 1] * math.exp(float(ind_ret[j]) + float(idio[j]))
-                )
-                target = float(nat_range[j])
-                vol = float(vbase[idx]) * math.exp(float(vnoise[j]))
-            else:
-                n_planted += 1
-                pos, neg, eps_r, eps_e, eps_d = slot
-                s = j - 1
-                num7, num90 = recommendation_counts(corpus_index, sid, cal_dates[j])
-                mean60_s = (vol_prefix[s] - vol_prefix[s - 60]) / 60.0
-                x = (
-                    1.0,
-                    pos,
-                    neg,
-                    gk[s] * 100.0,
-                    math.log(vols[s] / mean60_s),
-                    math.log(closes[s] / closes[s - 1]) - float(ind_ret[s]),
-                    float(index_logret[SZSE][s]),
-                    float(index_logret[SSE][s]),
-                    float(index_logret[CSI500][s]),
-                    float(vix_diff[s]),
-                    num90 / 100.0,
-                    num7 / 100.0,
-                )
-                y_range = math.fsum(b * v for b, v in zip(beta_r, x)) + eps_r
-                y_ret = math.fsum(b * v for b, v in zip(beta_e, x)) + eps_e
-                y_dvol = math.fsum(b * v for b, v in zip(beta_d, x)) + eps_d
-                if y_range < RANGE_FLOOR_X100:
-                    y_range = RANGE_FLOOR_X100
-                    n_clamped += 1
-                target = y_range / 100.0
-                close = closes[j - 1] * math.exp(y_ret + float(ind_ret[j]))
-                mean60_t = (vol_prefix[j] - vol_prefix[j - 60]) / 60.0
-                vol = mean60_t * math.exp(y_dvol)
-
-            # Bar around the close: overnight gap absorbs the return, the
-            # intraday shape is solved from the range target (see module
-            # docstring for the algebra).
-            c = float(zc[j]) * 0.4 * math.sqrt(target)
-            m = math.sqrt((target + 0.3925 * c * c) / 2.006)
-            o = close / math.exp(c)
-            h = o * math.exp(0.5 * c + m)
-            l = o * math.exp(0.5 * c - m)
-
-            closes[j] = close
-            vols[j] = vol
-            vol_prefix.append(vol_prefix[-1] + vol)
-            gk[j] = garman_klass(o, h, l, close)
-            bars.append(
-                DailyBar(sid, cal_dates[j], float(o), float(h), float(l), float(close), float(vol))
+    for j in range(1, n_cal):
+        closes[:, j] = closes[:, j - 1] * growth[:, j]
+        if j in planted:
+            # This day's planted rows, solved from the lagged regressors the
+            # pipeline will compute on day s = j - 1.
+            rows, pos, neg, noise = planted[j]
+            s, k, ind = j - 1, rows.size, industry_of[rows]
+            n_planted += k
+            close_s = closes[rows, s]
+            o, h, l = _bar_shape(close_s, targets[rows, s], zc[rows, s])
+            gk = map(garman_klass, o.tolist(), h.tolist(), l.tolist(), close_s.tolist())
+            counts = [recommendation_counts(corpus_index, stock_ids[i], cal_dates[j]) for i in rows]
+            mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
+            x = np.column_stack((
+                np.ones(k),
+                pos,
+                neg,
+                np.fromiter(gk, float, count=k) * 100.0,
+                _libm(math.log, vols[rows, s] / mean60_s),
+                _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s],
+                np.tile(market_x[s], (k, 1)),
+                np.array(counts)[:, ::-1] / 100.0,  # (num90, num7)
+            ))
+            y_range, y_ret, y_dvol = (
+                np.fromiter(map(math.fsum, (x * b).tolist()), float, count=k) + e
+                for b, e in zip(betas, noise.T)
             )
+            low = y_range < RANGE_FLOOR_X100
+            n_clamped += int(low.sum())
+            y_range[low] = RANGE_FLOOR_X100
+            targets[rows, j] = y_range / 100.0
+            closes[rows, j] = close_s * _libm(math.exp, y_ret + ind_logret[ind, j])
+            mean60_t = (vol_prefix[rows, j] - vol_prefix[rows, j - 60]) / 60.0
+            vols[rows, j] = mean60_t * _libm(math.exp, y_dvol)
+        vol_prefix[:, j + 1] = vol_prefix[:, j] + vols[:, j]
+    del growth, vol_prefix
+
+    bars: list[DailyBar] = []
+    for i, sid in enumerate(stock_ids):
+        o, h, l = _bar_shape(closes[i], targets[i], zc[i])
+        columns = (o, h, l, closes[i], vols[i])
+        bars.extend(map(DailyBar._make, zip(repeat(sid), cal_dates, *map(np.ndarray.tolist, columns))))
 
     # --- assemble ------------------------------------------------------------
-    index_rows: list[tuple[str, Date, float]] = []
-    for index_id in (SSE, SZSE, CSI500) + INDUSTRY_IDS + (VIX,):
-        levels = index_levels[index_id]
-        for j in range(n_cal):
-            index_rows.append((index_id, cal_dates[j], float(levels[j])))
+    index_rows = [
+        (index_id, d, level)
+        for index_id in (SSE, SZSE, CSI500) + INDUSTRY_IDS + (VIX,)
+        for d, level in zip(cal_dates, index_levels[index_id].tolist())
+    ]
 
     industry_rows = [
         (sid, INDUSTRY_IDS[industry_of[i]], SECTORS[industry_of[i]])

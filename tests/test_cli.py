@@ -245,6 +245,22 @@ def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
     assert err.count("error:") == 1 and "industry.csv" in err and first_stock in err, err
 
 
+def test_unclosed_quote_in_corpus_exits_two(dataset_dir, tmp_path, capsys):
+    """A quote opened in a title and never closed would swallow every row
+    after it into one field; the strict reader makes it a data error."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    corpus = clone / "corpus.csv"
+    lines = corpus.read_text(encoding="utf-8").splitlines()
+    report_id, rest = lines[-100].split(",", 1)
+    lines[-100] = f'{report_id},"{rest}'
+    corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("ingest", "--config", clone / "config.json", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "corpus.csv" in err and "malformed CSV" in err, err
+
+
 def test_byte_order_marks_read_like_clean_files(dataset_dir, tmp_path):
     config = clone_with_text_inputs(dataset_dir, tmp_path / "clean")
     bom_config = clone_with_text_inputs(dataset_dir, tmp_path / "bom")

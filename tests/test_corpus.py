@@ -77,6 +77,15 @@ def test_parse_fatal_conditions():
     with pytest.raises(DataError):
         parse_corpus(io.StringIO(noisy), max_error_rate=0.25)
 
+    # The reader is strict: text after a closing quote is malformed, not
+    # glued onto the quoted field.
+    stray = (
+        "report_id,title,abstract,stock_codes,release_date\n"
+        'r1,"abc"def,a,600000.SH,2019-03-04\n'
+    )
+    with pytest.raises(DataError, match="malformed CSV"):
+        parse_corpus(io.StringIO(stray))
+
 
 def test_serialize_round_trips_commas_and_cjk(tmp_path):
     records = [

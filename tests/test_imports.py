@@ -1,6 +1,10 @@
-"""Static check: every module uses each name it imports."""
+"""Import checks: every module uses each name it imports, and the CLI
+loads no more than its verbs need."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,3 +39,13 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy serves only p-values, so it loads when analyze needs one."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    probe = "import sys, reportsignal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

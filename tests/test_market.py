@@ -93,6 +93,26 @@ def test_bar_invariants():
     assert all(b.check() is not None for b in bad)
 
 
+def test_daily_bar_is_an_immutable_value():
+    bar = DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 1e6)
+    with pytest.raises(AttributeError):
+        bar.close = 1.0
+    assert bar == DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 1e6)
+    assert bar != DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 2e6)
+    reasons = [
+        DailyBar("s", MONDAY, 0.0, 101, 99, 100, 1e6).check(),
+        DailyBar("s", MONDAY, 100, math.inf, 99, 100, 1e6).check(),
+        DailyBar("s", MONDAY, 100, 101, 99, 100, math.nan).check(),
+        DailyBar("s", MONDAY, 100, 100.2, 99, 100.5, 1e6).check(),
+    ]
+    assert reasons == [
+        "non-positive or non-finite price",
+        "non-positive or non-finite price",
+        "negative or non-finite volume",
+        "high/low do not bracket open/close",
+    ]
+
+
 def store_with_closes(closes, stock_id="600000.SH", skip=()):
     cal = calendar_of(len(closes))
     bars = [

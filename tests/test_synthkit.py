@@ -11,8 +11,9 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ConfigurationError
 from reportsignal.metrics import garman_klass_range
-from reportsignal.synthkit import BETA_KEYS, generate, write_dataset
+from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
 from tests.helpers import assemble, small_dataset, small_spec
+from tests.reference_synth import generate_scalar
 
 
 def run_recovery(ds):
@@ -175,3 +176,17 @@ def test_written_dataset_is_a_complete_run_directory(tmp_path):
     assert truth == ds.truth
     header = paths["bars"].read_text(encoding="utf-8").splitlines()[0]
     assert header == "stock_id,date,open,high,low,close,volume"
+
+
+def test_generator_matches_scalar_reference(tmp_path):
+    """The array generator writes the scalar loop's files byte for byte."""
+    specs = [small_spec(seed=seed) for seed in range(5)]
+    specs += [small_spec(seed=8, multi_stock_rate=rate) for rate in (0.0, 1.0)]
+    specs.append(small_spec(seed=9, noise={"range": 0.0, "ret_ex": 0.0, "delta_volume": 0.0}))
+    specs.append(small_spec(seed=11, noise={"range": 5.0, "ret_ex": 0.113, "delta_volume": 0.158}))
+    specs.append(SynthSpec(seed=0))
+    for k, spec in enumerate(specs):
+        want = write_dataset(generate_scalar(spec), tmp_path / f"scalar{k}", seed=spec.seed)
+        got = write_dataset(generate(spec), tmp_path / f"array{k}", seed=spec.seed)
+        for name, path in want.items():
+            assert got[name].read_bytes() == path.read_bytes(), (k, name)
