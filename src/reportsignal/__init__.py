@@ -36,7 +36,6 @@ from .econometrics import (
     majority_group_tests,
     mean_difference_test,
     ols_fit,
-    read_panel,
     run_industry_regressions,
     run_pooled_regressions,
     student_t_sf2,
@@ -48,15 +47,13 @@ from .errors import (
     ConfigurationError,
     DataError,
     DomainError,
-    GapError,
-    HistoryError,
     MappingError,
     NumericalError,
     PipelineError,
     SchemaError,
     SingularityError,
 )
-from .labeling import LabeledReport, assign_labels, read_labels, write_labels
+from .labeling import LabeledReport, assign_labels, write_labels
 from .market import (
     DailyBar,
     IndexStore,

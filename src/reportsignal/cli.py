@@ -22,6 +22,8 @@ from dataclasses import asdict
 from datetime import date as Date, timedelta
 from pathlib import Path
 
+import numpy as np
+
 from .config import (
     RunConfig,
     VALID_SCORERS,
@@ -43,16 +45,23 @@ from .errors import (
     CalendarRangeError,
     ConfigurationError,
     DataError,
-    DomainError,
-    GapError,
-    HistoryError,
-    MappingError,
     NumericalError,
     PipelineError,
 )
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
-from .market import TradingCalendar, load_market
-from .metrics import LONG_COUNT_WINDOW, label_window_return
+from .market import MarketData, TradingCalendar, load_market
+from .metrics import (
+    DOMAIN,
+    GAP,
+    HISTORY,
+    LONG_COUNT_WINDOW,
+    NO_MAPPING,
+    OFF_CALENDAR,
+    OK,
+    first_failure,
+    label_window_return,
+    tally,
+)
 from .reporting import (
     format_industry_table,
     format_mean_test_table,
@@ -73,6 +82,13 @@ from .sentiment import (
 from .synthkit import SynthSpec, generate, write_dataset
 
 REPORT_FORMAT_VERSION = 1
+LABEL_DROPS = {
+    OFF_CALENDAR: "label window outside calendar",
+    NO_MAPPING: "no industry mapping",
+    GAP: "missing market data",
+    HISTORY: "missing market data",
+    DOMAIN: "bad market data",
+}
 _REJECT_CAP = 1000  # rejects listed per report file; counts stay exact
 
 
@@ -176,39 +192,41 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
+def label_pool(records, market: MarketData, start: Date, end: Date):
+    """(report_id, stock_id, window return) for each (report, stock) pair
+    released in [start, end], plus the drops by reason."""
+    calendar = market.calendar
+    reasons: list[str | None] = []  # per pair; None for the pairs the kernel judges
+    pairs: list[tuple[str, str, int]] = []
+    for record in records:
+        if not (start <= record.release_date <= end):
+            continue
+        release_day = calendar.locate(record.release_date)
+        for stock_id in record.stock_codes:
+            if release_day == len(calendar):
+                reasons.append("release date beyond calendar")
+            else:
+                reasons.append(None)
+                pairs.append((record.report_id, stock_id, release_day))
+
+    returns = label_window_return(
+        market,
+        market.bars.rows_of(pair[1] for pair in pairs),
+        np.array([pair[2] for pair in pairs], dtype=np.intp),
+    )
+    status = first_failure(market, returns)
+    pool = [
+        (report_id, stock_id, window_return)
+        for (report_id, stock_id, _), window_return, code in zip(pairs, returns.values.tolist(), status.tolist())
+        if code == OK
+    ]
+    return pool, tally(reasons, status, LABEL_DROPS)
+
+
 def cmd_label(config: RunConfig) -> int:
     out = _ensure_out(config.out)
     parse, loaded = _load_inputs(config)
-    market = loaded.market
-
-    pool: list[tuple[str, str, float]] = []
-    drops: dict[str, int] = {}
-
-    def drop(reason: str) -> None:
-        drops[reason] = drops.get(reason, 0) + 1
-
-    for record in parse.records:
-        if not (config.train_start <= record.release_date <= config.train_end):
-            continue
-        for stock_id in record.stock_codes:
-            try:
-                release_day = market.calendar.align(record.release_date)
-            except CalendarRangeError:
-                drop("release date beyond calendar")
-                continue
-            try:
-                window_return = label_window_return(market, stock_id, release_day)
-            except CalendarRangeError:
-                drop("label window outside calendar")
-            except MappingError:
-                drop("no industry mapping")
-            except (GapError, HistoryError):
-                drop("missing market data")
-            except DomainError:
-                drop("bad market data")
-            else:
-                pool.append((record.report_id, stock_id, window_return))
-
+    pool, drops = label_pool(parse.records, loaded.market, config.train_start, config.train_end)
     if not pool:
         raise DataError("labeling pool is empty: no training-range pair survived")
     labeled = assign_labels(pool)

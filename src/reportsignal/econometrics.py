@@ -23,25 +23,25 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, ReportRecord, read_csv_rows
-from .errors import (
-    ArgumentError,
-    CalendarRangeError,
-    DataError,
-    DomainError,
-    GapError,
-    HistoryError,
-    MappingError,
-    SingularityError,
-)
+from .corpus import CorpusIndex, ReportRecord
+from .errors import ArgumentError, DataError, SingularityError
 from .labeling import NEGATIVE, POSITIVE
 from .market import CSI500, MarketData, SSE, SZSE, VIX
 from .metrics import (
+    DOMAIN,
+    GAP,
+    HISTORY,
+    NO_MAPPING,
+    OFF_CALENDAR,
+    OK,
     delta_volume,
     excess_return,
+    first_failure,
     garman_klass_range,
+    index_change,
     label_window_return,
     recommendation_counts,
+    tally,
 )
 from .sentiment import SentimentScore, classify_majority
 
@@ -141,6 +141,22 @@ class PanelBuildResult:
         return sum(self.drops.values())
 
 
+# The drop reason of each kernel status, for panel rows and majority samples.
+PAIR_DROPS = {
+    GAP: "missing market data",
+    OFF_CALENDAR: "missing market data",
+    NO_MAPPING: "no industry mapping",
+    HISTORY: "insufficient history",
+    DOMAIN: "volume domain",
+}
+
+
+def _in_range(records: Iterable[ReportRecord], start: Date | None, end: Date | None):
+    for record in records:
+        if (start is None or record.release_date >= start) and (end is None or record.release_date <= end):
+            yield record
+
+
 def build_panel(
     records: Iterable[ReportRecord],
     scores: Mapping[str, SentimentScore],
@@ -159,83 +175,72 @@ def build_panel(
     fatal.
     """
     calendar = market.calendar
-    rows: list[PanelRow] = []
-    drops: dict[str, int] = {}
-    flagged = 0
-    n_pairs = 0
-
-    def drop(reason: str) -> None:
-        drops[reason] = drops.get(reason, 0) + 1
-
-    for record in records:
-        if start is not None and record.release_date < start:
-            continue
-        if end is not None and record.release_date > end:
-            continue
+    reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
+    pairs: list[tuple[ReportRecord, SentimentScore, str, int]] = []
+    for record in _in_range(records, start, end):
         score = scores.get(record.report_id)
+        s_day = calendar.locate(record.release_date)
         for stock_id in record.stock_codes:
-            n_pairs += 1
             if score is None:
-                drop("no score")
-                continue
-            try:
-                s_day = calendar.align(record.release_date)
-            except CalendarRangeError:
-                drop("release date beyond calendar")
-                continue
-            try:
-                t_day = calendar.shift(s_day, 1)
-            except CalendarRangeError:
-                drop("no outcome trading day")
-                continue
-            try:
-                range_lag = garman_klass_range(market.bars.bar(stock_id, s_day))
-                retex_lag = excess_return(market, stock_id, s_day)
-                dvol_lag = delta_volume(market, stock_id, s_day)
-                outcome_range = garman_klass_range(market.bars.bar(stock_id, t_day))
-                outcome_retex = excess_return(market, stock_id, t_day)
-                outcome_dvol = delta_volume(market, stock_id, t_day)
-                szse = market.indices.log_return(SZSE, s_day)
-                sse = market.indices.log_return(SSE, s_day)
-                csi500 = market.indices.log_return(CSI500, s_day)
-                vix = market.indices.change(VIX, s_day, vix_mode)
-            except MappingError:
-                drop("no industry mapping")
-                continue
-            except HistoryError:
-                drop("insufficient history")
-                continue
-            except (GapError, CalendarRangeError):
-                drop("missing market data")
-                continue
-            except DomainError:
-                drop("volume domain")
-                continue
-            num7, num90 = recommendation_counts(corpus_index, stock_id, t_day)
-            if range_lag < 0.0 or outcome_range < 0.0:
-                flagged += 1
-            rows.append(
-                PanelRow(
-                    report_id=record.report_id,
-                    stock_id=stock_id,
-                    outcome_date=t_day,
-                    pos_lag=score.pos,
-                    neg_lag=score.neg,
-                    range_lag=range_lag * RANGE_SCALE,
-                    retex_lag=retex_lag,
-                    dvol_lag=dvol_lag,
-                    outcome_range=outcome_range * RANGE_SCALE,
-                    outcome_retex=outcome_retex,
-                    outcome_dvol=outcome_dvol,
-                    szse_lag=szse,
-                    sse_lag=sse,
-                    csi500_lag=csi500,
-                    vix_lag=vix,
-                    num90_lag=num90 * NUM_SCALE,
-                    num7_lag=num7 * NUM_SCALE,
-                )
+                reasons.append("no score")
+            elif s_day == len(calendar):
+                reasons.append("release date beyond calendar")
+            elif s_day + 1 == len(calendar):
+                reasons.append("no outcome trading day")
+            else:
+                reasons.append(None)
+                pairs.append((record, score, stock_id, s_day))
+
+    stocks = market.bars.rows_of(pair[2] for pair in pairs)
+    s = np.array([pair[3] for pair in pairs], dtype=np.intp)
+    t = s + 1
+    parts = (
+        garman_klass_range(market, stocks, s),
+        excess_return(market, stocks, s),
+        delta_volume(market, stocks, s),
+        garman_klass_range(market, stocks, t),
+        excess_return(market, stocks, t),
+        delta_volume(market, stocks, t),
+        index_change(market, market.indices.row(SZSE), s, "logdiff"),
+        index_change(market, market.indices.row(SSE), s, "logdiff"),
+        index_change(market, market.indices.row(CSI500), s, "logdiff"),
+        index_change(market, market.indices.row(VIX), s, vix_mode),
+    )
+    status = first_failure(market, *parts)
+    drops = tally(reasons, status, PAIR_DROPS)
+
+    ok = np.flatnonzero(status == OK)
+    rows: list[PanelRow] = []
+    flagged = 0
+    for i, values in zip(ok.tolist(), zip(*(part.values[ok].tolist() for part in parts))):
+        range_lag, retex_lag, dvol_lag, outcome_range, outcome_retex, outcome_dvol, szse, sse, csi500, vix = values
+        record, score, stock_id, s_day = pairs[i]
+        t_day = calendar.dates[s_day + 1]
+        num7, num90 = recommendation_counts(corpus_index, stock_id, t_day)
+        if range_lag < 0.0 or outcome_range < 0.0:
+            flagged += 1
+        rows.append(
+            PanelRow(
+                report_id=record.report_id,
+                stock_id=stock_id,
+                outcome_date=t_day,
+                pos_lag=score.pos,
+                neg_lag=score.neg,
+                range_lag=range_lag * RANGE_SCALE,
+                retex_lag=retex_lag,
+                dvol_lag=dvol_lag,
+                outcome_range=outcome_range * RANGE_SCALE,
+                outcome_retex=outcome_retex,
+                outcome_dvol=outcome_dvol,
+                szse_lag=szse,
+                sse_lag=sse,
+                csi500_lag=csi500,
+                vix_lag=vix,
+                num90_lag=num90 * NUM_SCALE,
+                num7_lag=num7 * NUM_SCALE,
             )
-    return PanelBuildResult(rows, drops, flagged, n_pairs)
+        )
+    return PanelBuildResult(rows, drops, flagged, len(reasons))
 
 
 def write_panel(rows: Iterable[PanelRow], path) -> None:
@@ -251,20 +256,6 @@ def write_panel(rows: Iterable[PanelRow], path) -> None:
                 ]
                 + [repr(getattr(row, name)) for name in PANEL_HEADER[3:]]
             )
-
-
-def read_panel(path) -> list[PanelRow]:
-    out = []
-    for _, raw in read_csv_rows(path, PANEL_HEADER):
-        out.append(
-            PanelRow(
-                raw[0],
-                raw[1],
-                Date.fromisoformat(raw[2]),
-                *(float(x) for x in raw[3:]),
-            )
-        )
-    return out
 
 
 def student_t_sf2(t_stat: float, df: float) -> float:
@@ -587,55 +578,46 @@ def build_majority_samples(
 ) -> tuple[list[MajoritySample], dict[str, int]]:
     """Join majority classes to release-day metrics for each (report, stock).
 
-    ``tokens_by_report`` holds the segmented cleaned text; pairs with
-    missing market data are dropped and tallied, like panel rows.
+    ``tokens_by_report`` holds the segmented cleaned text; pairs without
+    tokens or with missing market data are dropped and tallied, like panel
+    rows.
     """
     calendar = market.calendar
-    samples: list[MajoritySample] = []
-    drops: dict[str, int] = {}
-
-    def drop(reason: str) -> None:
-        drops[reason] = drops.get(reason, 0) + 1
-
-    for record in records:
-        if start is not None and record.release_date < start:
-            continue
-        if end is not None and record.release_date > end:
-            continue
+    reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
+    pairs: list[tuple[str, str, str, int]] = []
+    for record in _in_range(records, start, end):
         tokens = tokens_by_report.get(record.report_id)
         if tokens is None:
-            drop("no tokens")
+            reasons.extend(["no tokens"] * len(record.stock_codes))
             continue
         cls = classify_majority(tokens, lexicon)
+        s_day = calendar.locate(record.release_date)
         for stock_id in record.stock_codes:
-            try:
-                s_day = calendar.align(record.release_date)
-                prev_day = calendar.shift(s_day, -1)
-                next_day = calendar.shift(s_day, 1)
-                sample = MajoritySample(
-                    report_id=record.report_id,
-                    stock_id=stock_id,
-                    majority_class=cls,
-                    ret_ex_t=excess_return(market, stock_id, s_day),
-                    ret_ex_prev=excess_return(market, stock_id, prev_day),
-                    ret_ex_next=excess_return(market, stock_id, next_day),
-                    ret_ex_3day=label_window_return(market, stock_id, s_day),
-                    dvolume=delta_volume(market, stock_id, s_day),
-                    range_x100=garman_klass_range(market.bars.bar(stock_id, s_day)) * RANGE_SCALE,
-                )
-            except MappingError:
-                drop("no industry mapping")
-                continue
-            except HistoryError:
-                drop("insufficient history")
-                continue
-            except (GapError, CalendarRangeError):
-                drop("missing market data")
-                continue
-            except DomainError:
-                drop("volume domain")
-                continue
-            samples.append(sample)
+            if 0 < s_day < len(calendar) - 1:
+                reasons.append(None)
+                pairs.append((record.report_id, stock_id, cls, s_day))
+            else:
+                reasons.append("missing market data")
+
+    stocks = market.bars.rows_of(pair[1] for pair in pairs)
+    s = np.array([pair[3] for pair in pairs], dtype=np.intp)
+    parts = (
+        excess_return(market, stocks, s),
+        excess_return(market, stocks, s - 1),
+        excess_return(market, stocks, s + 1),
+        label_window_return(market, stocks, s),
+        delta_volume(market, stocks, s),
+        garman_klass_range(market, stocks, s),
+    )
+    status = first_failure(market, *parts)
+    drops = tally(reasons, status, PAIR_DROPS)
+
+    ok = np.flatnonzero(status == OK)
+    samples = []
+    for i, values in zip(ok.tolist(), zip(*(part.values[ok].tolist() for part in parts))):
+        report_id, stock_id, cls, _ = pairs[i]
+        *returns, dvolume, range_ = values
+        samples.append(MajoritySample(report_id, stock_id, cls, *returns, dvolume, range_ * RANGE_SCALE))
     return samples, drops
 
 

@@ -21,21 +21,8 @@ class SchemaError(DataError):
     """A file header or field layout does not match the documented schema."""
 
 
-class GapError(DataError):
-    """A required observation is missing from a series."""
-
-    def __init__(self, series: str, date, message: str | None = None):
-        self.series = series
-        self.date = date
-        super().__init__(message or f"missing observation for {series} on {date}")
-
-
 class MappingError(DataError):
     """A stock has no industry mapping."""
-
-
-class HistoryError(DataError):
-    """Not enough lookback history to compute a windowed quantity."""
 
 
 class DomainError(DataError):

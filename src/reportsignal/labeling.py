@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .corpus import read_csv_rows
-from .errors import ArgumentError, SchemaError
+from .errors import ArgumentError
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -82,12 +81,3 @@ def write_labels(labels: Iterable[LabeledReport], path) -> None:
         writer.writerow(LABELS_HEADER)
         for item in labels:
             writer.writerow([item.report_id, item.stock_id, repr(item.window_return), item.label])
-
-
-def read_labels(path) -> list[LabeledReport]:
-    out = []
-    for _, row in read_csv_rows(path, LABELS_HEADER):
-        if row[3] not in LABELS:
-            raise SchemaError(f"{path}: unknown label {row[3]!r}")
-        out.append(LabeledReport(row[0], row[1], float(row[2]), row[3]))
-    return out

@@ -10,18 +10,36 @@ handle a leading byte-order mark):
     industry: stock_id,industry_index_id,sector_name
     calendar: one ISO date per line, ascending; '#' lines are comments
 
-Stores are immutable after loading. Each store accepts an optional
-``fence`` date; once set, any read of an observation dated before the
-fence raises, which is how the analysis stage proves it never touches
-pre-test history beyond its declared lookback.
+Layout. ``BarStore`` and ``IndexStore`` are dense (id x trading-day)
+arrays of the raw values (open/high/low/close/volume, or levels) with a
+``present`` mask; a stock's row holds its bars at their calendar
+positions. Nothing derived is precomputed per cell except the running
+volume sums and bar counts that make any trailing volume window two
+lookups. The metric kernels in ``metrics`` gather the cells they need by
+(row, day) arrays.
+
+Loading. ``load_market`` reads bars.csv ``BAR_BLOCK_ROWS`` rows at a
+time: each block becomes columns, prices convert with
+``np.array(column, dtype=float)`` (which calls ``float()`` on every
+string), dates once per distinct text, and array masks pick out the rows
+to validate one by one, so a reject carries the reason text of the
+row-by-row checks. Rejects come in line order: first those of parsing
+and bar checks, then those of calendar days and duplicates.
+
+Fence. Each store accepts an optional ``fence`` date; as a calendar
+position it is one column bound, and a kernel row whose first failing
+read lies left of it raises, which is how the analysis stage proves it
+never touches pre-test history beyond its declared lookback.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+import operator
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
+from itertools import islice
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -31,8 +49,6 @@ from .errors import (
     CalendarRangeError,
     ConfigurationError,
     DataError,
-    GapError,
-    HistoryError,
     MappingError,
     SchemaError,
 )
@@ -45,6 +61,11 @@ VIX = "VIX"
 BARS_HEADER = ("stock_id", "date", "open", "high", "low", "close", "volume")
 INDICES_HEADER = ("index_id", "date", "level")
 INDUSTRY_HEADER = ("stock_id", "industry_index_id", "sector_name")
+# Bars are parsed this many rows at a time. Each csv row is a list, which
+# the cyclic garbage collector tracks; a block this small is freed before
+# its first generation (700 containers by default) fills, so no collection
+# runs while bars.csv loads. 8,192-row blocks made 315 collections at 1x.
+BAR_BLOCK_ROWS = 512
 
 
 class DailyBar(NamedTuple):
@@ -121,6 +142,11 @@ class TradingCalendar:
             raise CalendarRangeError(f"no trading day after {d} on this calendar")
         return self.dates[i]
 
+    def locate(self, d: Date) -> int:
+        """Position of ``align(d)``; ``len(self)`` when no trading day is on or after d."""
+        i = self._pos.get(d)
+        return bisect_left(self.dates, d) if i is None else i
+
     def align(self, d: Date) -> Date:
         """Map an arbitrary date onto the calendar: d itself when it is a
         trading day, otherwise the next one."""
@@ -155,155 +181,125 @@ class TradingCalendar:
             )
 
 
-class _StockSeries:
-    """Column arrays for one stock, positions aligned with its bar dates."""
+class _DayGrid:
+    """Values keyed by (id, trading day), held in dense (id x day) arrays.
 
-    __slots__ = ("dates", "calpos", "open", "high", "low", "close", "volume", "vol_prefix", "pos")
+    Row ``rows[id]`` holds one id's values at their calendar positions and
+    ``present`` marks the cells that hold one; the other cells hold 0.0.
+    One extra row at the end stays empty, so row -1 stands for an unknown
+    id and a gather needs no special case for it. A read of a day before
+    ``fence`` (a date, or None) is refused; as a calendar position the
+    fence is one column bound, ``fence_position()``.
+    """
 
-    def __init__(self, bars: list[DailyBar], calendar: TradingCalendar):
-        bars.sort(key=lambda b: b.date)
-        self.dates = [b.date for b in bars]
-        self.pos = {d: i for i, d in enumerate(self.dates)}
-        self.calpos = np.array([calendar.index(d) for d in self.dates], dtype=np.int64)
-        self.open = np.array([b.open for b in bars])
-        self.high = np.array([b.high for b in bars])
-        self.low = np.array([b.low for b in bars])
-        self.close = np.array([b.close for b in bars])
-        self.volume = np.array([b.volume for b in bars])
-        # Prefix sums make any mean-volume window a two-element difference.
-        self.vol_prefix = np.concatenate(([0.0], np.cumsum(self.volume)))
+    data = "market"
 
-
-class BarStore:
-    """Per-stock daily bars with gap-aware series lookups."""
-
-    def __init__(self, bars: Iterable[DailyBar], calendar: TradingCalendar):
+    def __init__(self, calendar: TradingCalendar, ids: Iterable[str], codes, days):
         self.calendar = calendar
         self.fence: Date | None = None
-        grouped: dict[str, list[DailyBar]] = {}
-        for bar in bars:
-            grouped.setdefault(bar.stock_id, []).append(bar)
-        self._series = {sid: _StockSeries(blist, calendar) for sid, blist in grouped.items()}
+        self.rows = {key: i for i, key in enumerate(ids)}
+        self.present = np.zeros((len(self.rows) + 1, len(calendar)), dtype=bool)
+        self.present[codes, days] = True
 
-    def _fence_check(self, earliest: Date) -> None:
-        if self.fence is not None and earliest < self.fence:
-            raise DataError(
-                f"read of market data on {earliest} crosses the fence at {self.fence}"
-            )
+    def _dense(self, codes, days, values) -> np.ndarray:
+        grid = np.zeros(self.present.shape)
+        grid[codes, days] = values
+        return grid
 
-    def _series_for(self, stock_id: str) -> _StockSeries:
-        series = self._series.get(stock_id)
-        if series is None:
-            raise GapError(stock_id, None, f"no bars at all for stock {stock_id}")
-        return series
+    def __contains__(self, key: str) -> bool:
+        return key in self.rows
 
-    def bar(self, stock_id: str, d: Date) -> DailyBar:
-        self._fence_check(d)
-        series = self._series_for(stock_id)
-        i = series.pos.get(d)
-        if i is None:
-            raise GapError(stock_id, d)
-        return DailyBar(
-            stock_id,
-            d,
-            float(series.open[i]),
-            float(series.high[i]),
-            float(series.low[i]),
-            float(series.close[i]),
-            float(series.volume[i]),
+    def row(self, key: str) -> int:
+        return self.rows.get(key, -1)
+
+    def rows_of(self, keys: Iterable[str]) -> np.ndarray:
+        get = self.rows.get
+        return np.array([get(key, -1) for key in keys], dtype=np.intp)
+
+    def has(self, rows, days: np.ndarray) -> np.ndarray:
+        """Whether each (row, day) cell holds a value; a day off the calendar holds none."""
+        inside = (days >= 0) & (days < self.present.shape[1])
+        return inside & self.take(self.present, rows, days)
+
+    def take(self, grid: np.ndarray, rows, days: np.ndarray) -> np.ndarray:
+        """``grid`` at each (row, day), with days clipped onto the calendar."""
+        return grid[rows, np.minimum(np.maximum(days, 0), self.present.shape[1] - 1)]
+
+    def fence_position(self) -> int:
+        """Calendar position of the fence: reads of earlier days cross it."""
+        return 0 if self.fence is None else bisect_left(self.calendar.dates, self.fence)
+
+    def fence_error(self, day: int) -> DataError:
+        return DataError(
+            f"read of {self.data} data on {self.calendar.dates[day]} crosses the fence at {self.fence}"
         )
 
-    def close_log_return(self, stock_id: str, d: Date) -> float:
-        """ln(close_d / close_prev) where prev is the previous trading day.
 
-        Raises GapError when either bar is missing, i.e. the stock's bar
-        on the trading day immediately before ``d`` must exist.
-        """
-        series = self._series_for(stock_id)
-        i = series.pos.get(d)
-        if i is None:
-            raise GapError(stock_id, d)
-        prev = self.calendar.shift(d, -1)  # raises if d opens the calendar
-        if i == 0 or series.calpos[i - 1] != series.calpos[i] - 1:
-            raise GapError(stock_id, prev)
-        self._fence_check(series.dates[i - 1])
-        return math.log(series.close[i] / series.close[i - 1])
+class BarColumns(NamedTuple):
+    """Bars as columns: ``stocks`` codes into ``ids``, ``days`` calendar positions."""
 
-    def volume(self, stock_id: str, d: Date) -> float:
-        self._fence_check(d)
-        series = self._series_for(stock_id)
-        i = series.pos.get(d)
-        if i is None:
-            raise GapError(stock_id, d)
-        return float(series.volume[i])
-
-    def mean_volume_before(self, stock_id: str, d: Date, window: int) -> float:
-        """Mean volume over the ``window`` trading days strictly before ``d``.
-
-        The window must be complete: the stock needs a bar on every one
-        of those trading days, otherwise HistoryError is raised.
-        """
-        series = self._series_for(stock_id)
-        i = series.pos.get(d)
-        if i is None:
-            raise GapError(stock_id, d)
-        if i < window or series.calpos[i - window] != series.calpos[i] - window:
-            raise HistoryError(
-                f"{stock_id}: fewer than {window} consecutive bars before {d}"
-            )
-        self._fence_check(series.dates[i - window])
-        total = float(series.vol_prefix[i] - series.vol_prefix[i - window])
-        return total / window
+    ids: list[str]
+    stocks: np.ndarray
+    days: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
+    volume: np.ndarray
 
 
-class IndexStore:
-    """Dated level series for market/industry indices and the fear gauge."""
+class BarStore(_DayGrid):
+    """Raw open/high/low/close/volume per (stock, trading day).
+
+    Built from DailyBars (every date on the calendar) or from the loader's
+    BarColumns; bars repeated for one stock and day keep the last.
+    """
+
+    def __init__(self, bars: Iterable[DailyBar] | BarColumns, calendar: TradingCalendar):
+        if isinstance(bars, BarColumns):
+            ids, stocks, days, *prices = bars
+        else:
+            bars = bars if isinstance(bars, list) else list(bars)
+            ids, stocks, days = _keys(bars, calendar)
+            # a generator: each price column is dropped once it is placed
+            prices = (np.fromiter(map(operator.itemgetter(i), bars), float, len(bars)) for i in range(2, 7))
+        super().__init__(calendar, ids, stocks, days)
+        self.open, self.high, self.low, self.close, self.volume = (
+            self._dense(stocks, days, column) for column in prices
+        )
+        # Running sums along each row: absent cells hold 0.0 and adding
+        # 0.0 leaves a sum's bits alone, so a window's sum is the one the
+        # stock's own bars give (NaN-filled cells would poison it).
+        # Column j sums the days before j.
+        self.volume_sums = np.zeros((self.present.shape[0], self.present.shape[1] + 1))
+        np.cumsum(self.volume, axis=1, out=self.volume_sums[:, 1:])
+        self.bar_counts = np.zeros(self.volume_sums.shape, dtype=np.int32)
+        np.cumsum(self.present, axis=1, out=self.bar_counts[:, 1:])
+
+
+def _keys(rows: list, calendar: TradingCalendar) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids in order of first row, and each (id, date, ...) row's id code and
+    calendar position."""
+    key, date = operator.itemgetter(0), operator.itemgetter(1)
+    codes = {k: i for i, k in enumerate(dict.fromkeys(map(key, rows)))}
+    try:
+        days = np.fromiter(map(calendar._pos.__getitem__, map(date, rows)), np.intp, len(rows))
+    except KeyError as exc:
+        raise CalendarRangeError(f"{exc.args[0]} is not a trading day on this calendar") from None
+    return list(codes), np.fromiter(map(codes.__getitem__, map(key, rows)), np.intp, len(rows)), days
+
+
+class IndexStore(_DayGrid):
+    """Index levels per (index, trading day); rows dated off the calendar
+    are never read and are not kept."""
+
+    data = "index"
 
     def __init__(self, rows: Iterable[tuple[str, Date, float]], calendar: TradingCalendar):
-        self.calendar = calendar
-        self.fence: Date | None = None
-        self._levels: dict[str, dict[Date, float]] = {}
-        for index_id, d, level in rows:
-            self._levels.setdefault(index_id, {})[d] = level
-
-    def __contains__(self, index_id: str) -> bool:
-        return index_id in self._levels
-
-    def _fence_check(self, earliest: Date) -> None:
-        if self.fence is not None and earliest < self.fence:
-            raise DataError(
-                f"read of index data on {earliest} crosses the fence at {self.fence}"
-            )
-
-    def level(self, index_id: str, d: Date) -> float:
-        self._fence_check(d)
-        series = self._levels.get(index_id)
-        if series is None:
-            raise GapError(index_id, None, f"unknown index {index_id}")
-        level = series.get(d)
-        if level is None:
-            raise GapError(index_id, d)
-        return level
-
-    def log_return(self, index_id: str, d: Date) -> float:
-        """ln(level_d / level_prev) over the previous trading day."""
-        return self.change(index_id, d, "logdiff")
-
-    def change(self, index_id: str, d: Date, mode: str = "diff") -> float:
-        """Day-over-day change of a level series.
-
-        mode 'diff' is the arithmetic first difference, 'logdiff' the log
-        difference; indices quoted in points (the fear gauge) default to
-        'diff'.
-        """
-        prev = self.calendar.shift(d, -1)
-        a = self.level(index_id, prev)
-        b = self.level(index_id, d)
-        if mode == "diff":
-            return b - a
-        if mode == "logdiff":
-            return math.log(b / a)
-        raise ConfigurationError(f"unknown change mode {mode!r}")
+        rows = [row for row in rows if row[1] in calendar]
+        ids, codes, days = _keys(rows, calendar)
+        super().__init__(calendar, ids, codes, days)
+        self.levels = self._dense(codes, days, np.fromiter(map(operator.itemgetter(2), rows), float, len(rows)))
 
 
 class IndustryMap:
@@ -336,12 +332,26 @@ class IndustryMap:
 
 @dataclass
 class MarketData:
-    """Bundle of all market-side stores sharing one calendar."""
+    """Bundle of all market-side stores sharing one calendar.
+
+    ``industry_rows`` gives, per bar-store row, the index-store row of the
+    stock's industry index (-1 when the stock is unmapped or the index
+    unknown) and ``mapped`` whether the stock has an industry row.
+    """
 
     calendar: TradingCalendar
     bars: BarStore
     indices: IndexStore
     industry: IndustryMap
+    industry_rows: np.ndarray = field(init=False, repr=False)
+    mapped: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        links = [self.industry._map.get(stock_id) for stock_id in self.bars.rows] + [None]
+        self.mapped = np.array([link is not None for link in links])
+        self.industry_rows = np.array(
+            [-1 if link is None else self.indices.row(link[0]) for link in links], dtype=np.intp
+        )
 
     def set_fence(self, fence: Date | None) -> None:
         self.bars.fence = fence
@@ -367,6 +377,118 @@ class MarketLoadResult:
     n_index_rows: int
 
 
+def _bar_or_reason(row: list[str]) -> DailyBar | str:
+    """One bar row read on its own: a valid DailyBar, or why it is rejected."""
+    if len(row) != len(BARS_HEADER):
+        return f"expected {len(BARS_HEADER)} fields, got {len(row)}"
+    try:
+        bar = DailyBar(
+            row[0].strip(),
+            Date.fromisoformat(row[1].strip()),
+            float(row[2]),
+            float(row[3]),
+            float(row[4]),
+            float(row[5]),
+            float(row[6]),
+        )
+    except ValueError as exc:
+        return f"unparseable bar row: {exc}"
+    if not bar.stock_id:
+        return "empty stock_id"
+    return bar.check() or bar
+
+
+class _BarReader:
+    """Reads bars.csv a block of rows at a time into columns.
+
+    A block converts each price column with ``np.array(column, dtype=float)``,
+    which calls ``float()`` on every string, and each date text once. Only
+    rows that array masks flag (or every row of a block in which some
+    field does not parse) take the row path ``_bar_or_reason``, which
+    gives each reject its reason text.
+    """
+
+    def __init__(self):
+        self.stock_codes: dict[str, int] = {}
+        self.date_codes: dict[str, int] = {}  # raw date text -> day code
+        self.day_codes: dict[Date, int] = {}
+        self.rejects: list[RowReject] = []
+        # (line numbers, stock codes, date codes, *prices) of accepted rows
+        self.blocks: list[tuple] = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),) * 5]
+
+    def read(self, path) -> None:
+        width = len(BARS_HEADER)
+        rows = read_csv_rows(path, BARS_HEADER)
+        while block := list(islice(rows, BAR_BLOCK_ROWS)):
+            if set(map(len, map(operator.itemgetter(1), block))) != {width}:
+                self._row_path([item for item in block if len(item[1]) != width])
+                block = [item for item in block if len(item[1]) == width]
+            try:
+                self._block(block)
+            except ValueError:
+                self._row_path(block)
+        self.rejects.sort(key=lambda reject: reject.line)
+
+    def _codes(self, codes: dict, texts, new_code) -> np.ndarray:
+        """Code of each text in ``codes``; ``new_code(text)`` makes the
+        missing ones, once per distinct text."""
+        for text in dict.fromkeys(texts):
+            if text not in codes:
+                codes[text] = new_code(text)
+        return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
+
+    def _day_code(self, text: str) -> int:
+        return self.day_codes.setdefault(Date.fromisoformat(text.strip()), len(self.day_codes))
+
+    def _block(self, block: list[tuple[int, list[str]]]) -> None:
+        if not block:
+            return
+        line_nos, rows = zip(*block)
+        columns = list(zip(*rows))
+        prices = [np.array(column, dtype=float) for column in columns[2:]]
+        dates = self._codes(self.date_codes, columns[1], self._day_code)
+        stock_ids = list(map(str.strip, columns[0]))
+        stocks = self._codes(self.stock_codes, stock_ids, lambda _: len(self.stock_codes))
+        o, h, l, c, v = prices
+        flagged = np.fromiter(map(operator.not_, stock_ids), bool, len(stock_ids))
+        for p in (o, h, l, c):
+            flagged |= ~np.isfinite(p) | (p <= 0.0)
+        flagged |= ~np.isfinite(v) | (v < 0.0) | (h < o) | (h < c) | (l > o) | (l > c)
+        keep = ~flagged
+        for i in np.flatnonzero(flagged).tolist():
+            reason = _bar_or_reason(rows[i])
+            if isinstance(reason, str):
+                self.rejects.append(RowReject(line_nos[i], reason))
+            else:
+                keep[i] = True
+        self.blocks.append((np.array(line_nos)[keep], stocks[keep], dates[keep], *(p[keep] for p in prices)))
+
+    def _row_path(self, block: list[tuple[int, list[str]]]) -> None:
+        bars = []
+        for line_no, row in block:
+            bar = _bar_or_reason(row)
+            if isinstance(bar, str):
+                self.rejects.append(RowReject(line_no, bar))
+            else:
+                bars.append((line_no, bar))
+        if bars:
+            line_nos, bars = zip(*bars)
+            stock_ids, dates, *prices = zip(*bars)
+            self.blocks.append(
+                (
+                    np.array(line_nos),
+                    self._codes(self.stock_codes, stock_ids, lambda _: len(self.stock_codes)),
+                    self._codes(self.day_codes, dates, lambda _: len(self.day_codes)),
+                    *(np.array(column, dtype=float) for column in prices),
+                )
+            )
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """Line numbers, stock codes, date codes and the five prices of every
+        accepted row, in line order."""
+        return tuple(np.concatenate(part) for part in zip(*self.blocks))
+
+
 def load_market(
     bars_path,
     indices_path,
@@ -384,52 +506,32 @@ def load_market(
     if calendar_path is None and not infer_calendar:
         raise ConfigurationError("no calendar file given and calendar inference disabled")
 
-    raw_bars: list[tuple[int, DailyBar]] = []
-    bar_rejects: list[RowReject] = []
-    for line_no, row in read_csv_rows(bars_path, BARS_HEADER):
-        if len(row) != len(BARS_HEADER):
-            bar_rejects.append(RowReject(line_no, f"expected {len(BARS_HEADER)} fields, got {len(row)}"))
-            continue
-        try:
-            bar = DailyBar(
-                row[0].strip(),
-                Date.fromisoformat(row[1].strip()),
-                float(row[2]),
-                float(row[3]),
-                float(row[4]),
-                float(row[5]),
-                float(row[6]),
-            )
-        except ValueError as exc:
-            bar_rejects.append(RowReject(line_no, f"unparseable bar row: {exc}"))
-            continue
-        if not bar.stock_id:
-            bar_rejects.append(RowReject(line_no, "empty stock_id"))
-            continue
-        problem = bar.check()
-        if problem is not None:
-            bar_rejects.append(RowReject(line_no, problem))
-            continue
-        raw_bars.append((line_no, bar))
+    reader = _BarReader()
+    reader.read(bars_path)
+    line_nos, stocks, date_codes, *prices = reader.columns()
+    dates = list(reader.day_codes)
 
     if calendar_path is not None:
         calendar = load_calendar(calendar_path)
     else:
-        dates = sorted({bar.date for _, bar in raw_bars})
-        calendar = TradingCalendar(dates)
+        calendar = TradingCalendar(sorted(dates[code] for code in np.unique(date_codes).tolist()))
 
-    bars: list[DailyBar] = []
-    seen_bar: set[tuple[str, Date]] = set()
-    for line_no, bar in raw_bars:
-        if bar.date not in calendar:
-            bar_rejects.append(RowReject(line_no, f"{bar.date} is not a trading day"))
-            continue
-        key = (bar.stock_id, bar.date)
-        if key in seen_bar:
-            bar_rejects.append(RowReject(line_no, f"duplicate bar for {bar.stock_id} on {bar.date}"))
-            continue
-        seen_bar.add(key)
-        bars.append(bar)
+    # Calendar checks and duplicates come after every parse/check reject,
+    # each in line order; the first bar of a (stock, day) wins.
+    position = np.array([calendar._pos.get(d, -1) for d in dates], dtype=np.intp)
+    days = position[date_codes]
+    off_calendar = days < 0
+    cell = np.where(off_calendar, -1, stocks * len(calendar) + days)
+    duplicate = ~off_calendar
+    duplicate[np.unique(cell, return_index=True)[1]] = False
+    ids = list(reader.stock_codes)
+    bar_rejects = reader.rejects
+    for i in np.flatnonzero(off_calendar | duplicate).tolist():
+        d = dates[date_codes[i]]
+        reason = f"{d} is not a trading day" if off_calendar[i] else f"duplicate bar for {ids[stocks[i]]} on {d}"
+        bar_rejects.append(RowReject(int(line_nos[i]), reason))
+    keep = ~(off_calendar | duplicate)
+    bars = BarColumns(ids, stocks[keep], days[keep], *(column[keep] for column in prices))
 
     index_rows: list[tuple[str, Date, float]] = []
     index_rejects: list[RowReject] = []
@@ -463,11 +565,15 @@ def load_market(
     for line_no, row in read_csv_rows(industry_path, INDUSTRY_HEADER):
         if len(row) != len(INDUSTRY_HEADER):
             raise SchemaError(f"{industry_path} line {line_no}: expected 3 fields, got {len(row)}")
-        stock_id = row[0].strip()
+        stock_id, index_id = row[0].strip(), row[1].strip()
         if stock_id in mapped:
             raise DataError(f"{industry_path} line {line_no}: second industry row for {stock_id}")
+        if index_id == VIX:
+            # The fear gauge is quoted in points and may go non-positive,
+            # so it has no log return to measure a stock against.
+            raise DataError(f"{industry_path} line {line_no}: {stock_id} maps to {VIX}, not an industry index")
         mapped.add(stock_id)
-        industry_rows.append((stock_id, row[1].strip(), row[2].strip()))
+        industry_rows.append((stock_id, index_id, row[2].strip()))
 
     market = MarketData(
         calendar=calendar,
@@ -475,4 +581,4 @@ def load_market(
         indices=IndexStore(index_rows, calendar),
         industry=IndustryMap(industry_rows),
     )
-    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_rows))
+    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars.days), len(index_rows))

@@ -1,8 +1,7 @@
-"""Stock-day performance metrics.
+"""Stock-day performance metrics, computed by gather.
 
-All metrics are pure functions over the market stores and return natural
-(unscaled) units; any presentation scaling happens in the regression
-panel builder, not here.
+All metrics return natural (unscaled) units; any presentation scaling
+happens in the regression panel builder, not here.
 
     excess_return     r_stock - r_industry, both close-to-close log returns
     delta_volume      ln(volume_t / mean volume of the previous 60 trading days)
@@ -12,20 +11,89 @@ panel builder, not here.
     label_window_return
                       mean excess return over the release trading day and
                       its two neighbours
+    index_change      day-over-day change of an index level
+
+Every kernel takes the market bundle and two equal-length integer arrays,
+``stocks`` (bar-store rows, -1 for a stock without bars) and ``days``
+(calendar positions), and returns a ``Gathered``: one value and one
+status per (stock, day) row. The kernel gathers the raw inputs of all
+rows, runs its checks as array masks, and computes the metric only on
+the rows whose status is OK, with every log and the Garman-Klass formula
+taken element by element through ``math`` (numpy's log and ``x**2``
+can differ from libm in the last bit).
+
+Status codes, each the first failing check in the order a read of that
+one row would meet them:
+
+    OK            the value is the metric
+    GAP           a bar or index level the metric needs is missing
+    OFF_CALENDAR  a day the metric needs lies outside the calendar
+    NO_MAPPING    the stock has no industry row
+    HISTORY       the volume window before the day is incomplete
+    DOMAIN        a non-positive price or volume, so the log is undefined
+    FENCE         a bar read crosses the store's fence
+    INDEX_FENCE   an index read crosses the fence
+
+A FENCE or INDEX_FENCE row's value is the calendar position of the read
+that crossed; every other failed row's value is NaN. Callers that read
+several kernels per row combine them with ``first_failure``, which also
+raises the fence error when a crossing is a row's first failure, and
+count drops with ``tally``.
 """
 
 from __future__ import annotations
 
 import math
 from datetime import date as Date, timedelta
+from typing import Callable, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import CorpusIndex
-from .errors import DomainError
-from .market import DailyBar, MarketData
+from .errors import ConfigurationError
+from .market import MarketData
 
 VOLUME_WINDOW = 60
 SHORT_COUNT_WINDOW = 7
 LONG_COUNT_WINDOW = 90
+
+# The two fence codes come last: ``status >= FENCE`` picks both.
+OK, GAP, OFF_CALENDAR, NO_MAPPING, HISTORY, DOMAIN, FENCE, INDEX_FENCE = range(8)
+
+
+class Gathered(NamedTuple):
+    """A kernel's result: ``values`` and ``status`` per row (module docstring)."""
+
+    values: np.ndarray
+    status: np.ndarray
+
+
+def _merge(*parts: Gathered) -> Gathered:
+    """Each row takes the status and value of the first part that failed
+    on it; rows where every part is OK get OK and NaN."""
+    values = np.full(len(parts[0].status), math.nan)
+    status = np.full(len(values), OK, dtype=np.int8)
+    for part in reversed(parts):
+        failed = part.status != OK
+        values[failed] = part.values[failed]
+        status[failed] = part.status[failed]
+    return Gathered(values, status)
+
+
+def _checked(checks: Sequence[tuple[np.ndarray, int]], crossed, fn: Callable, *columns) -> Gathered:
+    """Status from ``checks``, (failed mask, code) pairs in read order, then
+    ``fn`` over the OK rows of ``columns``; fence rows carry ``crossed``."""
+    status = np.full(len(checks[0][0]), OK, dtype=np.int8)
+    for failed, code in reversed(checks):
+        status[failed] = code
+    values = np.where(status >= FENCE, crossed, math.nan)
+    ok = status == OK
+    values[ok] = list(map(fn, *(column[ok].tolist() for column in columns)))
+    return Gathered(values, status)
+
+
+def _log_ratio(a: float, b: float) -> float:
+    return math.log(a / b)
 
 
 def garman_klass(o: float, h: float, l: float, c: float) -> float:
@@ -45,32 +113,90 @@ def garman_klass(o: float, h: float, l: float, c: float) -> float:
     return 0.511 * (u - d) ** 2 - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * cc**2
 
 
-def garman_klass_range(bar: DailyBar) -> float:
-    """Garman-Klass estimate for one bar; a non-positive price raises."""
-    if min(bar.open, bar.high, bar.low, bar.close) <= 0.0:
-        raise DomainError(f"non-positive price in bar {bar.stock_id} {bar.date}")
-    return garman_klass(bar.open, bar.high, bar.low, bar.close)
+def garman_klass_range(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:
+    """Garman-Klass estimate of each (stock, day) bar; DOMAIN on a non-positive price."""
+    bars = market.bars
+    o, h, l, c = (bars.take(grid, stocks, days) for grid in (bars.open, bars.high, bars.low, bars.close))
+    checks = [
+        (days < bars.fence_position(), FENCE),
+        (~bars.has(stocks, days), GAP),
+        ((o <= 0.0) | (h <= 0.0) | (l <= 0.0) | (c <= 0.0), DOMAIN),
+    ]
+    return _checked(checks, days, garman_klass, o, h, l, c)
 
 
-def excess_return(market: MarketData, stock_id: str, d: Date) -> float:
-    """Close-to-close log return of the stock minus its industry index."""
-    r_stock = market.bars.close_log_return(stock_id, d)
-    index_id = market.industry.industry_index(stock_id)
-    r_industry = market.indices.log_return(index_id, d)
-    return r_stock - r_industry
+def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff") -> Gathered:
+    """Day-over-day change of an index level; ``rows`` are index-store rows
+    (-1 for an unknown index), one per day or one for all.
+
+    mode 'diff' is the arithmetic first difference, 'logdiff' the log
+    difference; indices quoted in points (the fear gauge) default to 'diff'.
+    """
+    if mode not in ("diff", "logdiff"):
+        raise ConfigurationError(f"unknown change mode {mode!r}")
+    indices = market.indices
+    prev = days - 1
+    checks = [
+        (days < 1, OFF_CALENDAR),
+        (prev < indices.fence_position(), INDEX_FENCE),
+        (~indices.has(rows, prev), GAP),
+        (~indices.has(rows, days), GAP),
+    ]
+    change = _log_ratio if mode == "logdiff" else float.__sub__
+    levels = indices.levels
+    return _checked(checks, prev, change, indices.take(levels, rows, days), indices.take(levels, rows, prev))
 
 
-def delta_volume(market: MarketData, stock_id: str, d: Date, window: int = VOLUME_WINDOW) -> float:
+def excess_return(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:
+    """Close-to-close log return of each stock minus its industry index.
+
+    The stock needs bars on the day and on the trading day before it.
+    """
+    bars = market.bars
+    prev = days - 1
+    stock = _checked(
+        [
+            (~bars.has(stocks, days), GAP),
+            (days < 1, OFF_CALENDAR),
+            (~bars.has(stocks, prev), GAP),
+            (prev < bars.fence_position(), FENCE),
+        ],
+        prev,
+        _log_ratio,
+        bars.take(bars.close, stocks, days),
+        bars.take(bars.close, stocks, prev),
+    )
+    mapped = market.mapped[stocks]
+    industry = index_change(market, market.industry_rows[stocks], days, "logdiff")
+    merged = _merge(stock, Gathered(np.full(len(days), math.nan), np.where(mapped, OK, NO_MAPPING)), industry)
+    ok = merged.status == OK
+    merged.values[ok] = stock.values[ok] - industry.values[ok]
+    return merged
+
+
+def delta_volume(
+    market: MarketData, stocks: np.ndarray, days: np.ndarray, window: int = VOLUME_WINDOW
+) -> Gathered:
     """ln(volume_d / mean volume over the ``window`` trading days before d).
 
-    The window must be completely populated; a zero volume on day ``d``
-    or a zero window mean has no defined log ratio and raises.
+    The window must be completely populated (HISTORY otherwise); a zero
+    volume on day ``d`` or a zero window mean has no defined log ratio
+    (DOMAIN).
     """
-    v = market.bars.volume(stock_id, d)
-    mean = market.bars.mean_volume_before(stock_id, d, window)
-    if v <= 0.0 or mean <= 0.0:
-        raise DomainError(f"{stock_id} {d}: log volume ratio undefined (v={v}, mean={mean})")
-    return math.log(v / mean)
+    bars = market.bars
+    fence = bars.fence_position()
+    start = days - window
+    volume = bars.take(bars.volume, stocks, days)
+    mean = (bars.take(bars.volume_sums, stocks, days) - bars.take(bars.volume_sums, stocks, start)) / window
+    n_bars = bars.take(bars.bar_counts, stocks, days) - bars.take(bars.bar_counts, stocks, start)
+    checks = [
+        (days < fence, FENCE),
+        (~bars.has(stocks, days), GAP),
+        ((start < 0) | (n_bars < window), HISTORY),
+        (start < fence, FENCE),
+        ((volume <= 0.0) | (mean <= 0.0), DOMAIN),
+    ]
+    return _checked(checks, np.where(days < fence, days, start), _log_ratio, volume, mean)
 
 
 def recommendation_counts(
@@ -92,14 +218,56 @@ def recommendation_counts(
     return short, long
 
 
-def label_window_return(market: MarketData, stock_id: str, release_day: Date) -> float:
-    """Mean excess return over the release trading day and its neighbours.
+def label_window_return(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:
+    """Mean excess return over each release trading day and its neighbours,
+    the three trading days {day - 1, day, day + 1}, summed in that order."""
+    nan = np.full(len(days), math.nan)
+    before = excess_return(market, stocks, days - 1)
+    on = excess_return(market, stocks, days)
+    after = excess_return(market, stocks, days + 1)
+    merged = _merge(
+        Gathered(nan, np.where(days < 1, OFF_CALENDAR, OK)),
+        before,
+        on,
+        Gathered(nan, np.where(days + 1 >= len(market.calendar), OFF_CALENDAR, OK)),
+        after,
+    )
+    ok = merged.status == OK
+    merged.values[ok] = (0.0 + before.values[ok] + on.values[ok] + after.values[ok]) / 3.0
+    return merged
 
-    ``release_day`` must be a trading day; the window is the three
-    trading days {release_day - 1, release_day, release_day + 1}.
+
+def first_failure(market: MarketData, *parts: Gathered) -> np.ndarray:
+    """Per row, the status of the first part that failed on it, in the
+    order given (OK where none did).
+
+    A row whose first failure is a read across the fence is where a walk
+    through the rows would have stopped: the first such row raises that
+    read's DataError.
     """
-    total = 0.0
-    for offset in (-1, 0, 1):
-        day = market.calendar.shift(release_day, offset)
-        total += excess_return(market, stock_id, day)
-    return total / 3.0
+    merged = _merge(*parts)
+    crossed = np.flatnonzero(merged.status >= FENCE)
+    if crossed.size:
+        row = crossed[0]
+        store = market.bars if merged.status[row] == FENCE else market.indices
+        raise store.fence_error(int(merged.values[row]))
+    return merged.status
+
+
+def tally(reasons: Sequence[str | None], status: np.ndarray, names: Mapping[int, str]) -> dict[str, int]:
+    """Drop counts by reason, keyed in the order the pairs first show them.
+
+    ``reasons`` has one entry per pair: the reason it was dropped before
+    any kernel ran, or None for a pair the kernels judged; those take
+    ``names[status]`` in turn, and OK pairs are not dropped.
+    """
+    judged = iter(status.tolist())
+    drops: dict[str, int] = {}
+    for reason in reasons:
+        if reason is None:
+            code = next(judged)
+            if code == OK:
+                continue
+            reason = names[code]
+        drops[reason] = drops.get(reason, 0) + 1
+    return drops

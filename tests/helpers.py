@@ -1,13 +1,19 @@
 """Shared builders for the test suite.
 
-Two kinds of scaffolding live here: tiny hand-made market fixtures whose
-numbers are easy to verify with a calculator, and in-memory assembly of
-generated datasets so pipeline tests can skip the file round-trip.
+Three kinds of scaffolding live here: tiny hand-made market fixtures whose
+numbers are easy to verify with a calculator, in-memory assembly of
+generated datasets so pipeline tests can skip the file round-trip, and
+readers of the label and panel files the pipeline writes.
 """
 
 from datetime import date as Date, timedelta
 
-from reportsignal.corpus import CorpusIndex
+import numpy as np
+
+from reportsignal.corpus import CorpusIndex, read_csv_rows
+from reportsignal.econometrics import PANEL_HEADER, PanelRow
+from reportsignal.errors import SchemaError
+from reportsignal.labeling import LABELS, LABELS_HEADER, LabeledReport
 from reportsignal.market import (
     BarStore,
     DailyBar,
@@ -16,6 +22,7 @@ from reportsignal.market import (
     MarketData,
     TradingCalendar,
 )
+from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import SynthSpec, generate
 
 
@@ -31,6 +38,23 @@ def weekdays(start: Date, count: int) -> list[Date]:
 
 def flat_bar(stock_id: str, d: Date, price: float = 100.0, volume: float = 1e6) -> DailyBar:
     return DailyBar(stock_id, d, price, price, price, price, volume)
+
+
+def gather(kernel, market, stock_id, days, *args):
+    """(values, status) lists of ``kernel`` over one stock's calendar positions."""
+    got = kernel(market, market.bars.rows_of([stock_id] * len(days)), np.array(days, dtype=np.intp), *args)
+    return got.values.tolist(), got.status.tolist()
+
+
+def ranges_of(bars):
+    """``garman_klass_range`` of each bar, in order, through the gather
+    kernel; each bar gets a stock of its own, so bars that share a stock
+    and a day stay apart."""
+    bars = [bar._replace(stock_id=str(i)) for i, bar in enumerate(bars)]
+    calendar = TradingCalendar(sorted({bar.date for bar in bars}))
+    market = MarketData(calendar, BarStore(bars, calendar), IndexStore([], calendar), IndustryMap([]))
+    days = np.array([calendar.index(bar.date) for bar in bars], dtype=np.intp)
+    return garman_klass_range(market, np.arange(len(bars)), days)
 
 
 def assemble(ds):
@@ -62,3 +86,26 @@ def small_spec(seed: int = 0, **overrides) -> SynthSpec:
 
 def small_dataset(seed: int = 0, **overrides):
     return generate(small_spec(seed=seed, **overrides))
+
+
+def read_labels(path) -> list[LabeledReport]:
+    out = []
+    for _, row in read_csv_rows(path, LABELS_HEADER):
+        if row[3] not in LABELS:
+            raise SchemaError(f"{path}: unknown label {row[3]!r}")
+        out.append(LabeledReport(row[0], row[1], float(row[2]), row[3]))
+    return out
+
+
+def read_panel(path) -> list[PanelRow]:
+    out = []
+    for _, raw in read_csv_rows(path, PANEL_HEADER):
+        out.append(
+            PanelRow(
+                raw[0],
+                raw[1],
+                Date.fromisoformat(raw[2]),
+                *(float(x) for x in raw[3:]),
+            )
+        )
+    return out

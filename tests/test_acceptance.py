@@ -43,7 +43,6 @@ from reportsignal.econometrics import (
 )
 from reportsignal.labeling import assign_labels
 from reportsignal.market import DailyBar
-from reportsignal.metrics import garman_klass_range
 from reportsignal.sentiment import (
     NEGATIVE,
     NEUTRAL,
@@ -57,7 +56,7 @@ from reportsignal.sentiment import (
 )
 from reportsignal.synthkit import DEFAULT_BETAS, SynthSpec, default_betas, generate
 
-from tests.helpers import assemble, flat_bar, small_spec
+from tests.helpers import assemble, flat_bar, ranges_of, small_spec
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -125,14 +124,16 @@ def test_range_estimator_tracks_high_precision_reference():
     closes = rng.uniform(lows, highs)
 
     day = Date(2021, 1, 4)
+    bars = [
+        DailyBar("000001.SZ", day, float(o), float(h), float(l), float(c), 1e6)
+        for o, h, l, c in zip(opens, highs, lows, closes)
+    ]
     worst = 0.0
-    for o, h, l, c in zip(opens, highs, lows, closes):
-        bar = DailyBar("000001.SZ", day, float(o), float(h), float(l), float(c), 1e6)
-        got = garman_klass_range(bar)
+    for got, o, h, l, c in zip(ranges_of(bars).values, opens, highs, lows, closes):
         ref = high_precision_range(o, h, l, c)
         worst = max(worst, abs(got - ref) / abs(ref))
 
-    flat = garman_klass_range(flat_bar("000001.SZ", day))
+    flat = ranges_of([flat_bar("000001.SZ", day)]).values[0]
     elapsed = time.perf_counter() - started
 
     assert worst < 1e-10

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line pipeline."""
 
 import json
+import random
 import shutil
 from datetime import date as Date, timedelta
 
@@ -8,10 +9,9 @@ import pytest
 
 from reportsignal.cli import firewall_fence, main
 from reportsignal.config import packaged_data_path
-from reportsignal.econometrics import read_panel
 from reportsignal.market import load_calendar
 from reportsignal.synthkit import write_dataset
-from tests.helpers import small_dataset
+from tests.helpers import read_panel, small_dataset
 
 ANALYZE_FILES = (
     "panel.csv",
@@ -243,6 +243,65 @@ def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
     assert run("ingest", "--config", config, "--out", tmp_path / "dup") == 2
     err = capsys.readouterr().err
     assert err.count("error:") == 1 and "industry.csv" in err and first_stock in err, err
+
+
+def test_fear_gauge_as_an_industry_index_exits_two(dataset_dir, tmp_path, capsys):
+    """VIX may go non-positive, so it has no log return to serve as a
+    stock's industry index: such a row is a data error naming the file and
+    line, where it used to crash the market reads with a math domain error."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    industry = clone / "industry.csv"
+    lines = industry.read_text(encoding="utf-8").splitlines()
+    for i in range(1, 6):
+        stock_id, _index, sector = lines[i].split(",")
+        lines[i] = f"{stock_id},VIX,{sector}"
+    industry.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    indices = clone / "indices.csv"
+    rows = indices.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows):
+        index_id, day, level = row.split(",")
+        if index_id == "VIX":
+            rows[i] = f"VIX,{day},{-float(level)!r}"
+    indices.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    for verb in ("ingest", "label", "analyze"):
+        assert run(verb, "--config", clone / "config.json", "--out", tmp_path / verb) == 2, verb
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and f"{industry} line 2: " in err and "VIX" in err, err
+
+
+def test_every_pair_is_a_sample_or_a_drop(dataset_dir, tmp_path):
+    """pairs = rows + drops for the panel, and pairs = samples + drops for
+    the majority block, also when a header-only lexicon leaves every
+    report without tokens."""
+    config = dataset_dir / "config.json"
+    empty = clone_with_text_inputs(dataset_dir, tmp_path / "empty")
+    (empty.parent / "lexicon.csv").write_text("word,label\n", encoding="utf-8")
+    for name, path in (("full", config), ("empty", empty)):
+        assert run("analyze", "--config", path, "--out", tmp_path / name) == 0
+        report = read_json(tmp_path / name / "analyze_report.json")
+        pairs = report["panel"]["n_pairs"]
+        assert report["panel"]["n_rows"] + sum(report["panel"]["drops"].values()) == pairs
+        majority = report["majority"]
+        assert majority["n_samples"] + sum(majority["drops"].values()) == pairs, name
+    assert majority["drops"] == {"no tokens": pairs}
+
+
+def test_analyze_ignores_the_row_order_of_market_files(dataset_dir, tmp_path):
+    """Shuffling the data rows of bars, indices and industry changes no
+    byte of any analyze output."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    rng = random.Random(3)
+    for name in ("bars.csv", "indices.csv", "industry.csv"):
+        header, *rows = (clone / name).read_text(encoding="utf-8").splitlines()
+        rng.shuffle(rows)
+        (clone / name).write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert run("analyze", "--config", dataset_dir / "config.json", "--out", tmp_path / "a") == 0
+    assert run("analyze", "--config", clone / "config.json", "--out", tmp_path / "b") == 0
+    for name in ANALYZE_FILES:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_unclosed_quote_in_corpus_exits_two(dataset_dir, tmp_path, capsys):

@@ -20,7 +20,6 @@ from reportsignal.econometrics import (
     mean_difference_test,
     ols_fit,
     panel_design,
-    read_panel,
     run_industry_regressions,
     run_pooled_regressions,
     student_t_sf2,
@@ -28,9 +27,8 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ArgumentError, DataError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
-from reportsignal.metrics import garman_klass_range
 from reportsignal.sentiment import load_lexicon
-from tests.helpers import assemble, small_dataset
+from tests.helpers import assemble, ranges_of, read_panel, small_dataset
 
 
 def test_t_distribution_tail_anchors():
@@ -237,12 +235,12 @@ def test_build_panel_accounts_for_every_pair():
     assert len(result.rows) + result.n_dropped == n_pairs
     assert len(result.rows) > 0
     calendar = market.calendar
+    bars = {(bar.stock_id, bar.date): bar for bar in ds.bars}
     for row in result.rows[:10]:
         record = next(r for r in in_range if r.report_id == row.report_id)
         s_day = calendar.align(record.release_date)
         assert row.outcome_date == calendar.shift(s_day, 1)
-        bar = market.bars.bar(row.stock_id, s_day)
-        assert row.range_lag == garman_klass_range(bar) * 100.0
+        assert row.range_lag == ranges_of([bars[(row.stock_id, s_day)]]).values[0] * 100.0
     # a report with no score is dropped once per cited stock
     missing = dict(scores)
     dropped_record = in_range[0]

@@ -11,9 +11,9 @@ from reportsignal.labeling import (
     NEUTRAL,
     POSITIVE,
     assign_labels,
-    read_labels,
     write_labels,
 )
+from tests.helpers import read_labels
 
 
 def pool_of(returns):

@@ -3,14 +3,13 @@
 import math
 from datetime import date as Date
 
+import numpy as np
 import pytest
 
 from reportsignal.errors import (
     CalendarRangeError,
     ConfigurationError,
     DataError,
-    GapError,
-    HistoryError,
     MappingError,
     SchemaError,
 )
@@ -19,11 +18,25 @@ from reportsignal.market import (
     DailyBar,
     IndexStore,
     IndustryMap,
+    MarketData,
     TradingCalendar,
     load_calendar,
     load_market,
 )
-from tests.helpers import flat_bar, weekdays
+from reportsignal.metrics import (
+    FENCE,
+    GAP,
+    HISTORY,
+    INDEX_FENCE,
+    OFF_CALENDAR,
+    OK,
+    delta_volume,
+    excess_return,
+    first_failure,
+    garman_klass_range,
+    index_change,
+)
+from tests.helpers import flat_bar, gather, weekdays
 
 MONDAY = Date(2019, 3, 4)
 
@@ -113,60 +126,66 @@ def test_daily_bar_is_an_immutable_value():
     ]
 
 
-def store_with_closes(closes, stock_id="600000.SH", skip=()):
+def market_with_closes(closes, stock_id="600000.SH", skip=()):
+    """One stock on a flat industry index, its bars on consecutive weekdays
+    except the positions in ``skip``; volumes are 1000, 2000, ..."""
     cal = calendar_of(len(closes))
     bars = [
         DailyBar(stock_id, d, c, c * 1.01, c * 0.99, c, 1000.0 * (i + 1))
         for i, (d, c) in enumerate(zip(cal.dates, closes))
         if i not in skip
     ]
-    return cal, BarStore(bars, cal)
+    rows = [("IND01", d, 1000.0) for d in cal.dates]
+    return cal, MarketData(cal, BarStore(bars, cal), IndexStore(rows, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
 
 
 def test_bar_store_lookup_and_gaps():
-    cal, store = store_with_closes([100, 101, 102], skip=(1,))
-    assert store.bar("600000.SH", cal.dates[2]).close == 102
-    assert store.volume("600000.SH", cal.dates[0]) == 1000.0
-    with pytest.raises(GapError):
-        store.bar("600000.SH", cal.dates[1])
-    with pytest.raises(GapError):
-        store.bar("000001.SZ", cal.dates[0])
+    cal, market = market_with_closes([100, 101, 102], skip=(1,))
+    store = market.bars
+    row = store.row("600000.SH")
+    assert store.close[row, 2] == 102
+    assert store.volume[row, 0] == 1000.0
+    assert store.has(row, np.arange(-1, 4)).tolist() == [False, True, False, True, False]
+    assert store.row("000001.SZ") == -1
+    assert not store.has(-1, np.arange(3)).any()
 
 
 def test_close_log_return_requires_consecutive_bars():
-    cal, store = store_with_closes([100, 110, 105, 99], skip=(2,))
-    assert store.close_log_return("600000.SH", cal.dates[1]) == math.log(110 / 100)
-    # the bar before dates[3] is missing, so no return there
-    with pytest.raises(GapError):
-        store.close_log_return("600000.SH", cal.dates[3])
-    # no trading day at all before the calendar start
-    with pytest.raises(CalendarRangeError):
-        store.close_log_return("600000.SH", cal.dates[0])
+    cal, market = market_with_closes([100, 110, 105, 99], skip=(2,))
+    values, status = gather(excess_return, market, "600000.SH", [1, 3, 0])
+    assert values[0] == math.log(110 / 100) - math.log(1000.0 / 1000.0)
+    # the bar before dates[3] is missing, so no return there; no trading
+    # day at all before the calendar start
+    assert status == [OK, GAP, OFF_CALENDAR]
 
 
 def test_mean_volume_needs_a_complete_window():
-    cal, store = store_with_closes([100] * 6)
+    cal, market = market_with_closes([100] * 6)
     # volumes are 1000, 2000, ..., mean of the 3 before dates[4] is 3000
-    assert store.mean_volume_before("600000.SH", cal.dates[4], 3) == 3000.0
-    with pytest.raises(HistoryError):
-        store.mean_volume_before("600000.SH", cal.dates[2], 3)
-    cal2, gappy = store_with_closes([100] * 6, skip=(2,))
-    with pytest.raises(HistoryError):
-        gappy.mean_volume_before("600000.SH", cal2.dates[4], 3)
+    values, status = gather(delta_volume, market, "600000.SH", [4, 2], 3)
+    assert values[0] == math.log(5000.0 / 3000.0)
+    assert status == [OK, HISTORY]
+    cal2, gappy = market_with_closes([100] * 6, skip=(2,))
+    assert gather(delta_volume, gappy, "600000.SH", [4], 3)[1] == [HISTORY]
 
 
 def test_bar_store_fence_blocks_early_reads():
-    cal, store = store_with_closes([100, 101, 102, 103])
-    store.fence = cal.dates[1]
-    assert store.bar("600000.SH", cal.dates[1]).close == 101
-    with pytest.raises(DataError, match="crosses the fence"):
-        store.bar("600000.SH", cal.dates[0])
+    cal, market = market_with_closes([100, 101, 102, 103])
+    market.set_fence(cal.dates[1])
+    assert market.bars.fence_position() == 1
+    values, status = gather(garman_klass_range, market, "600000.SH", [1, 0])
+    assert status == [OK, FENCE] and values[1] == 0
     # the return at dates[1] needs the bar at dates[0], behind the fence
-    with pytest.raises(DataError, match="crosses the fence"):
-        store.close_log_return("600000.SH", cal.dates[1])
-    assert store.close_log_return("600000.SH", cal.dates[2]) == math.log(102 / 101)
-    with pytest.raises(DataError, match="crosses the fence"):
-        store.mean_volume_before("600000.SH", cal.dates[2], 2)
+    values, status = gather(excess_return, market, "600000.SH", [1, 2])
+    assert status == [FENCE, OK] and values[0] == 0
+    assert values[1] == math.log(102 / 101)
+    assert gather(delta_volume, market, "600000.SH", [2], 2)[1] == [FENCE]
+    # a crossing raises once it is a row's first failure
+    stocks = market.bars.rows_of(["600000.SH"] * 2)
+    with pytest.raises(DataError, match=f"read of market data on {cal.dates[0]} crosses the fence"):
+        first_failure(market, excess_return(market, stocks, np.array([2, 1])))
+    missing = garman_klass_range(market, market.bars.rows_of(["000001.SZ"] * 2), np.array([1, 1]))
+    assert first_failure(market, missing, excess_return(market, stocks, np.array([1, 1]))).tolist() == [GAP, GAP]
 
 
 def test_index_store_changes():
@@ -178,22 +197,22 @@ def test_index_store_changes():
         ("VIX", cal.dates[1], 21.5),
     ]
     store = IndexStore(rows, cal)
+    market = MarketData(cal, BarStore([], cal), store, IndustryMap([]))
     assert "VIX" in store and "DAX" not in store
-    assert store.level("CSI500", cal.dates[1]) == 5100.0
-    assert store.log_return("CSI500", cal.dates[1]) == math.log(5100 / 5000)
-    assert store.change("VIX", cal.dates[1]) == 3.5
-    assert store.change("CSI500", cal.dates[1], "logdiff") == math.log(5100 / 5000)
+    assert store.levels[store.row("CSI500"), 1] == 5100.0
+    csi500, vix = store.row("CSI500"), store.row("VIX")
+    days = np.array([1, 2, 0])
+    assert index_change(market, csi500, days, "logdiff").values[0] == math.log(5100 / 5000)
+    assert index_change(market, vix, days).values[0] == 3.5
+    assert index_change(market, csi500, days, "logdiff").status.tolist() == [OK, GAP, OFF_CALENDAR]
+    assert index_change(market, store.row("DAX"), days).status.tolist() == [GAP, GAP, OFF_CALENDAR]
     with pytest.raises(ConfigurationError):
-        store.change("CSI500", cal.dates[1], "ratio")
-    with pytest.raises(GapError):
-        store.level("DAX", cal.dates[0])
-    with pytest.raises(GapError):
-        store.level("CSI500", cal.dates[2])
+        index_change(market, csi500, days, "ratio")
     store.fence = cal.dates[1]
-    with pytest.raises(DataError, match="crosses the fence"):
-        store.level("CSI500", cal.dates[0])
-    with pytest.raises(DataError, match="crosses the fence"):
-        store.log_return("CSI500", cal.dates[1])
+    changed = index_change(market, csi500, days[:1], "logdiff")
+    assert changed.status.tolist() == [INDEX_FENCE]
+    with pytest.raises(DataError, match="read of index data on .* crosses the fence"):
+        first_failure(market, changed)
 
 
 def test_industry_map_defaults_blank_sectors_to_other():
@@ -248,7 +267,8 @@ def test_load_market_with_explicit_calendar(tmp_path):
     assert not result.bar_rejects and not result.index_rejects
     assert result.n_bars == 3 and result.n_index_rows == 3
     assert result.market.calendar.dates == tuple(days)
-    assert result.market.bars.bar("600000.SH", days[0]).volume == 1e6
+    bars = result.market.bars
+    assert bars.volume[bars.row("600000.SH"), 0] == 1e6
     assert result.market.industry.sector("600000.SH") == "Bank"
 
 
@@ -316,7 +336,8 @@ def test_load_market_rejects_bad_index_rows_but_allows_negative_vix(tmp_path):
     )
     result = load_market(bars, indices, industry, calendar)
     assert result.n_index_rows == 2
-    assert result.market.indices.level("VIX", days[0]) == -2.5
+    indices = result.market.indices
+    assert indices.levels[indices.row("VIX"), 0] == -2.5
     reasons = [r.reason for r in result.index_rejects]
     assert len(reasons) == 5
     assert "duplicate" in reasons[0]

@@ -6,9 +6,8 @@ from datetime import date as Date, timedelta
 
 import pytest
 
-from tests.helpers import flat_bar, weekdays
+from tests.helpers import flat_bar, gather, ranges_of, weekdays
 from reportsignal.corpus import CorpusIndex, ReportRecord
-from reportsignal.errors import CalendarRangeError, DomainError, HistoryError
 from reportsignal.market import (
     BarStore,
     DailyBar,
@@ -18,9 +17,13 @@ from reportsignal.market import (
     TradingCalendar,
 )
 from reportsignal.metrics import (
+    DOMAIN,
+    GAP,
+    HISTORY,
+    OFF_CALENDAR,
+    OK,
     delta_volume,
     excess_return,
-    garman_klass_range,
     label_window_return,
     recommendation_counts,
 )
@@ -35,19 +38,20 @@ def bar(o, h, l, c, d=D0, sid="600000.SH", volume=1e6):
 def test_garman_klass_known_values():
     # Both values cross-checked against a 50-digit evaluation of the
     # range formula before being frozen here.
-    got = garman_klass_range(bar(100.0, 102.0, 99.0, 101.0))
-    assert got == pytest.approx(0.000408075810603265, rel=1e-12)
-    got = garman_klass_range(bar(100.0, 100.0, 98.0, 98.0))
-    assert got == pytest.approx(4.44882827423516e-05, rel=1e-12)
+    got = ranges_of([bar(100.0, 102.0, 99.0, 101.0), bar(100.0, 100.0, 98.0, 98.0)])
+    assert got.status.tolist() == [OK, OK]
+    assert got.values[0] == pytest.approx(0.000408075810603265, rel=1e-12)
+    assert got.values[1] == pytest.approx(4.44882827423516e-05, rel=1e-12)
 
 
 def test_garman_klass_flat_bar_is_exactly_zero():
-    assert garman_klass_range(flat_bar("600000.SH", D0)) == 0.0
+    assert ranges_of([flat_bar("600000.SH", D0)]).values[0] == 0.0
 
 
 def test_garman_klass_rejects_non_positive_prices():
-    with pytest.raises(DomainError):
-        garman_klass_range(DailyBar("600000.SH", D0, 0.0, 1.0, 0.0, 1.0, 1.0))
+    got = ranges_of([DailyBar("600000.SH", D0, 0.0, 1.0, 0.0, 1.0, 1.0)])
+    assert got.status.tolist() == [DOMAIN]
+    assert math.isnan(got.values[0])
 
 
 def test_garman_klass_lower_bound_on_valid_bars():
@@ -55,13 +59,15 @@ def test_garman_klass_lower_bound_on_valid_bars():
     least 0.109 c^2 (the boundary minimum of the quadratic), hence never
     negative."""
     rng = random.Random(4)
+    bars = []
     for _ in range(2000):
         o = math.exp(rng.uniform(-1.0, 5.0))
         c = o * math.exp(rng.uniform(-0.2, 0.2))
         h = max(o, c) * math.exp(rng.uniform(0.0, 0.1))
         l = min(o, c) * math.exp(-rng.uniform(0.0, 0.1))
-        gk = garman_klass_range(bar(o, h, l, c))
-        cc = math.log(c / o) ** 2
+        bars.append(bar(o, h, l, c))
+    for b, gk in zip(bars, ranges_of(bars).values.tolist()):
+        cc = math.log(b.close / b.open) ** 2
         assert gk >= 0.109 * cc - 1e-15 * max(1.0, cc)
         assert gk >= -1e-15
 
@@ -87,36 +93,33 @@ def make_market(closes, index_levels, volumes=None):
 
 def test_excess_return_subtracts_industry_index():
     market, days = make_market([100.0, 110.0], [1000.0, 1045.1])
-    got = excess_return(market, "600000.SH", days[1])
+    got = gather(excess_return, market, "600000.SH", [1])[0][0]
     assert got == pytest.approx(math.log(110.0 / 100.0) - math.log(1045.1 / 1000.0), rel=1e-14)
 
 
 def test_excess_return_needs_previous_bar():
     market, days = make_market([100.0, 110.0, 120.0], [1000.0] * 3)
-    with pytest.raises(CalendarRangeError):
-        excess_return(market, "600000.SH", days[0])
+    assert gather(excess_return, market, "600000.SH", [0, 1])[1] == [OFF_CALENDAR, OK]
 
 
 def test_delta_volume_log_ratio_to_window_mean():
     market, days = make_market(
         [100.0] * 4, [1000.0] * 4, volumes=[10.0, 20.0, 30.0, 60.0]
     )
-    got = delta_volume(market, "600000.SH", days[3], window=3)
+    got = gather(delta_volume, market, "600000.SH", [3], 3)[0][0]
     assert got == pytest.approx(math.log(60.0 / 20.0), rel=1e-14)
 
 
 def test_delta_volume_requires_complete_window():
     market, days = make_market([100.0] * 3, [1000.0] * 3)
-    with pytest.raises(HistoryError):
-        delta_volume(market, "600000.SH", days[2], window=5)
+    assert gather(delta_volume, market, "600000.SH", [2], 5)[1] == [HISTORY]
 
 
 def test_delta_volume_rejects_zero_volume_day():
     market, days = make_market(
         [100.0] * 3, [1000.0] * 3, volumes=[10.0, 10.0, 0.0]
     )
-    with pytest.raises(DomainError):
-        delta_volume(market, "600000.SH", days[2], window=2)
+    assert gather(delta_volume, market, "600000.SH", [2], 2)[1] == [DOMAIN]
 
 
 def record(rid, d, codes=("600000.SH",)):
@@ -151,12 +154,14 @@ def test_label_window_return_is_three_day_mean():
     market, days = make_market(
         [100.0, 101.0, 103.0, 106.0, 110.0], [1000.0] * 5
     )
-    got = label_window_return(market, "600000.SH", days[2])
-    want = sum(excess_return(market, "600000.SH", days[i]) for i in (1, 2, 3)) / 3.0
-    assert got == want
+    got = gather(label_window_return, market, "600000.SH", [2])[0][0]
+    returns = gather(excess_return, market, "600000.SH", [1, 2, 3])[0]
+    assert got == sum(returns) / 3.0
 
 
 def test_label_window_return_needs_room_on_both_sides():
     market, days = make_market([100.0, 101.0, 103.0], [1000.0] * 3)
-    with pytest.raises(CalendarRangeError):
-        label_window_return(market, "600000.SH", days[2])  # no day after
+    # no day after dates[2]; dates[0] has a day before it but no return there
+    assert gather(label_window_return, market, "600000.SH", [2, 1, 0])[1] == [OFF_CALENDAR, OFF_CALENDAR, OFF_CALENDAR]
+    # a stock without bars is missing its bar on dates[0] before it misses the day before it
+    assert gather(label_window_return, market, "000001.SZ", [1])[1] == [GAP]

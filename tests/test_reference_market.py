@@ -1,0 +1,156 @@
+"""The dense market stores and gather kernels against the row-at-a-time
+reference in ``tests/reference_market.py``: the same rejects, drops and
+``repr`` of every panel row, majority sample and label-pool entry, on
+clean and mutated input files, with and without a fence."""
+
+import random
+
+import pytest
+
+from reportsignal import market as market_module
+from reportsignal.cli import label_pool
+from reportsignal.config import packaged_data_path
+from reportsignal.corpus import CorpusIndex, prepare_report
+from reportsignal.econometrics import build_majority_samples, build_panel
+from reportsignal.errors import DataError
+from reportsignal.market import load_market
+from reportsignal.sentiment import load_lexicon
+from reportsignal.synthkit import write_dataset
+from tests import reference_market as reference
+from tests.helpers import small_dataset
+
+FULL_WIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+
+
+def edit_rows(path, edit):
+    """Rewrite the data rows of a CSV file (header kept) through ``edit``."""
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([header, *edit(rows)]) + "\n", encoding="utf-8")
+
+
+def messy_bars(rows):
+    # a stock with a gap of three bars, and a stock with no bars at all
+    gap = [i for i, row in enumerate(rows) if row.startswith("600003.SH,")][70:73]
+    rows = [row for i, row in enumerate(rows) if i not in gap and not row.startswith("600004.SH,")]
+    fields = [row.split(",") for row in rows]
+    at = random.Random(7).sample(range(len(fields)), 20)
+    fields[at[0]][6] = "1_000"
+    fields[at[1]] = [f.translate(FULL_WIDTH) for f in fields[at[1]]]
+    fields[at[2]][2] = "nan"
+    fields[at[3]][3] = "inf"
+    fields[at[4]][4] = "-5"
+    fields[at[5]][3] = repr(float(fields[at[5]][4]) * 0.5)  # high below low
+    fields[at[6]][0] = ""
+    fields[at[7]] = [f" {f} " for f in fields[at[7]]]
+    fields[at[8]][1] = "2021-01-09"  # a Saturday
+    fields[at[9]] = [f'"{f}"' for f in fields[at[9]]]
+    fields[at[10]] = fields[at[10]][:6]
+    fields[at[11]][1] = "2021-02-30"
+    fields[at[12]][5] = "abc"
+    fields[at[13]][6] = "1e400"
+    fields[at[14]][6] = "-0.0"
+    fields[at[15]][4] = repr(float(fields[at[15]][2]) * 1.5)  # low above open
+    out = [",".join(f) for f in fields]
+    duplicate = out[at[16]]
+    out.insert(at[17], duplicate)
+    out.insert(at[18], "")  # blank lines
+    out.insert(at[19], "")
+    return out
+
+
+def messy_indices(rows):
+    szse = [i for i, row in enumerate(rows) if row.startswith("SZSE,")]
+    ind = [i for i, row in enumerate(rows) if row.startswith("IND02,")]
+    dropped = {szse[80], ind[75]}
+    out = [row for i, row in enumerate(rows) if i not in dropped]
+    out.append("SSE,2021-01-09,3300.0")  # dated on a Saturday: kept out of the store
+    # the fear gauge may go negative
+    return [row.replace(",", ",-").replace(",-", ",", 1) if row.startswith("VIX,2021-03") else row for row in out]
+
+
+def messy_industry(rows):
+    out = [row for row in rows if not row.startswith("600005.SH,")]
+    return [row.replace(",IND", ",IND9", 1) if row.startswith("600006.SH,") else row for row in out]
+
+
+@pytest.fixture(scope="module")
+def dataset():
+    ds = small_dataset(seed=2)
+    lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
+    dictionary = lexicon.segment_dictionary()
+    # every seventh report has no tokens
+    tokens = {r.report_id: prepare_report(r, dictionary).tokens for r in ds.records[::7]}
+    tokens = {r.report_id: prepare_report(r, dictionary).tokens for r in ds.records if r.report_id not in tokens}
+    return ds, lexicon, tokens
+
+
+def outcome(fn, *args, **kwargs) -> str:
+    """``repr`` of what ``fn`` returns, or the DataError it raises."""
+    try:
+        return repr(fn(*args, **kwargs))
+    except DataError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("block_rows", [market_module.BAR_BLOCK_ROWS, 100_000])
+@pytest.mark.parametrize("fenced", [False, True])
+@pytest.mark.parametrize("messy", [False, True])
+def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows):
+    ds, lexicon, tokens = dataset
+    paths = write_dataset(ds, tmp_path)
+    if messy:
+        edit_rows(paths["bars"], messy_bars)
+        edit_rows(paths["indices"], messy_indices)
+        edit_rows(paths["industry"], messy_industry)
+    monkeypatch.setattr(market_module, "BAR_BLOCK_ROWS", block_rows)
+    files = (paths["bars"], paths["indices"], paths["industry"], paths["calendar"])
+    new, old = load_market(*files), reference.load_market(*files)
+
+    assert new.bar_rejects == old.bar_rejects
+    assert new.index_rejects == old.index_rejects
+    assert (new.n_bars, new.n_index_rows) == (old.n_bars, old.n_index_rows)
+    assert new.market.calendar.dates == old.market.calendar.dates
+    if messy:
+        reasons = [reject.reason.split(":")[0].split(" ")[0] for reject in new.bar_rejects]
+        assert sorted(reasons) == sorted(
+            ["non-positive"] * 3 + ["high/low"] * 2 + ["unparseable"] * 3
+            + ["expected", "empty", "negative", "2021-01-09", "duplicate"]
+        )
+        # calendar and duplicate rejects follow every parse/check reject
+        assert set(reasons[-2:]) == {"2021-01-09", "duplicate"}
+
+    if fenced:
+        first, last = ds.test_range
+        fence = new.market.calendar.align(first + (last - first) / 2)
+        new.market.set_fence(fence)
+        old.market.set_fence(fence)
+    scores = {score.report_id: score for score in ds.scores}
+    index = CorpusIndex(ds.records)
+    compared = []
+    for start, end in (ds.test_range, (None, None)):
+        compared.append(
+            (
+                outcome(build_panel, ds.records, scores, new.market, index, start, end, vix_mode="diff"),
+                outcome(reference.build_panel, ds.records, scores, old.market, index, start, end, vix_mode="diff"),
+            )
+        )
+        compared.append(
+            (
+                outcome(build_majority_samples, ds.records, tokens, lexicon, new.market, start, end),
+                outcome(reference.build_majority_samples, ds.records, tokens, lexicon, old.market, start, end),
+            )
+        )
+    compared.append(
+        (
+            outcome(label_pool, ds.records, new.market, *ds.train_range),
+            outcome(reference.label_pool, ds.records, old.market, *ds.train_range),
+        )
+    )
+    for got, want in compared:
+        assert got == want
+    if fenced:
+        assert "crosses the fence" in compared[0][0]
+    if messy and not fenced:
+        for reason in ("missing market data", "no industry mapping", "insufficient history"):
+            assert reason in compared[2][0]  # the panel over every report
+        assert "no tokens" in compared[3][0]

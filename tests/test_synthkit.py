@@ -10,9 +10,8 @@ from reportsignal.econometrics import (
     run_pooled_regressions,
 )
 from reportsignal.errors import ConfigurationError
-from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
-from tests.helpers import assemble, small_dataset, small_spec
+from tests.helpers import assemble, ranges_of, small_dataset, small_spec
 from tests.reference_synth import generate_scalar
 
 
@@ -47,7 +46,7 @@ def test_every_bar_is_valid_with_nonnegative_range():
     ds = small_dataset(seed=3)
     for bar in ds.bars:
         assert bar.check() is None
-        assert garman_klass_range(bar) >= 0.0
+    assert (ranges_of(ds.bars).values >= 0.0).all()
 
 
 def test_scores_pair_with_records():
