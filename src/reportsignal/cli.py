@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from dataclasses import asdict
 from datetime import date as Date, timedelta
 from pathlib import Path
@@ -41,14 +42,8 @@ from .econometrics import (
     run_pooled_regressions,
     write_panel,
 )
-from .errors import (
-    CalendarRangeError,
-    ConfigurationError,
-    DataError,
-    NumericalError,
-    PipelineError,
-)
-from .labeling import NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
+from .errors import CalendarRangeError, ConfigurationError, DataError, PipelineError
+from .labeling import LABELS, NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
 from .market import MarketData, TradingCalendar, load_market
 from .metrics import (
     DOMAIN,
@@ -232,9 +227,7 @@ def cmd_label(config: RunConfig) -> int:
     labeled = assign_labels(pool)
     write_labels(labeled, out / "labels.csv")
 
-    counts = {POSITIVE: 0, NEUTRAL: 0, NEGATIVE: 0}
-    for row in labeled:
-        counts[row.label] += 1
+    counts = dict.fromkeys(LABELS, 0) | Counter(row.label for row in labeled)
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "n_pool": len(labeled),
@@ -251,37 +244,47 @@ def cmd_label(config: RunConfig) -> int:
     return 0
 
 
-def _loaded_lexicon(config: RunConfig):
+def _report_tokens(config: RunConfig, records):
+    """The lexicon, and the cleaned and segmented tokens of each record by
+    report id (none when the lexicon has no entries)."""
     lexicon = load_lexicon(config.lexicon)
     if config.scorer == "lexicon" and len(lexicon) == 0:
         raise ConfigurationError(f"lexicon file {config.lexicon} has no entries")
-    return lexicon
+    patterns = load_risk_warning_patterns(config.risk_warnings)
+    if len(lexicon) == 0:
+        return lexicon, {}
+    dictionary = lexicon.segment_dictionary()
+    return lexicon, {
+        record.report_id: prepare_report(record, dictionary, patterns, config.tail_fraction).tokens
+        for record in records
+    }
+
+
+def _report_scores(config: RunConfig, records, lexicon, tokens_by_report):
+    """The score of each report by report id, from the lexicon over
+    ``tokens_by_report`` or from the external scores file of ``records``,
+    and that file's rejected rows."""
+    if config.scorer == "lexicon":
+        scores = {
+            report_id: lexicon_score(tokens, lexicon, config.temperature, report_id)
+            for report_id, tokens in tokens_by_report.items()
+        }
+        return scores, []
+    if config.scores is None:
+        raise ConfigurationError("scorer 'external' requires a scores path in the config")
+    known = {record.report_id for record in records}
+    accepted, rejects = load_external_scores(config.scores, known, max_error_rate=config.max_error_rate)
+    return {score.report_id: score for score in accepted}, rejects
 
 
 def cmd_score(config: RunConfig) -> int:
     out = _ensure_out(config.out)
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
+    # The external scorer never opens the lexicon.
+    lexicon, tokens = _report_tokens(config, parse.records) if config.scorer == "lexicon" else (None, {})
+    scores, rejects = _report_scores(config, parse.records, lexicon, tokens)
 
-    if config.scorer == "lexicon":
-        lexicon = _loaded_lexicon(config)
-        patterns = load_risk_warning_patterns(config.risk_warnings)
-        dictionary = lexicon.segment_dictionary()
-        scores = []
-        for record in parse.records:
-            cleaned = prepare_report(record, dictionary, patterns, config.tail_fraction)
-            scores.append(
-                lexicon_score(cleaned.tokens, lexicon, config.temperature, record.report_id)
-            )
-        rejects = []
-    else:
-        if config.scores is None:
-            raise ConfigurationError("scorer 'external' requires a scores path in the config")
-        known = {record.report_id for record in parse.records}
-        scores, rejects = load_external_scores(
-            config.scores, known, max_error_rate=config.max_error_rate
-        )
-
-    write_scores(scores, out / "scores.csv")
+    write_scores(scores.values(), out / "scores.csv")
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "scorer": config.scorer,
@@ -308,29 +311,8 @@ def cmd_analyze(config: RunConfig) -> int:
         r for r in parse.records if config.test_start <= r.release_date <= config.test_end
     ]
 
-    lexicon = _loaded_lexicon(config)
-    patterns = load_risk_warning_patterns(config.risk_warnings)
-    dictionary = lexicon.segment_dictionary() if len(lexicon) else None
-    tokens_by_report = {}
-    if dictionary is not None:
-        for record in test_records:
-            cleaned = prepare_report(record, dictionary, patterns, config.tail_fraction)
-            tokens_by_report[record.report_id] = cleaned.tokens
-
-    score_rejects = []
-    if config.scorer == "external":
-        if config.scores is None:
-            raise ConfigurationError("scorer 'external' requires a scores path in the config")
-        known = {record.report_id for record in parse.records}
-        accepted, score_rejects = load_external_scores(
-            config.scores, known, max_error_rate=config.max_error_rate
-        )
-        scores = {score.report_id: score for score in accepted}
-    else:
-        scores = {
-            report_id: lexicon_score(tokens, lexicon, config.temperature, report_id)
-            for report_id, tokens in tokens_by_report.items()
-        }
+    lexicon, tokens_by_report = _report_tokens(config, test_records)
+    scores, score_rejects = _report_scores(config, parse.records, lexicon, tokens_by_report)
 
     panel = build_panel(
         parse.records,
@@ -360,20 +342,15 @@ def cmd_analyze(config: RunConfig) -> int:
     )
     tests = majority_group_tests(samples, mode=config.ttest)
 
+    # One entry per (report, stock) pair, on the trading day the panel aligns it to.
+    calendar = market.calendar
     series_entries = []
-    n_series_skipped = 0
     for record in test_records:
         score = scores.get(record.report_id)
-        for _stock_id in record.stock_codes:
-            if score is None:
-                n_series_skipped += 1
-                continue
-            try:
-                day = market.calendar.align(record.release_date)
-            except CalendarRangeError:
-                n_series_skipped += 1
-                continue
-            series_entries.append((day, score))
+        day = calendar.locate(record.release_date)
+        if score is not None and day < len(calendar):
+            series_entries += [(calendar.dates[day], score)] * len(record.stock_codes)
+    n_series_skipped = sum(len(record.stock_codes) for record in test_records) - len(series_entries)
     series = daily_average_sentiment(series_entries)
 
     write_panel(panel.rows, out / "panel.csv")
@@ -393,21 +370,13 @@ def cmd_analyze(config: RunConfig) -> int:
     write_daily_sentiment(series, out / "daily_sentiment.dat")
     write_gnuplot_script("daily_sentiment.dat", out / "daily_sentiment.gp")
 
-    majority_counts = {POSITIVE: 0, NEUTRAL: 0, NEGATIVE: 0}
-    for sample in samples:
-        majority_counts[sample.majority_class] += 1
+    majority_counts = dict.fromkeys(LABELS, 0) | Counter(sample.majority_class for sample in samples)
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "fence": fence.isoformat(),
         "options": {
-            "scorer": config.scorer,
-            "stars": config.stars,
-            "se": config.se,
-            "ttest": config.ttest,
-            "vix_mode": config.vix_mode,
-            "min_rows": config.min_rows,
-            "temperature": config.temperature,
-            "tail_fraction": config.tail_fraction,
+            name: getattr(config, name)
+            for name in ("scorer", "stars", "se", "ttest", "vix_mode", "min_rows", "temperature", "tail_fraction")
         },
         "panel": {
             "n_pairs": panel.n_pairs,
@@ -464,18 +433,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if args.config is None:
         raise ConfigurationError(f"{args.command} requires --config <file>")
     config = load_config(args.config)
-    if args.out is not None:
-        config.out = args.out
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.scorer is not None:
-        config.scorer = args.scorer
-    if args.stars is not None:
-        config.stars = args.stars
-    if args.se is not None:
-        config.se = args.se
-    if args.ttest is not None:
-        config.ttest = args.ttest
+    for flag in ("out", "seed", "scorer", "stars", "se", "ttest"):
+        if getattr(args, flag) is not None:
+            setattr(config, flag, getattr(args, flag))
     config.validate()
     config.check_input_paths()
     return config
@@ -515,18 +475,9 @@ def main(argv=None) -> int:
             "analyze": cmd_analyze,
         }[args.command]
         return handler(config)
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,10 +1,12 @@
 """Analyst-report corpus: parsing, cleaning, and dictionary segmentation,
-plus the framing of every input file.
+plus the framing of every input and every output CSV file.
 
 Every input file is opened through ``open_input``. CSV inputs are framed by
 ``read_csv_rows`` (header check, line numbers, blank rows, ``csv`` errors);
 one-value-per-line inputs with ``#`` comments are read by ``read_lines``.
-Each reader keeps its own row checks and rejects.
+Each reader keeps its own row checks and rejects. Every output CSV file is
+written by ``write_csv_rows`` (UTF-8, ``\n`` line ends, csv quoting, one
+header row); callers format their own cells.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header
@@ -128,6 +130,14 @@ def read_lines(source) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
+def write_csv_rows(path, header: tuple[str, ...], rows: Iterable) -> None:
+    """Write ``header`` and then each row to a UTF-8 CSV file with ``\n`` line ends."""
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        writer = csv.writer(stream, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     """Parse a corpus file (path or text stream) into validated records.
 
@@ -181,23 +191,13 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     return result
 
 
-def serialize_corpus(records: Iterable[ReportRecord], destination) -> None:
+def serialize_corpus(records: Iterable[ReportRecord], path) -> None:
     """Write records back out in the corpus CSV format (round-trips with parse)."""
-    stream, owned = (
-        (open(destination, "w", encoding="utf-8", newline=""), True)
-        if isinstance(destination, (str, Path))
-        else (destination, False)
+    write_csv_rows(
+        path,
+        CORPUS_HEADER,
+        ([r.report_id, r.title, r.abstract, ";".join(r.stock_codes), r.release_date.isoformat()] for r in records),
     )
-    try:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(CORPUS_HEADER)
-        for r in records:
-            writer.writerow(
-                [r.report_id, r.title, r.abstract, ";".join(r.stock_codes), r.release_date.isoformat()]
-            )
-    finally:
-        if owned:
-            stream.close()
 
 
 def load_risk_warning_patterns(path) -> tuple[str, ...]:

@@ -15,7 +15,6 @@ evaluated through the regularized incomplete beta function.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import date as Date
@@ -23,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, ReportRecord
+from .corpus import CorpusIndex, ReportRecord, write_csv_rows
 from .errors import ArgumentError, DataError, SingularityError
 from .labeling import NEGATIVE, POSITIVE
 from .market import CSI500, MarketData, SSE, SZSE, VIX
@@ -244,18 +243,15 @@ def build_panel(
 
 
 def write_panel(rows: Iterable[PanelRow], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(PANEL_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.report_id,
-                    row.stock_id,
-                    row.outcome_date.isoformat(),
-                ]
-                + [repr(getattr(row, name)) for name in PANEL_HEADER[3:]]
-            )
+    write_csv_rows(
+        path,
+        PANEL_HEADER,
+        (
+            [row.report_id, row.stock_id, row.outcome_date.isoformat()]
+            + [repr(getattr(row, name)) for name in PANEL_HEADER[3:]]
+            for row in rows
+        ),
+    )
 
 
 def student_t_sf2(t_stat: float, df: float) -> float:

@@ -1,12 +1,14 @@
 """Exception hierarchy for the pipeline.
 
-Three branches map onto CLI exit codes: ConfigurationError -> 1,
-DataError -> 2, NumericalError -> 3.
+Each class carries the CLI exit code of its branch: ConfigurationError
+(and any other PipelineError) -> 1, DataError -> 2, NumericalError -> 3.
 """
 
 
 class PipelineError(Exception):
     """Base class for every error raised by this package."""
+
+    exit_code = 1
 
 
 class ConfigurationError(PipelineError):
@@ -15,6 +17,8 @@ class ConfigurationError(PipelineError):
 
 class DataError(PipelineError):
     """Input data violates a documented contract."""
+
+    exit_code = 2
 
 
 class SchemaError(DataError):
@@ -39,6 +43,8 @@ class ArgumentError(DataError):
 
 class NumericalError(PipelineError):
     """A numerical procedure could not produce a trustworthy result."""
+
+    exit_code = 3
 
 
 class SingularityError(NumericalError):

@@ -7,11 +7,11 @@ top/bottom slices become positive/negative, the middle neutral.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .corpus import write_csv_rows
 from .errors import ArgumentError
 
 POSITIVE = "positive"
@@ -76,8 +76,8 @@ LABELS_HEADER = ("report_id", "stock_id", "window_return", "label")
 
 
 def write_labels(labels: Iterable[LabeledReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(LABELS_HEADER)
-        for item in labels:
-            writer.writerow([item.report_id, item.stock_id, repr(item.window_return), item.label])
+    write_csv_rows(
+        path,
+        LABELS_HEADER,
+        ([item.report_id, item.stock_id, repr(item.window_return), item.label] for item in labels),
+    )

@@ -403,9 +403,10 @@ class _BarReader:
 
     A block converts each price column with ``np.array(column, dtype=float)``,
     which calls ``float()`` on every string, and each date text once. Only
-    rows that array masks flag (or every row of a block in which some
-    field does not parse) take the row path ``_bar_or_reason``, which
-    gives each reject its reason text.
+    rows that array masks flag go through ``_bar_or_reason``, which gives
+    each reject its reason text. A block with a row of the wrong width or
+    a field that does not parse first runs ``_bar_or_reason`` on every row
+    and converts only the rows that pass.
     """
 
     def __init__(self):
@@ -417,17 +418,25 @@ class _BarReader:
         self.blocks: list[tuple] = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),) * 5]
 
     def read(self, path) -> None:
-        width = len(BARS_HEADER)
         rows = read_csv_rows(path, BARS_HEADER)
         while block := list(islice(rows, BAR_BLOCK_ROWS)):
-            if set(map(len, map(operator.itemgetter(1), block))) != {width}:
-                self._row_path([item for item in block if len(item[1]) != width])
-                block = [item for item in block if len(item[1]) == width]
             try:
                 self._block(block)
             except ValueError:
-                self._row_path(block)
+                self._block(self._parsed(block))
         self.rejects.sort(key=lambda reject: reject.line)
+
+    def _parsed(self, block: list[tuple[int, list[str]]]) -> list[tuple[int, list[str]]]:
+        """The rows of ``block`` that ``_bar_or_reason`` accepts; the others
+        become rejects."""
+        survivors = []
+        for line_no, row in block:
+            reason = _bar_or_reason(row)
+            if isinstance(reason, str):
+                self.rejects.append(RowReject(line_no, reason))
+            else:
+                survivors.append((line_no, row))
+        return survivors
 
     def _codes(self, codes: dict, texts, new_code) -> np.ndarray:
         """Code of each text in ``codes``; ``new_code(text)`` makes the
@@ -441,9 +450,13 @@ class _BarReader:
         return self.day_codes.setdefault(Date.fromisoformat(text.strip()), len(self.day_codes))
 
     def _block(self, block: list[tuple[int, list[str]]]) -> None:
+        """Convert and check a block; raises ValueError when a row has the
+        wrong width or a field does not parse."""
         if not block:
             return
         line_nos, rows = zip(*block)
+        if set(map(len, rows)) != {len(BARS_HEADER)}:
+            raise ValueError("a row of the wrong width")
         columns = list(zip(*rows))
         prices = [np.array(column, dtype=float) for column in columns[2:]]
         dates = self._codes(self.date_codes, columns[1], self._day_code)
@@ -462,26 +475,6 @@ class _BarReader:
             else:
                 keep[i] = True
         self.blocks.append((np.array(line_nos)[keep], stocks[keep], dates[keep], *(p[keep] for p in prices)))
-
-    def _row_path(self, block: list[tuple[int, list[str]]]) -> None:
-        bars = []
-        for line_no, row in block:
-            bar = _bar_or_reason(row)
-            if isinstance(bar, str):
-                self.rejects.append(RowReject(line_no, bar))
-            else:
-                bars.append((line_no, bar))
-        if bars:
-            line_nos, bars = zip(*bars)
-            stock_ids, dates, *prices = zip(*bars)
-            self.blocks.append(
-                (
-                    np.array(line_nos),
-                    self._codes(self.stock_codes, stock_ids, lambda _: len(self.stock_codes)),
-                    self._codes(self.day_codes, dates, lambda _: len(self.day_codes)),
-                    *(np.array(column, dtype=float) for column in prices),
-                )
-            )
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Line numbers, stock codes, date codes and the five prices of every

@@ -50,7 +50,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import CorpusIndex
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DomainError
 from .market import MarketData
 
 VOLUME_WINDOW = 60
@@ -131,6 +131,8 @@ def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff")
 
     mode 'diff' is the arithmetic first difference, 'logdiff' the log
     difference; indices quoted in points (the fear gauge) default to 'diff'.
+    Under 'logdiff', a level <= 0 on a row whose reads succeed raises
+    DomainError naming the index and the date.
     """
     if mode not in ("diff", "logdiff"):
         raise ConfigurationError(f"unknown change mode {mode!r}")
@@ -142,9 +144,17 @@ def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff")
         (~indices.has(rows, prev), GAP),
         (~indices.has(rows, days), GAP),
     ]
-    change = _log_ratio if mode == "logdiff" else float.__sub__
-    levels = indices.levels
-    return _checked(checks, prev, change, indices.take(levels, rows, days), indices.take(levels, rows, prev))
+    now, before = indices.take(indices.levels, rows, days), indices.take(indices.levels, rows, prev)
+    if mode == "logdiff":
+        # Only the fear gauge may hold a level <= 0, and that has no log change.
+        read = ~np.logical_or.reduce([failed for failed, _ in checks])
+        bad = np.flatnonzero(read & (np.minimum(now, before) <= 0.0))
+        if bad.size:
+            i = bad[0]
+            index_id = list(indices.rows)[np.broadcast_to(rows, days.shape)[i]]
+            day = indices.calendar.dates[prev[i] if before[i] <= 0.0 else days[i]]
+            raise DomainError(f"{index_id} level on {day} is not positive, so its 'logdiff' change is undefined")
+    return _checked(checks, prev, _log_ratio if mode == "logdiff" else float.__sub__, now, before)
 
 
 def excess_return(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:

@@ -9,9 +9,9 @@ presets because the source tables use different thresholds.
 
 from __future__ import annotations
 
-import csv
 from typing import Iterable, Sequence
 
+from .corpus import write_csv_rows
 from .econometrics import (
     MAJORITY_VARIABLES,
     MeanTestResult,
@@ -164,10 +164,7 @@ def regression_records(
 
 
 def write_regression_csv(fits: dict[str, RegressionFit], path, stars: str = "table3") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(REGRESSION_CSV_HEADER)
-        writer.writerows(regression_records(fits, stars))
+    write_csv_rows(path, REGRESSION_CSV_HEADER, regression_records(fits, stars))
 
 
 def format_industry_table(
@@ -233,10 +230,7 @@ def industry_records(results: Iterable[SectorResult], stars: str = "table4") -> 
 
 
 def write_industry_csv(results: Iterable[SectorResult], path, stars: str = "table4") -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(INDUSTRY_CSV_HEADER)
-        writer.writerows(industry_records(results, stars))
+    write_csv_rows(path, INDUSTRY_CSV_HEADER, industry_records(results, stars))
 
 
 def format_mean_test_table(
@@ -315,10 +309,7 @@ def mean_test_records(
 def write_mean_test_csv(
     results: Sequence[MeanTestResult | None], path, stars: str = "table3"
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(MEAN_TEST_CSV_HEADER)
-        writer.writerows(mean_test_records(results, stars))
+    write_csv_rows(path, MEAN_TEST_CSV_HEADER, mean_test_records(results, stars))
 
 
 def write_daily_sentiment(series, path) -> None:

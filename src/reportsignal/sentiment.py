@@ -14,13 +14,12 @@ CSV with a header, opened and framed by ``corpus.read_csv_rows``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable, Mapping
 
-from .corpus import RowReject, SegmentDictionary, read_csv_rows
+from .corpus import RowReject, SegmentDictionary, read_csv_rows, write_csv_rows
 from .errors import ArgumentError, DataError, DomainError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -198,11 +197,7 @@ def load_external_scores(
 
 
 def write_scores(scores: Iterable[SentimentScore], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as stream:
-        writer = csv.writer(stream, lineterminator="\n")
-        writer.writerow(SCORES_HEADER)
-        for s in scores:
-            writer.writerow([s.report_id, repr(s.pos), repr(s.neu), repr(s.neg)])
+    write_csv_rows(path, SCORES_HEADER, ([s.report_id, repr(s.pos), repr(s.neu), repr(s.neg)] for s in scores))
 
 
 @dataclass(frozen=True)

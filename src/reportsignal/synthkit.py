@@ -55,10 +55,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusIndex, ReportRecord, serialize_corpus
+from .corpus import CorpusIndex, ReportRecord, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, OTHER_SECTOR
 from .errors import ConfigurationError
-from .market import CSI500, DailyBar, SSE, SZSE, VIX
+from .market import CSI500, INDUSTRY_HEADER, DailyBar, SSE, SZSE, VIX
 from .metrics import garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
@@ -516,12 +516,7 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
         for index_id, d, level in dataset.index_rows:
             stream.write(f"{index_id},{d.isoformat()},{level!r}\n")
 
-    import csv as _csv
-
-    with open(paths["industry"], "w", encoding="utf-8", newline="") as stream:
-        writer = _csv.writer(stream, lineterminator="\n")
-        writer.writerow(("stock_id", "industry_index_id", "sector_name"))
-        writer.writerows(dataset.industry_rows)
+    write_csv_rows(paths["industry"], INDUSTRY_HEADER, dataset.industry_rows)
 
     with open(paths["calendar"], "w", encoding="utf-8") as stream:
         stream.write("".join(d.isoformat() + "\n" for d in dataset.calendar_dates))

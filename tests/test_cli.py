@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import shutil
 from datetime import date as Date, timedelta
 
@@ -9,7 +10,10 @@ import pytest
 
 from reportsignal.cli import firewall_fence, main
 from reportsignal.config import packaged_data_path
+from reportsignal.corpus import read_csv_rows
+from reportsignal.econometrics import PANEL_HEADER
 from reportsignal.market import load_calendar
+from reportsignal.sentiment import SCORES_HEADER
 from reportsignal.synthkit import write_dataset
 from tests.helpers import read_panel, small_dataset
 
@@ -143,6 +147,21 @@ def test_lexicon_scorer_path(dataset_dir, tmp_path):
                "--scorer", "lexicon") == 0
 
 
+def test_score_and_analyze_give_a_report_the_same_lexicon_score(dataset_dir, tmp_path):
+    """Under the lexicon scorer, each panel row carries the pos and neg
+    that score writes for its report, to the last digit."""
+    config = dataset_dir / "config.json"
+    assert run("score", "--config", config, "--out", tmp_path / "score", "--scorer", "lexicon") == 0
+    assert run("analyze", "--config", config, "--out", tmp_path / "analyze", "--scorer", "lexicon") == 0
+    scored = {
+        row[0]: (row[1], row[3]) for _, row in read_csv_rows(tmp_path / "score" / "scores.csv", SCORES_HEADER)
+    }
+    pos, neg = PANEL_HEADER.index("pos_lag"), PANEL_HEADER.index("neg_lag")
+    panel = [row for _, row in read_csv_rows(tmp_path / "analyze" / "panel.csv", PANEL_HEADER)]
+    assert panel
+    assert [(row[pos], row[neg]) for row in panel] == [scored[row[0]] for row in panel]
+
+
 def test_synth_verb_writes_a_dataset(tmp_path):
     out = tmp_path / "generated"
     assert run("synth", "--out", out, "--seed", "3") == 0
@@ -269,6 +288,31 @@ def test_fear_gauge_as_an_industry_index_exits_two(dataset_dir, tmp_path, capsys
         assert run(verb, "--config", clone / "config.json", "--out", tmp_path / verb) == 2, verb
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and f"{industry} line 2: " in err and "VIX" in err, err
+
+
+def test_non_positive_fear_gauge_under_logdiff_exits_two(dataset_dir, tmp_path, capsys):
+    """The log change of a VIX level <= 0 is undefined: with vix_mode
+    'logdiff', analyze names the index and the date in one error line
+    where it used to crash with a math domain error."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    raw = read_json(clone / "config.json")
+    test_start = Date.fromisoformat(raw["test_start"])
+    indices = clone / "indices.csv"
+    rows = indices.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows[1:], start=1):
+        index_id, day, level = row.split(",")
+        if index_id == "VIX" and Date.fromisoformat(day) >= test_start:
+            rows[i] = f"VIX,{day},{-float(level)!r}"
+    indices.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    raw["vix_mode"] = "logdiff"
+    (clone / "config.json").write_text(json.dumps(raw), encoding="utf-8")
+    capsys.readouterr()
+    assert run("analyze", "--config", clone / "config.json", "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "VIX level on " in err and "not positive" in err, err
+    named = Date.fromisoformat(re.search(r" on (\d{4}-\d{2}-\d{2}) ", err).group(1))
+    assert named >= test_start
 
 
 def test_every_pair_is_a_sample_or_a_drop(dataset_dir, tmp_path):

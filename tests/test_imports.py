@@ -1,5 +1,5 @@
-"""Import checks: every module uses each name it imports, and the CLI
-loads no more than its verbs need."""
+"""Import checks: every module uses each name it imports, only corpus
+frames CSV, and the CLI loads no more than its verbs need."""
 
 import ast
 import os
@@ -39,6 +39,29 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules that ``source`` imports."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_corpus_frames_csv():
+    """Every input and output CSV goes through corpus.read_csv_rows or
+    corpus.write_csv_rows, so no other module imports csv."""
+    assert imported_modules("import csv as _csv\nfrom os import path\nfrom . import x\n") == {"csv", "os"}
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "reportsignal").glob("*.py"))
+        if "csv" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == ["corpus.py"]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -316,6 +316,26 @@ def test_load_market_rejects_bad_bar_rows(tmp_path):
     assert "duplicate" in reasons[5]
 
 
+def test_load_market_rejects_rows_with_extra_fields(tmp_path):
+    """A row one field too long is rejected with its line, also when every
+    row beside it is valid, and the valid rows still load."""
+    days = weekdays(MONDAY, 2)
+    bars, indices, industry, calendar = write_market_files(
+        tmp_path,
+        [
+            f"600000.SH,{days[0]},100,101,99,100.5,1e6\n",
+            f"600000.SH,{days[1]},100,101,99,100.5,1e6,7\n",
+            f"000001.SZ,{days[1]},10,11,9,10.5,2e6\n",
+        ],
+        [f"CSI500,{days[0]},5000\n"],
+        ["600000.SH,IND01,Bank\n"],
+        calendar=days,
+    )
+    result = load_market(bars, indices, industry, calendar)
+    assert result.n_bars == 2
+    assert [(r.line, r.reason) for r in result.bar_rejects] == [(3, "expected 7 fields, got 8")]
+
+
 def test_load_market_rejects_bad_index_rows_but_allows_negative_vix(tmp_path):
     days = weekdays(MONDAY, 2)
     index_rows = [
