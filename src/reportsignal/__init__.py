@@ -55,7 +55,6 @@ from .errors import (
 )
 from .labeling import LabeledReport, assign_labels, write_labels
 from .market import (
-    DailyBar,
     IndexStore,
     IndustryMap,
     MarketData,

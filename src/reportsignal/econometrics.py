@@ -288,16 +288,6 @@ class RegressionFit:
     rss: float
     se_type: str
 
-    def by_name(self, regressor: str) -> tuple[float, float, float, float]:
-        """(coef, se, t, p) for one regressor name."""
-        i = self.regressors.index(regressor)
-        return (
-            float(self.coef[i]),
-            float(self.se[i]),
-            float(self.t_stats[i]),
-            float(self.p_values[i]),
-        )
-
 
 def ols_fit(
     design: np.ndarray,

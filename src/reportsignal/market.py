@@ -10,21 +10,26 @@ handle a leading byte-order mark):
     industry: stock_id,industry_index_id,sector_name
     calendar: one ISO date per line, ascending; '#' lines are comments
 
-Layout. ``BarStore`` and ``IndexStore`` are dense (id x trading-day)
-arrays of the raw values (open/high/low/close/volume, or levels) with a
-``present`` mask; a stock's row holds its bars at their calendar
-positions. Nothing derived is precomputed per cell except the running
-volume sums and bar counts that make any trailing volume window two
-lookups. The metric kernels in ``metrics`` gather the cells they need by
-(row, day) arrays.
+Layout. Bars in memory are ``BarColumns``, one array per field with each
+bar's stock code and calendar position; ``load_market`` and
+``synthkit.generate`` both make them. ``BarStore`` and ``IndexStore`` are
+dense (id x trading-day) arrays of the raw values (open/high/low/close/
+volume, or levels) with a ``present`` mask; a stock's row holds its bars
+at their calendar positions. Nothing derived is precomputed per cell
+except the running volume sums and bar counts that make any trailing
+volume window two lookups. The metric kernels in ``metrics`` gather the
+cells they need by (row, day) arrays.
 
 Loading. ``load_market`` reads bars.csv ``BAR_BLOCK_ROWS`` rows at a
 time: each block becomes columns, prices convert with
 ``np.array(column, dtype=float)`` (which calls ``float()`` on every
-string), dates once per distinct text, and array masks pick out the rows
-to validate one by one, so a reject carries the reason text of the
-row-by-row checks. Rejects come in line order: first those of parsing
-and bar checks, then those of calendar days and duplicates.
+string), dates once per distinct text. One ordered table of array masks
+holds the bar rules (empty stock_id, then price, then volume, then the
+high/low bracket), and a row that breaks any is rejected for the first.
+Only a block with a row that does not read (wrong width, a field that
+does not parse) goes row by row to find it. Rejects come in line order:
+first those of parsing and bar rules, then those of calendar days and
+duplicates.
 
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
@@ -40,7 +45,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from itertools import islice
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -66,33 +71,6 @@ INDUSTRY_HEADER = ("stock_id", "industry_index_id", "sector_name")
 # its first generation (700 containers by default) fills, so no collection
 # runs while bars.csv loads. 8,192-row blocks made 315 collections at 1x.
 BAR_BLOCK_ROWS = 512
-
-
-class DailyBar(NamedTuple):
-    """One stock-day OHLCV observation, an immutable NamedTuple.
-
-    Prices must be positive, volume non-negative, and the high/low must
-    bracket both open and close.
-    """
-
-    stock_id: str
-    date: Date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: float
-
-    def check(self) -> str | None:
-        """Return a reason string if the bar violates its invariants, else None."""
-        prices = (self.open, self.high, self.low, self.close)
-        if any(not math.isfinite(p) for p in prices) or min(prices) <= 0.0:
-            return "non-positive or non-finite price"
-        if not math.isfinite(self.volume) or self.volume < 0.0:
-            return "negative or non-finite volume"
-        if self.high < max(self.open, self.close) or self.low > min(self.open, self.close):
-            return "high/low do not bracket open/close"
-        return None
 
 
 class TradingCalendar:
@@ -235,8 +213,10 @@ class _DayGrid:
         )
 
 
-class BarColumns(NamedTuple):
-    """Bars as columns: ``stocks`` codes into ``ids``, ``days`` calendar positions."""
+@dataclass(frozen=True)
+class BarColumns:
+    """Bars as columns: ``stocks`` codes into ``ids``, ``days`` calendar
+    positions; ``len()`` counts the bars."""
 
     ids: list[str]
     stocks: np.ndarray
@@ -247,25 +227,19 @@ class BarColumns(NamedTuple):
     close: np.ndarray
     volume: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.days)
+
 
 class BarStore(_DayGrid):
-    """Raw open/high/low/close/volume per (stock, trading day).
+    """Raw open/high/low/close/volume per (stock, trading day), from bars
+    whose ``days`` are positions on ``calendar``."""
 
-    Built from DailyBars (every date on the calendar) or from the loader's
-    BarColumns; bars repeated for one stock and day keep the last.
-    """
-
-    def __init__(self, bars: Iterable[DailyBar] | BarColumns, calendar: TradingCalendar):
-        if isinstance(bars, BarColumns):
-            ids, stocks, days, *prices = bars
-        else:
-            bars = bars if isinstance(bars, list) else list(bars)
-            ids, stocks, days = _keys(bars, calendar)
-            # a generator: each price column is dropped once it is placed
-            prices = (np.fromiter(map(operator.itemgetter(i), bars), float, len(bars)) for i in range(2, 7))
-        super().__init__(calendar, ids, stocks, days)
+    def __init__(self, bars: BarColumns, calendar: TradingCalendar):
+        super().__init__(calendar, bars.ids, bars.stocks, bars.days)
         self.open, self.high, self.low, self.close, self.volume = (
-            self._dense(stocks, days, column) for column in prices
+            self._dense(bars.stocks, bars.days, column)
+            for column in (bars.open, bars.high, bars.low, bars.close, bars.volume)
         )
         # Running sums along each row: absent cells hold 0.0 and adding
         # 0.0 leaves a sum's bits alone, so a window's sum is the one the
@@ -315,12 +289,6 @@ class IndustryMap:
 
     def __len__(self) -> int:
         return len(self._map)
-
-    def industry_index(self, stock_id: str) -> str:
-        try:
-            return self._map[stock_id][0]
-        except KeyError:
-            raise MappingError(f"no industry mapping for stock {stock_id}")
 
     def sector(self, stock_id: str) -> str:
         try:
@@ -377,36 +345,28 @@ class MarketLoadResult:
     n_index_rows: int
 
 
-def _bar_or_reason(row: list[str]) -> DailyBar | str:
-    """One bar row read on its own: a valid DailyBar, or why it is rejected."""
+def _parse_error(row: list[str]) -> str | None:
+    """Why a bar row does not read on its own (its width, or a field that
+    does not parse), or None when it reads."""
     if len(row) != len(BARS_HEADER):
         return f"expected {len(BARS_HEADER)} fields, got {len(row)}"
     try:
-        bar = DailyBar(
-            row[0].strip(),
-            Date.fromisoformat(row[1].strip()),
-            float(row[2]),
-            float(row[3]),
-            float(row[4]),
-            float(row[5]),
-            float(row[6]),
-        )
+        Date.fromisoformat(row[1].strip())
+        for text in row[2:]:
+            float(text)
     except ValueError as exc:
         return f"unparseable bar row: {exc}"
-    if not bar.stock_id:
-        return "empty stock_id"
-    return bar.check() or bar
+    return None
 
 
 class _BarReader:
     """Reads bars.csv a block of rows at a time into columns.
 
     A block converts each price column with ``np.array(column, dtype=float)``,
-    which calls ``float()`` on every string, and each date text once. Only
-    rows that array masks flag go through ``_bar_or_reason``, which gives
-    each reject its reason text. A block with a row of the wrong width or
-    a field that does not parse first runs ``_bar_or_reason`` on every row
-    and converts only the rows that pass.
+    which calls ``float()`` on every string, and each date text once, then
+    rejects the rows that break a bar rule. A block with a row of the wrong
+    width or a field that does not parse first runs ``_parse_error`` on
+    every row and converts only the rows that read.
     """
 
     def __init__(self):
@@ -427,12 +387,12 @@ class _BarReader:
         self.rejects.sort(key=lambda reject: reject.line)
 
     def _parsed(self, block: list[tuple[int, list[str]]]) -> list[tuple[int, list[str]]]:
-        """The rows of ``block`` that ``_bar_or_reason`` accepts; the others
-        become rejects."""
+        """The rows of ``block`` that read on their own; the others become
+        rejects."""
         survivors = []
         for line_no, row in block:
-            reason = _bar_or_reason(row)
-            if isinstance(reason, str):
+            reason = _parse_error(row)
+            if reason is not None:
                 self.rejects.append(RowReject(line_no, reason))
             else:
                 survivors.append((line_no, row))
@@ -463,18 +423,21 @@ class _BarReader:
         stock_ids = list(map(str.strip, columns[0]))
         stocks = self._codes(self.stock_codes, stock_ids, lambda _: len(self.stock_codes))
         o, h, l, c, v = prices
-        flagged = np.fromiter(map(operator.not_, stock_ids), bool, len(stock_ids))
-        for p in (o, h, l, c):
-            flagged |= ~np.isfinite(p) | (p <= 0.0)
-        flagged |= ~np.isfinite(v) | (v < 0.0) | (h < o) | (h < c) | (l > o) | (l > c)
-        keep = ~flagged
-        for i in np.flatnonzero(flagged).tolist():
-            reason = _bar_or_reason(rows[i])
-            if isinstance(reason, str):
-                self.rejects.append(RowReject(line_nos[i], reason))
-            else:
-                keep[i] = True
-        self.blocks.append((np.array(line_nos)[keep], stocks[keep], dates[keep], *(p[keep] for p in prices)))
+        # The bar rules, each a mask over the block, in the order they are
+        # tried: a row that breaks several is rejected for the first.
+        rules = {
+            "empty stock_id": np.fromiter(map(operator.not_, stock_ids), bool, len(stock_ids)),
+            "non-positive or non-finite price": np.logical_or.reduce(
+                [~np.isfinite(p) | (p <= 0.0) for p in (o, h, l, c)]
+            ),
+            "negative or non-finite volume": ~np.isfinite(v) | (v < 0.0),
+            "high/low do not bracket open/close": (h < o) | (h < c) | (l > o) | (l > c),
+        }
+        reasons = np.select(list(rules.values()), list(rules), "")
+        keep = reasons == ""
+        line_nos = np.array(line_nos)
+        self.rejects += map(RowReject, line_nos[~keep].tolist(), reasons[~keep].tolist())
+        self.blocks.append((line_nos[keep], stocks[keep], dates[keep], *(p[keep] for p in prices)))
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Line numbers, stock codes, date codes and the five prices of every
@@ -574,4 +537,4 @@ def load_market(
         indices=IndexStore(index_rows, calendar),
         industry=IndustryMap(industry_rows),
     )
-    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars.days), len(index_rows))
+    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_rows))

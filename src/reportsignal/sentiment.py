@@ -69,9 +69,6 @@ class SentimentLexicon:
     def __contains__(self, word: str) -> bool:
         return word in self._classes
 
-    def word_class(self, word: str) -> str | None:
-        return self._classes.get(word)
-
     def words(self, label: str) -> list[str]:
         return sorted(w for w, c in self._classes.items() if c == label)
 

@@ -30,7 +30,8 @@ whole (reports x tokens) block at once. The bar chains are (stocks x
 days) arrays, drawn per stock; a loop over the days advances every stock
 at once and solves that day's planted rows (the stocks cited the day
 before) as one gathered block. Open, high and low follow for all bars in
-one pass after the loop.
+one pass after the loop, and the raveled arrays, stock after stock, are
+the dataset's ``market.BarColumns``: no per-bar object is ever made.
 
 Every exp and log on the chain goes through libm (``math``) element by
 element, as the pipeline computes it: numpy's own exp and log round
@@ -50,7 +51,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -58,7 +58,7 @@ import numpy as np
 from .corpus import CorpusIndex, ReportRecord, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, OTHER_SECTOR
 from .errors import ConfigurationError
-from .market import CSI500, INDUSTRY_HEADER, DailyBar, SSE, SZSE, VIX
+from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns
 from .metrics import garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
@@ -228,7 +228,7 @@ class SynthDataset:
 
     records: list[ReportRecord]
     scores: list[SentimentScore]
-    bars: list[DailyBar]
+    bars: BarColumns
     index_rows: list[tuple[str, Date, float]]
     industry_rows: list[tuple[str, str, str]]
     calendar_dates: list[Date]
@@ -430,11 +430,15 @@ def generate(spec: SynthSpec) -> SynthDataset:
         vol_prefix[:, j + 1] = vol_prefix[:, j] + vols[:, j]
     del growth, vol_prefix
 
-    bars: list[DailyBar] = []
-    for i, sid in enumerate(stock_ids):
-        o, h, l = _bar_shape(closes[i], targets[i], zc[i])
-        columns = (o, h, l, closes[i], vols[i])
-        bars.extend(map(DailyBar._make, zip(repeat(sid), cal_dates, *map(np.ndarray.tolist, columns))))
+    closes, vols = closes.ravel(), vols.ravel()
+    bars = BarColumns(
+        stock_ids,
+        np.repeat(np.arange(spec.n_stocks), n_cal),
+        np.tile(np.arange(n_cal), spec.n_stocks),
+        *_bar_shape(closes, targets.ravel(), zc.ravel()),
+        closes,
+        vols,
+    )
 
     # --- assemble ------------------------------------------------------------
     index_rows = [
@@ -504,12 +508,13 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
 
     serialize_corpus(dataset.records, paths["corpus"])
 
+    bars = dataset.bars
+    dates = [d.isoformat() for d in dataset.calendar_dates]
+    columns = (bars.stocks, bars.days, bars.open, bars.high, bars.low, bars.close, bars.volume)
     with open(paths["bars"], "w", encoding="utf-8", newline="") as stream:
         stream.write("stock_id,date,open,high,low,close,volume\n")
-        for b in dataset.bars:
-            stream.write(
-                f"{b.stock_id},{b.date.isoformat()},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume!r}\n"
-            )
+        for stock, day, o, h, l, c, v in zip(*map(np.ndarray.tolist, columns)):
+            stream.write(f"{bars.ids[stock]},{dates[day]},{o!r},{h!r},{l!r},{c!r},{v!r}\n")
 
     with open(paths["indices"], "w", encoding="utf-8", newline="") as stream:
         stream.write("index_id,date,level\n")

@@ -15,12 +15,13 @@ from reportsignal.econometrics import PANEL_HEADER, PanelRow
 from reportsignal.errors import SchemaError
 from reportsignal.labeling import LABELS, LABELS_HEADER, LabeledReport
 from reportsignal.market import (
+    BarColumns,
     BarStore,
-    DailyBar,
     IndexStore,
     IndustryMap,
     MarketData,
     TradingCalendar,
+    _keys,
 )
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import SynthSpec, generate
@@ -36,8 +37,17 @@ def weekdays(start: Date, count: int) -> list[Date]:
     return out
 
 
-def flat_bar(stock_id: str, d: Date, price: float = 100.0, volume: float = 1e6) -> DailyBar:
-    return DailyBar(stock_id, d, price, price, price, price, volume)
+def bar_columns(rows, calendar: TradingCalendar) -> BarColumns:
+    """BarColumns of (stock, date, open, high, low, close, volume) rows
+    dated on ``calendar``."""
+    rows = list(rows)
+    ids, stocks, days = _keys(rows, calendar)
+    prices = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), 5)
+    return BarColumns(ids, stocks, days, *prices.T)
+
+
+def flat_bar(stock_id: str, d: Date, price: float = 100.0, volume: float = 1e6) -> tuple:
+    return (stock_id, d, price, price, price, price, volume)
 
 
 def gather(kernel, market, stock_id, days, *args):
@@ -47,14 +57,21 @@ def gather(kernel, market, stock_id, days, *args):
 
 
 def ranges_of(bars):
-    """``garman_klass_range`` of each bar, in order, through the gather
-    kernel; each bar gets a stock of its own, so bars that share a stock
-    and a day stay apart."""
-    bars = [bar._replace(stock_id=str(i)) for i, bar in enumerate(bars)]
-    calendar = TradingCalendar(sorted({bar.date for bar in bars}))
-    market = MarketData(calendar, BarStore(bars, calendar), IndexStore([], calendar), IndustryMap([]))
-    days = np.array([calendar.index(bar.date) for bar in bars], dtype=np.intp)
+    """``garman_klass_range`` of each (stock, date, open, high, low, close,
+    volume) row, in order, through the gather kernel; each row gets a stock
+    of its own, so rows that share a stock and a day stay apart."""
+    bars = [(str(i), *bar[1:]) for i, bar in enumerate(bars)]
+    calendar = TradingCalendar(sorted({bar[1] for bar in bars}))
+    store = BarStore(bar_columns(bars, calendar), calendar)
+    market = MarketData(calendar, store, IndexStore([], calendar), IndustryMap([]))
+    days = np.array([calendar.index(bar[1]) for bar in bars], dtype=np.intp)
     return garman_klass_range(market, np.arange(len(bars)), days)
+
+
+def estimate(fit, regressor: str) -> tuple[float, float, float, float]:
+    """(coef, se, t, p) of one regressor of a RegressionFit."""
+    i = fit.regressors.index(regressor)
+    return float(fit.coef[i]), float(fit.se[i]), float(fit.t_stats[i]), float(fit.p_values[i])
 
 
 def assemble(ds):

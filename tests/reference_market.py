@@ -1,8 +1,9 @@
 """The row-at-a-time market layer that the dense (stock x trading-day)
 stores and the gather kernels replaced, kept verbatim as the reference
-their results must match: the bar loader, the per-stock series store,
-the index store, the four metric functions, the panel and majority
-builders, and the label-pool loop of ``cli.cmd_label``.
+their results must match: the ``DailyBar`` value with its scalar bar
+rules (``check``), the bar loader, the per-stock series store, the index
+store, the four metric functions, the panel and majority builders, and
+the label-pool loop of ``cli.cmd_label``.
 
 One deliberate change from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,13 +43,39 @@ from reportsignal.market import (
     SSE,
     SZSE,
     VIX,
-    DailyBar,
     IndustryMap,
     TradingCalendar,
     load_calendar,
 )
 from reportsignal.metrics import VOLUME_WINDOW, garman_klass, recommendation_counts
 from reportsignal.sentiment import classify_majority
+
+
+class DailyBar(NamedTuple):
+    """One stock-day OHLCV observation, an immutable NamedTuple.
+
+    Prices must be positive, volume non-negative, and the high/low must
+    bracket both open and close.
+    """
+
+    stock_id: str
+    date: Date
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: float
+
+    def check(self) -> str | None:
+        """Return a reason string if the bar violates its invariants, else None."""
+        prices = (self.open, self.high, self.low, self.close)
+        if any(not math.isfinite(p) for p in prices) or min(prices) <= 0.0:
+            return "non-positive or non-finite price"
+        if not math.isfinite(self.volume) or self.volume < 0.0:
+            return "negative or non-finite volume"
+        if self.high < max(self.open, self.close) or self.low > min(self.open, self.close):
+            return "high/low do not bracket open/close"
+        return None
 
 
 class GapError(DataError):
@@ -356,10 +383,18 @@ def garman_klass_range(bar: DailyBar) -> float:
     return garman_klass(bar.open, bar.high, bar.low, bar.close)
 
 
+def industry_index(industry: IndustryMap, stock_id: str) -> str:
+    """The industry index ``stock_id`` maps to."""
+    try:
+        return industry._map[stock_id][0]
+    except KeyError:
+        raise MappingError(f"no industry mapping for stock {stock_id}")
+
+
 def excess_return(market: MarketData, stock_id: str, d: Date) -> float:
     """Close-to-close log return of the stock minus its industry index."""
     r_stock = market.bars.close_log_return(stock_id, d)
-    index_id = market.industry.industry_index(stock_id)
+    index_id = industry_index(market.industry, stock_id)
     r_industry = market.indices.log_return(index_id, d)
     return r_stock - r_industry
 

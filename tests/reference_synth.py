@@ -11,7 +11,7 @@ from datetime import date as Date
 import numpy as np
 
 from reportsignal.corpus import CorpusIndex, ReportRecord
-from reportsignal.market import CSI500, DailyBar, SSE, SZSE, VIX
+from reportsignal.market import CSI500, SSE, SZSE, VIX
 from reportsignal.metrics import garman_klass, recommendation_counts
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
@@ -24,10 +24,12 @@ from reportsignal.synthkit import (
     _lexicon_word_lists,
     _weekdays,
 )
+from tests.reference_market import DailyBar
 
 
 def generate_scalar(spec: SynthSpec) -> SynthDataset:
-    """Generate one dataset with the scalar loops."""
+    """Generate one dataset with the scalar loops; its ``bars`` are a list
+    of DailyBar rows in stock, then day order."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_cal = spec.warmup_days + spec.n_days + spec.post_days

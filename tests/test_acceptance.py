@@ -42,7 +42,6 @@ from reportsignal.econometrics import (
     run_pooled_regressions,
 )
 from reportsignal.labeling import assign_labels
-from reportsignal.market import DailyBar
 from reportsignal.sentiment import (
     NEGATIVE,
     NEUTRAL,
@@ -56,7 +55,7 @@ from reportsignal.sentiment import (
 )
 from reportsignal.synthkit import DEFAULT_BETAS, SynthSpec, default_betas, generate
 
-from tests.helpers import assemble, flat_bar, ranges_of, small_spec
+from tests.helpers import assemble, estimate, flat_bar, ranges_of, small_spec
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -125,7 +124,7 @@ def test_range_estimator_tracks_high_precision_reference():
 
     day = Date(2021, 1, 4)
     bars = [
-        DailyBar("000001.SZ", day, float(o), float(h), float(l), float(c), 1e6)
+        ("000001.SZ", day, float(o), float(h), float(l), float(c), 1e6)
         for o, h, l, c in zip(opens, highs, lows, closes)
     ]
     worst = 0.0
@@ -248,7 +247,7 @@ def test_pipeline_recovers_planted_coefficients(cli_run):
             fits_seed0 = fits
         ok = True
         for outcome, regressor, planted in PLANTED:
-            coef, se, _t, _p = fits[outcome].by_name(regressor)
+            coef, se, _t, _p = estimate(fits[outcome], regressor)
             if abs(coef - planted) > 3.0 * se or (coef > 0) != (planted > 0):
                 ok = False
         if not ok:
@@ -268,7 +267,7 @@ def test_pipeline_recovers_planted_coefficients(cli_run):
                 float(row["t_stat"]),
             )
     for outcome, regressor, planted in PLANTED:
-        coef, se, t, _p = fits_seed0[outcome].by_name(regressor)
+        coef, se, t, _p = estimate(fits_seed0[outcome], regressor)
         cli_coef, cli_se, cli_t = from_csv[(OUTCOME_NAMES[outcome], regressor)]
         assert abs(cli_coef - coef) <= 1e-9 * abs(coef)
         assert abs(cli_se - se) <= 1e-9 * se
@@ -309,7 +308,7 @@ def test_null_panels_rarely_show_significant_sentiment():
         )
         fits = run_pooled_regressions(built.rows)
         for outcome, regressor in hits:
-            _c, _s, t, _p = fits[outcome].by_name(regressor)
+            _c, _s, t, _p = estimate(fits[outcome], regressor)
             if abs(t) >= 3.0:
                 hits[(outcome, regressor)] += 1
 

@@ -27,8 +27,9 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ArgumentError, DataError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
+from reportsignal.metrics import garman_klass_range
 from reportsignal.sentiment import load_lexicon
-from tests.helpers import assemble, ranges_of, read_panel, small_dataset
+from tests.helpers import assemble, estimate, gather, read_panel, small_dataset
 
 
 def test_t_distribution_tail_anchors():
@@ -67,8 +68,8 @@ def test_ols_on_a_hand_worked_example():
     X = np.column_stack([np.ones(4), np.arange(4.0)])
     y = np.array([1.0, 3.0, 4.0, 7.0])
     fit = ols_fit(X, y, ["constant", "x"], name="toy")
-    coef_c, se_c, t_c, p_c = fit.by_name("constant")
-    coef_x, se_x, t_x, p_x = fit.by_name("x")
+    coef_c, se_c, t_c, p_c = estimate(fit, "constant")
+    coef_x, se_x, t_x, p_x = estimate(fit, "x")
     assert abs(coef_x - 1.9) < 1e-12
     assert abs(coef_c - 0.9) < 1e-12
     assert abs(fit.rss - 0.7) < 1e-12
@@ -235,12 +236,12 @@ def test_build_panel_accounts_for_every_pair():
     assert len(result.rows) + result.n_dropped == n_pairs
     assert len(result.rows) > 0
     calendar = market.calendar
-    bars = {(bar.stock_id, bar.date): bar for bar in ds.bars}
     for row in result.rows[:10]:
         record = next(r for r in in_range if r.report_id == row.report_id)
         s_day = calendar.align(record.release_date)
         assert row.outcome_date == calendar.shift(s_day, 1)
-        assert row.range_lag == ranges_of([bars[(row.stock_id, s_day)]]).values[0] * 100.0
+        s_range = gather(garman_klass_range, market, row.stock_id, [calendar.index(s_day)])[0][0]
+        assert row.range_lag == s_range * 100.0
     # a report with no score is dropped once per cited stock
     missing = dict(scores)
     dropped_record = in_range[0]

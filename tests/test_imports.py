@@ -1,5 +1,6 @@
-"""Import checks: every module uses each name it imports, only corpus
-frames CSV, and the CLI loads no more than its verbs need."""
+"""Import checks: every module uses each name it imports, every public
+name has a caller outside the tests, only corpus frames CSV, and the CLI
+loads no more than its verbs need."""
 
 import ast
 import os
@@ -39,6 +40,59 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def public_definitions(tree: ast.Module) -> list[str]:
+    """Public top-level functions and classes of a module, and the public
+    methods of its classes (as ``Class.method``)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    names = []
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names += [
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, defs[:2]) and not item.name.startswith("_")
+            ]
+    return names
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` reads, attribute it takes, name it imports, and
+    string constant it holds (a name looked up with getattr)."""
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update((node.asname or node.name, node.name.split(".")[-1]))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_has_a_caller_outside_tests():
+    """Each public function, class and method of the package is named by
+    some package or benchmark module; a name only tests use is dead API.
+    ``__init__`` re-exports are not callers."""
+    sample = ast.parse("class A:\n    def f(self): pass\n    def _g(self): pass\ndef h(): pass\ndef _k(): pass\n")
+    assert public_definitions(sample) == ["A", "A.f", "h"]
+    assert referenced_names(ast.parse("import a.b as c\nx.y\ngetattr(m, 'z')\n")) >= {"c", "b", "x", "y", "z"}
+    package = [path for path in sorted((ROOT / "src" / "reportsignal").glob("*.py")) if path.name != "__init__.py"]
+    bench = [path for path in sorted((ROOT / "bench").glob("*.py")) if not path.name.startswith("test_")]
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+    used = set().union(*map(referenced_names, trees.values()))
+    uncalled = [
+        f"{path.name}::{name}"
+        for path in package
+        for name in public_definitions(trees[path])
+        if name.rpartition(".")[2] not in used
+    ]
+    assert uncalled == []
 
 
 def imported_modules(source: str) -> set[str]:

@@ -15,7 +15,6 @@ from reportsignal.errors import (
 )
 from reportsignal.market import (
     BarStore,
-    DailyBar,
     IndexStore,
     IndustryMap,
     MarketData,
@@ -36,7 +35,7 @@ from reportsignal.metrics import (
     garman_klass_range,
     index_change,
 )
-from tests.helpers import flat_bar, gather, weekdays
+from tests.helpers import bar_columns, gather, weekdays
 
 MONDAY = Date(2019, 3, 4)
 
@@ -93,50 +92,18 @@ def test_calendar_coverage_requirements():
         cal.require_coverage(Date(2019, 4, 1), cal.last(), post_trading_days=1)
 
 
-def test_bar_invariants():
-    assert flat_bar("600000.SH", MONDAY).check() is None
-    assert DailyBar("s", MONDAY, 100, 101, 99, 100.5, 0.0).check() is None
-    bad = [
-        DailyBar("s", MONDAY, 0.0, 101, 99, 100, 1e6),
-        DailyBar("s", MONDAY, 100, math.nan, 99, 100, 1e6),
-        DailyBar("s", MONDAY, 100, 101, 99, 100, -1.0),
-        DailyBar("s", MONDAY, 100, 100.2, 99, 100.5, 1e6),
-        DailyBar("s", MONDAY, 100, 101, 100.1, 100.5, 1e6),
-    ]
-    assert all(b.check() is not None for b in bad)
-
-
-def test_daily_bar_is_an_immutable_value():
-    bar = DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 1e6)
-    with pytest.raises(AttributeError):
-        bar.close = 1.0
-    assert bar == DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 1e6)
-    assert bar != DailyBar("s", MONDAY, 100.0, 101.0, 99.0, 100.5, 2e6)
-    reasons = [
-        DailyBar("s", MONDAY, 0.0, 101, 99, 100, 1e6).check(),
-        DailyBar("s", MONDAY, 100, math.inf, 99, 100, 1e6).check(),
-        DailyBar("s", MONDAY, 100, 101, 99, 100, math.nan).check(),
-        DailyBar("s", MONDAY, 100, 100.2, 99, 100.5, 1e6).check(),
-    ]
-    assert reasons == [
-        "non-positive or non-finite price",
-        "non-positive or non-finite price",
-        "negative or non-finite volume",
-        "high/low do not bracket open/close",
-    ]
-
-
 def market_with_closes(closes, stock_id="600000.SH", skip=()):
     """One stock on a flat industry index, its bars on consecutive weekdays
     except the positions in ``skip``; volumes are 1000, 2000, ..."""
     cal = calendar_of(len(closes))
     bars = [
-        DailyBar(stock_id, d, c, c * 1.01, c * 0.99, c, 1000.0 * (i + 1))
+        (stock_id, d, c, c * 1.01, c * 0.99, c, 1000.0 * (i + 1))
         for i, (d, c) in enumerate(zip(cal.dates, closes))
         if i not in skip
     ]
     rows = [("IND01", d, 1000.0) for d in cal.dates]
-    return cal, MarketData(cal, BarStore(bars, cal), IndexStore(rows, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
+    bar_store = BarStore(bar_columns(bars, cal), cal)
+    return cal, MarketData(cal, bar_store, IndexStore(rows, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
 
 
 def test_bar_store_lookup_and_gaps():
@@ -197,7 +164,7 @@ def test_index_store_changes():
         ("VIX", cal.dates[1], 21.5),
     ]
     store = IndexStore(rows, cal)
-    market = MarketData(cal, BarStore([], cal), store, IndustryMap([]))
+    market = MarketData(cal, BarStore(bar_columns([], cal), cal), store, IndustryMap([]))
     assert "VIX" in store and "DAX" not in store
     assert store.levels[store.row("CSI500"), 1] == 5100.0
     csi500, vix = store.row("CSI500"), store.row("VIX")
@@ -221,11 +188,8 @@ def test_industry_map_defaults_blank_sectors_to_other():
     )
     assert len(imap) == 2
     assert "600000.SH" in imap and "999999.SH" not in imap
-    assert imap.industry_index("600000.SH") == "IND01"
     assert imap.sector("600000.SH") == "Bank"
     assert imap.sector("000001.SZ") == "Other"
-    with pytest.raises(MappingError):
-        imap.industry_index("999999.SH")
     with pytest.raises(MappingError):
         imap.sector("999999.SH")
 
@@ -294,6 +258,9 @@ def test_load_market_rejects_bad_bar_rows(tmp_path):
         f"600000.SH,{days[1]},abc,101,99,100.5,1e6\n",    # unparseable
         f",{days[1]},100,101,99,100.5,1e6\n",             # empty stock_id
         f"600000.SH,{days[1]},100,100.2,99,100.5,1e6\n",  # high below close
+        f"600000.SH,{days[1]},0,101,99,100.5,1e6\n",      # non-positive price
+        f"600000.SH,{days[1]},100,101,99,100.5,-1\n",     # negative volume
+        f"600000.SH,{days[1]},-100,101,99,100.5,-1\n",    # both: the price rule comes first
         f"600000.SH,2019-03-09,100,101,99,100.5,1e6\n",   # not a trading day
         good,                                             # duplicate of line 2
     ]
@@ -307,13 +274,57 @@ def test_load_market_rejects_bad_bar_rows(tmp_path):
     result = load_market(bars, indices, industry, calendar)
     assert result.n_bars == 1
     reasons = [r.reason for r in result.bar_rejects]
-    assert len(reasons) == 6
+    assert len(reasons) == 9
     assert "expected 7 fields" in reasons[0]
     assert "unparseable" in reasons[1]
     assert "empty stock_id" in reasons[2]
     assert "bracket" in reasons[3]
-    assert "not a trading day" in reasons[4]
-    assert "duplicate" in reasons[5]
+    assert reasons[4:7] == [
+        "non-positive or non-finite price",
+        "negative or non-finite volume",
+        "non-positive or non-finite price",
+    ]
+    assert "not a trading day" in reasons[7]
+    assert "duplicate" in reasons[8]
+
+
+def test_bar_invariants(tmp_path):
+    """The bar rules as loading applies them: prices positive and finite,
+    volume non-negative and finite, high/low bracketing open and close."""
+    bar_lines = [
+        "A,{},100,100,100,100,1e6\n",      # flat bar
+        "B,{},100,101,99,100.5,0.0\n",     # zero volume
+        "C,{},0.0,101,99,100,1e6\n",
+        "D,{},100,nan,99,100,1e6\n",
+        "E,{},100,inf,99,100,1e6\n",
+        "F,{},100,101,99,100,-1.0\n",
+        "G,{},100,101,99,100,nan\n",
+        "H,{},100,100.2,99,100.5,1e6\n",
+        "I,{},100,101,100.1,100.5,1e6\n",
+    ]
+    bars, indices, industry, calendar = write_market_files(
+        tmp_path,
+        [line.format(MONDAY) for line in bar_lines],
+        [f"CSI500,{MONDAY},5000\n"],
+        ["A,IND01,Bank\n"],
+        calendar=[MONDAY],
+    )
+    result = load_market(bars, indices, industry, calendar)
+    assert result.n_bars == 2
+    price, volume, bracket = (
+        "non-positive or non-finite price",
+        "negative or non-finite volume",
+        "high/low do not bracket open/close",
+    )
+    assert [(r.line, r.reason) for r in result.bar_rejects] == [
+        (4, price),
+        (5, price),
+        (6, price),
+        (7, volume),
+        (8, volume),
+        (9, bracket),
+        (10, bracket),
+    ]
 
 
 def test_load_market_rejects_rows_with_extra_fields(tmp_path):

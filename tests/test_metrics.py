@@ -6,11 +6,10 @@ from datetime import date as Date, timedelta
 
 import pytest
 
-from tests.helpers import flat_bar, gather, ranges_of, weekdays
+from tests.helpers import bar_columns, flat_bar, gather, ranges_of, weekdays
 from reportsignal.corpus import CorpusIndex, ReportRecord
 from reportsignal.market import (
     BarStore,
-    DailyBar,
     IndexStore,
     IndustryMap,
     MarketData,
@@ -32,7 +31,7 @@ D0 = Date(2021, 3, 1)  # a Monday
 
 
 def bar(o, h, l, c, d=D0, sid="600000.SH", volume=1e6):
-    return DailyBar(sid, d, o, h, l, c, volume)
+    return (sid, d, o, h, l, c, volume)
 
 
 def test_garman_klass_known_values():
@@ -49,7 +48,7 @@ def test_garman_klass_flat_bar_is_exactly_zero():
 
 
 def test_garman_klass_rejects_non_positive_prices():
-    got = ranges_of([DailyBar("600000.SH", D0, 0.0, 1.0, 0.0, 1.0, 1.0)])
+    got = ranges_of([bar(0.0, 1.0, 0.0, 1.0, volume=1.0)])
     assert got.status.tolist() == [DOMAIN]
     assert math.isnan(got.values[0])
 
@@ -66,8 +65,8 @@ def test_garman_klass_lower_bound_on_valid_bars():
         h = max(o, c) * math.exp(rng.uniform(0.0, 0.1))
         l = min(o, c) * math.exp(-rng.uniform(0.0, 0.1))
         bars.append(bar(o, h, l, c))
-    for b, gk in zip(bars, ranges_of(bars).values.tolist()):
-        cc = math.log(b.close / b.open) ** 2
+    for (_, _, o, _, _, c, _), gk in zip(bars, ranges_of(bars).values.tolist()):
+        cc = math.log(c / o) ** 2
         assert gk >= 0.109 * cc - 1e-15 * max(1.0, cc)
         assert gk >= -1e-15
 
@@ -78,13 +77,13 @@ def make_market(closes, index_levels, volumes=None):
     volumes = volumes or [1e6] * len(closes)
     cal = TradingCalendar(days)
     bars = [
-        DailyBar("600000.SH", d, c, c, c, c, v)
+        ("600000.SH", d, c, c, c, c, v)
         for d, c, v in zip(days, closes, volumes)
     ]
     rows = [("IND01", d, lvl) for d, lvl in zip(days, index_levels)]
     market = MarketData(
         cal,
-        BarStore(bars, cal),
+        BarStore(bar_columns(bars, cal), cal),
         IndexStore(rows, cal),
         IndustryMap([("600000.SH", "IND01", "Bank")]),
     )

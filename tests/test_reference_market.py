@@ -33,7 +33,7 @@ def messy_bars(rows):
     gap = [i for i, row in enumerate(rows) if row.startswith("600003.SH,")][70:73]
     rows = [row for i, row in enumerate(rows) if i not in gap and not row.startswith("600004.SH,")]
     fields = [row.split(",") for row in rows]
-    at = random.Random(7).sample(range(len(fields)), 20)
+    at = random.Random(7).sample(range(len(fields)), 23)
     fields[at[0]][6] = "1_000"
     fields[at[1]] = [f.translate(FULL_WIDTH) for f in fields[at[1]]]
     fields[at[2]][2] = "nan"
@@ -50,6 +50,9 @@ def messy_bars(rows):
     fields[at[13]][6] = "1e400"
     fields[at[14]][6] = "-0.0"
     fields[at[15]][4] = repr(float(fields[at[15]][2]) * 1.5)  # low above open
+    fields[at[20]][6] = "-3.0"
+    fields[at[21]][6] = "nan"
+    fields[at[22]][2], fields[at[22]][6] = "0", "-1"  # breaks the price and the volume rule
     out = [",".join(f) for f in fields]
     duplicate = out[at[16]]
     out.insert(at[17], duplicate)
@@ -113,8 +116,8 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
     if messy:
         reasons = [reject.reason.split(":")[0].split(" ")[0] for reject in new.bar_rejects]
         assert sorted(reasons) == sorted(
-            ["non-positive"] * 3 + ["high/low"] * 2 + ["unparseable"] * 3
-            + ["expected", "empty", "negative", "2021-01-09", "duplicate"]
+            ["non-positive"] * 4 + ["high/low"] * 2 + ["unparseable"] * 3 + ["negative"] * 3
+            + ["expected", "empty", "2021-01-09", "duplicate"]
         )
         # calendar and duplicate rejects follow every parse/check reject
         assert set(reasons[-2:]) == {"2021-01-09", "duplicate"}

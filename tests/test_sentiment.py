@@ -55,8 +55,7 @@ def test_lexicon_rejects_conflicting_and_empty_entries():
 
 def test_lexicon_lookups():
     lex = small_lexicon()
-    assert lex.word_class("bad") == NEGATIVE
-    assert lex.word_class("unknown") is None
+    assert lex.words(NEGATIVE) == ["bad"]
     assert "stable" in lex and "missing" not in lex
     assert lex.words(POSITIVE) == ["excellent", "good"]
     assert lex.counts(["good", "bad", "stable", "good", "noise"]) == (2, 1, 1)

@@ -1,7 +1,9 @@
 """Unit tests for the synthetic dataset generator."""
 
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from reportsignal.econometrics import (
@@ -10,8 +12,10 @@ from reportsignal.econometrics import (
     run_pooled_regressions,
 )
 from reportsignal.errors import ConfigurationError
+from reportsignal.market import TradingCalendar, load_market
+from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
-from tests.helpers import assemble, ranges_of, small_dataset, small_spec
+from tests.helpers import assemble, bar_columns, estimate, small_dataset, small_spec
 from tests.reference_synth import generate_scalar
 
 
@@ -23,12 +27,17 @@ def run_recovery(ds):
     return run_pooled_regressions(result.rows)
 
 
+def load_written(ds, directory):
+    """``load_market`` over the market files of ``ds`` written to ``directory``."""
+    paths = write_dataset(ds, directory)
+    return load_market(paths["bars"], paths["indices"], paths["industry"], paths["calendar"])
+
+
 def test_generation_is_deterministic(tmp_path):
     a = generate(small_spec(seed=5))
     b = generate(small_spec(seed=5))
     assert a.records == b.records
     assert a.scores == b.scores
-    assert a.bars == b.bars
     assert a.truth == b.truth
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     write_dataset(a, dir_a, seed=5)
@@ -39,14 +48,16 @@ def test_generation_is_deterministic(tmp_path):
 
 
 def test_different_seeds_differ():
-    assert generate(small_spec(seed=1)).bars != generate(small_spec(seed=2)).bars
+    one, two = generate(small_spec(seed=1)), generate(small_spec(seed=2))
+    assert not np.array_equal(one.bars.close, two.bars.close)
 
 
-def test_every_bar_is_valid_with_nonnegative_range():
+def test_every_bar_is_valid_with_nonnegative_range(tmp_path):
     ds = small_dataset(seed=3)
-    for bar in ds.bars:
-        assert bar.check() is None
-    assert (ranges_of(ds.bars).values >= 0.0).all()
+    loaded = load_written(ds, tmp_path)
+    assert loaded.bar_rejects == [] and loaded.n_bars == len(ds.bars)
+    rows, days = np.nonzero(loaded.market.bars.present)
+    assert (garman_klass_range(loaded.market, rows, days).values >= 0.0).all()
 
 
 def test_scores_pair_with_records():
@@ -129,16 +140,17 @@ def test_heavier_noise_weakens_the_recovered_t_statistics():
         noise = {"range": 0.035 * scale, "ret_ex": 0.113 * scale,
                  "delta_volume": 0.158 * scale}
         fits = run_recovery(small_dataset(seed=10, noise=noise))
-        _, _, t_stat, _ = fits["ret_ex"].by_name("pos[t-1]")
+        _, _, t_stat, _ = estimate(fits["ret_ex"], "pos[t-1]")
         t_by_scale[scale] = abs(t_stat)
     assert t_by_scale[0.25] > t_by_scale[1.0] > t_by_scale[4.0]
 
 
-def test_extreme_range_noise_trips_the_clamp_but_keeps_bars_valid():
+def test_extreme_range_noise_trips_the_clamp_but_keeps_bars_valid(tmp_path):
     noise = {"range": 5.0, "ret_ex": 0.113, "delta_volume": 0.158}
     ds = small_dataset(seed=11, noise=noise)
     assert ds.truth["n_range_targets_clamped"] > 0
-    assert all(bar.check() is None for bar in ds.bars)
+    loaded = load_written(ds, tmp_path)
+    assert loaded.bar_rejects == [] and loaded.n_bars == len(ds.bars)
 
 
 def test_spec_validation_rejects_bad_sizings():
@@ -173,8 +185,9 @@ def test_written_dataset_is_a_complete_run_directory(tmp_path):
     assert config["test_start"] == ds.test_range[0].isoformat()
     truth = json.loads(paths["truth"].read_text(encoding="utf-8"))
     assert truth == ds.truth
-    header = paths["bars"].read_text(encoding="utf-8").splitlines()[0]
+    header, *rows = paths["bars"].read_text(encoding="utf-8").splitlines()
     assert header == "stock_id,date,open,high,low,close,volume"
+    assert len(ds.bars) == len(rows)
 
 
 def test_generator_matches_scalar_reference(tmp_path):
@@ -185,7 +198,9 @@ def test_generator_matches_scalar_reference(tmp_path):
     specs.append(small_spec(seed=11, noise={"range": 5.0, "ret_ex": 0.113, "delta_volume": 0.158}))
     specs.append(SynthSpec(seed=0))
     for k, spec in enumerate(specs):
-        want = write_dataset(generate_scalar(spec), tmp_path / f"scalar{k}", seed=spec.seed)
+        scalar = generate_scalar(spec)
+        scalar = dataclasses.replace(scalar, bars=bar_columns(scalar.bars, TradingCalendar(scalar.calendar_dates)))
+        want = write_dataset(scalar, tmp_path / f"scalar{k}", seed=spec.seed)
         got = write_dataset(generate(spec), tmp_path / f"array{k}", seed=spec.seed)
         for name, path in want.items():
             assert got[name].read_bytes() == path.read_bytes(), (k, name)
