@@ -213,7 +213,7 @@ class _DayGrid:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BarColumns:
     """Bars as columns: ``stocks`` codes into ``ids``, ``days`` calendar
     positions; ``len()`` counts the bars."""

@@ -27,9 +27,8 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ArgumentError, DataError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
-from reportsignal.metrics import garman_klass_range
 from reportsignal.sentiment import load_lexicon
-from tests.helpers import assemble, estimate, gather, read_panel, small_dataset
+from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
 
 
 def test_t_distribution_tail_anchors():
@@ -236,12 +235,15 @@ def test_build_panel_accounts_for_every_pair():
     assert len(result.rows) + result.n_dropped == n_pairs
     assert len(result.rows) > 0
     calendar = market.calendar
+    bars = ds.bars
+    bar_ids = np.array(bars.ids)[bars.stocks]
     for row in result.rows[:10]:
         record = next(r for r in in_range if r.report_id == row.report_id)
         s_day = calendar.align(record.release_date)
         assert row.outcome_date == calendar.shift(s_day, 1)
-        s_range = gather(garman_klass_range, market, row.stock_id, [calendar.index(s_day)])[0][0]
-        assert row.range_lag == s_range * 100.0
+        (i,) = np.flatnonzero((bar_ids == row.stock_id) & (bars.days == calendar.index(s_day)))
+        bar = (row.stock_id, s_day, bars.open[i], bars.high[i], bars.low[i], bars.close[i], bars.volume[i])
+        assert row.range_lag == ranges_of([bar]).values[0] * 100.0
     # a report with no score is dropped once per cited stock
     missing = dict(scores)
     dropped_record = in_range[0]

@@ -39,6 +39,8 @@ def test_generation_is_deterministic(tmp_path):
     assert a.records == b.records
     assert a.scores == b.scores
     assert a.truth == b.truth
+    for field in dataclasses.fields(a.bars):
+        assert np.array_equal(getattr(a.bars, field.name), getattr(b.bars, field.name)), field.name
     dir_a, dir_b = tmp_path / "a", tmp_path / "b"
     write_dataset(a, dir_a, seed=5)
     write_dataset(b, dir_b, seed=5)
