@@ -2,10 +2,14 @@
 
 Verbs:
   synth    generate a synthetic dataset with planted effects
-  ingest   parse and validate all inputs, report counts and rejects
+  ingest   parse and validate all inputs, report counts and rejects, and
+           save the validated market as a snapshot in the output directory
   label    rank-label the training-range reports by market reaction
   score    produce sentiment scores (lexicon scorer or external file)
   analyze  build the panel, fit the regressions, run the group tests
+
+``label`` and ``analyze`` read the market from that snapshot while it
+matches the market files and the code; their reports give the source.
 
 Every verb is also importable as a function taking a RunConfig, so the
 test-suite and library users can drive stages without a subprocess.
@@ -44,7 +48,7 @@ from .econometrics import (
 )
 from .errors import CalendarRangeError, ConfigurationError, DataError, PipelineError
 from .labeling import LABELS, NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
-from .market import MarketData, TradingCalendar, load_market
+from .market import MarketData, TradingCalendar, load_market, read_snapshot, write_snapshot
 from .metrics import (
     DOMAIN,
     GAP,
@@ -111,16 +115,26 @@ def _reject_payload(rejects) -> dict:
     }
 
 
+def _market_files(config: RunConfig) -> dict:
+    """The run's market files, as keyword arguments of ``load_market``."""
+    return {
+        "bars_path": config.bars,
+        "indices_path": config.indices,
+        "industry_path": config.industry,
+        "calendar_path": config.calendar,
+        "infer_calendar": config.infer_calendar,
+    }
+
+
 def _load_inputs(config: RunConfig):
+    """The parsed corpus, the market, and where the market came from: the
+    snapshot in ``config.out`` when it matches the files, else the files."""
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
-    loaded = load_market(
-        config.bars,
-        config.indices,
-        config.industry,
-        calendar_path=config.calendar,
-        infer_calendar=config.infer_calendar,
-    )
-    return parse, loaded
+    files = _market_files(config)
+    market, source = read_snapshot(config.out, **files)
+    if market is None:
+        market = load_market(**files).market
+    return parse, market, source
 
 
 def firewall_fence(calendar: TradingCalendar, test_start: Date) -> Date:
@@ -155,7 +169,9 @@ def cmd_synth(out_dir: Path, seed: int) -> int:
 
 def cmd_ingest(config: RunConfig) -> int:
     out = _ensure_out(config.out)
-    parse, loaded = _load_inputs(config)
+    files = _market_files(config)
+    parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
+    loaded = load_market(**files)
     market = loaded.market
     market.calendar.require_coverage(
         config.train_start, config.test_end, lookback_days=LONG_COUNT_WINDOW, post_trading_days=1
@@ -179,6 +195,7 @@ def cmd_ingest(config: RunConfig) -> int:
         "test_range": [config.test_start.isoformat(), config.test_end.isoformat()],
     }
     _write_json(report, out / "ingest_report.json")
+    write_snapshot(market, out, **files)
     print(
         f"ingest: {len(parse.records)} reports ({len(parse.rejects)} rejected), "
         f"{loaded.n_bars} bars ({len(loaded.bar_rejects)} rejected), "
@@ -220,8 +237,8 @@ def label_pool(records, market: MarketData, start: Date, end: Date):
 
 def cmd_label(config: RunConfig) -> int:
     out = _ensure_out(config.out)
-    parse, loaded = _load_inputs(config)
-    pool, drops = label_pool(parse.records, loaded.market, config.train_start, config.train_end)
+    parse, market, market_source = _load_inputs(config)
+    pool, drops = label_pool(parse.records, market, config.train_start, config.train_end)
     if not pool:
         raise DataError("labeling pool is empty: no training-range pair survived")
     labeled = assign_labels(pool)
@@ -233,6 +250,7 @@ def cmd_label(config: RunConfig) -> int:
         "n_pool": len(labeled),
         "counts": counts,
         "drops": drops,
+        "market_source": market_source,
         "train_range": [config.train_start.isoformat(), config.train_end.isoformat()],
     }
     _write_json(report, out / "label_report.json")
@@ -298,8 +316,7 @@ def cmd_score(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     out = _ensure_out(config.out)
-    parse, loaded = _load_inputs(config)
-    market = loaded.market
+    parse, market, market_source = _load_inputs(config)
     market.calendar.require_coverage(
         config.test_start, config.test_end, lookback_days=LONG_COUNT_WINDOW, post_trading_days=1
     )
@@ -374,6 +391,7 @@ def cmd_analyze(config: RunConfig) -> int:
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "fence": fence.isoformat(),
+        "market_source": market_source,
         "options": {
             name: getattr(config, name)
             for name in ("scorer", "stars", "se", "ttest", "vix_mode", "min_rows", "temperature", "tail_fraction")

@@ -221,10 +221,10 @@ def clean_text(
     """
     if not (0.0 <= tail_fraction <= 1.0):
         raise ArgumentError(f"tail_fraction must be in [0, 1], got {tail_fraction}")
-    chars = [
-        " " if unicodedata.category(ch) in _STRIP_CATEGORIES else ch for ch in raw
-    ]
-    text = " ".join("".join(chars).split())
+    # Cc and Cf characters are never printable, so a printable text has none.
+    if not raw.isprintable():
+        raw = "".join(" " if unicodedata.category(ch) in _STRIP_CATEGORIES else ch for ch in raw)
+    text = " ".join(raw.split())
 
     patterns = [p for p in risk_warning_patterns if p]
     while patterns and text:

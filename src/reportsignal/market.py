@@ -31,6 +31,13 @@ does not parse) goes row by row to find it. Rejects come in line order:
 first those of parsing and bar rules, then those of calendar days and
 duplicates.
 
+Snapshot. ``write_snapshot`` saves a loaded market as ``market.npz``
+(day ordinals, the present cells with their values, ids and industry rows)
+plus ``market.json``, holding the sha256 of each market file, of this
+module's and ``corpus``'s source, and of the npz. ``read_snapshot``
+rebuilds the market through the store constructors while the manifest
+matches, and otherwise says why not, so the caller parses the files.
+
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
 read lies left of it raises, which is how the analysis stage proves it
@@ -39,12 +46,18 @@ never touches pre-test history beyond its declared lookback.
 
 from __future__ import annotations
 
+import hashlib
+import io
+import json
 import math
 import operator
+import os
+import zipfile
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from itertools import islice
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -538,3 +551,86 @@ def load_market(
         industry=IndustryMap(industry_rows),
     )
     return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_rows))
+
+
+SNAPSHOT = "market.npz"
+MANIFEST = "market.json"
+SNAPSHOT_FORMAT = 1
+_CODE = (Path(__file__), Path(__file__).with_name("corpus.py"))
+
+
+def _sha256(*paths) -> str:
+    return hashlib.sha256(b"".join(Path(path).read_bytes() for path in paths)).hexdigest()
+
+
+def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, infer_calendar=False) -> dict:
+    """What a loaded market depends on: the market files, how the calendar
+    is found, and the code that parses and checks them."""
+    return {
+        "format_version": SNAPSHOT_FORMAT,
+        "bars": _sha256(bars_path),
+        "indices": _sha256(indices_path),
+        "industry": _sha256(industry_path),
+        "calendar": None if calendar_path is None else _sha256(calendar_path),
+        "infer_calendar": infer_calendar,
+        "code": _sha256(*_CODE),
+    }
+
+
+def write_snapshot(market: MarketData, out_dir, **files) -> None:
+    """Save ``market``, just loaded by ``load_market(**files)``, in
+    ``out_dir``: the npz first, moved into place whole, then the manifest."""
+    out_dir, bars, indices = Path(out_dir), market.bars, market.indices
+    bar_cells, index_cells = np.nonzero(bars.present), np.nonzero(indices.present)
+    # Strings travel as JSON text, since numpy's string arrays drop trailing NULs.
+    industry_rows = [(stock_id, *link) for stock_id, link in market.industry._map.items()]
+    names = json.dumps([list(bars.rows), list(indices.rows), industry_rows]).encode("utf-8")
+    with open(out_dir / (SNAPSHOT + ".tmp"), "wb") as stream:
+        np.savez(
+            stream,
+            calendar=np.array([d.toordinal() for d in market.calendar.dates]),
+            names=np.frombuffer(names, np.uint8),
+            bar_cells=np.array(bar_cells),
+            bar_values=np.array([getattr(bars, name)[bar_cells] for name in BARS_HEADER[2:]]),
+            index_cells=np.array(index_cells),
+            levels=indices.levels[index_cells],
+        )
+    os.replace(stream.name, out_dir / SNAPSHOT)
+    manifest = _snapshot_key(**files) | {"npz": _sha256(out_dir / SNAPSHOT)}
+    (out_dir / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _snapshot_market(blob: bytes) -> MarketData:
+    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+        bar_ids, index_ids, industry_rows = json.loads(data["names"].tobytes())
+        calendar = TradingCalendar(map(Date.fromordinal, data["calendar"].tolist()))
+        bars = BarColumns(bar_ids, *data["bar_cells"], *data["bar_values"])
+        # Cells in row order give the ids in row order, as every index row holds a cell.
+        rows, days = data["index_cells"].tolist()
+        index_rows = zip(map(index_ids.__getitem__, rows), map(calendar.dates.__getitem__, days), data["levels"].tolist())
+        return MarketData(calendar, BarStore(bars, calendar), IndexStore(index_rows, calendar), IndustryMap(industry_rows))
+
+
+def read_snapshot(out_dir, **files) -> tuple[MarketData | None, str]:
+    """The market that ``load_market(**files)`` would give, from the
+    snapshot in ``out_dir``, or None when it has none for today's files and
+    code; and where the market comes from: "snapshot", or why the files
+    are to be parsed ("csv: ...")."""
+    out_dir = Path(out_dir)
+    try:
+        manifest = json.loads((out_dir / MANIFEST).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None, "csv: no snapshot"
+    except (OSError, ValueError):
+        manifest = None
+    try:
+        if isinstance(manifest, dict):
+            changed = [name for name, value in _snapshot_key(**files).items() if manifest.get(name) != value]
+            if changed:
+                return None, f"csv: stale snapshot ({', '.join(changed)})"
+            blob = (out_dir / SNAPSHOT).read_bytes()
+            if hashlib.sha256(blob).hexdigest() == manifest.get("npz"):
+                return _snapshot_market(blob), "snapshot"
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        pass
+    return None, "csv: unreadable snapshot"

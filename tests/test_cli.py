@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import itertools
 import json
 import random
 import re
@@ -79,14 +80,20 @@ def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     assert ingest_report["format_version"] == 1
     assert ingest_report["corpus"]["n_rejects"] == 0
     assert ingest_report["bars"]["n_rejects"] == 0
-    assert [p.name for p in (tmp_path / "ingest").iterdir()] == ["ingest_report.json"]
+    assert sorted(p.name for p in (tmp_path / "ingest").iterdir()) == [
+        "ingest_report.json",
+        "market.json",
+        "market.npz",
+    ]
 
-    assert run("label", "--config", config, "--out", tmp_path / "label") == 0
-    label_report = read_json(tmp_path / "label" / "label_report.json")
+    # label and analyze run where ingest left its snapshot, and read it
+    assert run("label", "--config", config, "--out", tmp_path / "ingest") == 0
+    label_report = read_json(tmp_path / "ingest" / "label_report.json")
+    assert label_report["market_source"] == "snapshot"
     counts = label_report["counts"]
     assert counts["positive"] + counts["neutral"] + counts["negative"] == label_report["n_pool"]
     assert label_report["n_pool"] > 0
-    assert (tmp_path / "label" / "labels.csv").exists()
+    assert (tmp_path / "ingest" / "labels.csv").exists()
 
     assert run("score", "--config", config, "--out", tmp_path / "score") == 0
     score_report = read_json(tmp_path / "score" / "score_report.json")
@@ -94,13 +101,14 @@ def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     assert score_report["n_scored"] > 0
     assert (tmp_path / "score" / "scores.csv").exists()
 
-    assert run("analyze", "--config", config, "--out", tmp_path / "analyze") == 0
+    assert run("analyze", "--config", config, "--out", tmp_path / "ingest") == 0
     stdout = capsys.readouterr().out
     assert "Pooled regressions (classical standard errors)" in stdout
     for name in ANALYZE_FILES:
-        assert (tmp_path / "analyze" / name).exists(), name
+        assert (tmp_path / "ingest" / name).exists(), name
 
-    report = read_json(tmp_path / "analyze" / "analyze_report.json")
+    report = read_json(tmp_path / "ingest" / "analyze_report.json")
+    assert report["market_source"] == "snapshot"
     assert report["format_version"] == 1
     assert report["panel"]["n_rows"] > 0
     assert report["panel"]["n_rows"] + report["panel"]["n_dropped"] == report["panel"]["n_pairs"]
@@ -111,7 +119,7 @@ def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     expected_fence = firewall_fence(calendar, Date.fromisoformat(test_start))
     assert report["fence"] == expected_fence.isoformat()
 
-    rows = read_panel(tmp_path / "analyze" / "panel.csv")
+    rows = read_panel(tmp_path / "ingest" / "panel.csv")
     assert len(rows) == report["panel"]["n_rows"]
 
 
@@ -346,6 +354,99 @@ def test_analyze_ignores_the_row_order_of_market_files(dataset_dir, tmp_path):
     assert run("analyze", "--config", clone / "config.json", "--out", tmp_path / "b") == 0
     for name in ANALYZE_FILES:
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
+
+
+def edit_line(path, pick, edit):
+    """Rewrite the first line of ``path`` that ``pick`` accepts through ``edit``."""
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    i = next(i for i, line in enumerate(lines) if pick(line))
+    lines[i] = edit(lines[i])
+    path.write_text("".join(lines), encoding="utf-8")
+
+
+def bump(text, at):
+    """``text`` with one character changed, a non-zero digit staying one."""
+    return text[:at] + {"9": "1"}.get(text[at], chr(ord(text[at]) + 1)) + text[at + 1 :]
+
+
+def test_a_snapshot_never_changes_an_outcome(dataset_dir, tmp_path, capsys):
+    """analyze reads ingest's snapshot only while its manifest matches the
+    market files and the code. Otherwise it parses the files, says why in
+    its report, and gives what a run with no snapshot gives, errors too."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    config = clone / "config.json"
+    assert run("ingest", "--config", config, "--out", tmp_path / "ingested") == 0
+    capsys.readouterr()
+    runs = itertools.count()
+
+    def analyze(prepare=None):
+        """analyze in a copy of ingest's directory after ``prepare(copy)``, or
+        with ``prepare`` None in an empty one: its market source and its
+        outcome (exit code, error text, outputs, report)."""
+        out = tmp_path / f"run{next(runs)}"
+        if prepare is None:
+            out.mkdir()
+        else:
+            shutil.copytree(tmp_path / "ingested", out)
+            prepare(out)
+        code = run("analyze", "--config", config, "--out", out)
+        outputs = {name: (out / name).read_bytes() for name in ANALYZE_FILES if (out / name).exists()}
+        report = json.loads(outputs.pop("analyze_report.json", b"{}"))
+        source = report.pop("market_source", None)
+        return source, (code, capsys.readouterr().err, outputs, report)
+
+    def untouched(out):
+        pass
+
+    def last_field(line):
+        return bump(line, line.rindex(",") + 1)
+
+    no_snapshot, clean = analyze()
+    assert no_snapshot == "csv: no snapshot" and clean[0] == 0
+    assert analyze(untouched) == ("snapshot", clean)
+
+    # One byte of each market file changed, where analyze reads it.
+    start = read_json(config)["test_start"]
+    edits = {
+        "bars": ("bars.csv", lambda line: line[:1].isdigit() and line.split(",")[1] >= start, last_field),
+        "indices": ("indices.csv", lambda line: line.startswith("SSE,") and line.split(",")[1] >= start, last_field),
+        "industry": ("industry.csv", lambda line: line[:1].isdigit(), last_field),
+        # the first Friday becomes the Saturday after it
+        "calendar": (
+            "calendar.txt",
+            lambda line: Date.fromisoformat(line[:10]).weekday() == 4 and line[9] != "9" and line[8:10] < "28",
+            lambda line: bump(line, 9),
+        ),
+    }
+    for key, (name, pick, edit) in edits.items():
+        original = (clone / name).read_bytes()
+        edit_line(clone / name, pick, edit)
+        source, outcome = analyze(untouched)
+        assert source == f"csv: stale snapshot ({key})"
+        assert outcome == analyze()[1] != clean, key  # the byte matters
+        (clone / name).write_bytes(original)
+
+    def truncate(out):
+        npz = out / "market.npz"
+        npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
+
+    def forget(out):
+        (out / "market.json").unlink()
+
+    def recode(out):
+        manifest = read_json(out / "market.json")
+        manifest["code"] = "0" * 64
+        (out / "market.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+    assert analyze(truncate) == ("csv: unreadable snapshot", clean)
+    assert analyze(forget) == ("csv: no snapshot", clean)
+    assert analyze(recode) == ("csv: stale snapshot (code)", clean)
+
+    edit_line(clone / "bars.csv", lambda line: True, lambda line: "totally,wrong,header\n")
+    source, outcome = analyze(untouched)
+    assert (outcome, outcome[0], source) == (analyze()[1], 2, None)
+    assert outcome[1].count("error:") == 1 and "bars.csv" in outcome[1]
 
 
 def test_unclosed_quote_in_corpus_exits_two(dataset_dir, tmp_path, capsys):

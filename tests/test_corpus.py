@@ -19,6 +19,8 @@ from reportsignal.corpus import (
 )
 from reportsignal.errors import ArgumentError, DataError, SchemaError
 from reportsignal.sentiment import load_lexicon
+from reportsignal.synthkit import SynthSpec, generate
+from tests import reference_text
 
 
 def test_parse_happy_path():
@@ -131,6 +133,25 @@ def test_clean_text_is_idempotent():
     raw = "Text​with  noise 风险提示 trailing risk boilerplate"
     once = clean_text(raw, ("风险提示",))
     assert clean_text(once, ("风险提示",)) == once
+
+
+def test_clean_text_matches_the_scalar_reference():
+    patterns = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
+    texts = [f"{r.title} {r.abstract}" for r in generate(SynthSpec(seed=0)).records]
+    body = "公司业绩稳健增长" * 10
+    texts += [
+        f"{body}\u3000风险提示：宏观经济下行",
+        f"{body}\u200d风险\u200d提示 x",
+        f"soft\u00adhyphen {body} 风险提示 tail",
+        f"nul\x00byte\tand\ttabs\nand\r\nlines {body}",
+        f"\u3000\u3000{body}\u3000 免责声明 y 风险提示 z\u3000",
+        "\u200d\x00\t\n\u3000",
+        "",
+    ]
+    for tail_fraction in (0.25, 0.6):
+        for text in texts:
+            want = reference_text.clean_text(text, patterns, tail_fraction)
+            assert clean_text(text, patterns, tail_fraction) == want
 
 
 def test_clean_text_tail_fraction_bounds():

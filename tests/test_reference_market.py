@@ -1,10 +1,12 @@
 """The dense market stores and gather kernels against the row-at-a-time
 reference in ``tests/reference_market.py``: the same rejects, drops and
 ``repr`` of every panel row, majority sample and label-pool entry, on
-clean and mutated input files, with and without a fence."""
+clean and mutated input files, with and without a fence, and with the
+parsed market read back from its snapshot."""
 
 import random
 
+import numpy as np
 import pytest
 
 from reportsignal import market as market_module
@@ -13,9 +15,9 @@ from reportsignal.config import packaged_data_path
 from reportsignal.corpus import CorpusIndex, prepare_report
 from reportsignal.econometrics import build_majority_samples, build_panel
 from reportsignal.errors import DataError
-from reportsignal.market import load_market
+from reportsignal.market import load_market, read_snapshot, write_snapshot
 from reportsignal.sentiment import load_lexicon
-from reportsignal.synthkit import write_dataset
+from reportsignal.synthkit import SynthSpec, generate, write_dataset
 from tests import reference_market as reference
 from tests.helpers import small_dataset
 
@@ -95,10 +97,34 @@ def outcome(fn, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-@pytest.mark.parametrize("block_rows", [market_module.BAR_BLOCK_ROWS, 100_000])
+def market_files(paths) -> dict:
+    return {
+        "bars_path": paths["bars"],
+        "indices_path": paths["indices"],
+        "industry_path": paths["industry"],
+        "calendar_path": paths["calendar"],
+    }
+
+
+def through_snapshot(market, out_dir, files):
+    """``market``, written as a snapshot of ``files`` and read back."""
+    write_snapshot(market, out_dir, **files)
+    copy, source = read_snapshot(out_dir, **files)
+    assert source == "snapshot"
+    return copy
+
+
+@pytest.mark.parametrize(
+    "block_rows, snapshot",
+    [
+        pytest.param(market_module.BAR_BLOCK_ROWS, False, id=str(market_module.BAR_BLOCK_ROWS)),
+        pytest.param(100_000, False, id="100000"),
+        pytest.param(market_module.BAR_BLOCK_ROWS, True, id="snapshot"),
+    ],
+)
 @pytest.mark.parametrize("fenced", [False, True])
 @pytest.mark.parametrize("messy", [False, True])
-def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows):
+def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows, snapshot):
     ds, lexicon, tokens = dataset
     paths = write_dataset(ds, tmp_path)
     if messy:
@@ -106,8 +132,10 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         edit_rows(paths["indices"], messy_indices)
         edit_rows(paths["industry"], messy_industry)
     monkeypatch.setattr(market_module, "BAR_BLOCK_ROWS", block_rows)
-    files = (paths["bars"], paths["indices"], paths["industry"], paths["calendar"])
-    new, old = load_market(*files), reference.load_market(*files)
+    files = market_files(paths)
+    new, old = load_market(**files), reference.load_market(*files.values())
+    if snapshot:
+        new.market = through_snapshot(new.market, tmp_path, files)
 
     assert new.bar_rejects == old.bar_rejects
     assert new.index_rejects == old.index_rejects
@@ -157,3 +185,23 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         for reason in ("missing market data", "no industry mapping", "insufficient history"):
             assert reason in compared[2][0]  # the panel over every report
         assert "no tokens" in compared[3][0]
+
+
+def test_snapshot_gives_the_parsed_market(tmp_path):
+    paths = write_dataset(generate(SynthSpec(seed=0)), tmp_path)
+    files = market_files(paths)
+    parsed = load_market(**files).market
+    copy = through_snapshot(parsed, tmp_path, files)
+
+    assert copy.calendar.dates == parsed.calendar.dates
+    assert list(copy.bars.rows.items()) == list(parsed.bars.rows.items())
+    assert list(copy.indices.rows.items()) == list(parsed.indices.rows.items())
+    assert list(copy.industry._map.items()) == list(parsed.industry._map.items())
+    bar_grids = ("present", "open", "high", "low", "close", "volume", "volume_sums", "bar_counts")
+    arrays = [("bars", name) for name in bar_grids] + [("indices", "present"), ("indices", "levels")]
+    for store, name in arrays:
+        got, want = getattr(getattr(copy, store), name), getattr(getattr(parsed, store), name)
+        # bit for bit, which also tells -0.0 from 0.0
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (store, name)
+    for name in ("industry_rows", "mapped"):
+        assert np.array_equal(getattr(copy, name), getattr(parsed, name)), name
