@@ -25,10 +25,8 @@ from .econometrics import (
     MAJORITY_VARIABLES,
     OUTCOME_NAMES,
     REGRESSOR_NAMES,
-    MajoritySample,
     MeanTestResult,
     PanelBuildResult,
-    PanelRow,
     RegressionFit,
     SectorResult,
     build_majority_samples,

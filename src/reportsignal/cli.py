@@ -340,16 +340,14 @@ def cmd_analyze(config: RunConfig) -> int:
         end=config.test_end,
         vix_mode=config.vix_mode,
     )
-    if not panel.rows:
+    if not len(panel.rows):
         raise DataError(
             f"empty panel: all {panel.n_pairs} test-range pairs dropped ({panel.drops})"
         )
 
     fits = run_pooled_regressions(panel.rows, se_type=config.se)
-    sectors = run_industry_regressions(
-        panel.rows, market, min_rows=config.min_rows, se_type=config.se
-    )
-    samples, majority_drops = build_majority_samples(
+    sectors = run_industry_regressions(panel, market, min_rows=config.min_rows, se_type=config.se)
+    classes, samples, majority_drops = build_majority_samples(
         test_records,
         tokens_by_report,
         lexicon,
@@ -357,7 +355,7 @@ def cmd_analyze(config: RunConfig) -> int:
         start=config.test_start,
         end=config.test_end,
     )
-    tests = majority_group_tests(samples, mode=config.ttest)
+    tests = majority_group_tests(classes, samples, mode=config.ttest)
 
     # One entry per (report, stock) pair, on the trading day the panel aligns it to.
     calendar = market.calendar
@@ -370,7 +368,7 @@ def cmd_analyze(config: RunConfig) -> int:
     n_series_skipped = sum(len(record.stock_codes) for record in test_records) - len(series_entries)
     series = daily_average_sentiment(series_entries)
 
-    write_panel(panel.rows, out / "panel.csv")
+    write_panel(panel, out / "panel.csv")
     regression_text = format_regression_table(
         fits,
         stars=config.stars,
@@ -387,7 +385,7 @@ def cmd_analyze(config: RunConfig) -> int:
     write_daily_sentiment(series, out / "daily_sentiment.dat")
     write_gnuplot_script("daily_sentiment.dat", out / "daily_sentiment.gp")
 
-    majority_counts = dict.fromkeys(LABELS, 0) | Counter(sample.majority_class for sample in samples)
+    majority_counts = dict.fromkeys(LABELS, 0) | Counter(classes)
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "fence": fence.isoformat(),
@@ -404,7 +402,7 @@ def cmd_analyze(config: RunConfig) -> int:
             "n_flagged_negative_range": panel.n_flagged_negative_range,
         },
         "majority": {
-            "n_samples": len(samples),
+            "n_samples": len(classes),
             "counts": majority_counts,
             "drops": majority_drops,
         },
@@ -421,7 +419,7 @@ def cmd_analyze(config: RunConfig) -> int:
     sys.stdout.write(regression_text + "\n" + industry_text + "\n" + mean_text)
     print(
         f"analyze: {len(panel.rows)} panel rows ({panel.n_dropped} dropped), "
-        f"{len(samples)} majority samples, outputs in {out}"
+        f"{len(classes)} majority samples, outputs in {out}"
     )
     return 0
 

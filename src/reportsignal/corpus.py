@@ -29,12 +29,13 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
-from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
 from pathlib import Path
 from typing import Iterable
+
+import numpy as np
 
 from .errors import ArgumentError, DataError, SchemaError
 
@@ -308,25 +309,22 @@ def prepare_report(
 
 
 class CorpusIndex:
-    """Per-stock sorted release dates, for counting reports in date windows."""
+    """Each (cited stock, report) pair as one packed key, stock code times
+    2**32 plus release-day ordinal, sorted: the reports of a stock in a
+    window of days are one contiguous run of keys."""
 
     def __init__(self, records: Iterable[ReportRecord]):
-        by_stock: dict[str, list[Date]] = {}
-        n = 0
-        for record in records:
-            n += 1
-            for sid in record.stock_codes:
-                by_stock.setdefault(sid, []).append(record.release_date)
-        for dates in by_stock.values():
-            dates.sort()
-        self._dates = by_stock
-        self.n_records = n
+        self.codes: dict[str, int] = {}
+        keys = [
+            self.codes.setdefault(sid, len(self.codes)) << 32 | record.release_date.toordinal()
+            for record in records
+            for sid in record.stock_codes
+        ]
+        self.keys = np.sort(np.array(keys, dtype=np.int64))
 
-    def count_between(self, stock_id: str, first: Date, last: Date) -> int:
-        """Number of reports citing ``stock_id`` with release date in [first, last]."""
-        if first > last:
-            return 0
-        dates = self._dates.get(stock_id)
-        if not dates:
-            return 0
-        return bisect_right(dates, last) - bisect_left(dates, first)
+    def keys_of(self, stock_ids: Iterable[str], days: Iterable[Date]) -> np.ndarray:
+        """The keys of (stock, day) rows; a stock the index never saw gets
+        code -1, below every key. Ordinals stay far below 2**32, so a key
+        minus a window of days never reaches another stock's keys."""
+        codes = np.array([self.codes.get(sid, -1) for sid in stock_ids], dtype=np.int64)
+        return codes << 32 | np.array([d.toordinal() for d in days], dtype=np.int64)

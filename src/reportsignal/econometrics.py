@@ -2,10 +2,13 @@
 
 The panel has one row per (report, cited stock): sentiment scores and
 market metrics measured on the release trading day, outcomes measured on
-the next trading day. Presentation scaling lives here — intraday range
-variance is multiplied by 100 and recommendation counts divided by 100 —
-so coefficient magnitudes are comparable across tables while t-statistics
-are unaffected.
+the next trading day. It is columnar: one float64 matrix with a column
+per field, built from the gather kernels' arrays, its row checks run as
+masks over the matrix, and the regressions select its columns and rows.
+The majority samples are a matrix too. Presentation scaling lives here —
+intraday range variance is multiplied by 100 and recommendation counts
+divided by 100 — so coefficient magnitudes are comparable across tables
+while t-statistics are unaffected.
 
 OLS uses a QR decomposition (numerically stable orthogonal factorization)
 with classical standard errors s^2 (X'X)^-1 by default and HC1 robust
@@ -16,7 +19,7 @@ evaluated through the regularized incomplete beta function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable, Mapping, Sequence
 
@@ -88,49 +91,43 @@ NAMED_SECTORS = (
 OTHER_SECTOR = "Other"
 
 
-@dataclass(frozen=True)
-class PanelRow:
-    """One (report, stock) regression observation.
-
-    Lagged fields are measured on the release trading day, outcome fields
-    on the following trading day; range values are scaled by 100 and the
-    citation counts by 1/100.
-    """
-
-    report_id: str
-    stock_id: str
-    outcome_date: Date
-    pos_lag: float
-    neg_lag: float
-    range_lag: float
-    retex_lag: float
-    dvol_lag: float
-    outcome_range: float
-    outcome_retex: float
-    outcome_dvol: float
-    szse_lag: float
-    sse_lag: float
-    csi500_lag: float
-    vix_lag: float
-    num90_lag: float
-    num7_lag: float
-
-    def __post_init__(self):
-        if self.pos_lag + self.neg_lag > 1.0 + 1e-9:
-            raise DataError(
-                f"row {self.report_id}/{self.stock_id}: pos+neg = {self.pos_lag + self.neg_lag}"
-            )
-        for name, value in self.__dict__.items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DataError(f"row {self.report_id}/{self.stock_id}: {name} not finite")
-
-
-PANEL_HEADER = tuple(f.name for f in dataclass_fields(PanelRow))
+# The panel's columns: the ids and outcome date of each row, then one
+# float column per field, lagged fields measured on the release trading
+# day and outcome fields on the following trading day.
+PANEL_HEADER = (
+    "report_id",
+    "stock_id",
+    "outcome_date",
+    "pos_lag",
+    "neg_lag",
+    "range_lag",
+    "retex_lag",
+    "dvol_lag",
+    "outcome_range",
+    "outcome_retex",
+    "outcome_dvol",
+    "szse_lag",
+    "sse_lag",
+    "csi500_lag",
+    "vix_lag",
+    "num90_lag",
+    "num7_lag",
+)
 
 
 @dataclass
 class PanelBuildResult:
-    rows: list[PanelRow]
+    """The regression panel, one row per (report, stock) observation.
+
+    ``rows`` is a float64 matrix with one column per ``PANEL_HEADER[3:]``
+    field, range values scaled by 100 and citation counts by 1/100; the
+    ids and outcome date of row ``i`` are entry ``i`` of the three lists.
+    """
+
+    report_ids: list[str]
+    stock_ids: list[str]
+    outcome_dates: list[Date]
+    rows: np.ndarray
     drops: dict[str, int]
     n_flagged_negative_range: int
     n_pairs: int
@@ -156,6 +153,21 @@ def _in_range(records: Iterable[ReportRecord], start: Date | None, end: Date | N
             yield record
 
 
+def _check_rows(report_ids: Sequence[str], stock_ids: Sequence[str], rows: np.ndarray) -> None:
+    """Raise DataError for the first row whose pos+neg exceeds one or that
+    holds a non-finite value, naming the first failing check in that order."""
+    pos_neg = rows[:, 0] + rows[:, 1]
+    over = pos_neg > 1.0 + 1e-9
+    finite = np.isfinite(rows)
+    bad = np.flatnonzero(over | ~finite.all(axis=1))
+    if bad.size:
+        i = bad[0]
+        row = f"row {report_ids[i]}/{stock_ids[i]}"
+        if over[i]:
+            raise DataError(f"{row}: pos+neg = {float(pos_neg[i])}")
+        raise DataError(f"{row}: {PANEL_HEADER[3 + np.flatnonzero(~finite[i])[0]]} not finite")
+
+
 def build_panel(
     records: Iterable[ReportRecord],
     scores: Mapping[str, SentimentScore],
@@ -170,8 +182,8 @@ def build_panel(
     Every (report, cited stock) pair becomes one row; a report citing two
     stocks yields two rows sharing one score. Pairs missing any input —
     score, industry mapping, market observations, volume history — are
-    dropped and tallied by reason, never imputed. An empty result is
-    fatal.
+    dropped and tallied by reason, never imputed. A row whose pos+neg
+    exceeds one or that holds a non-finite value is a DataError.
     """
     calendar = market.calendar
     reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
@@ -209,49 +221,40 @@ def build_panel(
     drops = tally(reasons, status, PAIR_DROPS)
 
     ok = np.flatnonzero(status == OK)
-    rows: list[PanelRow] = []
-    flagged = 0
-    for i, values in zip(ok.tolist(), zip(*(part.values[ok].tolist() for part in parts))):
-        range_lag, retex_lag, dvol_lag, outcome_range, outcome_retex, outcome_dvol, szse, sse, csi500, vix = values
-        record, score, stock_id, s_day = pairs[i]
-        t_day = calendar.dates[s_day + 1]
-        num7, num90 = recommendation_counts(corpus_index, stock_id, t_day)
-        if range_lag < 0.0 or outcome_range < 0.0:
-            flagged += 1
-        rows.append(
-            PanelRow(
-                report_id=record.report_id,
-                stock_id=stock_id,
-                outcome_date=t_day,
-                pos_lag=score.pos,
-                neg_lag=score.neg,
-                range_lag=range_lag * RANGE_SCALE,
-                retex_lag=retex_lag,
-                dvol_lag=dvol_lag,
-                outcome_range=outcome_range * RANGE_SCALE,
-                outcome_retex=outcome_retex,
-                outcome_dvol=outcome_dvol,
-                szse_lag=szse,
-                sse_lag=sse,
-                csi500_lag=csi500,
-                vix_lag=vix,
-                num90_lag=num90 * NUM_SCALE,
-                num7_lag=num7 * NUM_SCALE,
-            )
-        )
-    return PanelBuildResult(rows, drops, flagged, len(reasons))
-
-
-def write_panel(rows: Iterable[PanelRow], path) -> None:
-    write_csv_rows(
-        path,
-        PANEL_HEADER,
-        (
-            [row.report_id, row.stock_id, row.outcome_date.isoformat()]
-            + [repr(getattr(row, name)) for name in PANEL_HEADER[3:]]
-            for row in rows
-        ),
+    kept = [pairs[i] for i in ok.tolist()]
+    report_ids = [record.report_id for record, _, _, _ in kept]
+    stock_ids = [stock_id for _, _, stock_id, _ in kept]
+    outcome_dates = [calendar.dates[s_day + 1] for _, _, _, s_day in kept]
+    num7, num90 = recommendation_counts(corpus_index, stock_ids, outcome_dates)
+    range_lag, retex_lag, dvol_lag, outcome_range, outcome_retex, outcome_dvol, *index_changes = (
+        part.values[ok] for part in parts
     )
+    rows = np.column_stack(
+        (
+            np.array([score.pos for _, score, _, _ in kept], dtype=float),
+            np.array([score.neg for _, score, _, _ in kept], dtype=float),
+            range_lag * RANGE_SCALE,
+            retex_lag,
+            dvol_lag,
+            outcome_range * RANGE_SCALE,
+            outcome_retex,
+            outcome_dvol,
+            *index_changes,
+            num90 * NUM_SCALE,
+            num7 * NUM_SCALE,
+        )
+    )
+    _check_rows(report_ids, stock_ids, rows)
+    flagged = int(np.count_nonzero((range_lag < 0.0) | (outcome_range < 0.0)))
+    return PanelBuildResult(report_ids, stock_ids, outcome_dates, rows, drops, flagged, len(reasons))
+
+
+def write_panel(panel: PanelBuildResult, path) -> None:
+    """Write the panel as CSV, each float as its shortest round-trip ``repr``,
+    formatted column by column as the rows are written."""
+    columns = [panel.report_ids, panel.stock_ids, map(Date.isoformat, panel.outcome_dates)]
+    columns += [map(repr, column) for column in panel.rows.T.tolist()]
+    write_csv_rows(path, PANEL_HEADER, zip(*columns))
 
 
 def student_t_sf2(t_stat: float, df: float) -> float:
@@ -368,36 +371,29 @@ def ols_fit(
     )
 
 
-def panel_design(rows: Sequence[PanelRow]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Design matrix in reporting order plus the three outcome vectors."""
-    n = len(rows)
-    X = np.empty((n, len(REGRESSOR_NAMES)))
+# The panel column of each regressor after the constant, and of each outcome.
+_DESIGN_COLUMNS = [
+    PANEL_HEADER.index(f"{name}_lag") - 3
+    for name in ("pos", "neg", "range", "dvol", "retex", "szse", "sse", "csi500", "vix", "num90", "num7")
+]
+_OUTCOME_COLUMNS = {
+    outcome: PANEL_HEADER.index(f"outcome_{name}") - 3
+    for outcome, name in (("range", "range"), ("ret_ex", "retex"), ("delta_volume", "dvol"))
+}
+
+
+def panel_design(rows: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Design matrix in reporting order plus the three outcome vectors,
+    each a contiguous copy of its panel columns."""
+    X = np.empty((len(rows), len(REGRESSOR_NAMES)))
     X[:, 0] = 1.0
-    for i, row in enumerate(rows):
-        X[i, 1] = row.pos_lag
-        X[i, 2] = row.neg_lag
-        X[i, 3] = row.range_lag
-        X[i, 4] = row.dvol_lag
-        X[i, 5] = row.retex_lag
-        X[i, 6] = row.szse_lag
-        X[i, 7] = row.sse_lag
-        X[i, 8] = row.csi500_lag
-        X[i, 9] = row.vix_lag
-        X[i, 10] = row.num90_lag
-        X[i, 11] = row.num7_lag
-    outcomes = {
-        "range": np.array([r.outcome_range for r in rows]),
-        "ret_ex": np.array([r.outcome_retex for r in rows]),
-        "delta_volume": np.array([r.outcome_dvol for r in rows]),
-    }
-    return X, outcomes
+    X[:, 1:] = rows[:, _DESIGN_COLUMNS]
+    return X, {outcome: rows[:, j].copy() for outcome, j in _OUTCOME_COLUMNS.items()}
 
 
-def run_pooled_regressions(
-    rows: Sequence[PanelRow], se_type: str = "classical"
-) -> dict[str, RegressionFit]:
-    """The three pooled regressions: range, excess return, volume change."""
-    if not rows:
+def run_pooled_regressions(rows: np.ndarray, se_type: str = "classical") -> dict[str, RegressionFit]:
+    """The three pooled regressions of a panel matrix: range, excess return, volume change."""
+    if not len(rows):
         raise ArgumentError("empty panel")
     X, outcomes = panel_design(rows)
     return {
@@ -418,7 +414,7 @@ def canonical_sector(raw: str) -> str:
 
 
 def run_industry_regressions(
-    rows: Sequence[PanelRow],
+    panel: PanelBuildResult,
     market: MarketData,
     min_rows: int = 50,
     se_type: str = "classical",
@@ -427,17 +423,20 @@ def run_industry_regressions(
 
     Sector membership comes from the industry map with unnamed sectors
     grouped as "Other"; the per-sector row counts always partition the
-    panel. Sectors below ``min_rows`` — or whose subset design is
-    singular — are reported as skipped rather than fit.
+    panel, and each sector keeps the panel's row order. Sectors below
+    ``min_rows`` — or whose subset design is singular — are reported as
+    skipped rather than fit.
     """
-    by_sector: dict[str, list[PanelRow]] = {}
-    for row in rows:
-        sector = canonical_sector(market.industry.sector(row.stock_id))
-        by_sector.setdefault(sector, []).append(row)
+    sectors = NAMED_SECTORS + (OTHER_SECTOR,)
+    code_of = {
+        stock_id: sectors.index(canonical_sector(market.industry.sector(stock_id)))
+        for stock_id in dict.fromkeys(panel.stock_ids)
+    }
+    codes = np.array([code_of[stock_id] for stock_id in panel.stock_ids], dtype=np.intp)
     results = []
-    for sector in list(NAMED_SECTORS) + [OTHER_SECTOR]:
-        subset = by_sector.get(sector)
-        if subset is None:
+    for code, sector in enumerate(sectors):
+        subset = panel.rows[codes == code]
+        if not len(subset):
             continue
         if len(subset) < min_rows:
             results.append(SectorResult(sector, len(subset), None))
@@ -528,32 +527,6 @@ MAJORITY_VARIABLES = (
 )
 
 
-@dataclass(frozen=True)
-class MajoritySample:
-    """Release-day measurements for one (report, stock), with its
-    majority-rule class; here t is the release trading day itself."""
-
-    report_id: str
-    stock_id: str
-    majority_class: str
-    ret_ex_t: float
-    ret_ex_prev: float
-    ret_ex_next: float
-    ret_ex_3day: float
-    dvolume: float
-    range_x100: float
-
-    def variable(self, name: str) -> float:
-        return {
-            "ret_ex[t]": self.ret_ex_t,
-            "ret_ex[t-1]": self.ret_ex_prev,
-            "ret_ex[t+1]": self.ret_ex_next,
-            "ret_ex[3day]": self.ret_ex_3day,
-            "dvolume": self.dvolume,
-            "range": self.range_x100,
-        }[name]
-
-
 def build_majority_samples(
     records: Iterable[ReportRecord],
     tokens_by_report: Mapping[str, Sequence[str]],
@@ -561,16 +534,19 @@ def build_majority_samples(
     market: MarketData,
     start: Date | None = None,
     end: Date | None = None,
-) -> tuple[list[MajoritySample], dict[str, int]]:
+) -> tuple[list[str], np.ndarray, dict[str, int]]:
     """Join majority classes to release-day metrics for each (report, stock).
 
+    Returns the majority class of each sample, a float64 matrix with one
+    row per sample and one column per ``MAJORITY_VARIABLES`` entry (t is
+    the release trading day itself, range scaled by 100), and the drops.
     ``tokens_by_report`` holds the segmented cleaned text; pairs without
     tokens or with missing market data are dropped and tallied, like panel
     rows.
     """
     calendar = market.calendar
     reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
-    pairs: list[tuple[str, str, str, int]] = []
+    pairs: list[tuple[str, str, int]] = []
     for record in _in_range(records, start, end):
         tokens = tokens_by_report.get(record.report_id)
         if tokens is None:
@@ -581,12 +557,12 @@ def build_majority_samples(
         for stock_id in record.stock_codes:
             if 0 < s_day < len(calendar) - 1:
                 reasons.append(None)
-                pairs.append((record.report_id, stock_id, cls, s_day))
+                pairs.append((stock_id, cls, s_day))
             else:
                 reasons.append("missing market data")
 
-    stocks = market.bars.rows_of(pair[1] for pair in pairs)
-    s = np.array([pair[3] for pair in pairs], dtype=np.intp)
+    stocks = market.bars.rows_of(pair[0] for pair in pairs)
+    s = np.array([pair[2] for pair in pairs], dtype=np.intp)
     parts = (
         excess_return(market, stocks, s),
         excess_return(market, stocks, s - 1),
@@ -599,35 +575,26 @@ def build_majority_samples(
     drops = tally(reasons, status, PAIR_DROPS)
 
     ok = np.flatnonzero(status == OK)
-    samples = []
-    for i, values in zip(ok.tolist(), zip(*(part.values[ok].tolist() for part in parts))):
-        report_id, stock_id, cls, _ = pairs[i]
-        *returns, dvolume, range_ = values
-        samples.append(MajoritySample(report_id, stock_id, cls, *returns, dvolume, range_ * RANGE_SCALE))
-    return samples, drops
+    values = np.column_stack([part.values[ok] for part in parts])
+    values[:, -1] *= RANGE_SCALE
+    return [pairs[i][1] for i in ok.tolist()], values, drops
 
 
 def majority_group_tests(
-    samples: Sequence[MajoritySample], mode: str = "welch"
+    classes: Sequence[str], values: np.ndarray, mode: str = "welch"
 ) -> list[MeanTestResult | None]:
-    """Positive-group vs negative-group tests, one per table variable.
+    """Positive-group vs negative-group tests, one per table variable, over
+    the samples of ``build_majority_samples``.
 
     Entries are None (untestable) when either group has fewer than two
     samples; neutral-class samples never participate.
     """
-    group_a = [s for s in samples if s.majority_class == POSITIVE]
-    group_b = [s for s in samples if s.majority_class == NEGATIVE]
-    results: list[MeanTestResult | None] = []
-    for variable in MAJORITY_VARIABLES:
-        if len(group_a) < 2 or len(group_b) < 2:
-            results.append(None)
-            continue
-        results.append(
-            mean_difference_test(
-                [s.variable(variable) for s in group_a],
-                [s.variable(variable) for s in group_b],
-                mode=mode,
-                variable=variable,
-            )
-        )
-    return results
+    # one contiguous row per variable, in sample order
+    group_a = values[np.array([cls == POSITIVE for cls in classes], dtype=bool)].T.copy()
+    group_b = values[np.array([cls == NEGATIVE for cls in classes], dtype=bool)].T.copy()
+    if group_a.shape[1] < 2 or group_b.shape[1] < 2:
+        return [None] * len(MAJORITY_VARIABLES)
+    return [
+        mean_difference_test(a, b, mode=mode, variable=variable)
+        for variable, a, b in zip(MAJORITY_VARIABLES, group_a, group_b)
+    ]

@@ -44,7 +44,7 @@ count drops with ``tally``.
 from __future__ import annotations
 
 import math
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -210,21 +210,19 @@ def delta_volume(
 
 
 def recommendation_counts(
-    index: CorpusIndex,
-    stock_id: str,
-    d: Date,
-    short_window: int = SHORT_COUNT_WINDOW,
-    long_window: int = LONG_COUNT_WINDOW,
-) -> tuple[int, int]:
-    """Report counts for a stock over trailing calendar-day windows.
+    index: CorpusIndex, stock_ids: Sequence[str], days: Sequence[Date]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Report counts for each (stock, day d) row over trailing calendar-day
+    windows.
 
-    Returns (short, long) counts of reports released within
-    [d - short_window, d - 1] and [d - long_window, d - 1], inclusive on
-    both ends; day ``d`` itself is excluded.
+    Returns the integer arrays (short, long) of reports citing the stock
+    released within [d - 7, d - 1] and [d - 90, d - 1], inclusive on both
+    ends; day ``d`` itself is excluded.
     """
-    yesterday = d - timedelta(days=1)
-    short = index.count_between(stock_id, d - timedelta(days=short_window), yesterday)
-    long = index.count_between(stock_id, d - timedelta(days=long_window), yesterday)
+    keys = index.keys_of(stock_ids, days)
+    before = np.searchsorted(index.keys, keys)
+    short = before - np.searchsorted(index.keys, keys - SHORT_COUNT_WINDOW)
+    long = before - np.searchsorted(index.keys, keys - LONG_COUNT_WINDOW)
     return short, long
 
 

@@ -404,7 +404,9 @@ def generate(spec: SynthSpec) -> SynthDataset:
             close_s = closes[rows, s]
             o, h, l = _bar_shape(close_s, targets[rows, s], zc[rows, s])
             gk = map(garman_klass, o.tolist(), h.tolist(), l.tolist(), close_s.tolist())
-            counts = [recommendation_counts(corpus_index, stock_ids[i], cal_dates[j]) for i in rows]
+            num7, num90 = recommendation_counts(
+                corpus_index, [stock_ids[i] for i in rows.tolist()], [cal_dates[j]] * k
+            )
             mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
             x = np.column_stack((
                 np.ones(k),
@@ -414,7 +416,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
                 _libm(math.log, vols[rows, s] / mean60_s),
                 _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s],
                 np.tile(market_x[s], (k, 1)),
-                np.array(counts)[:, ::-1] / 100.0,  # (num90, num7)
+                num90 / 100.0,
+                num7 / 100.0,
             ))
             y_range, y_ret, y_dvol = (
                 np.fromiter(map(math.fsum, (x * b).tolist()), float, count=k) + e

@@ -11,7 +11,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from reportsignal.corpus import CorpusIndex, read_csv_rows
-from reportsignal.econometrics import PANEL_HEADER, PanelRow
+from reportsignal.econometrics import PANEL_HEADER
 from reportsignal.errors import SchemaError
 from reportsignal.labeling import LABELS, LABELS_HEADER, LabeledReport
 from reportsignal.market import (
@@ -25,6 +25,7 @@ from reportsignal.market import (
 )
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import SynthSpec, generate
+from tests.reference_market import PanelRow
 
 
 def weekdays(start: Date, count: int) -> list[Date]:
@@ -115,6 +116,8 @@ def read_labels(path) -> list[LabeledReport]:
 
 
 def read_panel(path) -> list[PanelRow]:
+    """The rows of a panel file as the reference's ``PanelRow`` values,
+    which check each row again."""
     out = []
     for _, raw in read_csv_rows(path, PANEL_HEADER):
         out.append(

@@ -1,9 +1,12 @@
 """The row-at-a-time market layer that the dense (stock x trading-day)
-stores and the gather kernels replaced, kept verbatim as the reference
-their results must match: the ``DailyBar`` value with its scalar bar
-rules (``check``), the bar loader, the per-stock series store, the index
-store, the four metric functions, the panel and majority builders, and
-the label-pool loop of ``cli.cmd_label``.
+stores, the gather kernels and the columnar panel replaced, kept verbatim
+as the reference their results must match: the ``DailyBar`` value with
+its scalar bar rules (``check``), the bar loader, the per-stock series
+store, the index store, the four metric functions, the bisect
+``CorpusIndex`` and the scalar ``recommendation_counts``, the
+``PanelRow`` value with its row checks and the ``MajoritySample`` value,
+the panel and majority build functions, and the label-pool loop of
+``cli.cmd_label``.
 
 One deliberate change from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -13,20 +16,15 @@ pairs equal samples plus drops.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from datetime import date as Date
+from datetime import date as Date, timedelta
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from reportsignal.corpus import CorpusIndex, ReportRecord, RowReject, read_csv_rows
-from reportsignal.econometrics import (
-    NUM_SCALE,
-    RANGE_SCALE,
-    MajoritySample,
-    PanelBuildResult,
-    PanelRow,
-)
+from reportsignal.corpus import ReportRecord, RowReject, read_csv_rows
+from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
 from reportsignal.errors import (
     CalendarRangeError,
     ConfigurationError,
@@ -47,8 +45,131 @@ from reportsignal.market import (
     TradingCalendar,
     load_calendar,
 )
-from reportsignal.metrics import VOLUME_WINDOW, garman_klass, recommendation_counts
-from reportsignal.sentiment import classify_majority
+from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW, garman_klass
+from reportsignal.sentiment import SentimentScore, classify_majority
+
+
+class CorpusIndex:
+    """Per-stock sorted release dates, for counting reports in date windows."""
+
+    def __init__(self, records: Iterable[ReportRecord]):
+        by_stock: dict[str, list[Date]] = {}
+        n = 0
+        for record in records:
+            n += 1
+            for sid in record.stock_codes:
+                by_stock.setdefault(sid, []).append(record.release_date)
+        for dates in by_stock.values():
+            dates.sort()
+        self._dates = by_stock
+        self.n_records = n
+
+    def count_between(self, stock_id: str, first: Date, last: Date) -> int:
+        """Number of reports citing ``stock_id`` with release date in [first, last]."""
+        if first > last:
+            return 0
+        dates = self._dates.get(stock_id)
+        if not dates:
+            return 0
+        return bisect_right(dates, last) - bisect_left(dates, first)
+
+
+def recommendation_counts(
+    index: CorpusIndex,
+    stock_id: str,
+    d: Date,
+    short_window: int = SHORT_COUNT_WINDOW,
+    long_window: int = LONG_COUNT_WINDOW,
+) -> tuple[int, int]:
+    """Report counts for a stock over trailing calendar-day windows.
+
+    Returns (short, long) counts of reports released within
+    [d - short_window, d - 1] and [d - long_window, d - 1], inclusive on
+    both ends; day ``d`` itself is excluded.
+    """
+    yesterday = d - timedelta(days=1)
+    short = index.count_between(stock_id, d - timedelta(days=short_window), yesterday)
+    long = index.count_between(stock_id, d - timedelta(days=long_window), yesterday)
+    return short, long
+
+
+
+@dataclass(frozen=True)
+class PanelRow:
+    """One (report, stock) regression observation.
+
+    Lagged fields are measured on the release trading day, outcome fields
+    on the following trading day; range values are scaled by 100 and the
+    citation counts by 1/100.
+    """
+
+    report_id: str
+    stock_id: str
+    outcome_date: Date
+    pos_lag: float
+    neg_lag: float
+    range_lag: float
+    retex_lag: float
+    dvol_lag: float
+    outcome_range: float
+    outcome_retex: float
+    outcome_dvol: float
+    szse_lag: float
+    sse_lag: float
+    csi500_lag: float
+    vix_lag: float
+    num90_lag: float
+    num7_lag: float
+
+    def __post_init__(self):
+        if self.pos_lag + self.neg_lag > 1.0 + 1e-9:
+            raise DataError(
+                f"row {self.report_id}/{self.stock_id}: pos+neg = {self.pos_lag + self.neg_lag}"
+            )
+        for name, value in self.__dict__.items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"row {self.report_id}/{self.stock_id}: {name} not finite")
+
+
+
+@dataclass
+class PanelBuildResult:
+    rows: list[PanelRow]
+    drops: dict[str, int]
+    n_flagged_negative_range: int
+    n_pairs: int
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(self.drops.values())
+
+
+
+@dataclass(frozen=True)
+class MajoritySample:
+    """Release-day measurements for one (report, stock), with its
+    majority-rule class; here t is the release trading day itself."""
+
+    report_id: str
+    stock_id: str
+    majority_class: str
+    ret_ex_t: float
+    ret_ex_prev: float
+    ret_ex_next: float
+    ret_ex_3day: float
+    dvolume: float
+    range_x100: float
+
+    def variable(self, name: str) -> float:
+        return {
+            "ret_ex[t]": self.ret_ex_t,
+            "ret_ex[t-1]": self.ret_ex_prev,
+            "ret_ex[t+1]": self.ret_ex_next,
+            "ret_ex[3day]": self.ret_ex_3day,
+            "dvolume": self.dvolume,
+            "range": self.range_x100,
+        }[name]
+
 
 
 class DailyBar(NamedTuple):

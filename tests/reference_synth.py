@@ -10,9 +10,9 @@ from datetime import date as Date
 
 import numpy as np
 
-from reportsignal.corpus import CorpusIndex, ReportRecord
+from reportsignal.corpus import ReportRecord
 from reportsignal.market import CSI500, SSE, SZSE, VIX
-from reportsignal.metrics import garman_klass, recommendation_counts
+from reportsignal.metrics import garman_klass
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
     BETA_KEYS,
@@ -24,7 +24,7 @@ from reportsignal.synthkit import (
     _lexicon_word_lists,
     _weekdays,
 )
-from tests.reference_market import DailyBar
+from tests.reference_market import CorpusIndex, DailyBar, recommendation_counts
 
 
 def generate_scalar(spec: SynthSpec) -> SynthDataset:

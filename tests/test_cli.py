@@ -323,6 +323,33 @@ def test_non_positive_fear_gauge_under_logdiff_exits_two(dataset_dir, tmp_path, 
     assert named >= test_start
 
 
+def test_a_non_finite_panel_value_exits_two(dataset_dir, tmp_path, capsys):
+    """VIX levels of -1e308 and 1e308 on two adjacent test-range days are
+    each valid input, but their difference overflows: analyze names the
+    first panel row released on the second day, whose vix_lag is not
+    finite, in one error line."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    config = clone / "config.json"
+    assert run("analyze", "--config", config, "--out", tmp_path / "clean") == 0
+    calendar = load_calendar(clone / "calendar.txt")
+    day = calendar.shift(Date.fromisoformat(read_json(config)["test_start"]), 2)
+    levels = {day.isoformat(): "-1e308", calendar.shift(day, 1).isoformat(): "1e308"}
+    indices = clone / "indices.csv"
+    rows = indices.read_text(encoding="utf-8").splitlines()
+    for i, row in enumerate(rows):
+        index_id, date, _level = row.split(",")
+        if index_id == "VIX" and date in levels:
+            rows[i] = f"VIX,{date},{levels[date]}"
+    indices.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    outcome_date = calendar.shift(day, 2)
+    first = next(row for row in read_panel(tmp_path / "clean" / "panel.csv") if row.outcome_date == outcome_date)
+    capsys.readouterr()
+    assert run("analyze", "--config", config, "--out", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert err == f"error: row {first.report_id}/{first.stock_id}: vix_lag not finite\n"
+
+
 def test_every_pair_is_a_sample_or_a_drop(dataset_dir, tmp_path):
     """pairs = rows + drops for the panel, and pairs = samples + drops for
     the majority block, also when a header-only lexicon leaves every

@@ -7,7 +7,6 @@ import pytest
 
 from reportsignal.config import packaged_data_path
 from reportsignal.corpus import (
-    CorpusIndex,
     ReportRecord,
     SegmentDictionary,
     clean_text,
@@ -224,24 +223,3 @@ def test_load_risk_warning_patterns_skips_comments(tmp_path):
     assert load_risk_warning_patterns(path) == ("风险提示", "免责声明")
     packaged = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
     assert "风险提示" in packaged
-
-
-def test_corpus_index_counts_inclusive_windows():
-    records = [
-        ReportRecord(f"r{i}", "t", "a", codes, day)
-        for i, (codes, day) in enumerate(
-            [
-                (("600000.SH",), Date(2019, 3, 4)),
-                (("600000.SH", "000001.SZ"), Date(2019, 3, 6)),
-                (("600000.SH",), Date(2019, 3, 10)),
-            ]
-        )
-    ]
-    index = CorpusIndex(records)
-    assert index.n_records == 3
-    assert index.count_between("600000.SH", Date(2019, 3, 4), Date(2019, 3, 10)) == 3
-    assert index.count_between("600000.SH", Date(2019, 3, 5), Date(2019, 3, 9)) == 1
-    assert index.count_between("600000.SH", Date(2019, 3, 6), Date(2019, 3, 6)) == 1
-    assert index.count_between("000001.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 1
-    assert index.count_between("600000.SH", Date(2019, 3, 10), Date(2019, 3, 4)) == 0
-    assert index.count_between("999999.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 0

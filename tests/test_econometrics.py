@@ -3,6 +3,7 @@
 import math
 import random
 from datetime import date as Date
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from reportsignal.config import packaged_data_path
 from reportsignal.corpus import prepare_report
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
+    PANEL_HEADER,
     REGRESSOR_NAMES,
-    MajoritySample,
-    PanelRow,
+    PanelBuildResult,
     build_majority_samples,
     build_panel,
     majority_group_tests,
@@ -145,46 +146,81 @@ def test_ols_argument_validation():
         ols_fit(np.column_stack([np.ones(5), np.arange(5.0)]), np.ones(5), se_type="hc3")
 
 
-def make_row(i, rng, **overrides):
-    values = dict(
-        report_id=f"r{i:04d}",
-        stock_id=overrides.pop("stock_id", "600000.SH"),
-        outcome_date=Date(2019, 3, 5),
-        pos_lag=rng.uniform(0, 0.6),
-        neg_lag=rng.uniform(0, 0.4),
-        range_lag=rng.uniform(0, 0.3),
-        retex_lag=rng.gauss(0, 0.02),
-        dvol_lag=rng.gauss(0, 0.3),
-        outcome_range=rng.uniform(0, 0.3),
-        outcome_retex=rng.gauss(0, 0.02),
-        outcome_dvol=rng.gauss(0, 0.3),
-        szse_lag=rng.gauss(0, 0.01),
-        sse_lag=rng.gauss(0, 0.01),
-        csi500_lag=rng.gauss(0, 0.01),
-        vix_lag=rng.gauss(0, 1.0),
-        num90_lag=rng.randrange(0, 30) * 0.01,
-        num7_lag=rng.randrange(0, 8) * 0.01,
+def make_panel(n, rng, stock_ids=None):
+    """A panel of ``n`` random rows drawn row by row, each row's fields in
+    header order, all with one outcome date."""
+    draws = {
+        "pos_lag": lambda: rng.uniform(0, 0.6),
+        "neg_lag": lambda: rng.uniform(0, 0.4),
+        "range_lag": lambda: rng.uniform(0, 0.3),
+        "retex_lag": lambda: rng.gauss(0, 0.02),
+        "dvol_lag": lambda: rng.gauss(0, 0.3),
+        "outcome_range": lambda: rng.uniform(0, 0.3),
+        "outcome_retex": lambda: rng.gauss(0, 0.02),
+        "outcome_dvol": lambda: rng.gauss(0, 0.3),
+        "szse_lag": lambda: rng.gauss(0, 0.01),
+        "sse_lag": lambda: rng.gauss(0, 0.01),
+        "csi500_lag": lambda: rng.gauss(0, 0.01),
+        "vix_lag": lambda: rng.gauss(0, 1.0),
+        "num90_lag": lambda: rng.randrange(0, 30) * 0.01,
+        "num7_lag": lambda: rng.randrange(0, 8) * 0.01,
+    }
+    assert tuple(draws) == PANEL_HEADER[3:]
+    rows = np.array([[draw() for draw in draws.values()] for _ in range(n)]).reshape(n, len(draws))
+    return PanelBuildResult(
+        [f"r{i:04d}" for i in range(n)],
+        stock_ids or ["600000.SH"] * n,
+        [Date(2019, 3, 5)] * n,
+        rows,
+        {},
+        0,
+        n,
     )
-    values.update(overrides)
-    return PanelRow(**values)
+
+
+def column(panel, name):
+    return panel.rows[:, PANEL_HEADER.index(name) - 3]
 
 
 def test_panel_row_validation():
-    rng = random.Random(3)
-    with pytest.raises(DataError):
-        make_row(0, rng, pos_lag=0.7, neg_lag=0.6)
-    with pytest.raises(DataError):
-        make_row(0, rng, vix_lag=math.nan)
-    with pytest.raises(DataError):
-        make_row(0, rng, outcome_retex=math.inf)
+    """build_panel's row checks, with stand-in scores for the reports of
+    two panel rows a < b, each the only row of its report: the first
+    failing row in pair order names its first failing check, pos+neg
+    before finiteness, then the columns in header order."""
+    ds = small_dataset()
+    market, corpus_index, scores = assemble(ds)
+    start, end = ds.test_range
+    clean = build_panel(ds.records, scores, market, corpus_index, start, end)
+    single = [i for i, rid in enumerate(clean.report_ids) if clean.report_ids.count(rid) == 1]
+    rows = {"a": single[1], "b": single[-2]}
+    cases = [
+        # (pos, neg) stand-ins by row, the failing row, its problem
+        ({"a": (0.7, 0.6), "b": (math.nan, 0.1)}, "a", f"pos+neg = {0.7 + 0.6}"),
+        ({"a": (0.2, math.nan), "b": (0.7, 0.6)}, "a", "neg_lag not finite"),
+        ({"b": (0.7, 0.6)}, "b", f"pos+neg = {0.7 + 0.6}"),
+        ({"a": (math.inf, 0.1)}, "a", "pos+neg = inf"),
+        ({"a": (math.nan, math.inf)}, "a", "pos_lag not finite"),
+    ]
+    for stand_ins, failing, problem in cases:
+        altered = dict(scores)
+        for name, (pos, neg) in stand_ins.items():
+            altered[clean.report_ids[rows[name]]] = SimpleNamespace(pos=pos, neg=neg)
+        i = rows[failing]
+        with pytest.raises(DataError) as caught:
+            build_panel(ds.records, altered, market, corpus_index, start, end)
+        assert str(caught.value) == f"row {clean.report_ids[i]}/{clean.stock_ids[i]}: {problem}"
 
 
 def test_panel_round_trip_is_exact(tmp_path):
-    rng = random.Random(4)
-    rows = [make_row(i, rng) for i in range(20)]
+    panel = make_panel(20, random.Random(4))
     path = tmp_path / "panel.csv"
-    write_panel(rows, path)
-    assert read_panel(path) == rows
+    write_panel(panel, path)
+    rows = read_panel(path)
+    assert [(r.report_id, r.stock_id, r.outcome_date) for r in rows] == list(
+        zip(panel.report_ids, panel.stock_ids, panel.outcome_dates)
+    )
+    read_back = np.array([[getattr(r, name) for name in PANEL_HEADER[3:]] for r in rows])
+    assert read_back.tobytes() == panel.rows.tobytes()
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(SchemaError):
@@ -192,28 +228,21 @@ def test_panel_round_trip_is_exact(tmp_path):
 
 
 def test_panel_design_column_order():
-    rng = random.Random(5)
-    rows = [make_row(i, rng) for i in range(3)]
-    X, outcomes = panel_design(rows)
+    panel = make_panel(3, random.Random(5))
+    X, outcomes = panel_design(panel.rows)
     assert X.shape == (3, len(REGRESSOR_NAMES))
     assert list(X[:, 0]) == [1.0, 1.0, 1.0]
-    for i, row in enumerate(rows):
-        assert X[i, 1] == row.pos_lag
-        assert X[i, 2] == row.neg_lag
-        assert X[i, 3] == row.range_lag
-        assert X[i, 4] == row.dvol_lag
-        assert X[i, 5] == row.retex_lag
-        assert X[i, 9] == row.vix_lag
-        assert X[i, 11] == row.num7_lag
-        assert outcomes["range"][i] == row.outcome_range
-        assert outcomes["ret_ex"][i] == row.outcome_retex
-        assert outcomes["delta_volume"][i] == row.outcome_dvol
+    names = ["pos", "neg", "range", "dvol", "retex", "szse", "sse", "csi500", "vix", "num90", "num7"]
+    for j, name in enumerate(names, start=1):
+        assert X[:, j].tolist() == column(panel, f"{name}_lag").tolist(), name
+    assert outcomes["range"].tolist() == column(panel, "outcome_range").tolist()
+    assert outcomes["ret_ex"].tolist() == column(panel, "outcome_retex").tolist()
+    assert outcomes["delta_volume"].tolist() == column(panel, "outcome_dvol").tolist()
+    assert all(y.flags.c_contiguous for y in outcomes.values())
 
 
 def test_pooled_regressions_cover_all_three_outcomes():
-    rng = random.Random(6)
-    rows = [make_row(i, rng) for i in range(80)]
-    fits = run_pooled_regressions(rows)
+    fits = run_pooled_regressions(make_panel(80, random.Random(6)).rows)
     assert set(fits) == {"range", "ret_ex", "delta_volume"}
     for outcome, fit in fits.items():
         assert fit.name == outcome
@@ -221,7 +250,7 @@ def test_pooled_regressions_cover_all_three_outcomes():
         assert fit.regressors == REGRESSOR_NAMES
         assert fit.df_resid == 80 - len(REGRESSOR_NAMES)
     with pytest.raises(ArgumentError):
-        run_pooled_regressions([])
+        run_pooled_regressions(np.empty((0, len(PANEL_HEADER) - 3)))
 
 
 def test_build_panel_accounts_for_every_pair():
@@ -237,13 +266,15 @@ def test_build_panel_accounts_for_every_pair():
     calendar = market.calendar
     bars = ds.bars
     bar_ids = np.array(bars.ids)[bars.stocks]
-    for row in result.rows[:10]:
-        record = next(r for r in in_range if r.report_id == row.report_id)
+    for report_id, stock_id, outcome_date, range_lag in zip(
+        result.report_ids[:10], result.stock_ids, result.outcome_dates, column(result, "range_lag").tolist()
+    ):
+        record = next(r for r in in_range if r.report_id == report_id)
         s_day = calendar.align(record.release_date)
-        assert row.outcome_date == calendar.shift(s_day, 1)
-        (i,) = np.flatnonzero((bar_ids == row.stock_id) & (bars.days == calendar.index(s_day)))
-        bar = (row.stock_id, s_day, bars.open[i], bars.high[i], bars.low[i], bars.close[i], bars.volume[i])
-        assert row.range_lag == ranges_of([bar]).values[0] * 100.0
+        assert outcome_date == calendar.shift(s_day, 1)
+        (i,) = np.flatnonzero((bar_ids == stock_id) & (bars.days == calendar.index(s_day)))
+        bar = (stock_id, s_day, bars.open[i], bars.high[i], bars.low[i], bars.close[i], bars.volume[i])
+        assert range_lag == ranges_of([bar]).values[0] * 100.0
     # a report with no score is dropped once per cited stock
     missing = dict(scores)
     dropped_record = in_range[0]
@@ -252,47 +283,47 @@ def test_build_panel_accounts_for_every_pair():
     assert partial.drops.get("no score") == len(dropped_record.stock_codes)
 
 
-def industry_rows_and_map(counts, rng):
-    rows = []
-    entries = []
-    stock_no = 0
-    for sector, count in counts.items():
-        sid = f"{600000 + stock_no}.SH"
-        entries.append((sid, f"IND{stock_no:02d}", sector))
-        stock_no += 1
-        rows.extend(make_row(len(rows) + i, rng, stock_id=sid) for i in range(count))
-    return rows, IndustryMap(entries)
+def industry_panel_and_map(counts, rng):
+    """A panel with ``counts[sector]`` rows on one stock of each sector,
+    the sectors' rows interleaved, and the industry map of those stocks."""
+    entries = [(f"{600000 + i}.SH", f"IND{i:02d}", sector) for i, sector in enumerate(counts)]
+    stock_ids = [sid for (sid, _, sector) in entries for _ in range(counts[sector])]
+    rng.shuffle(stock_ids)
+    return make_panel(len(stock_ids), rng, stock_ids), IndustryMap(entries)
 
 
 def test_industry_regressions_partition_and_skip():
     rng = random.Random(7)
-    rows, imap = industry_rows_and_map(
-        {"Bank": 60, "Telecom": 3, "Weird": 5}, rng
-    )
+    panel, imap = industry_panel_and_map({"Bank": 60, "Telecom": 3, "Weird": 5}, rng)
 
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(rows, Bundle(), min_rows=50)
+    results = run_industry_regressions(panel, Bundle(), min_rows=50)
     by_sector = {r.sector: r for r in results}
     assert set(by_sector) == {"Bank", "Telecom", "Other"}
     assert [r.sector for r in results] == ["Telecom", "Bank", "Other"]
-    assert sum(r.n_rows for r in results) == len(rows)
+    assert sum(r.n_rows for r in results) == len(panel.rows)
     assert by_sector["Bank"].fits is not None
     assert by_sector["Bank"].fits["range"].n_obs == 60
     assert by_sector["Telecom"].fits is None and by_sector["Telecom"].n_rows == 3
     assert by_sector["Other"].fits is None and by_sector["Other"].n_rows == 5
+    # the sector's rows in panel order, bit for bit
+    bank = [i for i, sid in enumerate(panel.stock_ids) if imap.sector(sid) == "Bank"]
+    direct = run_pooled_regressions(panel.rows[bank])
+    for outcome, fit in by_sector["Bank"].fits.items():
+        assert fit.coef.tobytes() == direct[outcome].coef.tobytes()
 
 
 def test_industry_regressions_skip_singular_sectors():
     rng = random.Random(8)
-    rows, imap = industry_rows_and_map({"Media": 55}, rng)
-    rows = [make_row(i, rng, stock_id=rows[0].stock_id, vix_lag=0.0) for i in range(55)]
+    panel, imap = industry_panel_and_map({"Media": 55}, rng)
+    column(panel, "vix_lag")[:] = 0.0
 
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(rows, Bundle(), min_rows=50)
+    results = run_industry_regressions(panel, Bundle(), min_rows=50)
     assert results == [results[0]]
     assert results[0].sector == "Media"
     assert results[0].n_rows == 55
@@ -339,40 +370,24 @@ def test_mean_test_symmetries_and_degenerate_groups():
         mean_difference_test(a, b, mode="paired")
 
 
-def make_sample(i, cls, rng):
-    return MajoritySample(
-        report_id=f"r{i:03d}",
-        stock_id="600000.SH",
-        majority_class=cls,
-        ret_ex_t=rng.gauss(0, 0.02),
-        ret_ex_prev=rng.gauss(0, 0.02),
-        ret_ex_next=rng.gauss(0, 0.02),
-        ret_ex_3day=rng.gauss(0, 0.02),
-        dvolume=rng.gauss(0, 0.3),
-        range_x100=rng.uniform(0, 0.3),
-    )
-
-
 def test_majority_group_tests_compare_positive_vs_negative():
     rng = random.Random(9)
-    samples = (
-        [make_sample(i, "positive", rng) for i in range(5)]
-        + [make_sample(i + 10, "negative", rng) for i in range(4)]
-        + [make_sample(20, "neutral", rng)]
-    )
-    results = majority_group_tests(samples)
+    classes = ["positive"] * 5 + ["negative"] * 4 + ["neutral"]
+    rng.shuffle(classes)
+    values = np.array([[rng.gauss(0, 0.02) for _ in MAJORITY_VARIABLES] for _ in classes])
+    results = majority_group_tests(classes, values)
     assert len(results) == len(MAJORITY_VARIABLES)
-    for variable, res in zip(MAJORITY_VARIABLES, results):
+    for j, (variable, res) in enumerate(zip(MAJORITY_VARIABLES, results)):
         assert res is not None and res.variable == variable
         assert (res.n_a, res.n_b) == (5, 4)
         direct = mean_difference_test(
-            [s.variable(variable) for s in samples if s.majority_class == "positive"],
-            [s.variable(variable) for s in samples if s.majority_class == "negative"],
+            [row[j] for row, cls in zip(values.tolist(), classes) if cls == "positive"],
+            [row[j] for row, cls in zip(values.tolist(), classes) if cls == "negative"],
         )
         assert res.t_stat == direct.t_stat
     # a too-small group makes every variable untestable
-    thin = samples[:5] + samples[5:6]
-    assert majority_group_tests(thin) == [None] * len(MAJORITY_VARIABLES)
+    thin = [i for i, cls in enumerate(classes) if cls != "negative"] + [classes.index("negative")]
+    assert majority_group_tests([classes[i] for i in thin], values[thin]) == [None] * len(MAJORITY_VARIABLES)
 
 
 def test_majority_samples_from_a_generated_dataset():
@@ -384,11 +399,12 @@ def test_majority_samples_from_a_generated_dataset():
         r.report_id: prepare_report(r, dictionary).tokens for r in ds.records
     }
     start, end = ds.test_range
-    samples, drops = build_majority_samples(
+    classes, values, drops = build_majority_samples(
         ds.records, tokens, lexicon, market, start, end
     )
     in_range = [r for r in ds.records if start <= r.release_date <= end]
     n_pairs = sum(len(r.stock_codes) for r in in_range)
-    assert len(samples) + sum(drops.values()) == n_pairs
-    assert len(samples) > 0
-    assert {s.majority_class for s in samples} <= {"positive", "neutral", "negative"}
+    assert len(classes) + sum(drops.values()) == n_pairs
+    assert len(classes) > 0
+    assert values.shape == (len(classes), len(MAJORITY_VARIABLES))
+    assert set(classes) <= {"positive", "neutral", "negative"}

@@ -127,26 +127,29 @@ def record(rid, d, codes=("600000.SH",)):
 
 def test_recommendation_counts_inclusive_calendar_windows():
     """Short window is [d-7, d-1], long is [d-90, d-1]; day d itself and
-    anything one day beyond the cut never count."""
+    anything one day beyond the cut never count. Two stocks with adjacent
+    codes are cited on the same days, one report on each day citing both
+    and one only the second, so no key of one stock counts for the other."""
     d = Date(2021, 6, 15)
-    index = CorpusIndex(
-        [
-            record("r1", d),  # same day: excluded
-            record("r2", d - timedelta(days=1)),
-            record("r3", d - timedelta(days=7)),
-            record("r4", d - timedelta(days=8)),
-            record("r5", d - timedelta(days=90)),
-            record("r6", d - timedelta(days=91)),
-        ]
-    )
-    short, long = recommendation_counts(index, "600000.SH", d)
-    assert short == 2  # r2, r3
-    assert long == 4   # r2, r3, r4, r5
-
-
-def test_recommendation_counts_unknown_stock_is_zero():
-    index = CorpusIndex([record("r1", Date(2021, 6, 15))])
-    assert recommendation_counts(index, "000001.SZ", Date(2021, 6, 20)) == (0, 0)
+    a, b = "600000.SH", "600001.SH"
+    days_before = (0, 1, 7, 8, 90, 91)
+    records = [record(f"ab{k}", d - timedelta(days=k), (a, b)) for k in days_before]
+    records += [record(f"b{k}", d - timedelta(days=k), (b,)) for k in days_before]
+    index = CorpusIndex(records)
+    assert index.codes == {a: 0, b: 1}
+    table = [
+        # stock, day, reports in [day-7, day-1], in [day-90, day-1]
+        (a, d, 2, 4),  # d-1, d-7; and d-8, d-90
+        (b, d, 4, 8),
+        (a, d - timedelta(days=1), 2, 4),  # d-7, d-8; d-90, d-91
+        (b, d + timedelta(days=1), 4, 8),  # d, d-1; d-7, d-8
+        (a, d + timedelta(days=90), 0, 1),  # d only
+        (b, d - timedelta(days=92), 0, 0),
+        ("999999.SZ", d, 0, 0),  # a stock no report cites
+    ]
+    short, long = recommendation_counts(index, [row[0] for row in table], [row[1] for row in table])
+    assert short.dtype.kind == long.dtype.kind == "i"
+    assert list(zip(short.tolist(), long.tolist())) == [row[2:] for row in table]
 
 
 def test_label_window_return_is_three_day_mean():

@@ -1,8 +1,8 @@
-"""The dense market stores and gather kernels against the row-at-a-time
-reference in ``tests/reference_market.py``: the same rejects, drops and
-``repr`` of every panel row, majority sample and label-pool entry, on
-clean and mutated input files, with and without a fence, and with the
-parsed market read back from its snapshot."""
+"""The dense market stores, gather kernels and columnar panel against the
+row-at-a-time reference in ``tests/reference_market.py``: the same
+rejects, drops, error texts and ``repr`` of every panel row, majority
+sample and label-pool entry, on clean and mutated input files, with and
+without a fence, and with the parsed market read back from its snapshot."""
 
 import random
 
@@ -13,7 +13,7 @@ from reportsignal import market as market_module
 from reportsignal.cli import label_pool
 from reportsignal.config import packaged_data_path
 from reportsignal.corpus import CorpusIndex, prepare_report
-from reportsignal.econometrics import build_majority_samples, build_panel
+from reportsignal.econometrics import MAJORITY_VARIABLES, build_majority_samples, build_panel
 from reportsignal.errors import DataError
 from reportsignal.market import load_market, read_snapshot, write_snapshot
 from reportsignal.sentiment import load_lexicon
@@ -97,6 +97,27 @@ def outcome(fn, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
+def panel_as_rows(*args, **kwargs):
+    """``build_panel``'s result in the reference's form, one ``PanelRow``
+    per row, whose ``repr`` shows every value to the last bit."""
+    panel = build_panel(*args, **kwargs)
+    ids = zip(panel.report_ids, panel.stock_ids, panel.outcome_dates)
+    rows = [reference.PanelRow(*row_ids, *values) for row_ids, values in zip(ids, panel.rows.tolist())]
+    return reference.PanelBuildResult(rows, panel.drops, panel.n_flagged_negative_range, panel.n_pairs)
+
+
+def majority_lists(*args):
+    classes, values, drops = build_majority_samples(*args)
+    return classes, values.tolist(), drops
+
+
+def reference_majority_lists(*args):
+    """The reference's samples in ``build_majority_samples``' form."""
+    samples, drops = reference.build_majority_samples(*args)
+    values = [[sample.variable(name) for name in MAJORITY_VARIABLES] for sample in samples]
+    return [sample.majority_class for sample in samples], values, drops
+
+
 def market_files(paths) -> dict:
     return {
         "bars_path": paths["bars"],
@@ -156,19 +177,19 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         new.market.set_fence(fence)
         old.market.set_fence(fence)
     scores = {score.report_id: score for score in ds.scores}
-    index = CorpusIndex(ds.records)
+    index, old_index = CorpusIndex(ds.records), reference.CorpusIndex(ds.records)
     compared = []
     for start, end in (ds.test_range, (None, None)):
         compared.append(
             (
-                outcome(build_panel, ds.records, scores, new.market, index, start, end, vix_mode="diff"),
-                outcome(reference.build_panel, ds.records, scores, old.market, index, start, end, vix_mode="diff"),
+                outcome(panel_as_rows, ds.records, scores, new.market, index, start, end, vix_mode="diff"),
+                outcome(reference.build_panel, ds.records, scores, old.market, old_index, start, end, vix_mode="diff"),
             )
         )
         compared.append(
             (
-                outcome(build_majority_samples, ds.records, tokens, lexicon, new.market, start, end),
-                outcome(reference.build_majority_samples, ds.records, tokens, lexicon, old.market, start, end),
+                outcome(majority_lists, ds.records, tokens, lexicon, new.market, start, end),
+                outcome(reference_majority_lists, ds.records, tokens, lexicon, old.market, start, end),
             )
         )
     compared.append(

@@ -36,7 +36,7 @@ from reportsignal.reporting import (
     write_regression_csv,
 )
 from reportsignal.sentiment import DailySentiment
-from tests.test_econometrics import make_row
+from tests.test_econometrics import make_panel
 
 
 def test_star_thresholds_are_strict():
@@ -67,8 +67,7 @@ def test_star_legends():
 
 
 def pooled_fits(seed=21, n=120):
-    rng = random.Random(seed)
-    return run_pooled_regressions([make_row(i, rng) for i in range(n)])
+    return run_pooled_regressions(make_panel(n, random.Random(seed)).rows)
 
 
 def test_regression_table_layout():
