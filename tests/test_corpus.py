@@ -3,10 +3,12 @@
 import io
 from datetime import date as Date
 
+import numpy as np
 import pytest
 
 from reportsignal.config import packaged_data_path
 from reportsignal.corpus import (
+    CorpusIndex,
     ReportRecord,
     SegmentDictionary,
     clean_text,
@@ -223,3 +225,35 @@ def test_load_risk_warning_patterns_skips_comments(tmp_path):
     assert load_risk_warning_patterns(path) == ("风险提示", "免责声明")
     packaged = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
     assert "风险提示" in packaged
+
+
+def test_corpus_index_counts_inclusive_windows():
+    """The reports citing a stock within [lo, hi] are one contiguous run of
+    sorted keys, found by two binary searches on the keys of (stock, lo)
+    and (stock, hi)."""
+    records = [
+        ReportRecord(f"r{i}", "t", "a", codes, day)
+        for i, (codes, day) in enumerate(
+            [
+                (("600000.SH",), Date(2019, 3, 4)),
+                (("600000.SH", "000001.SZ"), Date(2019, 3, 6)),
+                (("600000.SH",), Date(2019, 3, 10)),
+            ]
+        )
+    ]
+    index = CorpusIndex(records)
+    assert index.codes == {"600000.SH": 0, "000001.SZ": 1}
+    assert len(index.keys) == 4  # one key per (cited stock, report) pair
+    assert np.all(np.diff(index.keys) >= 0)
+
+    def count_between(sid, lo, hi):
+        lo_key, hi_key = index.keys_of([sid, sid], [lo, hi])
+        n = np.searchsorted(index.keys, hi_key, "right") - np.searchsorted(index.keys, lo_key, "left")
+        return max(int(n), 0)
+
+    assert count_between("600000.SH", Date(2019, 3, 4), Date(2019, 3, 10)) == 3
+    assert count_between("600000.SH", Date(2019, 3, 5), Date(2019, 3, 9)) == 1
+    assert count_between("600000.SH", Date(2019, 3, 6), Date(2019, 3, 6)) == 1
+    assert count_between("000001.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 1
+    assert count_between("600000.SH", Date(2019, 3, 10), Date(2019, 3, 4)) == 0
+    assert count_between("999999.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 0

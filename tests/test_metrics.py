@@ -152,6 +152,12 @@ def test_recommendation_counts_inclusive_calendar_windows():
     assert list(zip(short.tolist(), long.tolist())) == [row[2:] for row in table]
 
 
+def test_recommendation_counts_unknown_stock_is_zero():
+    index = CorpusIndex([record("r1", Date(2021, 6, 15))])
+    short, long = recommendation_counts(index, ["000001.SZ"], [Date(2021, 6, 20)])
+    assert (short.tolist(), long.tolist()) == ([0], [0])
+
+
 def test_label_window_return_is_three_day_mean():
     market, days = make_market(
         [100.0, 101.0, 103.0, 106.0, 110.0], [1000.0] * 5
