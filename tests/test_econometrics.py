@@ -1,13 +1,16 @@
 """Unit tests for the panel, OLS machinery, and mean-difference tests."""
 
+import csv
 import math
 import random
 from datetime import date as Date
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from reportsignal import econometrics
 from reportsignal.config import packaged_data_path
 from reportsignal.corpus import prepare_report
 from reportsignal.econometrics import (
@@ -26,7 +29,7 @@ from reportsignal.econometrics import (
     student_t_sf2,
     write_panel,
 )
-from reportsignal.errors import ArgumentError, DataError, SchemaError, SingularityError
+from reportsignal.errors import ArgumentError, DataError, NumericalError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
 from reportsignal.sentiment import load_lexicon
 from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
@@ -52,7 +55,36 @@ def test_t_distribution_tail_anchors():
         assert student_t_sf2(-t_stat, df) == student_t_sf2(t_stat, df)
 
 
-def test_t_distribution_edge_cases():
+def test_t_distribution_matches_reference_table():
+    """p-values against scipy's ``betainc`` at 1e-10 relative. The grid is
+    t = 10**(k/4) for k = -24..10 (1e-6 to 316) and df = 1..10, the
+    Welch-like 2.5, 33.7 and 4000.5, 39.5 and 40.5 on either side of the
+    switch to the large-a series (a = 20), and 65, 1e5, 5e5, 1e6 and 1e9.
+    At df = 1e6 and 1e9 a front factor from the ``math.lgamma`` difference
+    alone is off by 3e-9 and 5e-6 relative. The table was written with
+    scipy 1.17.1, before the package dropped it, by::
+
+        import csv
+        from scipy.special import betainc
+
+        ts = [10.0 ** (k / 4) for k in range(-24, 11)]
+        dfs = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 2.5, 33.7, 39.5, 40.5, 65, 4000.5, 1e5, 5e5, 1e6, 1e9]
+        with open("tests/data/t_sf2_reference.csv", "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\\n")
+            out.writerow(["t", "df", "p"])
+            for df in map(float, dfs):
+                for t in ts:
+                    p = betainc(df / 2, 0.5, df / (df + t * t))
+                    out.writerow([repr(t), repr(df), repr(float(p))])
+    """
+    with open(Path(__file__).parent / "data" / "t_sf2_reference.csv", newline="") as fh:
+        table = [tuple(map(float, row)) for row in list(csv.reader(fh))[1:]]
+    assert len(table) == 35 * 20
+    off = [(t, df, want, got) for t, df, want in table if abs((got := student_t_sf2(t, df)) - want) > 1e-10 * want]
+    assert off == []
+
+
+def test_t_distribution_edge_cases(monkeypatch):
     assert student_t_sf2(0.0, 7) == 1.0
     assert student_t_sf2(math.inf, 7) == 0.0
     assert student_t_sf2(-math.inf, 7) == 0.0
@@ -60,6 +92,14 @@ def test_t_distribution_edge_cases():
         student_t_sf2(1.0, 0.0)
     with pytest.raises(ArgumentError):
         student_t_sf2(1.0, -3.0)
+    # df / (df + t^2) rounds to 1.0 here.
+    assert student_t_sf2(5e-6, 3e5) == 1.0
+    assert math.isnan(student_t_sf2(math.nan, 7))
+    assert math.isnan(student_t_sf2(2.0, math.nan))
+    monkeypatch.setattr(econometrics, "_MAX_TERMS", 2)
+    with pytest.raises(NumericalError) as caught:
+        student_t_sf2(2.0, 65)
+    assert caught.value.exit_code == 3
 
 
 def test_ols_on_a_hand_worked_example():

@@ -1,6 +1,6 @@
 """Import checks: every module uses each name it imports, every public
-name has a caller outside the tests, only corpus frames CSV, and the CLI
-loads no more than its verbs need."""
+name has a caller outside the tests, only corpus frames CSV, and no
+package module needs scipy."""
 
 import ast
 import os
@@ -118,11 +118,28 @@ def test_only_corpus_frames_csv():
     assert importers == ["corpus.py"]
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy serves only p-values, so it loads when analyze needs one."""
+def test_no_package_module_imports_scipy():
+    """p-values are computed in the package, so scipy is no dependency."""
+    assert "scipy" in imported_modules("from scipy.special import betainc\n")
+    importers = [
+        path.name
+        for path in sorted((ROOT / "src" / "reportsignal").glob("*.py"))
+        if "scipy" in imported_modules(path.read_text(encoding="utf-8"))
+    ]
+    assert importers == []
+
+
+def test_p_values_leave_scipy_unloaded():
+    """Computing p-values, as analyze does, loads no scipy module."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    probe = "import sys, reportsignal.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = (
+        "import sys\n"
+        "from reportsignal.econometrics import mean_difference_test, student_t_sf2\n"
+        "assert 0.0 < student_t_sf2(2.0, 65) < 0.05\n"
+        "assert 0.0 < mean_difference_test([1.0, 2.0, 4.0], [0.0, 0.5, 1.5]).p_value < 1.0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
