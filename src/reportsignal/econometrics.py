@@ -189,7 +189,7 @@ def build_panel(
     dropped and tallied by reason, never imputed. A row whose pos+neg
     exceeds one or that holds a non-finite value is a DataError.
     """
-    calendar = market.calendar
+    calendar, n_days = market.calendar, len(market.calendar)
     reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
     pairs: list[tuple[ReportRecord, SentimentScore, str, int]] = []
     for record in _in_range(records, start, end):
@@ -198,9 +198,9 @@ def build_panel(
         for stock_id in record.stock_codes:
             if score is None:
                 reasons.append("no score")
-            elif s_day == len(calendar):
+            elif s_day == n_days:
                 reasons.append("release date beyond calendar")
-            elif s_day + 1 == len(calendar):
+            elif s_day + 1 == n_days:
                 reasons.append("no outcome trading day")
             else:
                 reasons.append(None)

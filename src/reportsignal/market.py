@@ -33,10 +33,11 @@ duplicates.
 
 Snapshot. ``write_snapshot`` saves a loaded market as ``market.npz``
 (day ordinals, the present cells with their values, ids and industry rows)
-plus ``market.json``, holding the sha256 of each market file, of this
-module's and ``corpus``'s source, and of the npz. ``read_snapshot``
-rebuilds the market through the store constructors while the manifest
-matches, and otherwise says why not, so the caller parses the files.
+plus ``market.json``, holding the sha256 of each market file, of the
+code they pass through (this module and the ``corpus`` readers it calls),
+and of the npz. ``read_snapshot`` rebuilds the market through the store
+constructors while the manifest matches, and otherwise says why not, so
+the caller parses the files.
 
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
@@ -47,6 +48,7 @@ never touches pre-test history beyond its declared lookback.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -62,7 +64,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject, read_csv_rows, read_lines
+from .corpus import RowReject, open_input, read_csv_rows, read_lines
 from .errors import (
     CalendarRangeError,
     ConfigurationError,
@@ -556,11 +558,10 @@ def load_market(
 SNAPSHOT = "market.npz"
 MANIFEST = "market.json"
 SNAPSHOT_FORMAT = 1
-_CODE = (Path(__file__), Path(__file__).with_name("corpus.py"))
 
 
-def _sha256(*paths) -> str:
-    return hashlib.sha256(b"".join(Path(path).read_bytes() for path in paths)).hexdigest()
+def _sha256(path, extra: bytes = b"") -> str:
+    return hashlib.sha256(Path(path).read_bytes() + extra).hexdigest()
 
 
 def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, infer_calendar=False) -> dict:
@@ -573,7 +574,8 @@ def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, in
         "industry": _sha256(industry_path),
         "calendar": None if calendar_path is None else _sha256(calendar_path),
         "infer_calendar": infer_calendar,
-        "code": _sha256(*_CODE),
+        # this module and the corpus readers the market files pass through
+        "code": _sha256(__file__, "".join(map(inspect.getsource, (open_input, read_csv_rows, read_lines))).encode()),
     }
 
 

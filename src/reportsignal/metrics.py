@@ -18,9 +18,9 @@ Every kernel takes the market bundle and two equal-length integer arrays,
 (calendar positions), and returns a ``Gathered``: one value and one
 status per (stock, day) row. The kernel gathers the raw inputs of all
 rows, runs its checks as array masks, and computes the metric only on
-the rows whose status is OK, with every log and the Garman-Klass formula
-taken element by element through ``math`` (numpy's log and ``x**2``
-can differ from libm in the last bit).
+the rows whose status is OK, a column at a time: numpy's ``+ - * /``
+round as Python's do, but every log and square goes through libm
+(``math.log``, ``pow``), as numpy's own can differ in the last bit.
 
 Status codes, each the first failing check in the order a read of that
 one row would meet them:
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import math
 from datetime import date as Date
+from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -82,24 +83,30 @@ def _merge(*parts: Gathered) -> Gathered:
 
 def _checked(checks: Sequence[tuple[np.ndarray, int]], crossed, fn: Callable, *columns) -> Gathered:
     """Status from ``checks``, (failed mask, code) pairs in read order, then
-    ``fn`` over the OK rows of ``columns``; fence rows carry ``crossed``."""
+    ``fn`` over the OK rows of the ``columns`` arrays; fence rows carry ``crossed``."""
     status = np.full(len(checks[0][0]), OK, dtype=np.int8)
     for failed, code in reversed(checks):
         status[failed] = code
     values = np.where(status >= FENCE, crossed, math.nan)
     ok = status == OK
-    values[ok] = list(map(fn, *(column[ok].tolist() for column in columns)))
+    with np.errstate(all="ignore"):  # overflow stays silent, as with Python floats
+        values[ok] = fn(*(column[ok] for column in columns))
     return Gathered(values, status)
 
 
-def _log_ratio(a: float, b: float) -> float:
-    return math.log(a / b)
+def _libm(fn: Callable, a: np.ndarray, *args: float) -> np.ndarray:
+    """``fn(x, *args)`` (``math.exp``, ``math.log``, ``pow``) for each x of the 1-D array ``a``."""
+    return np.fromiter(map(fn, a.tolist(), *map(repeat, args)), float, count=a.size)
 
 
-def garman_klass(o: float, h: float, l: float, c: float) -> float:
+def _log_ratio(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return _libm(math.log, a / b)
+
+
+def garman_klass(o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Range-based variance estimate from open, high, low and close prices.
 
-    With u = ln(h/o), d = ln(l/o), cc = ln(c/o):
+    With u = ln(h/o), d = ln(l/o), cc = ln(c/o), element by element:
 
         0.511 (u - d)^2 - 0.019 (cc (u + d) - 2 u d) - 0.383 cc^2
 
@@ -107,10 +114,8 @@ def garman_klass(o: float, h: float, l: float, c: float) -> float:
     slightly negative on unusual bars; values are returned as-is and only
     flagged downstream. Prices must be positive.
     """
-    u = math.log(h / o)
-    d = math.log(l / o)
-    cc = math.log(c / o)
-    return 0.511 * (u - d) ** 2 - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * cc**2
+    u, d, cc = _log_ratio(h, o), _log_ratio(l, o), _log_ratio(c, o)
+    return 0.511 * _libm(pow, u - d, 2.0) - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * _libm(pow, cc, 2.0)
 
 
 def garman_klass_range(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:
@@ -154,7 +159,7 @@ def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff")
             index_id = list(indices.rows)[np.broadcast_to(rows, days.shape)[i]]
             day = indices.calendar.dates[prev[i] if before[i] <= 0.0 else days[i]]
             raise DomainError(f"{index_id} level on {day} is not positive, so its 'logdiff' change is undefined")
-    return _checked(checks, prev, _log_ratio if mode == "logdiff" else float.__sub__, now, before)
+    return _checked(checks, prev, _log_ratio if mode == "logdiff" else np.subtract, now, before)
 
 
 def excess_return(market: MarketData, stocks: np.ndarray, days: np.ndarray) -> Gathered:

@@ -41,7 +41,8 @@ class SentimentScore:
 
     def __post_init__(self):
         parts = (self.pos, self.neu, self.neg)
-        if any(not math.isfinite(p) or p < 0.0 or p > 1.0 for p in parts):
+        # a chained comparison fails on NaN and on either infinity
+        if not (0.0 <= self.pos <= 1.0 and 0.0 <= self.neu <= 1.0 and 0.0 <= self.neg <= 1.0):
             raise DomainError(f"score components outside [0, 1]: {parts}")
         if abs(sum(parts) - 1.0) > SIMPLEX_TOL:
             raise DomainError(f"score components sum to {sum(parts)!r}, not 1")

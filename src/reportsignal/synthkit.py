@@ -27,22 +27,24 @@ collide.
 
 Array layout: each report day picks the token classes and words of its
 whole (reports x tokens) block at once. The bar chains are (stocks x
-days) arrays, drawn per stock; a loop over the days advances every stock
-at once and solves that day's planted rows (the stocks cited the day
-before) as one gathered block. Open, high and low follow for all bars in
-one pass after the loop, and the raveled arrays, stock after stock, are
-the dataset's ``market.BarColumns``: no per-bar object is ever made.
+days) arrays, drawn per stock. The planted rows are one (rows x
+regressors) array, a block per outcome day, whose columns that no chain
+value moves are filled at once; a loop over the days advances every
+stock and fills that day's block from the chain, then one ``fsum`` pass
+gives its three targets. Open, high and low follow for all bars in one
+pass after the loop, and the raveled arrays, stock after stock, are the
+dataset's ``market.BarColumns``: no per-bar object is ever made.
 
 Every exp and log on the chain goes through libm (``math``) element by
-element, as the pipeline computes it: numpy's own exp and log round
-differently (numpy 2.4 on x86-64: ``np.exp`` differed from ``math.exp``
-on 46k of 1M draws of N(0, 0.05), ``np.log`` from ``math.log`` on 40k of
-1M ratios near 1), so one last-ulp change would move a planted bar. The
-planted targets are ``math.fsum`` over the same 12 products. ``np.exp``
-appears only where the draws' own scale is set (index levels, base
-prices and volumes, natural ranges). ``tests/reference_synth.py`` keeps
-the scalar loop this replaced, and the tests hold the two to identical
-files.
+element (``metrics._libm``), as the pipeline computes it: numpy's own
+exp and log round differently (numpy 2.4 on x86-64: ``np.exp`` differed
+from ``math.exp`` on 46k of 1M draws of N(0, 0.05), ``np.log`` from
+``math.log`` on 40k of 1M ratios near 1), so one last-ulp change would
+move a planted bar. The planted targets are ``math.fsum`` over the same
+12 products. ``np.exp`` appears only where the draws' own scale is set
+(index levels, base prices and volumes, natural ranges).
+``tests/reference_synth.py`` keeps the scalar loop this replaced, and
+the tests hold the two to identical files.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +62,7 @@ from .corpus import CorpusIndex, ReportRecord, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, OTHER_SECTOR
 from .errors import ConfigurationError
 from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns
-from .metrics import garman_klass, recommendation_counts
+from .metrics import _libm, garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
 SECTORS = NAMED_SECTORS + (OTHER_SECTOR,)
@@ -247,18 +250,15 @@ def _weekdays(start: Date, count: int) -> list[Date]:
     return out
 
 
-def _lexicon_word_lists() -> tuple[list[str], list[str], list[str]]:
+@cache
+def _lexicon_word_lists() -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
+    """The packaged lexicon's (positive, neutral, negative) words, read once."""
     from .config import packaged_data_path
     from .sentiment import load_lexicon
     from .labeling import POSITIVE, NEUTRAL, NEGATIVE
 
     lex = load_lexicon(packaged_data_path("lexicon.csv"))
-    return lex.words(POSITIVE), lex.words(NEUTRAL), lex.words(NEGATIVE)
-
-
-def _libm(fn, a: np.ndarray) -> np.ndarray:
-    """``fn`` (math.exp or math.log) element by element over a 1-D array."""
-    return np.fromiter(map(fn, a.tolist()), float, count=a.size)
+    return tuple(lex.words(POSITIVE)), tuple(lex.words(NEUTRAL)), tuple(lex.words(NEGATIVE))
 
 
 def _bar_shape(close, target, z):
@@ -277,19 +277,14 @@ def generate(spec: SynthSpec) -> SynthDataset:
     cal_dates = _weekdays(spec.start_date, n_cal)
 
     # --- index level series ------------------------------------------------
+    # Lognormal walks; the VIX one is always positive with no flat stretches,
+    # so its day-to-day differences never degenerate into a constant column.
+    walks = [(SSE, 3300.0, spec.index_vol), (SZSE, 2100.0, spec.index_vol), (CSI500, 6000.0, spec.index_vol)]
+    walks += [(index_id, 5000.0, spec.industry_vol) for index_id in INDUSTRY_IDS] + [(VIX, spec.vix_base, spec.vix_vol)]
     index_levels: dict[str, np.ndarray] = {}
-    for index_id, base in ((SSE, 3300.0), (SZSE, 2100.0), (CSI500, 6000.0)):
-        steps = rng.normal(0.0, spec.index_vol, n_cal - 1)
+    for index_id, base, vol in walks:
+        steps = rng.normal(0.0, vol, n_cal - 1)
         index_levels[index_id] = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
-    for index_id in INDUSTRY_IDS:
-        steps = rng.normal(0.0, spec.industry_vol, n_cal - 1)
-        index_levels[index_id] = 5000.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
-    # Lognormal walk: always positive with no flat stretches, so the
-    # day-to-day VIX differences never degenerate into a constant column.
-    vix_steps = rng.normal(0.0, spec.vix_vol, n_cal - 1)
-    index_levels[VIX] = spec.vix_base * np.exp(
-        np.concatenate(([0.0], np.cumsum(vix_steps)))
-    )
 
     # Log returns (VIX: differences), NaN on the first day.
     logret = {
@@ -318,8 +313,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
 
     records: list[ReportRecord] = []
     scores: list[SentimentScore] = []
-    # outcome day -> (cited stocks, their pos, neg, scaled outcome noise)
-    planted: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+    # per report day: the stocks it cites, their (pos, neg) and scaled outcome noise
+    planted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     n_multi = 0
     cited_yesterday = np.zeros(spec.n_stocks, dtype=bool)
     for day_pos in range(spec.warmup_days, spec.warmup_days + spec.n_days):
@@ -342,12 +337,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         cited = perm[~cited_yesterday[perm]][: ends[-1]]
         report_of = np.repeat(np.arange(n_reports), n_cited)
         second = np.arange(ends[-1]) - (ends - n_cited)[report_of]
-        planted[day_pos + 1] = (
-            cited,
-            triples[report_of, 0],
-            triples[report_of, 2],
-            eps[report_of, second] * sd,
-        )
+        planted.append((cited, triples[report_of][:, ::2], eps[report_of, second] * sd))
         cited_yesterday[:] = False
         cited_yesterday[cited] = True
         n_multi += int(multi_flags.sum())
@@ -357,18 +347,18 @@ def generate(spec: SynthSpec) -> SynthDataset:
         cls += class_u >= (triples[:, 0] + triples[:, 1])[:, None]
         n_cls = n_words[cls]
         tokens = words[first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)]
+        # the day's reports field by field, then one constructor call each
+        report_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
+        titles = map("".join, tokens[:, : spec.tokens_per_title].tolist())
+        warned = (warn_u < spec.risk_warning_rate).tolist()
+        abstracts = [
+            "".join(row) + (warning_tail if w else "")
+            for row, w in zip(tokens[:, spec.tokens_per_title :].tolist(), warned)
+        ]
         cited_ids = [stock_ids[s] for s in cited.tolist()]
-        for r, (row, triple, end, k) in enumerate(
-            zip(tokens.tolist(), triples.tolist(), ends.tolist(), n_cited.tolist())
-        ):
-            abstract = "".join(row[spec.tokens_per_title :])
-            if warn_u[r] < spec.risk_warning_rate:
-                abstract += warning_tail
-            report_id = f"R{day_pos:04d}{r:03d}"
-            title = "".join(row[: spec.tokens_per_title])
-            cited_by = tuple(cited_ids[end - k : end])
-            records.append(ReportRecord(report_id, title, abstract, cited_by, day))
-            scores.append(SentimentScore(report_id, *triple))
+        cited_by = [tuple(cited_ids[end - k : end]) for end, k in zip(ends.tolist(), n_cited.tolist())]
+        records += map(ReportRecord, report_ids, titles, abstracts, cited_by, [day] * n_reports)
+        scores += map(SentimentScore, report_ids, *triples.T.tolist())
 
     # the citation-count regressors come from the pipeline's own index
     corpus_index = CorpusIndex(records)
@@ -385,44 +375,44 @@ def generate(spec: SynthSpec) -> SynthDataset:
         growth[i] = _libm(math.exp, ind_logret[industry_of[i]] + idio)
         vols[i] = vbase[i] * _libm(math.exp, vnoise)
 
-    betas = np.array([[spec.betas[k][key] for key in BETA_KEYS] for k in OUTCOME_KEYS])
+    # The planted rows, one block per outcome day, with the regressors that
+    # no chain value moves; the loop fills range, dvolume and ret_ex.
+    first = spec.warmup_days + 1
+    bounds = np.cumsum([0] + [block[0].size for block in planted]).tolist()
+    rows_all, pos_neg, noise_all = map(np.concatenate, zip(*planted))
+    t_all = np.repeat(np.arange(first, first + spec.n_days), np.diff(bounds))
+    num7, num90 = recommendation_counts(
+        corpus_index, [stock_ids[i] for i in rows_all.tolist()], [cal_dates[t] for t in t_all.tolist()]
+    )
     market_x = np.column_stack((logret[SZSE], logret[SSE], logret[CSI500], vix_diff))
+    x_all = np.column_stack(
+        (np.ones(t_all.size), pos_neg, np.empty((t_all.size, 3)), market_x[t_all - 1], num90 / 100.0, num7 / 100.0)
+    )
+    del planted, pos_neg, t_all, num7, num90
+
+    betas = np.array([[spec.betas[k][key] for key in BETA_KEYS] for k in OUTCOME_KEYS])
     closes = np.empty(shape)
     closes[:, 0] = close0
     vol_prefix = np.zeros((spec.n_stocks, n_cal + 1))
     vol_prefix[:, 1] = vols[:, 0]
-    n_planted = 0
     n_clamped = 0
     for j in range(1, n_cal):
         closes[:, j] = closes[:, j - 1] * growth[:, j]
-        if j in planted:
+        block = j - first
+        if 0 <= block < spec.n_days:
             # This day's planted rows, solved from the lagged regressors the
             # pipeline will compute on day s = j - 1.
-            rows, pos, neg, noise = planted[j]
-            s, k, ind = j - 1, rows.size, industry_of[rows]
-            n_planted += k
+            lo, hi = bounds[block], bounds[block + 1]
+            rows, x, noise, s = rows_all[lo:hi], x_all[lo:hi], noise_all[lo:hi], j - 1
+            ind = industry_of[rows]
             close_s = closes[rows, s]
-            o, h, l = _bar_shape(close_s, targets[rows, s], zc[rows, s])
-            gk = map(garman_klass, o.tolist(), h.tolist(), l.tolist(), close_s.tolist())
-            num7, num90 = recommendation_counts(
-                corpus_index, [stock_ids[i] for i in rows.tolist()], [cal_dates[j]] * k
-            )
+            x[:, 3] = garman_klass(*_bar_shape(close_s, targets[rows, s], zc[rows, s]), close_s) * 100.0
             mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
-            x = np.column_stack((
-                np.ones(k),
-                pos,
-                neg,
-                np.fromiter(gk, float, count=k) * 100.0,
-                _libm(math.log, vols[rows, s] / mean60_s),
-                _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s],
-                np.tile(market_x[s], (k, 1)),
-                num90 / 100.0,
-                num7 / 100.0,
-            ))
-            y_range, y_ret, y_dvol = (
-                np.fromiter(map(math.fsum, (x * b).tolist()), float, count=k) + e
-                for b, e in zip(betas, noise.T)
-            )
+            x[:, 4] = _libm(math.log, vols[rows, s] / mean60_s)
+            x[:, 5] = _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s]
+            # one fsum pass, row by row: the range, ret_ex and delta_volume sums of beta . x
+            sums = map(math.fsum, (x[:, None, :] * betas).reshape(-1, len(BETA_KEYS)).tolist())
+            y_range, y_ret, y_dvol = (np.fromiter(sums, float, count=3 * rows.size).reshape(-1, 3) + noise).T
             low = y_range < RANGE_FLOOR_X100
             n_clamped += int(low.sum())
             y_range[low] = RANGE_FLOOR_X100
@@ -431,7 +421,9 @@ def generate(spec: SynthSpec) -> SynthDataset:
             mean60_t = (vol_prefix[rows, j] - vol_prefix[rows, j - 60]) / 60.0
             vols[rows, j] = mean60_t * _libm(math.exp, y_dvol)
         vol_prefix[:, j + 1] = vol_prefix[:, j] + vols[:, j]
-    del growth, vol_prefix
+    n_planted = rows_all.size
+    # the blocks go with the last day's views of them, which keep them alive
+    del growth, vol_prefix, rows_all, x_all, noise_all, rows, x, noise
 
     closes, vols = closes.ravel(), vols.ravel()
     bars = BarColumns(

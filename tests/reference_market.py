@@ -2,11 +2,11 @@
 stores, the gather kernels and the columnar panel replaced, kept verbatim
 as the reference their results must match: the ``DailyBar`` value with
 its scalar bar rules (``check``), the bar loader, the per-stock series
-store, the index store, the four metric functions, the bisect
-``CorpusIndex`` and the scalar ``recommendation_counts``, the
-``PanelRow`` value with its row checks and the ``MajoritySample`` value,
-the panel and majority build functions, and the label-pool loop of
-``cli.cmd_label``.
+store, the index store, the scalar ``garman_klass`` formula and the four
+metric functions, the bisect ``CorpusIndex`` and the scalar
+``recommendation_counts``, the ``PanelRow`` value with its row checks and
+the ``MajoritySample`` value, the panel and majority build functions, and
+the label-pool loop of ``cli.cmd_label``.
 
 One deliberate change from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -45,7 +45,7 @@ from reportsignal.market import (
     TradingCalendar,
     load_calendar,
 )
-from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW, garman_klass
+from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW
 from reportsignal.sentiment import SentimentScore, classify_majority
 
 
@@ -495,6 +495,23 @@ def load_market(
         industry=IndustryMap(industry_rows),
     )
     return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_rows))
+
+
+def garman_klass(o: float, h: float, l: float, c: float) -> float:
+    """Range-based variance estimate from open, high, low and close prices.
+
+    With u = ln(h/o), d = ln(l/o), cc = ln(c/o):
+
+        0.511 (u - d)^2 - 0.019 (cc (u + d) - 2 u d) - 0.383 cc^2
+
+    A flat bar (o = h = l = c) gives exactly 0.0. The estimator can go
+    slightly negative on unusual bars; values are returned as-is and only
+    flagged downstream. Prices must be positive.
+    """
+    u = math.log(h / o)
+    d = math.log(l / o)
+    cc = math.log(c / o)
+    return 0.511 * (u - d) ** 2 - 0.019 * (cc * (u + d) - 2.0 * u * d) - 0.383 * cc**2
 
 
 def garman_klass_range(bar: DailyBar) -> float:

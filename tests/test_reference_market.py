@@ -16,6 +16,7 @@ from reportsignal.corpus import CorpusIndex, prepare_report
 from reportsignal.econometrics import MAJORITY_VARIABLES, build_majority_samples, build_panel
 from reportsignal.errors import DataError
 from reportsignal.market import load_market, read_snapshot, write_snapshot
+from reportsignal.metrics import garman_klass
 from reportsignal.sentiment import load_lexicon
 from reportsignal.synthkit import SynthSpec, generate, write_dataset
 from tests import reference_market as reference
@@ -226,3 +227,24 @@ def test_snapshot_gives_the_parsed_market(tmp_path):
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), (store, name)
     for name in ("industry_rows", "mapped"):
         assert np.array_equal(getattr(copy, name), getattr(parsed, name)), name
+
+
+def test_array_garman_klass_gives_the_scalar_bits():
+    """The array estimator, libm logs and squares over numpy's + - * /,
+    matches the scalar formula bit for bit on 240k random valid bars: one
+    in six flat, and one in six each with the high or the low on the body."""
+    rng = np.random.default_rng(11)
+    n = 240_000
+    o = np.exp(rng.uniform(-4.0, 9.0, n))
+    c = o * np.exp(rng.normal(0.0, rng.choice([1e-4, 0.01, 0.1], n)))
+    h = np.maximum(o, c) * np.exp(rng.exponential(0.02, n))
+    l = np.minimum(o, c) * np.exp(-rng.exponential(0.02, n))
+    kind = rng.integers(0, 6, n)
+    h[kind == 1] = np.maximum(o, c)[kind == 1]
+    l[kind == 2] = np.minimum(o, c)[kind == 2]
+    flat = kind == 0
+    h[flat] = l[flat] = c[flat] = o[flat]
+    want = np.array(list(map(reference.garman_klass, o.tolist(), h.tolist(), l.tolist(), c.tolist())))
+    got = garman_klass(o, h, l, c)
+    assert np.count_nonzero(got.view(np.int64) != want.view(np.int64)) == 0
+    assert (got[flat] == 0.0).all()

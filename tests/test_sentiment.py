@@ -40,6 +40,12 @@ def test_score_components_must_lie_on_the_simplex():
         SentimentScore("r1", -0.1, 0.6, 0.5)
     with pytest.raises(DomainError):
         SentimentScore("r1", math.nan, 0.5, 0.5)
+    for infinite in (math.inf, -math.inf):
+        for at in range(3):
+            parts = [0.5, 0.25, 0.25]
+            parts[at] = infinite
+            with pytest.raises(DomainError, match="outside"):
+                SentimentScore("r1", *parts)
 
 
 def test_lexicon_rejects_conflicting_and_empty_entries():
