@@ -9,16 +9,12 @@ with planted coefficients makes the whole chain verifiable end to end.
 
 from .config import RunConfig, load_config, packaged_data_path
 from .corpus import (
-    CleanedReport,
     CorpusIndex,
     ParseResult,
     ReportRecord,
     RowReject,
-    SegmentDictionary,
     clean_text,
     parse_corpus,
-    prepare_report,
-    segment,
     serialize_corpus,
 )
 from .econometrics import (
@@ -76,6 +72,7 @@ from .sentiment import (
     lexicon_score,
     load_external_scores,
     load_lexicon,
+    prepare_report,
     write_scores,
 )
 from .synthkit import SynthDataset, SynthSpec, generate, write_dataset

@@ -37,7 +37,7 @@ from .config import (
     VALID_TTEST,
     load_config,
 )
-from .corpus import CorpusIndex, load_risk_warning_patterns, parse_corpus, prepare_report
+from .corpus import CorpusIndex, load_risk_warning_patterns, parse_corpus
 from .econometrics import (
     build_majority_samples,
     build_panel,
@@ -76,6 +76,7 @@ from .sentiment import (
     lexicon_score,
     load_external_scores,
     load_lexicon,
+    prepare_report,
     write_scores,
 )
 from .synthkit import SynthSpec, generate, write_dataset
@@ -208,6 +209,7 @@ def label_pool(records, market: MarketData, start: Date, end: Date):
     """(report_id, stock_id, window return) for each (report, stock) pair
     released in [start, end], plus the drops by reason."""
     calendar = market.calendar
+    n_days = len(calendar)
     reasons: list[str | None] = []  # per pair; None for the pairs the kernel judges
     pairs: list[tuple[str, str, int]] = []
     for record in records:
@@ -215,7 +217,7 @@ def label_pool(records, market: MarketData, start: Date, end: Date):
             continue
         release_day = calendar.locate(record.release_date)
         for stock_id in record.stock_codes:
-            if release_day == len(calendar):
+            if release_day == n_days:
                 reasons.append("release date beyond calendar")
             else:
                 reasons.append(None)
@@ -262,30 +264,29 @@ def cmd_label(config: RunConfig) -> int:
     return 0
 
 
-def _report_tokens(config: RunConfig, records):
-    """The lexicon, and the cleaned and segmented tokens of each record by
-    report id (none when the lexicon has no entries)."""
+def _report_hits(config: RunConfig, records) -> dict:
+    """The (positive, neutral, negative) lexicon hits of each record's
+    cleaned text by report id (none when the lexicon has no entries)."""
     lexicon = load_lexicon(config.lexicon)
     if config.scorer == "lexicon" and len(lexicon) == 0:
         raise ConfigurationError(f"lexicon file {config.lexicon} has no entries")
     patterns = load_risk_warning_patterns(config.risk_warnings)
     if len(lexicon) == 0:
-        return lexicon, {}
-    dictionary = lexicon.segment_dictionary()
-    return lexicon, {
-        record.report_id: prepare_report(record, dictionary, patterns, config.tail_fraction).tokens
+        return {}
+    return {
+        record.report_id: prepare_report(record, lexicon, patterns, config.tail_fraction)
         for record in records
     }
 
 
-def _report_scores(config: RunConfig, records, lexicon, tokens_by_report):
-    """The score of each report by report id, from the lexicon over
-    ``tokens_by_report`` or from the external scores file of ``records``,
+def _report_scores(config: RunConfig, records, hits_by_report):
+    """The score of each report by report id, from the lexicon hits in
+    ``hits_by_report`` or from the external scores file of ``records``,
     and that file's rejected rows."""
     if config.scorer == "lexicon":
         scores = {
-            report_id: lexicon_score(tokens, lexicon, config.temperature, report_id)
-            for report_id, tokens in tokens_by_report.items()
+            report_id: lexicon_score(hits, config.temperature, report_id)
+            for report_id, hits in hits_by_report.items()
         }
         return scores, []
     if config.scores is None:
@@ -299,8 +300,8 @@ def cmd_score(config: RunConfig) -> int:
     out = _ensure_out(config.out)
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     # The external scorer never opens the lexicon.
-    lexicon, tokens = _report_tokens(config, parse.records) if config.scorer == "lexicon" else (None, {})
-    scores, rejects = _report_scores(config, parse.records, lexicon, tokens)
+    hits = _report_hits(config, parse.records) if config.scorer == "lexicon" else {}
+    scores, rejects = _report_scores(config, parse.records, hits)
 
     write_scores(scores.values(), out / "scores.csv")
     report = {
@@ -328,8 +329,8 @@ def cmd_analyze(config: RunConfig) -> int:
         r for r in parse.records if config.test_start <= r.release_date <= config.test_end
     ]
 
-    lexicon, tokens_by_report = _report_tokens(config, test_records)
-    scores, score_rejects = _report_scores(config, parse.records, lexicon, tokens_by_report)
+    hits_by_report = _report_hits(config, test_records)
+    scores, score_rejects = _report_scores(config, parse.records, hits_by_report)
 
     panel = build_panel(
         parse.records,
@@ -349,8 +350,7 @@ def cmd_analyze(config: RunConfig) -> int:
     sectors = run_industry_regressions(panel, market, min_rows=config.min_rows, se_type=config.se)
     classes, samples, majority_drops = build_majority_samples(
         test_records,
-        tokens_by_report,
-        lexicon,
+        hits_by_report,
         market,
         start=config.test_start,
         end=config.test_end,
@@ -359,11 +359,12 @@ def cmd_analyze(config: RunConfig) -> int:
 
     # One entry per (report, stock) pair, on the trading day the panel aligns it to.
     calendar = market.calendar
+    n_days = len(calendar)
     series_entries = []
     for record in test_records:
         score = scores.get(record.report_id)
         day = calendar.locate(record.release_date)
-        if score is not None and day < len(calendar):
+        if score is not None and day < n_days:
             series_entries += [(calendar.dates[day], score)] * len(record.stock_codes)
     n_series_skipped = sum(len(record.stock_codes) for record in test_records) - len(series_entries)
     series = daily_average_sentiment(series_entries)

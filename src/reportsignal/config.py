@@ -9,6 +9,7 @@ distribution when the corresponding keys are null or absent.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import date as Date
 from importlib import resources
@@ -91,8 +92,8 @@ class RunConfig:
             )
         if self.min_rows < 1:
             raise ConfigurationError(f"min_rows must be >= 1, got {self.min_rows}")
-        if self.temperature <= 0.0:
-            raise ConfigurationError(f"temperature must be positive, got {self.temperature}")
+        if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
+            raise ConfigurationError(f"temperature must be positive and finite, got {self.temperature}")
         if not (0.0 <= self.tail_fraction < 1.0):
             raise ConfigurationError(
                 f"tail_fraction must be in [0, 1), got {self.tail_fraction}"

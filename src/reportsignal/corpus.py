@@ -1,5 +1,5 @@
-"""Analyst-report corpus: parsing, cleaning, and dictionary segmentation,
-plus the framing of every input and every output CSV file.
+"""Analyst-report corpus: parsing and cleaning, plus the framing of every
+input and every output CSV file.
 
 Every input file is opened through ``open_input``. CSV inputs are framed by
 ``read_csv_rows`` (header check, line numbers, blank rows, ``csv`` errors);
@@ -20,8 +20,8 @@ rows are collected as rejects and the parse only fails once the reject
 share exceeds ``max_error_rate``.
 
 Cleaning normalises whitespace, drops control characters, and cuts
-boilerplate risk-warning tails; segmentation is greedy forward maximum
-matching against a word dictionary.
+boilerplate risk-warning tails; ``sentiment`` counts the lexicon hits of
+the cleaned text.
 """
 
 from __future__ import annotations
@@ -239,73 +239,6 @@ def clean_text(
             break
         text = text[:cut].rstrip()
     return text
-
-
-class SegmentDictionary:
-    """Word set and max word length, for greedy longest-first matching."""
-
-    def __init__(self, words: Iterable[str]):
-        self.words = frozenset(words)
-        if "" in self.words:
-            raise ArgumentError("empty word in segmentation dictionary")
-        if not self.words:
-            raise ArgumentError("segmentation dictionary is empty")
-        self.max_len = max(len(w) for w in self.words)
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.words
-
-    def __len__(self) -> int:
-        return len(self.words)
-
-
-def segment(text: str, dictionary: SegmentDictionary) -> list[str]:
-    """Greedy forward maximum matching.
-
-    Scanning left to right, the longest dictionary word starting at the
-    cursor becomes the next token; if none matches, the single character
-    does. Whitespace separates tokens and is never part of one.
-    """
-    tokens: list[str] = []
-    i, n = 0, len(text)
-    max_len = dictionary.max_len
-    words = dictionary.words
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        match = None
-        for length in range(min(max_len, n - i), 1, -1):
-            candidate = text[i : i + length]
-            if candidate in words:
-                match = candidate
-                break
-        if match is None:
-            match = text[i]
-        tokens.append(match)
-        i += len(match)
-    return tokens
-
-
-@dataclass(frozen=True)
-class CleanedReport:
-    """A report after cleaning and segmentation."""
-
-    report_id: str
-    text: str
-    tokens: tuple[str, ...]
-
-
-def prepare_report(
-    record: ReportRecord,
-    dictionary: SegmentDictionary,
-    risk_warning_patterns: Iterable[str] = (),
-    tail_fraction: float = 0.25,
-) -> CleanedReport:
-    """Clean the title+abstract concatenation of a record and segment it."""
-    joined = f"{record.title} {record.abstract}"
-    text = clean_text(joined, risk_warning_patterns, tail_fraction)
-    return CleanedReport(record.report_id, text, tuple(segment(text, dictionary)))
 
 
 class CorpusIndex:

@@ -612,8 +612,7 @@ MAJORITY_VARIABLES = (
 
 def build_majority_samples(
     records: Iterable[ReportRecord],
-    tokens_by_report: Mapping[str, Sequence[str]],
-    lexicon,
+    hits_by_report: Mapping[str, tuple[int, int, int]],
     market: MarketData,
     start: Date | None = None,
     end: Date | None = None,
@@ -623,22 +622,24 @@ def build_majority_samples(
     Returns the majority class of each sample, a float64 matrix with one
     row per sample and one column per ``MAJORITY_VARIABLES`` entry (t is
     the release trading day itself, range scaled by 100), and the drops.
-    ``tokens_by_report`` holds the segmented cleaned text; pairs without
-    tokens or with missing market data are dropped and tallied, like panel
-    rows.
+    ``hits_by_report`` holds the (positive, neutral, negative) lexicon hits
+    of each report's cleaned text; pairs of a report without hit counts
+    (tallied as "no tokens") or with missing market data are dropped and
+    tallied, like panel rows.
     """
     calendar = market.calendar
+    last_day = len(calendar) - 1
     reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
     pairs: list[tuple[str, str, int]] = []
     for record in _in_range(records, start, end):
-        tokens = tokens_by_report.get(record.report_id)
-        if tokens is None:
+        hits = hits_by_report.get(record.report_id)
+        if hits is None:
             reasons.extend(["no tokens"] * len(record.stock_codes))
             continue
-        cls = classify_majority(tokens, lexicon)
+        cls = classify_majority(hits)
         s_day = calendar.locate(record.release_date)
         for stock_id in record.stock_codes:
-            if 0 < s_day < len(calendar) - 1:
+            if 0 < s_day < last_day:
                 reasons.append(None)
                 pairs.append((stock_id, cls, s_day))
             else:

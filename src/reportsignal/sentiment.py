@@ -1,12 +1,17 @@
-"""Sentiment scoring of segmented report text.
+"""Sentiment scoring of cleaned report text.
 
-Two scorers share one output type. The lexicon scorer counts tokens per
-word class and pushes the counts through a temperature softmax, so every
-report gets a point on the probability simplex; a report with no lexicon
-hit scores the uninformative (1/3, 1/3, 1/3). External model scores are
-ingested from CSV and renormalised onto the simplex. The majority rule
-is the blunt classifier used for group comparisons: positive hits versus
-negative hits, neutral words ignored.
+A report's text enters scoring as its (positive, neutral, negative)
+lexicon hit counts: the words of each class found by greedy forward
+maximum matching, which scans left to right, skips whitespace, and takes
+the longest lexicon word at the cursor or else a single character.
+
+Two scorers share one output type. The lexicon scorer pushes the hit
+counts through a temperature softmax, so every report gets a point on
+the probability simplex; a report with no lexicon hit scores the
+uninformative (1/3, 1/3, 1/3). External model scores are ingested from
+CSV and renormalised onto the simplex. The majority rule is the blunt
+classifier used for group comparisons: positive hits versus negative
+hits, neutral words ignored.
 
 Lexicon (``word,label``) and score (``report_id,pos,neu,neg``) files are
 CSV with a header, opened and framed by ``corpus.read_csv_rows``.
@@ -19,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable, Mapping
 
-from .corpus import RowReject, SegmentDictionary, read_csv_rows, write_csv_rows
+from .corpus import ReportRecord, RowReject, clean_text, read_csv_rows, write_csv_rows
 from .errors import ArgumentError, DataError, DomainError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -49,7 +54,7 @@ class SentimentScore:
 
 
 class SentimentLexicon:
-    """word -> sentiment class, doubling as the segmentation dictionary."""
+    """word -> sentiment class, and the greedy matcher that counts hits."""
 
     def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -63,6 +68,13 @@ class SentimentLexicon:
                 raise DataError(f"lexicon word {word!r} listed under two classes")
             mapping[word] = label
         self._classes = mapping
+        # Every word of two or more characters starts with its own
+        # two-character prefix, so a prefix lists all lengths worth trying.
+        lengths: dict[str, set[int]] = {}
+        for word in mapping:
+            if len(word) > 1:
+                lengths.setdefault(word[:2], set()).add(len(word))
+        self._lengths = {prefix: sorted(found, reverse=True) for prefix, found in lengths.items()}
 
     def __len__(self) -> int:
         return len(self._classes)
@@ -73,21 +85,28 @@ class SentimentLexicon:
     def words(self, label: str) -> list[str]:
         return sorted(w for w, c in self._classes.items() if c == label)
 
-    def counts(self, tokens: Iterable[str]) -> tuple[int, int, int]:
-        """(positive, neutral, negative) hit counts over a token stream."""
-        pos = neu = neg = 0
-        for token in tokens:
-            cls = self._classes.get(token)
-            if cls == POSITIVE:
-                pos += 1
-            elif cls == NEUTRAL:
-                neu += 1
-            elif cls == NEGATIVE:
-                neg += 1
-        return pos, neu, neg
-
-    def segment_dictionary(self) -> SegmentDictionary:
-        return SegmentDictionary(sorted(self._classes))
+    def hits(self, text: str) -> tuple[int, int, int]:
+        """(positive, neutral, negative) hit counts of the greedy forward
+        maximum matching of ``text``: whitespace is skipped, and at each
+        other position the longest lexicon word there, else the single
+        character, is the next token."""
+        classes, lengths = self._classes, self._lengths
+        counts = dict.fromkeys(WORD_CLASSES, 0)
+        i, n = 0, len(text)
+        while i < n:
+            if text[i].isspace():
+                i += 1
+                continue
+            token = text[i]
+            for length in lengths.get(text[i : i + 2], ()):
+                if text[i : i + length] in classes:
+                    token = text[i : i + length]
+                    break
+            cls = classes.get(token)
+            if cls is not None:
+                counts[cls] += 1
+            i += len(token)
+        return counts[POSITIVE], counts[NEUTRAL], counts[NEGATIVE]
 
 
 def load_lexicon(path) -> SentimentLexicon:
@@ -100,13 +119,24 @@ def load_lexicon(path) -> SentimentLexicon:
     return SentimentLexicon(entries)
 
 
-def lexicon_score(
-    tokens: Iterable[str],
+def prepare_report(
+    record: ReportRecord,
     lexicon: SentimentLexicon,
+    risk_warning_patterns: Iterable[str] = (),
+    tail_fraction: float = 0.25,
+) -> tuple[int, int, int]:
+    """Lexicon hits of the cleaned title+abstract concatenation of a record."""
+    joined = f"{record.title} {record.abstract}"
+    return lexicon.hits(clean_text(joined, risk_warning_patterns, tail_fraction))
+
+
+def lexicon_score(
+    counts: tuple[int, int, int],
     temperature: float = 1.0,
     report_id: str = "",
 ) -> SentimentScore:
-    """Softmax of class hit counts scaled by 1/temperature.
+    """Softmax of (positive, neutral, negative) hit counts scaled by
+    1/temperature.
 
     softmax((pos, neu, neg) / temperature); zero hits across the board
     degenerate to the uniform score. Lower temperatures sharpen the
@@ -114,7 +144,6 @@ def lexicon_score(
     """
     if not (temperature > 0.0) or not math.isfinite(temperature):
         raise ArgumentError(f"temperature must be positive and finite, got {temperature}")
-    counts = lexicon.counts(tokens)
     if counts == (0, 0, 0):
         third = 1.0 / 3.0
         return SentimentScore(report_id, third, third, third)
@@ -125,9 +154,9 @@ def lexicon_score(
     return SentimentScore(report_id, pos, neu, neg)
 
 
-def classify_majority(tokens: Iterable[str], lexicon: SentimentLexicon) -> str:
+def classify_majority(counts: tuple[int, int, int]) -> str:
     """Sign of (positive hits - negative hits); neutral words never vote."""
-    pos, _, neg = lexicon.counts(tokens)
+    pos, _, neg = counts
     if pos > neg:
         return POSITIVE
     if neg > pos:

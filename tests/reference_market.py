@@ -8,9 +8,11 @@ metric functions, the bisect ``CorpusIndex`` and the scalar
 the ``MajoritySample`` value, the panel and majority build functions, and
 the label-pool loop of ``cli.cmd_label``.
 
-One deliberate change from the old code: ``build_majority_samples`` counts
+Two deliberate changes from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
-pairs equal samples plus drops.
+pairs equal samples plus drops; and it takes each report's (positive,
+neutral, negative) lexicon hits, as the majority rule does, instead of its
+tokens and the lexicon.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -662,15 +664,14 @@ def build_panel(
 
 def build_majority_samples(
     records: Iterable[ReportRecord],
-    tokens_by_report: Mapping[str, Sequence[str]],
-    lexicon,
+    hits_by_report: Mapping[str, tuple[int, int, int]],
     market: MarketData,
     start: Date | None = None,
     end: Date | None = None,
 ) -> tuple[list[MajoritySample], dict[str, int]]:
     """Join majority classes to release-day metrics for each (report, stock).
 
-    ``tokens_by_report`` holds the segmented cleaned text; pairs with
+    ``hits_by_report`` holds the lexicon hits of the cleaned text; pairs with
     missing market data are dropped and tallied, like panel rows.
     """
     calendar = market.calendar
@@ -685,12 +686,12 @@ def build_majority_samples(
             continue
         if end is not None and record.release_date > end:
             continue
-        tokens = tokens_by_report.get(record.report_id)
-        if tokens is None:
+        hits = hits_by_report.get(record.report_id)
+        if hits is None:
             for _stock_id in record.stock_codes:
                 drop("no tokens")
             continue
-        cls = classify_majority(tokens, lexicon)
+        cls = classify_majority(hits)
         for stock_id in record.stock_codes:
             try:
                 s_day = calendar.align(record.release_date)

@@ -1,6 +1,12 @@
-"""The scalar text cleaner: ``clean_text`` as it was before it skipped the
-per-character category pass for printable text, kept verbatim as the
-reference the package's cleaner must match string for string.
+"""Reference text code, kept verbatim from before the package changed it.
+
+``clean_text`` is the scalar cleaner as it was before it skipped the
+per-character category pass for printable text; the package's cleaner
+must match it string for string. ``SegmentDictionary`` and ``segment``
+are the greedy forward maximum matching segmenter that produced a token
+list per report before ``SentimentLexicon.hits`` counted lexicon hits
+without one; ``token_hits`` counts that token list the way the lexicon
+did, and ``SentimentLexicon.hits`` must match it triple for triple.
 """
 
 from __future__ import annotations
@@ -9,6 +15,7 @@ import unicodedata
 from typing import Iterable
 
 from reportsignal.errors import ArgumentError
+from reportsignal.sentiment import WORD_CLASSES
 
 # Unicode categories removed outright during cleaning: control and format
 # characters (zero-width joiners and friends).
@@ -48,3 +55,58 @@ def clean_text(
             break
         text = text[:cut].rstrip()
     return text
+
+
+class SegmentDictionary:
+    """Word set and max word length, for greedy longest-first matching."""
+
+    def __init__(self, words: Iterable[str]):
+        self.words = frozenset(words)
+        if "" in self.words:
+            raise ArgumentError("empty word in segmentation dictionary")
+        if not self.words:
+            raise ArgumentError("segmentation dictionary is empty")
+        self.max_len = max(len(w) for w in self.words)
+
+    def __contains__(self, word: str) -> bool:
+        return word in self.words
+
+    def __len__(self) -> int:
+        return len(self.words)
+
+
+def segment(text: str, dictionary: SegmentDictionary) -> list[str]:
+    """Greedy forward maximum matching.
+
+    Scanning left to right, the longest dictionary word starting at the
+    cursor becomes the next token; if none matches, the single character
+    does. Whitespace separates tokens and is never part of one.
+    """
+    tokens: list[str] = []
+    i, n = 0, len(text)
+    max_len = dictionary.max_len
+    words = dictionary.words
+    while i < n:
+        if text[i].isspace():
+            i += 1
+            continue
+        match = None
+        for length in range(min(max_len, n - i), 1, -1):
+            candidate = text[i : i + length]
+            if candidate in words:
+                match = candidate
+                break
+        if match is None:
+            match = text[i]
+        tokens.append(match)
+        i += len(match)
+    return tokens
+
+
+def token_hits(text: str, lexicon) -> tuple[int, int, int]:
+    """(positive, neutral, negative) counts of the tokens that ``segment``
+    makes of ``text`` with the lexicon's words as its dictionary."""
+    classes = {word: label for label in WORD_CLASSES for word in lexicon.words(label)}
+    tokens = segment(text, SegmentDictionary(classes))
+    pos, neu, neg = (sum(classes.get(token) == label for token in tokens) for label in WORD_CLASSES)
+    return pos, neu, neg

@@ -339,7 +339,7 @@ def test_scores_everywhere_stay_on_the_simplex():
         length = int(rng.integers(0, 40))
         tokens = list(rng.choice(vocabulary + fillers, size=length)) if length else []
         temperature = float(np.exp(rng.uniform(np.log(0.05), np.log(20.0))))
-        score = lexicon_score(tokens, lexicon, temperature=temperature, report_id=f"r{i}")
+        score = lexicon_score(lexicon.hits(" ".join(tokens)), temperature=temperature, report_id=f"r{i}")
         assert on_simplex(score), (tokens, temperature)
         checked += 1
 
@@ -456,7 +456,9 @@ def test_majority_vote_follows_word_count_sign():
         for n_neu in range(7):
             for n_neg in range(7):
                 tokens = [pos_word] * n_pos + [neu_word] * n_neu + [neg_word] * n_neg
-                verdict = classify_majority(tokens, lexicon)
+                hits = lexicon.hits(" ".join(tokens))
+                assert hits == (n_pos, n_neu, n_neg)
+                verdict = classify_majority(hits)
                 if n_pos > n_neg:
                     assert verdict == POSITIVE
                 elif n_neg > n_pos:
@@ -464,7 +466,7 @@ def test_majority_vote_follows_word_count_sign():
                 else:
                     assert verdict == NEUTRAL
 
-                score = lexicon_score(tokens, lexicon, report_id="m")
+                score = lexicon_score(hits, report_id="m")
                 counts = {POSITIVE: n_pos, NEUTRAL: n_neu, NEGATIVE: n_neg}
                 by_score = {POSITIVE: score.pos, NEUTRAL: score.neu, NEGATIVE: score.neg}
                 top = max(counts.values())
@@ -478,9 +480,9 @@ def test_majority_vote_follows_word_count_sign():
     # A neutral-dominated report can still lean positive on the
     # directional counts; both readings are deliberate, so the argmax
     # agreement above is scoped to directional leaders.
-    tokens = [pos_word] * 2 + [neu_word] * 5 + [neg_word]
-    score = lexicon_score(tokens, lexicon, report_id="m")
-    assert classify_majority(tokens, lexicon) == POSITIVE
+    hits = lexicon.hits(" ".join([pos_word] * 2 + [neu_word] * 5 + [neg_word]))
+    score = lexicon_score(hits, report_id="m")
+    assert classify_majority(hits) == POSITIVE
     assert max(((score.pos, POSITIVE), (score.neu, NEUTRAL), (score.neg, NEGATIVE)))[1] == NEUTRAL
 
     elapsed = time.perf_counter() - started

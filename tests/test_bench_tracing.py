@@ -7,9 +7,8 @@ import importlib.util
 from pathlib import Path
 
 from reportsignal.config import packaged_data_path
-from reportsignal.corpus import prepare_report
 from reportsignal.econometrics import build_majority_samples, build_panel
-from reportsignal.sentiment import load_lexicon
+from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, small_dataset
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
@@ -43,8 +42,7 @@ def test_panel_and_majority_read_offs_match_the_ledgers():
     market, corpus_index, scores = assemble(ds)
     start, end = ds.test_range
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    dictionary = lexicon.segment_dictionary()
-    tokens = {r.report_id: prepare_report(r, dictionary).tokens for r in ds.records}
+    hits = {r.report_id: prepare_report(r, lexicon) for r in ds.records}
     n_pairs = sum(len(r.stock_codes) for r in ds.records if start <= r.release_date <= end)
 
     panel = build_panel(ds.records, scores, market, corpus_index, start, end)
@@ -53,7 +51,7 @@ def test_panel_and_majority_read_offs_match_the_ledgers():
         "econometrics.panel_pairs": n_pairs,
         "econometrics.panel_rows": n_pairs - panel.n_dropped,
     }
-    majority = build_majority_samples(ds.records, tokens, lexicon, market, start, end)
+    majority = build_majority_samples(ds.records, hits, market, start, end)
     assert tracing._majority(majority, ()) == {
         "econometrics.majority_samples": n_pairs - sum(majority[-1].values()),
     }

@@ -580,6 +580,24 @@ def test_empty_lexicon_with_lexicon_scorer_exits_one(dataset_dir, tmp_path, caps
     assert "no entries" in capsys.readouterr().err
 
 
+def test_non_finite_temperature_is_a_configuration_error(dataset_dir, tmp_path, capsys):
+    """json reads the NaN and Infinity tokens; either temperature ends
+    every scoring verb under either scorer with exit 1 and one error line."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    raw = (clone / "config.json").read_text(encoding="utf-8")
+    for token in ("NaN", "Infinity"):
+        config = clone / f"config_{token}.json"
+        config.write_text(re.sub(r"(\"temperature\": )[^,}]+", rf"\g<1>{token}", raw), encoding="utf-8")
+        assert f'"temperature": {token}' in config.read_text(encoding="utf-8")
+        for verb, scorer in itertools.product(("score", "analyze"), ("lexicon", "external")):
+            out = tmp_path / f"{token}_{verb}_{scorer}"
+            assert run(verb, "--config", config, "--out", out, "--scorer", scorer) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: temperature must be positive and finite") and err.count("\n") == 1
+            assert not out.exists()
+
+
 def test_degenerate_scores_exit_three(dataset_dir, tmp_path):
     """Identical scores for every report make the sentiment columns
     collinear with the constant, which must surface as a numerical

@@ -1,6 +1,7 @@
-"""Unit tests for corpus parsing, cleaning, and segmentation."""
+"""Unit tests for corpus parsing and cleaning, and for lexicon hit counting."""
 
 import io
+import random
 from datetime import date as Date
 
 import numpy as np
@@ -10,18 +11,18 @@ from reportsignal.config import packaged_data_path
 from reportsignal.corpus import (
     CorpusIndex,
     ReportRecord,
-    SegmentDictionary,
     clean_text,
     load_risk_warning_patterns,
     parse_corpus,
-    prepare_report,
-    segment,
     serialize_corpus,
 )
 from reportsignal.errors import ArgumentError, DataError, SchemaError
-from reportsignal.sentiment import load_lexicon
+from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
+from reportsignal.sentiment import SentimentLexicon, load_lexicon, prepare_report
 from reportsignal.synthkit import SynthSpec, generate
 from tests import reference_text
+from tests.helpers import small_dataset
+from tests.reference_text import SegmentDictionary, segment
 
 
 def test_parse_happy_path():
@@ -193,7 +194,7 @@ def test_packaged_lexicon_words_round_trip_through_segmentation():
     exactly those two words when concatenated; greedy matching may not
     merge across the seam or split either word."""
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    dictionary = lexicon.segment_dictionary()
+    dictionary = SegmentDictionary(w for label in (POSITIVE, NEUTRAL, NEGATIVE) for w in lexicon.words(label))
     words = sorted(dictionary.words)
     assert len(words) == 23
     checked = 0
@@ -212,11 +213,45 @@ def test_prepare_report_joins_title_and_abstract():
     record = ReportRecord(
         "r1", "业绩突破", "公司有望 保持领先地位 风险提示 注意", ("600000.SH",), Date(2019, 3, 4)
     )
-    dictionary = SegmentDictionary(["突破", "有望", "领先地位", "业绩"])
-    cleaned = prepare_report(record, dictionary, ("风险提示",), tail_fraction=0.5)
-    assert cleaned.report_id == "r1"
-    assert cleaned.text == "业绩突破 公司有望 保持领先地位"
-    assert cleaned.tokens == ("业绩", "突破", "公", "司", "有望", "保", "持", "领先地位")
+    # "注意" follows the risk-warning marker, so the cut text never holds it
+    lexicon = SentimentLexicon(
+        {"突破": POSITIVE, "有望": POSITIVE, "领先地位": POSITIVE, "业绩": NEUTRAL, "注意": NEGATIVE}
+    )
+    # the cleaned text "业绩突破 公司有望 保持领先地位" segments as
+    # 业绩 突破 公 司 有望 保 持 领先地位
+    assert prepare_report(record, lexicon, ("风险提示",), tail_fraction=0.5) == (3, 1, 0)
+    assert prepare_report(record, lexicon) == (3, 1, 1)
+
+
+def test_lexicon_hits_match_the_reference_segmenter():
+    """``SentimentLexicon.hits`` counts exactly the lexicon tokens of the
+    reference greedy segmenter, on the packaged lexicon over generated
+    report texts and on random lexicons over texts built to stress it."""
+    lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
+    patterns = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
+    texts = [clean_text(f"{r.title} {r.abstract}", patterns) for r in small_dataset().records]
+    assert any(lexicon.hits(text) != (0, 0, 0) for text in texts)
+    for text in texts:
+        assert lexicon.hits(text) == reference_text.token_hits(text, lexicon)
+
+    rng = random.Random(7)
+    alphabet = "abcd增长业 "
+    classes = (POSITIVE, NEUTRAL, NEGATIVE)
+    for _ in range(200):
+        words = {"".join(rng.choices(alphabet, k=rng.randint(1, 4))).strip() for _ in range(rng.randint(1, 30))}
+        # a single character, an inner space, and a leading space (which
+        # never matches, since matching skips whitespace)
+        words = (words - {""}) | {rng.choice("abcd"), "a b", " " + rng.choice("abcd")}
+        lexicon = SentimentLexicon({word: rng.choice(classes) for word in words})
+        long_words = sorted(word for word in words if len(word) > 1)
+        for _ in range(20):
+            pieces = rng.choices(sorted(words) + list(alphabet) + ["  ", "\t", " \t\n "], k=rng.randint(0, 12))
+            text = "".join(pieces)
+            word = rng.choice(long_words)
+            # the text, and the text running one character into a word and
+            # one character short of its end
+            for probe in (text, text + word[:1], text + word[:-1]):
+                assert lexicon.hits(probe) == reference_text.token_hits(probe, lexicon)
 
 
 def test_load_risk_warning_patterns_skips_comments(tmp_path):

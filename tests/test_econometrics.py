@@ -12,7 +12,6 @@ import pytest
 
 from reportsignal import econometrics
 from reportsignal.config import packaged_data_path
-from reportsignal.corpus import prepare_report
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
     PANEL_HEADER,
@@ -31,7 +30,7 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ArgumentError, DataError, NumericalError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
-from reportsignal.sentiment import load_lexicon
+from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
 
 
@@ -434,14 +433,9 @@ def test_majority_samples_from_a_generated_dataset():
     ds = small_dataset()
     market, _, _ = assemble(ds)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    dictionary = lexicon.segment_dictionary()
-    tokens = {
-        r.report_id: prepare_report(r, dictionary).tokens for r in ds.records
-    }
+    hits = {r.report_id: prepare_report(r, lexicon) for r in ds.records}
     start, end = ds.test_range
-    classes, values, drops = build_majority_samples(
-        ds.records, tokens, lexicon, market, start, end
-    )
+    classes, values, drops = build_majority_samples(ds.records, hits, market, start, end)
     in_range = [r for r in ds.records if start <= r.release_date <= end]
     n_pairs = sum(len(r.stock_codes) for r in in_range)
     assert len(classes) + sum(drops.values()) == n_pairs

@@ -12,12 +12,12 @@ import pytest
 from reportsignal import market as market_module
 from reportsignal.cli import label_pool
 from reportsignal.config import packaged_data_path
-from reportsignal.corpus import CorpusIndex, prepare_report
+from reportsignal.corpus import CorpusIndex
 from reportsignal.econometrics import MAJORITY_VARIABLES, build_majority_samples, build_panel
 from reportsignal.errors import DataError
 from reportsignal.market import load_market, read_snapshot, write_snapshot
 from reportsignal.metrics import garman_klass
-from reportsignal.sentiment import load_lexicon
+from reportsignal.sentiment import load_lexicon, prepare_report
 from reportsignal.synthkit import SynthSpec, generate, write_dataset
 from tests import reference_market as reference
 from tests.helpers import small_dataset
@@ -83,11 +83,9 @@ def messy_industry(rows):
 def dataset():
     ds = small_dataset(seed=2)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    dictionary = lexicon.segment_dictionary()
-    # every seventh report has no tokens
-    tokens = {r.report_id: prepare_report(r, dictionary).tokens for r in ds.records[::7]}
-    tokens = {r.report_id: prepare_report(r, dictionary).tokens for r in ds.records if r.report_id not in tokens}
-    return ds, lexicon, tokens
+    # every seventh report has no hit counts
+    skipped = {r.report_id for r in ds.records[::7]}
+    return ds, {r.report_id: prepare_report(r, lexicon) for r in ds.records if r.report_id not in skipped}
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -147,7 +145,7 @@ def through_snapshot(market, out_dir, files):
 @pytest.mark.parametrize("fenced", [False, True])
 @pytest.mark.parametrize("messy", [False, True])
 def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows, snapshot):
-    ds, lexicon, tokens = dataset
+    ds, hits = dataset
     paths = write_dataset(ds, tmp_path)
     if messy:
         edit_rows(paths["bars"], messy_bars)
@@ -189,8 +187,8 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         )
         compared.append(
             (
-                outcome(majority_lists, ds.records, tokens, lexicon, new.market, start, end),
-                outcome(reference_majority_lists, ds.records, tokens, lexicon, old.market, start, end),
+                outcome(majority_lists, ds.records, hits, new.market, start, end),
+                outcome(reference_majority_lists, ds.records, hits, old.market, start, end),
             )
         )
     compared.append(

@@ -64,12 +64,13 @@ def test_lexicon_lookups():
     assert lex.words(NEGATIVE) == ["bad"]
     assert "stable" in lex and "missing" not in lex
     assert lex.words(POSITIVE) == ["excellent", "good"]
-    assert lex.counts(["good", "bad", "stable", "good", "noise"]) == (2, 1, 1)
-    assert "excellent" in lex.segment_dictionary().words
+    assert lex.hits("good bad stable good noise") == (2, 1, 1)
+    assert lex.hits("excellentgoodbad\tstablex") == (2, 1, 1)
+    assert lex.hits("") == lex.hits("go od") == (0, 0, 0)
 
 
 def test_softmax_of_counts_two_one_one():
-    score = lexicon_score(["good", "good", "stable", "bad"], small_lexicon())
+    score = lexicon_score((2, 1, 1))
     # softmax(2, 1, 1) = (e/(e+2), 1/(e+2), 1/(e+2))
     assert abs(score.pos - 0.576116884765829) < 1e-12
     assert abs(score.neu - 0.211941557617085) < 1e-12
@@ -77,38 +78,37 @@ def test_softmax_of_counts_two_one_one():
 
 
 def test_zero_hits_degenerate_to_the_uniform_score():
-    score = lexicon_score(["nothing", "matches"], small_lexicon(), report_id="r9")
+    score = lexicon_score((0, 0, 0), report_id="r9")
     assert score == SentimentScore("r9", 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 def test_lower_temperature_sharpens_toward_the_argmax():
-    tokens = ["good", "good", "stable", "bad"]
-    base = lexicon_score(tokens, small_lexicon(), temperature=1.0)
-    sharp = lexicon_score(tokens, small_lexicon(), temperature=0.25)
-    soft = lexicon_score(tokens, small_lexicon(), temperature=4.0)
+    hits = (2, 1, 1)
+    base = lexicon_score(hits, temperature=1.0)
+    sharp = lexicon_score(hits, temperature=0.25)
+    soft = lexicon_score(hits, temperature=4.0)
     assert sharp.pos > base.pos > soft.pos > 1.0 / 3.0
 
 
 def test_bad_temperatures_are_errors():
     for temperature in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ArgumentError):
-            lexicon_score(["good"], small_lexicon(), temperature=temperature)
+            lexicon_score((1, 0, 0), temperature=temperature)
 
 
 def test_majority_rule_ignores_neutral_words():
-    lex = small_lexicon()
-    assert classify_majority(["good", "bad", "good"], lex) == POSITIVE
-    assert classify_majority(["bad", "bad", "good"], lex) == NEGATIVE
-    assert classify_majority(["good", "bad"], lex) == NEUTRAL
-    assert classify_majority(["stable", "stable", "stable"], lex) == NEUTRAL
-    assert classify_majority([], lex) == NEUTRAL
+    assert classify_majority((2, 0, 1)) == POSITIVE
+    assert classify_majority((1, 0, 2)) == NEGATIVE
+    assert classify_majority((1, 0, 1)) == NEUTRAL
+    assert classify_majority((0, 3, 0)) == NEUTRAL
+    assert classify_majority((0, 0, 0)) == NEUTRAL
 
 
 def test_load_lexicon_round_trip(tmp_path):
     path = tmp_path / "lexicon.csv"
     path.write_text("word,label\ngood,positive\nbad,negative\n", encoding="utf-8")
     lex = load_lexicon(path)
-    assert lex.counts(["good", "bad"]) == (1, 0, 1)
+    assert lex.hits("good bad") == (1, 0, 1)
 
 
 def test_load_lexicon_schema_errors(tmp_path):
