@@ -11,7 +11,7 @@ from .config import RunConfig, load_config, packaged_data_path
 from .corpus import (
     CorpusIndex,
     ParseResult,
-    ReportRecord,
+    ReportColumns,
     RowReject,
     clean_text,
     parse_corpus,

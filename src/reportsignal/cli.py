@@ -37,7 +37,7 @@ from .config import (
     VALID_TTEST,
     load_config,
 )
-from .corpus import CorpusIndex, load_risk_warning_patterns, parse_corpus
+from .corpus import CorpusIndex, ReportColumns, load_risk_warning_patterns, parse_corpus
 from .econometrics import (
     build_majority_samples,
     build_panel,
@@ -58,6 +58,7 @@ from .metrics import (
     OFF_CALENDAR,
     OK,
     first_failure,
+    judged,
     label_window_return,
     tally,
 )
@@ -157,8 +158,9 @@ def firewall_fence(calendar: TradingCalendar, test_start: Date) -> Date:
 
 
 def cmd_synth(out_dir: Path, seed: int) -> int:
-    _ensure_out(out_dir)
     spec = SynthSpec(seed=seed)
+    spec.validate()
+    _ensure_out(out_dir)
     dataset = generate(spec)
     write_dataset(dataset, out_dir, seed=seed)
     print(
@@ -205,36 +207,21 @@ def cmd_ingest(config: RunConfig) -> int:
     return 0
 
 
-def label_pool(records, market: MarketData, start: Date, end: Date):
+def label_pool(reports: ReportColumns, market: MarketData, start: Date, end: Date):
     """(report_id, stock_id, window return) for each (report, stock) pair
-    released in [start, end], plus the drops by reason."""
-    calendar = market.calendar
-    n_days = len(calendar)
-    reasons: list[str | None] = []  # per pair; None for the pairs the kernel judges
-    pairs: list[tuple[str, str, int]] = []
-    for record in records:
-        if not (start <= record.release_date <= end):
-            continue
-        release_day = calendar.locate(record.release_date)
-        for stock_id in record.stock_codes:
-            if release_day == n_days:
-                reasons.append("release date beyond calendar")
-            else:
-                reasons.append(None)
-                pairs.append((record.report_id, stock_id, release_day))
-
-    returns = label_window_return(
-        market,
-        market.bars.rows_of(pair[1] for pair in pairs),
-        np.array([pair[2] for pair in pairs], dtype=np.intp),
-    )
+    released in [start, end], plus the drops by reason: "release date
+    beyond calendar" (no trading day on or after the release) before the
+    kernel runs, then the kernel's ``LABEL_DROPS``."""
+    report_of, codes, released = reports.pairs(start, end)
+    days = market.calendar.locate(released)
+    drops = [(days == len(market.calendar), "release date beyond calendar")]
+    kept = np.flatnonzero(judged(drops))
+    returns = label_window_return(market, market.bars.rows_of(codes[i] for i in kept.tolist()), days[kept])
     status = first_failure(market, returns)
-    pool = [
-        (report_id, stock_id, window_return)
-        for (report_id, stock_id, _), window_return, code in zip(pairs, returns.values.tolist(), status.tolist())
-        if code == OK
-    ]
-    return pool, tally(reasons, status, LABEL_DROPS)
+    ok = status == OK
+    rows = zip(report_of[kept[ok]].tolist(), kept[ok].tolist(), returns.values[ok].tolist())
+    pool = [(reports.ids[report], codes[i], window_return) for report, i, window_return in rows]
+    return pool, tally(drops, status, LABEL_DROPS)
 
 
 def cmd_label(config: RunConfig) -> int:
@@ -264,9 +251,10 @@ def cmd_label(config: RunConfig) -> int:
     return 0
 
 
-def _report_hits(config: RunConfig, records) -> dict:
-    """The (positive, neutral, negative) lexicon hits of each record's
-    cleaned text by report id (none when the lexicon has no entries)."""
+def _report_hits(config: RunConfig, reports: ReportColumns, positions) -> dict:
+    """The (positive, neutral, negative) lexicon hits of the cleaned text of
+    the reports at ``positions`` by report id (none when the lexicon has
+    no entries)."""
     lexicon = load_lexicon(config.lexicon)
     if config.scorer == "lexicon" and len(lexicon) == 0:
         raise ConfigurationError(f"lexicon file {config.lexicon} has no entries")
@@ -274,14 +262,14 @@ def _report_hits(config: RunConfig, records) -> dict:
     if len(lexicon) == 0:
         return {}
     return {
-        record.report_id: prepare_report(record, lexicon, patterns, config.tail_fraction)
-        for record in records
+        reports.ids[i]: prepare_report(reports.titles[i], reports.abstracts[i], lexicon, patterns, config.tail_fraction)
+        for i in positions
     }
 
 
-def _report_scores(config: RunConfig, records, hits_by_report):
+def _report_scores(config: RunConfig, reports: ReportColumns, hits_by_report):
     """The score of each report by report id, from the lexicon hits in
-    ``hits_by_report`` or from the external scores file of ``records``,
+    ``hits_by_report`` or from the external scores file of ``reports``,
     and that file's rejected rows."""
     if config.scorer == "lexicon":
         scores = {
@@ -291,8 +279,7 @@ def _report_scores(config: RunConfig, records, hits_by_report):
         return scores, []
     if config.scores is None:
         raise ConfigurationError("scorer 'external' requires a scores path in the config")
-    known = {record.report_id for record in records}
-    accepted, rejects = load_external_scores(config.scores, known, max_error_rate=config.max_error_rate)
+    accepted, rejects = load_external_scores(config.scores, set(reports.ids), max_error_rate=config.max_error_rate)
     return {score.report_id: score for score in accepted}, rejects
 
 
@@ -300,7 +287,7 @@ def cmd_score(config: RunConfig) -> int:
     out = _ensure_out(config.out)
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     # The external scorer never opens the lexicon.
-    hits = _report_hits(config, parse.records) if config.scorer == "lexicon" else {}
+    hits = _report_hits(config, parse.records, range(len(parse.records))) if config.scorer == "lexicon" else {}
     scores, rejects = _report_scores(config, parse.records, hits)
 
     write_scores(scores.values(), out / "scores.csv")
@@ -324,22 +311,14 @@ def cmd_analyze(config: RunConfig) -> int:
     fence = firewall_fence(market.calendar, config.test_start)
     market.set_fence(fence)
 
-    corpus_index = CorpusIndex(parse.records)
-    test_records = [
-        r for r in parse.records if config.test_start <= r.release_date <= config.test_end
-    ]
-
-    hits_by_report = _report_hits(config, test_records)
-    scores, score_rejects = _report_scores(config, parse.records, hits_by_report)
+    reports = parse.records
+    corpus_index = CorpusIndex(reports)
+    report_of, _, released = reports.pairs(config.test_start, config.test_end)
+    hits_by_report = _report_hits(config, reports, np.unique(report_of).tolist())
+    scores, score_rejects = _report_scores(config, reports, hits_by_report)
 
     panel = build_panel(
-        parse.records,
-        scores,
-        market,
-        corpus_index,
-        start=config.test_start,
-        end=config.test_end,
-        vix_mode=config.vix_mode,
+        reports, scores, market, corpus_index, config.test_start, config.test_end, vix_mode=config.vix_mode
     )
     if not len(panel.rows):
         raise DataError(
@@ -349,24 +328,19 @@ def cmd_analyze(config: RunConfig) -> int:
     fits = run_pooled_regressions(panel.rows, se_type=config.se)
     sectors = run_industry_regressions(panel, market, min_rows=config.min_rows, se_type=config.se)
     classes, samples, majority_drops = build_majority_samples(
-        test_records,
-        hits_by_report,
-        market,
-        start=config.test_start,
-        end=config.test_end,
+        reports, hits_by_report, market, config.test_start, config.test_end
     )
     tests = majority_group_tests(classes, samples, mode=config.ttest)
 
-    # One entry per (report, stock) pair, on the trading day the panel aligns it to.
-    calendar = market.calendar
-    n_days = len(calendar)
-    series_entries = []
-    for record in test_records:
-        score = scores.get(record.report_id)
-        day = calendar.locate(record.release_date)
-        if score is not None and day < n_days:
-            series_entries += [(calendar.dates[day], score)] * len(record.stock_codes)
-    n_series_skipped = sum(len(record.stock_codes) for record in test_records) - len(series_entries)
+    # One entry per test-range pair with a score and a release trading day.
+    days = market.calendar.locate(released).tolist()
+    pair_scores = [scores.get(reports.ids[i]) for i in report_of.tolist()]
+    series_entries = [
+        (market.calendar.dates[day], score)
+        for day, score in zip(days, pair_scores)
+        if score is not None and day < len(market.calendar)
+    ]
+    n_series_skipped = len(days) - len(series_entries)
     series = daily_average_sentiment(series_entries)
 
     write_panel(panel, out / "panel.csv")

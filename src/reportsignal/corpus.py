@@ -22,6 +22,17 @@ share exceeds ``max_error_rate``.
 Cleaning normalises whitespace, drops control characters, and cuts
 boilerplate risk-warning tails; ``sentiment`` counts the lexicon hits of
 the cleaned text.
+
+Layout. Reports in memory are ``ReportColumns``: ids, titles and
+abstracts as lists, release dates as day ordinals, and all cited codes as
+one flat list cut into each report's share by int64 offsets (compressed
+sparse rows); ``parse_corpus`` and ``synthkit.generate`` both make them.
+``ReportColumns.pairs`` is the one expansion of reports into the (report,
+cited stock) pairs that every artifact and ``CorpusIndex`` observe. Each
+pair is dated on the trading day that ``TradingCalendar.locate`` gives
+its release ordinal (the release date when it trades, else the next
+trading day), so the label pool, the panel, the majority samples and the
+daily series align alike.
 """
 
 from __future__ import annotations
@@ -32,6 +43,7 @@ import unicodedata
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import date as Date
+from itertools import compress
 from pathlib import Path
 from typing import Iterable
 
@@ -49,15 +61,28 @@ _STOCK_CODE_RE = re.compile(r"^[0-9]{1,6}\.[A-Z]{1,4}$")
 _STRIP_CATEGORIES = ("Cc", "Cf")
 
 
-@dataclass(frozen=True)
-class ReportRecord:
-    """One analyst report as parsed from a corpus file."""
+@dataclass(frozen=True, eq=False)
+class ReportColumns:
+    """Reports as columns: report ``i`` cites ``codes[offsets[i]:offsets[i + 1]]``
+    and was released on ordinal ``days[i]``; ``len()`` counts the reports."""
 
-    report_id: str
-    title: str
-    abstract: str
-    stock_codes: tuple[str, ...]
-    release_date: Date
+    ids: list[str]
+    titles: list[str]
+    abstracts: list[str]
+    days: np.ndarray
+    codes: list[str]
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def pairs(self, start: Date, end: Date) -> tuple[np.ndarray, list[str], np.ndarray]:
+        """The (report, cited stock) pairs of the reports released in
+        [start, end], in report order and each report's citation order:
+        each pair's report position, stock code and release ordinal."""
+        report = np.repeat(np.arange(len(self)), np.diff(self.offsets))
+        keep = ((self.days >= start.toordinal()) & (self.days <= end.toordinal()))[report]
+        return report[keep], list(compress(self.codes, keep.tolist())), self.days[report[keep]]
 
 
 @dataclass(frozen=True)
@@ -70,7 +95,7 @@ class RowReject:
 
 @dataclass
 class ParseResult:
-    records: list[ReportRecord]
+    records: ReportColumns
     rejects: list[RowReject] = field(default_factory=list)
 
     @property
@@ -147,12 +172,11 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     header, a duplicate report_id, or a reject share above
     ``max_error_rate`` aborts the parse.
     """
-    records: list[ReportRecord] = []
+    ids, titles, abstracts, days, codes, offsets = [], [], [], [], [], [0]
     rejects: list[RowReject] = []
     seen: set[str] = set()
     for line_no, row in read_csv_rows(source, CORPUS_HEADER):
         reason = None
-        record = None
         if len(row) != len(CORPUS_HEADER):
             reason = f"expected {len(CORPUS_HEADER)} fields, got {len(row)}"
         else:
@@ -161,9 +185,9 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
             if not report_id:
                 reason = "empty report_id"
             else:
-                codes = tuple(c.strip() for c in codes_raw.split(";") if c.strip())
-                bad = [c for c in codes if not _STOCK_CODE_RE.match(c)]
-                if not codes:
+                cited = [c.strip() for c in codes_raw.split(";") if c.strip()]
+                bad = [c for c in cited if not _STOCK_CODE_RE.match(c)]
+                if not cited:
                     reason = "no stock codes"
                 elif bad:
                     reason = f"malformed stock code {bad[0]!r}"
@@ -172,17 +196,20 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
                         release = Date.fromisoformat(date_raw.strip())
                     except ValueError:
                         reason = f"unparseable release_date {date_raw!r}"
-                    else:
-                        record = ReportRecord(report_id, title, abstract, codes, release)
         if reason is not None:
             rejects.append(RowReject(line_no, reason))
             continue
-        assert record is not None
-        if record.report_id in seen:
-            raise DataError(f"duplicate report_id {record.report_id!r} at line {line_no}")
-        seen.add(record.report_id)
-        records.append(record)
+        if report_id in seen:
+            raise DataError(f"duplicate report_id {report_id!r} at line {line_no}")
+        seen.add(report_id)
+        ids.append(report_id)
+        titles.append(title)
+        abstracts.append(abstract)
+        days.append(release.toordinal())
+        codes += cited
+        offsets.append(len(codes))
 
+    records = ReportColumns(ids, titles, abstracts, np.array(days, np.int64), codes, np.array(offsets, np.int64))
     result = ParseResult(records, rejects)
     if result.error_rate > max_error_rate:
         raise DataError(
@@ -192,13 +219,12 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     return result
 
 
-def serialize_corpus(records: Iterable[ReportRecord], path) -> None:
-    """Write records back out in the corpus CSV format (round-trips with parse)."""
-    write_csv_rows(
-        path,
-        CORPUS_HEADER,
-        ([r.report_id, r.title, r.abstract, ";".join(r.stock_codes), r.release_date.isoformat()] for r in records),
-    )
+def serialize_corpus(reports: ReportColumns, path) -> None:
+    """Write reports back out in the corpus CSV format (round-trips with parse)."""
+    bounds = reports.offsets.tolist()
+    codes = (";".join(reports.codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    days = (Date.fromordinal(day).isoformat() for day in reports.days.tolist())
+    write_csv_rows(path, CORPUS_HEADER, zip(reports.ids, reports.titles, reports.abstracts, codes, days))
 
 
 def load_risk_warning_patterns(path) -> tuple[str, ...]:
@@ -246,18 +272,15 @@ class CorpusIndex:
     2**32 plus release-day ordinal, sorted: the reports of a stock in a
     window of days are one contiguous run of keys."""
 
-    def __init__(self, records: Iterable[ReportRecord]):
+    def __init__(self, reports: ReportColumns):
         self.codes: dict[str, int] = {}
-        keys = [
-            self.codes.setdefault(sid, len(self.codes)) << 32 | record.release_date.toordinal()
-            for record in records
-            for sid in record.stock_codes
-        ]
-        self.keys = np.sort(np.array(keys, dtype=np.int64))
+        _, stock_ids, days = reports.pairs(Date.min, Date.max)
+        codes = np.array([self.codes.setdefault(sid, len(self.codes)) for sid in stock_ids], np.int64)
+        self.keys = np.sort(codes << 32 | days)
 
-    def keys_of(self, stock_ids: Iterable[str], days: Iterable[Date]) -> np.ndarray:
-        """The keys of (stock, day) rows; a stock the index never saw gets
-        code -1, below every key. Ordinals stay far below 2**32, so a key
-        minus a window of days never reaches another stock's keys."""
+    def keys_of(self, stock_ids: Iterable[str], days: np.ndarray) -> np.ndarray:
+        """The keys of (stock, day ordinal) rows; a stock the index never
+        saw gets code -1, below every key. Ordinals stay far below 2**32,
+        so a key minus a window of days never reaches another stock's keys."""
         codes = np.array([self.codes.get(sid, -1) for sid in stock_ids], dtype=np.int64)
-        return codes << 32 | np.array([d.toordinal() for d in days], dtype=np.int64)
+        return codes << 32 | np.asarray(days, dtype=np.int64)

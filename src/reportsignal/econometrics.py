@@ -25,11 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import CorpusIndex, ReportRecord, write_csv_rows
+from .corpus import CorpusIndex, ReportColumns, write_csv_rows
 from .errors import ArgumentError, DataError, NumericalError, SingularityError
 from .labeling import NEGATIVE, POSITIVE
 from .market import CSI500, MarketData, SSE, SZSE, VIX
@@ -45,6 +45,7 @@ from .metrics import (
     first_failure,
     garman_klass_range,
     index_change,
+    judged,
     label_window_return,
     recommendation_counts,
     tally,
@@ -151,12 +152,6 @@ PAIR_DROPS = {
 }
 
 
-def _in_range(records: Iterable[ReportRecord], start: Date | None, end: Date | None):
-    for record in records:
-        if (start is None or record.release_date >= start) and (end is None or record.release_date <= end):
-            yield record
-
-
 def _check_rows(report_ids: Sequence[str], stock_ids: Sequence[str], rows: np.ndarray) -> None:
     """Raise DataError for the first row whose pos+neg exceeds one or that
     holds a non-finite value, naming the first failing check in that order."""
@@ -173,41 +168,38 @@ def _check_rows(report_ids: Sequence[str], stock_ids: Sequence[str], rows: np.nd
 
 
 def build_panel(
-    records: Iterable[ReportRecord],
+    reports: ReportColumns,
     scores: Mapping[str, SentimentScore],
     market: MarketData,
     corpus_index: CorpusIndex,
-    start: Date | None = None,
-    end: Date | None = None,
+    start: Date,
+    end: Date,
     vix_mode: str = "diff",
 ) -> PanelBuildResult:
-    """Assemble the regression panel from reports in [start, end].
+    """Assemble the regression panel from reports released in [start, end].
 
     Every (report, cited stock) pair becomes one row; a report citing two
-    stocks yields two rows sharing one score. Pairs missing any input —
-    score, industry mapping, market observations, volume history — are
-    dropped and tallied by reason, never imputed. A row whose pos+neg
-    exceeds one or that holds a non-finite value is a DataError.
+    stocks yields two rows sharing one score. Before any kernel runs, a
+    pair is dropped for "no score", then "release date beyond calendar"
+    (no trading day on or after the release), then "no outcome trading
+    day" (the release trading day is the last); the kernels drop pairs
+    missing an industry mapping, market data or volume history
+    (``PAIR_DROPS``). Drops are tallied by reason, never imputed. A row
+    whose pos+neg exceeds one or holds a non-finite value is a DataError.
     """
     calendar, n_days = market.calendar, len(market.calendar)
-    reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
-    pairs: list[tuple[ReportRecord, SentimentScore, str, int]] = []
-    for record in _in_range(records, start, end):
-        score = scores.get(record.report_id)
-        s_day = calendar.locate(record.release_date)
-        for stock_id in record.stock_codes:
-            if score is None:
-                reasons.append("no score")
-            elif s_day == n_days:
-                reasons.append("release date beyond calendar")
-            elif s_day + 1 == n_days:
-                reasons.append("no outcome trading day")
-            else:
-                reasons.append(None)
-                pairs.append((record, score, stock_id, s_day))
+    report_of, codes, released = reports.pairs(start, end)
+    pair_scores = [scores.get(reports.ids[i]) for i in report_of.tolist()]
+    days = calendar.locate(released)
+    drops = [
+        (np.array([score is None for score in pair_scores], dtype=bool), "no score"),
+        (days == n_days, "release date beyond calendar"),
+        (days + 1 == n_days, "no outcome trading day"),
+    ]
+    kept = np.flatnonzero(judged(drops))
 
-    stocks = market.bars.rows_of(pair[2] for pair in pairs)
-    s = np.array([pair[3] for pair in pairs], dtype=np.intp)
+    stocks = market.bars.rows_of(codes[i] for i in kept.tolist())
+    s = days[kept]
     t = s + 1
     parts = (
         garman_klass_range(market, stocks, s),
@@ -222,21 +214,20 @@ def build_panel(
         index_change(market, market.indices.row(VIX), s, vix_mode),
     )
     status = first_failure(market, *parts)
-    drops = tally(reasons, status, PAIR_DROPS)
 
     ok = np.flatnonzero(status == OK)
-    kept = [pairs[i] for i in ok.tolist()]
-    report_ids = [record.report_id for record, _, _, _ in kept]
-    stock_ids = [stock_id for _, _, stock_id, _ in kept]
-    outcome_dates = [calendar.dates[s_day + 1] for _, _, _, s_day in kept]
-    num7, num90 = recommendation_counts(corpus_index, stock_ids, outcome_dates)
+    accepted = kept[ok].tolist()
+    report_ids = [reports.ids[i] for i in report_of[accepted].tolist()]
+    stock_ids = [codes[i] for i in accepted]
+    outcome_days = t[ok]
+    num7, num90 = recommendation_counts(corpus_index, stock_ids, calendar.ordinals[outcome_days])
     range_lag, retex_lag, dvol_lag, outcome_range, outcome_retex, outcome_dvol, *index_changes = (
         part.values[ok] for part in parts
     )
     rows = np.column_stack(
         (
-            np.array([score.pos for _, score, _, _ in kept], dtype=float),
-            np.array([score.neg for _, score, _, _ in kept], dtype=float),
+            np.array([pair_scores[i].pos for i in accepted], dtype=float),
+            np.array([pair_scores[i].neg for i in accepted], dtype=float),
             range_lag * RANGE_SCALE,
             retex_lag,
             dvol_lag,
@@ -250,7 +241,10 @@ def build_panel(
     )
     _check_rows(report_ids, stock_ids, rows)
     flagged = int(np.count_nonzero((range_lag < 0.0) | (outcome_range < 0.0)))
-    return PanelBuildResult(report_ids, stock_ids, outcome_dates, rows, drops, flagged, len(reasons))
+    outcome_dates = [calendar.dates[day] for day in outcome_days.tolist()]
+    return PanelBuildResult(
+        report_ids, stock_ids, outcome_dates, rows, tally(drops, status, PAIR_DROPS), flagged, len(days)
+    )
 
 
 def write_panel(panel: PanelBuildResult, path) -> None:
@@ -611,42 +605,36 @@ MAJORITY_VARIABLES = (
 
 
 def build_majority_samples(
-    records: Iterable[ReportRecord],
+    reports: ReportColumns,
     hits_by_report: Mapping[str, tuple[int, int, int]],
     market: MarketData,
-    start: Date | None = None,
-    end: Date | None = None,
+    start: Date,
+    end: Date,
 ) -> tuple[list[str], np.ndarray, dict[str, int]]:
-    """Join majority classes to release-day metrics for each (report, stock).
+    """Join majority classes to release-day metrics for each (report, stock)
+    pair of the reports released in [start, end].
 
     Returns the majority class of each sample, a float64 matrix with one
     row per sample and one column per ``MAJORITY_VARIABLES`` entry (t is
     the release trading day itself, range scaled by 100), and the drops.
     ``hits_by_report`` holds the (positive, neutral, negative) lexicon hits
-    of each report's cleaned text; pairs of a report without hit counts
-    (tallied as "no tokens") or with missing market data are dropped and
-    tallied, like panel rows.
+    of each report's cleaned text. Before any kernel runs, a pair is
+    dropped for "no tokens" (its report has no hit counts), then for
+    "missing market data" (the release trading day is the calendar's first
+    or last, or there is none); the kernels drop the rest that miss market
+    data, like panel rows (``PAIR_DROPS``).
     """
-    calendar = market.calendar
-    last_day = len(calendar) - 1
-    reasons: list[str | None] = []  # per pair; None for the pairs the kernels judge
-    pairs: list[tuple[str, str, int]] = []
-    for record in _in_range(records, start, end):
-        hits = hits_by_report.get(record.report_id)
-        if hits is None:
-            reasons.extend(["no tokens"] * len(record.stock_codes))
-            continue
-        cls = classify_majority(hits)
-        s_day = calendar.locate(record.release_date)
-        for stock_id in record.stock_codes:
-            if 0 < s_day < last_day:
-                reasons.append(None)
-                pairs.append((stock_id, cls, s_day))
-            else:
-                reasons.append("missing market data")
+    report_of, codes, released = reports.pairs(start, end)
+    pair_hits = [hits_by_report.get(reports.ids[i]) for i in report_of.tolist()]
+    days = market.calendar.locate(released)
+    drops = [
+        (np.array([hits is None for hits in pair_hits], dtype=bool), "no tokens"),
+        ((days < 1) | (days >= len(market.calendar) - 1), "missing market data"),
+    ]
+    kept = np.flatnonzero(judged(drops))
 
-    stocks = market.bars.rows_of(pair[0] for pair in pairs)
-    s = np.array([pair[2] for pair in pairs], dtype=np.intp)
+    stocks = market.bars.rows_of(codes[i] for i in kept.tolist())
+    s = days[kept]
     parts = (
         excess_return(market, stocks, s),
         excess_return(market, stocks, s - 1),
@@ -656,12 +644,12 @@ def build_majority_samples(
         garman_klass_range(market, stocks, s),
     )
     status = first_failure(market, *parts)
-    drops = tally(reasons, status, PAIR_DROPS)
 
     ok = np.flatnonzero(status == OK)
     values = np.column_stack([part.values[ok] for part in parts])
     values[:, -1] *= RANGE_SCALE
-    return [pairs[i][1] for i in ok.tolist()], values, drops
+    classes = [classify_majority(pair_hits[i]) for i in kept[ok].tolist()]
+    return classes, values, tally(drops, status, PAIR_DROPS)
 
 
 def majority_group_tests(

@@ -99,6 +99,7 @@ class TradingCalendar:
             if a >= b:
                 raise DataError(f"calendar dates not strictly increasing at {a} -> {b}")
         self.dates: tuple[Date, ...] = tuple(ds)
+        self.ordinals = np.array([d.toordinal() for d in ds], dtype=np.int64)
         self._pos = {d: i for i, d in enumerate(self.dates)}
 
     def __len__(self) -> int:
@@ -135,10 +136,10 @@ class TradingCalendar:
             raise CalendarRangeError(f"no trading day after {d} on this calendar")
         return self.dates[i]
 
-    def locate(self, d: Date) -> int:
-        """Position of ``align(d)``; ``len(self)`` when no trading day is on or after d."""
-        i = self._pos.get(d)
-        return bisect_left(self.dates, d) if i is None else i
+    def locate(self, days: np.ndarray) -> np.ndarray:
+        """Position of ``align(d)`` for each day ordinal; ``len(self)`` where
+        no trading day is on or after it."""
+        return np.searchsorted(self.ordinals, days)
 
     def align(self, d: Date) -> Date:
         """Map an arbitrary date onto the calendar: d itself when it is a
@@ -558,10 +559,17 @@ def load_market(
 SNAPSHOT = "market.npz"
 MANIFEST = "market.json"
 SNAPSHOT_FORMAT = 1
+HASH_CHUNK = 1 << 20  # bytes of a file hashed at a time
 
 
 def _sha256(path, extra: bytes = b"") -> str:
-    return hashlib.sha256(Path(path).read_bytes() + extra).hexdigest()
+    """sha256 of a file's bytes followed by ``extra``, read a chunk at a time."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as stream:
+        while chunk := stream.read(HASH_CHUNK):
+            digest.update(chunk)
+    digest.update(extra)
+    return digest.hexdigest()
 
 
 def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, infer_calendar=False) -> dict:
@@ -590,7 +598,7 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
     with open(out_dir / (SNAPSHOT + ".tmp"), "wb") as stream:
         np.savez(
             stream,
-            calendar=np.array([d.toordinal() for d in market.calendar.dates]),
+            calendar=market.calendar.ordinals,
             names=np.frombuffer(names, np.uint8),
             bar_cells=np.array(bar_cells),
             bar_values=np.array([getattr(bars, name)[bar_cells] for name in BARS_HEADER[2:]]),

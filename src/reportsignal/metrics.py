@@ -44,7 +44,7 @@ count drops with ``tally``.
 from __future__ import annotations
 
 import math
-from datetime import date as Date
+from collections import Counter
 from itertools import repeat
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -215,10 +215,10 @@ def delta_volume(
 
 
 def recommendation_counts(
-    index: CorpusIndex, stock_ids: Sequence[str], days: Sequence[Date]
+    index: CorpusIndex, stock_ids: Sequence[str], days: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Report counts for each (stock, day d) row over trailing calendar-day
-    windows.
+    """Report counts for each (stock, day ordinal d) row over trailing
+    calendar-day windows.
 
     Returns the integer arrays (short, long) of reports citing the stock
     released within [d - 7, d - 1] and [d - 90, d - 1], inclusive on both
@@ -267,20 +267,23 @@ def first_failure(market: MarketData, *parts: Gathered) -> np.ndarray:
     return merged.status
 
 
-def tally(reasons: Sequence[str | None], status: np.ndarray, names: Mapping[int, str]) -> dict[str, int]:
+def judged(drops: Sequence[tuple[np.ndarray, str]]) -> np.ndarray:
+    """Whether each pair is in none of the ``drops`` masks, so the kernels judge it."""
+    return ~np.logical_or.reduce([mask for mask, _ in drops])
+
+
+def tally(drops: Sequence[tuple[np.ndarray, str]], status: np.ndarray, names: Mapping[int, str]) -> dict[str, int]:
     """Drop counts by reason, keyed in the order the pairs first show them.
 
-    ``reasons`` has one entry per pair: the reason it was dropped before
-    any kernel ran, or None for a pair the kernels judged; those take
-    ``names[status]`` in turn, and OK pairs are not dropped.
+    ``drops`` holds (mask over the pairs, reason) in priority order: a pair
+    takes the reason of the first mask it is in, before any kernel ran.
+    The ``judged`` pairs take ``names[status]`` in turn, and OK pairs are
+    not dropped.
     """
-    judged = iter(status.tolist())
-    drops: dict[str, int] = {}
-    for reason in reasons:
-        if reason is None:
-            code = next(judged)
-            if code == OK:
-                continue
-            reason = names[code]
-        drops[reason] = drops.get(reason, 0) + 1
-    return drops
+    reasons = list(dict.fromkeys([reason for _, reason in drops] + list(names.values())))
+    kernel = {code: reasons.index(name) for code, name in names.items()}
+    codes = np.full(len(drops[0][0]), -1)
+    for mask, reason in reversed(drops):
+        codes[mask] = reasons.index(reason)
+    codes[judged(drops)] = [kernel.get(code, -1) for code in status.tolist()]
+    return {reasons[i]: n for i, n in Counter(codes[codes >= 0].tolist()).items()}

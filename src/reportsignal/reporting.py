@@ -84,10 +84,6 @@ def star_legend(preset: Sequence[tuple[float, str]]) -> str:
     return ", ".join(parts)
 
 
-def _fmt(value: float, spec: str) -> str:
-    return format(value, spec)
-
-
 def _cell(text: str, width: int) -> str:
     """Right-justify, but keep one separating space when the text overflows."""
     return text.rjust(width) if len(text) < width else " " + text
@@ -121,14 +117,14 @@ def format_regression_table(
         for key in outcomes:
             fit = fits[key]
             marker = star_marker(fit.p_values[i], preset)
-            coef_cells.append(_cell(_fmt(fit.coef[i], ".4f") + marker, col_w))
-            t_cells.append(_cell(f"({_fmt(fit.t_stats[i], '.3f')})", col_w))
+            coef_cells.append(_cell(format(fit.coef[i], ".4f") + marker, col_w))
+            t_cells.append(_cell(f"({format(fit.t_stats[i], '.3f')})", col_w))
         lines.append(regressor.ljust(name_w) + "".join(coef_cells))
         lines.append("".ljust(name_w) + "".join(t_cells))
 
     lines.append("-" * width)
     obs_cells = [_cell(str(fits[key].n_obs), col_w) for key in outcomes]
-    r2_cells = [_cell(_fmt(fits[key].r_squared, ".3f"), col_w) for key in outcomes]
+    r2_cells = [_cell(format(fits[key].r_squared, ".3f"), col_w) for key in outcomes]
     lines.append("Observations".ljust(name_w) + "".join(obs_cells))
     lines.append("R-squared".ljust(name_w) + "".join(r2_cells))
     lines.append("-" * width)
@@ -206,8 +202,8 @@ def format_industry_table(
             fit = result.fits[key]
             i = fit.regressors.index(regressor)
             marker = star_marker(fit.p_values[i], preset)
-            coef_cells.append(_cell(_fmt(fit.coef[i], ".4f") + marker, col_w))
-            t_cells.append(_cell(f"({_fmt(fit.t_stats[i], '.3f')})", col_w))
+            coef_cells.append(_cell(format(fit.coef[i], ".4f") + marker, col_w))
+            t_cells.append(_cell(f"({format(fit.t_stats[i], '.3f')})", col_w))
         lines.append(result.sector.ljust(name_w) + str(result.n_rows).rjust(6) + "".join(coef_cells))
         lines.append("".ljust(name_w + 6) + "".join(t_cells))
 
@@ -263,14 +259,14 @@ def format_mean_test_table(
         marker = star_marker(result.p_value, preset)
         lines.append(
             variable.ljust(name_w)
-            + _fmt(result.mean_a, ".4f").rjust(12)
-            + _fmt(result.std_a, ".4f").rjust(10)
+            + format(result.mean_a, ".4f").rjust(12)
+            + format(result.std_a, ".4f").rjust(10)
             + str(result.n_a).rjust(8)
-            + _fmt(result.mean_b, ".4f").rjust(12)
-            + _fmt(result.std_b, ".4f").rjust(10)
+            + format(result.mean_b, ".4f").rjust(12)
+            + format(result.std_b, ".4f").rjust(10)
             + str(result.n_b).rjust(8)
-            + _fmt(result.mean_a - result.mean_b, ".4f").rjust(12)
-            + (_fmt(result.t_stat, ".3f") + marker).rjust(12)
+            + format(result.mean_a - result.mean_b, ".4f").rjust(12)
+            + (format(result.t_stat, ".3f") + marker).rjust(12)
         )
     lines.append("-" * width)
     lines.append(star_legend(preset))

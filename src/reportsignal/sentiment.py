@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable, Mapping
 
-from .corpus import ReportRecord, RowReject, clean_text, read_csv_rows, write_csv_rows
+from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
 from .errors import ArgumentError, DataError, DomainError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
@@ -120,14 +120,14 @@ def load_lexicon(path) -> SentimentLexicon:
 
 
 def prepare_report(
-    record: ReportRecord,
+    title: str,
+    abstract: str,
     lexicon: SentimentLexicon,
     risk_warning_patterns: Iterable[str] = (),
     tail_fraction: float = 0.25,
 ) -> tuple[int, int, int]:
-    """Lexicon hits of the cleaned title+abstract concatenation of a record."""
-    joined = f"{record.title} {record.abstract}"
-    return lexicon.hits(clean_text(joined, risk_warning_patterns, tail_fraction))
+    """Lexicon hits of a report's cleaned title+abstract concatenation."""
+    return lexicon.hits(clean_text(f"{title} {abstract}", risk_warning_patterns, tail_fraction))
 
 
 def lexicon_score(

@@ -33,7 +33,8 @@ value moves are filled at once; a loop over the days advances every
 stock and fills that day's block from the chain, then one ``fsum`` pass
 gives its three targets. Open, high and low follow for all bars in one
 pass after the loop, and the raveled arrays, stock after stock, are the
-dataset's ``market.BarColumns``: no per-bar object is ever made.
+dataset's ``market.BarColumns``: no per-bar object is ever made. The
+reports are gathered field by field into ``corpus.ReportColumns``.
 
 Every exp and log on the chain goes through libm (``math``) element by
 element (``metrics._libm``), as the pipeline computes it: numpy's own
@@ -58,7 +59,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CorpusIndex, ReportRecord, serialize_corpus, write_csv_rows
+from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, OTHER_SECTOR
 from .errors import ConfigurationError
 from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns
@@ -197,6 +198,8 @@ class SynthSpec:
         for name, value in counts.items():
             if value <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         # 66 weekdays span ~92 calendar days, covering the 90-day count
         # lookback; fewer would fail the ingest coverage check.
         if self.warmup_days < 66:
@@ -229,7 +232,7 @@ class SynthSpec:
 class SynthDataset:
     """Everything generate() produces, before any files are written."""
 
-    records: list[ReportRecord]
+    records: ReportColumns
     scores: list[SentimentScore]
     bars: BarColumns
     index_rows: list[tuple[str, Date, float]]
@@ -275,6 +278,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     rng = np.random.default_rng(spec.seed)
     n_cal = spec.warmup_days + spec.n_days + spec.post_days
     cal_dates = _weekdays(spec.start_date, n_cal)
+    cal_ordinals = np.array([d.toordinal() for d in cal_dates], dtype=np.int64)
 
     # --- index level series ------------------------------------------------
     # Lognormal walks; the VIX one is always positive with no flat stretches,
@@ -311,14 +315,13 @@ def generate(spec: SynthSpec) -> SynthDataset:
     n_reports = spec.reports_per_day
     n_tokens = spec.tokens_per_title + spec.tokens_per_abstract
 
-    records: list[ReportRecord] = []
+    # the reports' columns, and each day's counts of codes per report
+    report_ids, titles, abstracts, codes, n_codes = [], [], [], [], []
     scores: list[SentimentScore] = []
     # per report day: the stocks it cites, their (pos, neg) and scaled outcome noise
     planted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    n_multi = 0
     cited_yesterday = np.zeros(spec.n_stocks, dtype=bool)
     for day_pos in range(spec.warmup_days, spec.warmup_days + spec.n_days):
-        day = cal_dates[day_pos]
         perm = rng.permutation(spec.n_stocks)
         multi_flags = rng.random(n_reports) < spec.multi_stock_rate
         triples = rng.dirichlet(spec.score_alpha, n_reports)
@@ -340,26 +343,28 @@ def generate(spec: SynthSpec) -> SynthDataset:
         planted.append((cited, triples[report_of][:, ::2], eps[report_of, second] * sd))
         cited_yesterday[:] = False
         cited_yesterday[cited] = True
-        n_multi += int(multi_flags.sum())
 
         # Token class 0/1/2 from the cumulative score, then a word of it.
         cls = (class_u >= triples[:, :1]).astype(np.intp)
         cls += class_u >= (triples[:, 0] + triples[:, 1])[:, None]
         n_cls = n_words[cls]
         tokens = words[first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)]
-        # the day's reports field by field, then one constructor call each
-        report_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
-        titles = map("".join, tokens[:, : spec.tokens_per_title].tolist())
+        # the day's reports field by field, their cited codes in report order
+        day_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
+        report_ids += day_ids
+        titles += map("".join, tokens[:, : spec.tokens_per_title].tolist())
         warned = (warn_u < spec.risk_warning_rate).tolist()
-        abstracts = [
+        abstracts += [
             "".join(row) + (warning_tail if w else "")
             for row, w in zip(tokens[:, spec.tokens_per_title :].tolist(), warned)
         ]
-        cited_ids = [stock_ids[s] for s in cited.tolist()]
-        cited_by = [tuple(cited_ids[end - k : end]) for end, k in zip(ends.tolist(), n_cited.tolist())]
-        records += map(ReportRecord, report_ids, titles, abstracts, cited_by, [day] * n_reports)
-        scores += map(SentimentScore, report_ids, *triples.T.tolist())
+        codes += [stock_ids[s] for s in cited.tolist()]
+        n_codes.append(n_cited)
+        scores += map(SentimentScore, day_ids, *triples.T.tolist())
 
+    report_days = np.repeat(cal_ordinals[spec.warmup_days : spec.warmup_days + spec.n_days], n_reports)
+    offsets = np.concatenate(([0], *n_codes)).cumsum()
+    records = ReportColumns(report_ids, titles, abstracts, report_days, codes, offsets)
     # the citation-count regressors come from the pipeline's own index
     corpus_index = CorpusIndex(records)
 
@@ -381,9 +386,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     bounds = np.cumsum([0] + [block[0].size for block in planted]).tolist()
     rows_all, pos_neg, noise_all = map(np.concatenate, zip(*planted))
     t_all = np.repeat(np.arange(first, first + spec.n_days), np.diff(bounds))
-    num7, num90 = recommendation_counts(
-        corpus_index, [stock_ids[i] for i in rows_all.tolist()], [cal_dates[t] for t in t_all.tolist()]
-    )
+    num7, num90 = recommendation_counts(corpus_index, [stock_ids[i] for i in rows_all.tolist()], cal_ordinals[t_all])
     market_x = np.column_stack((logret[SZSE], logret[SSE], logret[CSI500], vix_diff))
     x_all = np.column_stack(
         (np.ones(t_all.size), pos_neg, np.empty((t_all.size, 3)), market_x[t_all - 1], num90 / 100.0, num7 / 100.0)
@@ -463,7 +466,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         "n_days": spec.n_days,
         "reports_per_day": spec.reports_per_day,
         "n_reports": len(records),
-        "n_multi_stock_reports": n_multi,
+        "n_multi_stock_reports": len(codes) - len(report_ids),  # a multi-stock report cites two
         "n_planted_outcomes": n_planted,
         "n_range_targets_clamped": n_clamped,
         "betas": {k: dict(v) for k, v in spec.betas.items()},

@@ -6,7 +6,9 @@ store, the index store, the scalar ``garman_klass`` formula and the four
 metric functions, the bisect ``CorpusIndex`` and the scalar
 ``recommendation_counts``, the ``PanelRow`` value with its row checks and
 the ``MajoritySample`` value, the panel and majority build functions, and
-the label-pool loop of ``cli.cmd_label``.
+the label-pool loop of ``cli.cmd_label``. They run on ``ReportRecord``
+values, one per report, the corpus form that ``corpus.ReportColumns``
+replaced; ``records_of`` and ``columns_of`` convert between the two.
 
 Two deliberate changes from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -25,7 +27,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from reportsignal.corpus import ReportRecord, RowReject, read_csv_rows
+from reportsignal.corpus import ReportColumns, RowReject, read_csv_rows
 from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
 from reportsignal.errors import (
     CalendarRangeError,
@@ -49,6 +51,41 @@ from reportsignal.market import (
 )
 from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW
 from reportsignal.sentiment import SentimentScore, classify_majority
+
+
+@dataclass(frozen=True)
+class ReportRecord:
+    """One analyst report as parsed from a corpus file."""
+
+    report_id: str
+    title: str
+    abstract: str
+    stock_codes: tuple[str, ...]
+    release_date: Date
+
+
+def records_of(reports: ReportColumns) -> list[ReportRecord]:
+    """One ``ReportRecord`` per report of ``reports``, in order."""
+    bounds = reports.offsets.tolist()
+    return [
+        ReportRecord(report_id, title, abstract, tuple(reports.codes[lo:hi]), Date.fromordinal(day))
+        for report_id, title, abstract, lo, hi, day in zip(
+            reports.ids, reports.titles, reports.abstracts, bounds, bounds[1:], reports.days.tolist()
+        )
+    ]
+
+
+def columns_of(records: Iterable[ReportRecord]) -> ReportColumns:
+    """The ``ReportColumns`` of ``records``, in order."""
+    records = list(records)
+    return ReportColumns(
+        [record.report_id for record in records],
+        [record.title for record in records],
+        [record.abstract for record in records],
+        np.array([record.release_date.toordinal() for record in records], dtype=np.int64),
+        [code for record in records for code in record.stock_codes],
+        np.cumsum([0] + [len(record.stock_codes) for record in records], dtype=np.int64),
+    )
 
 
 class CorpusIndex:

@@ -10,7 +10,6 @@ from datetime import date as Date
 
 import numpy as np
 
-from reportsignal.corpus import ReportRecord
 from reportsignal.market import CSI500, SSE, SZSE, VIX
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
@@ -23,7 +22,14 @@ from reportsignal.synthkit import (
     _lexicon_word_lists,
     _weekdays,
 )
-from tests.reference_market import CorpusIndex, DailyBar, garman_klass, recommendation_counts
+from tests.reference_market import (
+    CorpusIndex,
+    DailyBar,
+    ReportRecord,
+    columns_of,
+    garman_klass,
+    recommendation_counts,
+)
 
 
 def generate_scalar(spec: SynthSpec) -> SynthDataset:
@@ -266,7 +272,7 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
     }
 
     return SynthDataset(
-        records=records,
+        records=columns_of(records),
         scores=scores,
         bars=bars,
         index_rows=index_rows,

@@ -10,6 +10,7 @@ from reportsignal.config import packaged_data_path
 from reportsignal.econometrics import build_majority_samples, build_panel
 from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, small_dataset
+from tests.reference_market import records_of
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -42,8 +43,9 @@ def test_panel_and_majority_read_offs_match_the_ledgers():
     market, corpus_index, scores = assemble(ds)
     start, end = ds.test_range
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    hits = {r.report_id: prepare_report(r, lexicon) for r in ds.records}
-    n_pairs = sum(len(r.stock_codes) for r in ds.records if start <= r.release_date <= end)
+    records = records_of(ds.records)
+    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records}
+    n_pairs = sum(len(r.stock_codes) for r in records if start <= r.release_date <= end)
 
     panel = build_panel(ds.records, scores, market, corpus_index, start, end)
     assert panel.n_pairs == n_pairs

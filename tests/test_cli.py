@@ -16,7 +16,7 @@ import pytest
 import reportsignal
 from reportsignal.cli import firewall_fence, main
 from reportsignal.config import packaged_data_path
-from reportsignal.corpus import read_csv_rows
+from reportsignal.corpus import CORPUS_HEADER, read_csv_rows
 from reportsignal.econometrics import PANEL_HEADER
 from reportsignal.market import load_calendar
 from reportsignal.sentiment import SCORES_HEADER
@@ -238,6 +238,17 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
     # calendar too short for the test range plus its lookback margins
     coverage = write_config(lambda raw: raw.update(test_end="2099-01-03"))
     assert run("ingest", "--config", coverage) == 1
+    capsys.readouterr()
+
+    # a negative generator seed, given as a flag or in the config
+    negative = write_config(lambda raw: raw.update(seed=-1))
+    env = dict(os.environ, PYTHONPATH=str(Path(reportsignal.__file__).parents[1]))
+    for argv in (("--seed", "-1"), ("--config", negative)):
+        argv = [sys.executable, "-m", "reportsignal", "synth", *map(str, argv), "--out", str(tmp_path / "neg")]
+        done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 1, done.stderr
+        assert done.stderr == "error: seed must be non-negative, got -1\n"
+        assert not (tmp_path / "neg").exists()
 
 
 def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
@@ -356,19 +367,33 @@ def test_a_non_finite_panel_value_exits_two(dataset_dir, tmp_path, capsys):
 
 
 def test_every_pair_is_a_sample_or_a_drop(dataset_dir, tmp_path):
-    """pairs = rows + drops for the panel, and pairs = samples + drops for
-    the majority block, also when a header-only lexicon leaves every
-    report without tokens."""
+    """pairs = rows + drops for the panel, pairs = samples + drops for the
+    majority block and pairs = entries + skipped for the daily series, also
+    when a header-only lexicon leaves every report without tokens; and the
+    label pool plus its drops are the training-range pairs of the corpus."""
     config = dataset_dir / "config.json"
+    raw = read_json(config)
+    train = (Date.fromisoformat(raw["train_start"]), Date.fromisoformat(raw["train_end"]))
+    train_pairs = sum(
+        len(row[3].split(";"))
+        for _, row in read_csv_rows(dataset_dir / "corpus.csv", CORPUS_HEADER)
+        if train[0] <= Date.fromisoformat(row[4]) <= train[1]
+    )
     empty = clone_with_text_inputs(dataset_dir, tmp_path / "empty")
     (empty.parent / "lexicon.csv").write_text("word,label\n", encoding="utf-8")
     for name, path in (("full", config), ("empty", empty)):
-        assert run("analyze", "--config", path, "--out", tmp_path / name) == 0
-        report = read_json(tmp_path / name / "analyze_report.json")
+        out = tmp_path / f"{name}-out"
+        assert run("analyze", "--config", path, "--out", out) == 0
+        report = read_json(out / "analyze_report.json")
         pairs = report["panel"]["n_pairs"]
         assert report["panel"]["n_rows"] + sum(report["panel"]["drops"].values()) == pairs
         majority = report["majority"]
         assert majority["n_samples"] + sum(majority["drops"].values()) == pairs, name
+        series = report["daily_series"]
+        assert series["n_entries"] + series["n_skipped"] == pairs, name
+        assert run("label", "--config", path, "--out", out) == 0
+        labels = read_json(out / "label_report.json")
+        assert labels["n_pool"] + sum(labels["drops"].values()) == train_pairs, name
     assert majority["drops"] == {"no tokens": pairs}
 
 

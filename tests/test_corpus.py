@@ -10,7 +10,6 @@ import pytest
 from reportsignal.config import packaged_data_path
 from reportsignal.corpus import (
     CorpusIndex,
-    ReportRecord,
     clean_text,
     load_risk_warning_patterns,
     parse_corpus,
@@ -22,6 +21,7 @@ from reportsignal.sentiment import SentimentLexicon, load_lexicon, prepare_repor
 from reportsignal.synthkit import SynthSpec, generate
 from tests import reference_text
 from tests.helpers import small_dataset
+from tests.reference_market import ReportRecord, columns_of, records_of
 from tests.reference_text import SegmentDictionary, segment
 
 
@@ -34,10 +34,11 @@ def test_parse_happy_path():
     result = parse_corpus(io.StringIO(text))
     assert not result.rejects
     assert result.error_rate == 0.0
-    assert result.records[0] == ReportRecord(
+    records = records_of(result.records)
+    assert records[0] == ReportRecord(
         "r1", "Title one", "Body one", ("600000.SH",), Date(2019, 3, 4)
     )
-    assert result.records[1].stock_codes == ("600000.SH", "000001.SZ")
+    assert records[1].stock_codes == ("600000.SH", "000001.SZ")
 
 
 def test_parse_rejects_bad_rows_individually():
@@ -51,7 +52,7 @@ def test_parse_rejects_bad_rows_individually():
         "r7,t,a,600000.SH,2019-03-04\n"
     )
     result = parse_corpus(io.StringIO(text), max_error_rate=1.0)
-    assert [r.report_id for r in result.records] == ["r7"]
+    assert result.records.ids == ["r7"]
     assert [r.line for r in result.rejects] == [2, 3, 4, 5, 6]
     reasons = [r.reason for r in result.rejects]
     assert "expected 5 fields" in reasons[0]
@@ -102,8 +103,8 @@ def test_serialize_round_trips_commas_and_cjk(tmp_path):
         )
     ]
     path = tmp_path / "corpus.csv"
-    serialize_corpus(records, path)
-    assert parse_corpus(path).records == records
+    serialize_corpus(columns_of(records), path)
+    assert records_of(parse_corpus(path).records) == records
 
 
 def test_clean_text_normalises_whitespace_and_control_chars():
@@ -139,7 +140,8 @@ def test_clean_text_is_idempotent():
 
 def test_clean_text_matches_the_scalar_reference():
     patterns = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
-    texts = [f"{r.title} {r.abstract}" for r in generate(SynthSpec(seed=0)).records]
+    reports = generate(SynthSpec(seed=0)).records
+    texts = [f"{title} {abstract}" for title, abstract in zip(reports.titles, reports.abstracts)]
     body = "公司业绩稳健增长" * 10
     texts += [
         f"{body}\u3000风险提示：宏观经济下行",
@@ -210,17 +212,15 @@ def test_packaged_lexicon_words_round_trip_through_segmentation():
 
 
 def test_prepare_report_joins_title_and_abstract():
-    record = ReportRecord(
-        "r1", "业绩突破", "公司有望 保持领先地位 风险提示 注意", ("600000.SH",), Date(2019, 3, 4)
-    )
+    title, abstract = "业绩突破", "公司有望 保持领先地位 风险提示 注意"
     # "注意" follows the risk-warning marker, so the cut text never holds it
     lexicon = SentimentLexicon(
         {"突破": POSITIVE, "有望": POSITIVE, "领先地位": POSITIVE, "业绩": NEUTRAL, "注意": NEGATIVE}
     )
     # the cleaned text "业绩突破 公司有望 保持领先地位" segments as
     # 业绩 突破 公 司 有望 保 持 领先地位
-    assert prepare_report(record, lexicon, ("风险提示",), tail_fraction=0.5) == (3, 1, 0)
-    assert prepare_report(record, lexicon) == (3, 1, 1)
+    assert prepare_report(title, abstract, lexicon, ("风险提示",), tail_fraction=0.5) == (3, 1, 0)
+    assert prepare_report(title, abstract, lexicon) == (3, 1, 1)
 
 
 def test_lexicon_hits_match_the_reference_segmenter():
@@ -229,7 +229,8 @@ def test_lexicon_hits_match_the_reference_segmenter():
     report texts and on random lexicons over texts built to stress it."""
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     patterns = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
-    texts = [clean_text(f"{r.title} {r.abstract}", patterns) for r in small_dataset().records]
+    reports = small_dataset().records
+    texts = [clean_text(f"{title} {abstract}", patterns) for title, abstract in zip(reports.titles, reports.abstracts)]
     assert any(lexicon.hits(text) != (0, 0, 0) for text in texts)
     for text in texts:
         assert lexicon.hits(text) == reference_text.token_hits(text, lexicon)
@@ -276,13 +277,13 @@ def test_corpus_index_counts_inclusive_windows():
             ]
         )
     ]
-    index = CorpusIndex(records)
+    index = CorpusIndex(columns_of(records))
     assert index.codes == {"600000.SH": 0, "000001.SZ": 1}
     assert len(index.keys) == 4  # one key per (cited stock, report) pair
     assert np.all(np.diff(index.keys) >= 0)
 
     def count_between(sid, lo, hi):
-        lo_key, hi_key = index.keys_of([sid, sid], [lo, hi])
+        lo_key, hi_key = index.keys_of([sid, sid], [lo.toordinal(), hi.toordinal()])
         n = np.searchsorted(index.keys, hi_key, "right") - np.searchsorted(index.keys, lo_key, "left")
         return max(int(n), 0)
 
@@ -292,3 +293,27 @@ def test_corpus_index_counts_inclusive_windows():
     assert count_between("000001.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 1
     assert count_between("600000.SH", Date(2019, 3, 10), Date(2019, 3, 4)) == 0
     assert count_between("999999.SZ", Date(2019, 3, 1), Date(2019, 3, 31)) == 0
+
+
+def test_pairs_expand_the_reports_of_a_date_range():
+    """One (report position, code, release ordinal) per cited stock of each
+    report released in [start, end], inclusive, in report and citation order."""
+    reports = columns_of(
+        ReportRecord(f"r{i}", "t", "a", codes, day)
+        for i, (codes, day) in enumerate(
+            [
+                (("600000.SH",), Date(2019, 3, 4)),
+                (("600001.SH", "000001.SZ"), Date(2019, 3, 6)),
+                (("600002.SH",), Date(2019, 3, 10)),
+                (("600003.SH", "000003.SZ"), Date(2019, 3, 5)),
+            ]
+        )
+    )
+    report_of, codes, days = reports.pairs(Date(2019, 3, 5), Date(2019, 3, 6))
+    assert report_of.tolist() == [1, 1, 3, 3]
+    assert codes == ["600001.SH", "000001.SZ", "600003.SH", "000003.SZ"]
+    assert days.tolist() == [Date(2019, 3, d).toordinal() for d in (6, 6, 5, 5)]
+    report_of, codes, _ = reports.pairs(Date(2019, 3, 4), Date(2019, 3, 10))
+    assert report_of.tolist() == [0, 1, 1, 2, 3, 3]
+    assert codes == reports.codes
+    assert reports.pairs(Date(2019, 3, 11), Date(2019, 3, 31))[1] == []

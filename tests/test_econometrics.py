@@ -32,6 +32,7 @@ from reportsignal.errors import ArgumentError, DataError, NumericalError, Schema
 from reportsignal.market import IndustryMap
 from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
+from tests.reference_market import records_of
 
 
 def test_t_distribution_tail_anchors():
@@ -297,7 +298,7 @@ def test_build_panel_accounts_for_every_pair():
     market, corpus_index, scores = assemble(ds)
     start, end = ds.test_range
     result = build_panel(ds.records, scores, market, corpus_index, start, end)
-    in_range = [r for r in ds.records if start <= r.release_date <= end]
+    in_range = [r for r in records_of(ds.records) if start <= r.release_date <= end]
     n_pairs = sum(len(r.stock_codes) for r in in_range)
     assert result.n_pairs == n_pairs
     assert len(result.rows) + result.n_dropped == n_pairs
@@ -433,10 +434,11 @@ def test_majority_samples_from_a_generated_dataset():
     ds = small_dataset()
     market, _, _ = assemble(ds)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    hits = {r.report_id: prepare_report(r, lexicon) for r in ds.records}
+    records = records_of(ds.records)
+    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records}
     start, end = ds.test_range
     classes, values, drops = build_majority_samples(ds.records, hits, market, start, end)
-    in_range = [r for r in ds.records if start <= r.release_date <= end]
+    in_range = [r for r in records if start <= r.release_date <= end]
     n_pairs = sum(len(r.stock_codes) for r in in_range)
     assert len(classes) + sum(drops.values()) == n_pairs
     assert len(classes) > 0

@@ -1,5 +1,6 @@
 """Unit tests for calendar, bar/index stores, and market file loading."""
 
+import hashlib
 import math
 from datetime import date as Date
 
@@ -14,11 +15,13 @@ from reportsignal.errors import (
     SchemaError,
 )
 from reportsignal.market import (
+    HASH_CHUNK,
     BarStore,
     IndexStore,
     IndustryMap,
     MarketData,
     TradingCalendar,
+    _sha256,
     load_calendar,
     load_market,
 )
@@ -81,6 +84,9 @@ def test_calendar_next_previous_align():
     assert cal.align(saturday) == Date(2019, 3, 11)
     with pytest.raises(CalendarRangeError):
         cal.next(cal.last())
+    # the position of align(d) for each day ordinal, len(cal) past the last day
+    days = [MONDAY, saturday, Date(2019, 3, 3), cal.last(), Date(2019, 3, 16)]
+    assert cal.locate(np.array([d.toordinal() for d in days])).tolist() == [0, 5, 0, 9, 10]
 
 
 def test_calendar_coverage_requirements():
@@ -402,3 +408,13 @@ def test_load_calendar_rejects_garbage(tmp_path):
     path.write_text("2019-03-04\nnot-a-date\n", encoding="utf-8")
     with pytest.raises(DataError):
         load_calendar(path)
+
+
+def test_file_digest_streams_the_file_then_the_extra_bytes(tmp_path):
+    data = np.random.default_rng(3).bytes(2 * HASH_CHUNK + 17)
+    path = tmp_path / "big.bin"
+    path.write_bytes(data)
+    assert _sha256(path, b"tail") == hashlib.sha256(data + b"tail").hexdigest()
+    assert _sha256(path) == hashlib.sha256(data).hexdigest()
+    path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+    assert _sha256(path, b"tail") != hashlib.sha256(data + b"tail").hexdigest()

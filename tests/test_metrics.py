@@ -7,7 +7,8 @@ from datetime import date as Date, timedelta
 import pytest
 
 from tests.helpers import bar_columns, flat_bar, gather, ranges_of, weekdays
-from reportsignal.corpus import CorpusIndex, ReportRecord
+from tests.reference_market import ReportRecord, columns_of
+from reportsignal.corpus import CorpusIndex
 from reportsignal.market import (
     BarStore,
     IndexStore,
@@ -135,7 +136,7 @@ def test_recommendation_counts_inclusive_calendar_windows():
     days_before = (0, 1, 7, 8, 90, 91)
     records = [record(f"ab{k}", d - timedelta(days=k), (a, b)) for k in days_before]
     records += [record(f"b{k}", d - timedelta(days=k), (b,)) for k in days_before]
-    index = CorpusIndex(records)
+    index = CorpusIndex(columns_of(records))
     assert index.codes == {a: 0, b: 1}
     table = [
         # stock, day, reports in [day-7, day-1], in [day-90, day-1]
@@ -147,14 +148,14 @@ def test_recommendation_counts_inclusive_calendar_windows():
         (b, d - timedelta(days=92), 0, 0),
         ("999999.SZ", d, 0, 0),  # a stock no report cites
     ]
-    short, long = recommendation_counts(index, [row[0] for row in table], [row[1] for row in table])
+    short, long = recommendation_counts(index, [row[0] for row in table], [row[1].toordinal() for row in table])
     assert short.dtype.kind == long.dtype.kind == "i"
     assert list(zip(short.tolist(), long.tolist())) == [row[2:] for row in table]
 
 
 def test_recommendation_counts_unknown_stock_is_zero():
-    index = CorpusIndex([record("r1", Date(2021, 6, 15))])
-    short, long = recommendation_counts(index, ["000001.SZ"], [Date(2021, 6, 20)])
+    index = CorpusIndex(columns_of([record("r1", Date(2021, 6, 15))]))
+    short, long = recommendation_counts(index, ["000001.SZ"], [Date(2021, 6, 20).toordinal()])
     assert (short.tolist(), long.tolist()) == ([0], [0])
 
 

@@ -5,6 +5,7 @@ sample and label-pool entry, on clean and mutated input files, with and
 without a fence, and with the parsed market read back from its snapshot."""
 
 import random
+from datetime import date
 
 import numpy as np
 import pytest
@@ -84,8 +85,9 @@ def dataset():
     ds = small_dataset(seed=2)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     # every seventh report has no hit counts
-    skipped = {r.report_id for r in ds.records[::7]}
-    return ds, {r.report_id: prepare_report(r, lexicon) for r in ds.records if r.report_id not in skipped}
+    skipped = set(ds.records.ids[::7])
+    records = reference.records_of(ds.records)
+    return ds, {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records if r.report_id not in skipped}
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -176,25 +178,27 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         new.market.set_fence(fence)
         old.market.set_fence(fence)
     scores = {score.report_id: score for score in ds.scores}
-    index, old_index = CorpusIndex(ds.records), reference.CorpusIndex(ds.records)
+    records = reference.records_of(ds.records)
+    index, old_index = CorpusIndex(ds.records), reference.CorpusIndex(records)
     compared = []
-    for start, end in (ds.test_range, (None, None)):
+    # the test range, and every report: the reference takes None for no bound
+    for (start, end), old_bounds in ((ds.test_range, ds.test_range), ((date.min, date.max), (None, None))):
         compared.append(
             (
                 outcome(panel_as_rows, ds.records, scores, new.market, index, start, end, vix_mode="diff"),
-                outcome(reference.build_panel, ds.records, scores, old.market, old_index, start, end, vix_mode="diff"),
+                outcome(reference.build_panel, records, scores, old.market, old_index, *old_bounds, vix_mode="diff"),
             )
         )
         compared.append(
             (
                 outcome(majority_lists, ds.records, hits, new.market, start, end),
-                outcome(reference_majority_lists, ds.records, hits, old.market, start, end),
+                outcome(reference_majority_lists, records, hits, old.market, *old_bounds),
             )
         )
     compared.append(
         (
             outcome(label_pool, ds.records, new.market, *ds.train_range),
-            outcome(reference.label_pool, ds.records, old.market, *ds.train_range),
+            outcome(reference.label_pool, records, old.market, *ds.train_range),
         )
     )
     for got, want in compared:

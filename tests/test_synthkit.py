@@ -16,13 +16,14 @@ from reportsignal.market import TradingCalendar, load_market
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
 from tests.helpers import assemble, bar_columns, estimate, small_dataset, small_spec
+from tests.reference_market import records_of
 from tests.reference_synth import generate_scalar
 
 
 def run_recovery(ds):
     """Panel + pooled regressions over the full report range."""
     market, corpus_index, scores = assemble(ds)
-    result = build_panel(ds.records, scores, market, corpus_index)
+    result = build_panel(ds.records, scores, market, corpus_index, ds.train_range[0], ds.test_range[1])
     assert not result.drops, f"synthetic data should never drop rows: {result.drops}"
     return run_pooled_regressions(result.rows)
 
@@ -36,7 +37,7 @@ def load_written(ds, directory):
 def test_generation_is_deterministic(tmp_path):
     a = generate(small_spec(seed=5))
     b = generate(small_spec(seed=5))
-    assert a.records == b.records
+    assert records_of(a.records) == records_of(b.records)
     assert a.scores == b.scores
     assert a.truth == b.truth
     for field in dataclasses.fields(a.bars):
@@ -64,8 +65,8 @@ def test_every_bar_is_valid_with_nonnegative_range(tmp_path):
 
 def test_scores_pair_with_records():
     ds = small_dataset(seed=4)
-    assert [s.report_id for s in ds.scores] == [r.report_id for r in ds.records]
-    for record in ds.records:
+    assert [s.report_id for s in ds.scores] == ds.records.ids
+    for record in records_of(ds.records):
         assert record.release_date.weekday() < 5
         assert ds.test_range[0] <= record.release_date <= ds.test_range[1] or (
             ds.train_range[0] <= record.release_date <= ds.train_range[1]
@@ -75,7 +76,7 @@ def test_scores_pair_with_records():
 def test_no_stock_is_cited_on_consecutive_days():
     ds = small_dataset(seed=6)
     by_day: dict = {}
-    for record in ds.records:
+    for record in records_of(ds.records):
         by_day.setdefault(record.release_date, []).append(record.stock_codes)
     days = sorted(by_day)
     previous: set = set()
@@ -93,7 +94,7 @@ def test_report_ranges_partition_the_report_days():
     assert ds.train_range == (cal[spec.warmup_days], cal[spec.warmup_days + spec.train_days - 1])
     assert ds.test_range == (cal[spec.warmup_days + spec.train_days], cal[spec.warmup_days + spec.n_days - 1])
     assert ds.train_range[1] < ds.test_range[0]
-    report_days = {r.release_date for r in ds.records}
+    report_days = {r.release_date for r in records_of(ds.records)}
     assert min(report_days) == ds.train_range[0]
     assert max(report_days) == ds.test_range[1]
 
@@ -105,9 +106,9 @@ def test_truth_payload_reflects_the_spec():
     assert truth["format_version"] == 1
     assert truth["seed"] == 7
     assert truth["n_reports"] == len(ds.records)
-    assert truth["n_planted_outcomes"] == sum(len(r.stock_codes) for r in ds.records)
+    assert truth["n_planted_outcomes"] == len(ds.records.codes)
     assert truth["n_multi_stock_reports"] == sum(
-        1 for r in ds.records if len(r.stock_codes) == 2
+        1 for r in records_of(ds.records) if len(r.stock_codes) == 2
     )
     assert truth["betas"] == spec.betas
     assert truth["noise"] == spec.noise
@@ -117,10 +118,10 @@ def test_truth_payload_reflects_the_spec():
 
 def test_multi_stock_rate_extremes():
     every = small_dataset(seed=8, multi_stock_rate=1.0)
-    assert all(len(r.stock_codes) == 2 for r in every.records)
+    assert all(len(r.stock_codes) == 2 for r in records_of(every.records))
     assert every.truth["n_multi_stock_reports"] == len(every.records)
     none = small_dataset(seed=8, multi_stock_rate=0.0)
-    assert all(len(r.stock_codes) == 1 for r in none.records)
+    assert all(len(r.stock_codes) == 1 for r in records_of(none.records))
 
 
 def test_zero_noise_recovers_planted_coefficients_numerically():
