@@ -29,14 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import (
-    RunConfig,
-    VALID_SCORERS,
-    VALID_SE,
-    VALID_STARS,
-    VALID_TTEST,
-    load_config,
-)
+from .config import CHOICES, RunConfig, load_config
 from .corpus import CorpusIndex, ReportColumns, load_risk_warning_patterns, parse_corpus
 from .econometrics import (
     build_majority_samples,
@@ -414,10 +407,10 @@ def _add_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, help="run configuration JSON file")
     parser.add_argument("--out", type=Path, help="output directory (overrides config)")
     parser.add_argument("--seed", type=int, help="generator seed (overrides config)")
-    parser.add_argument("--scorer", choices=VALID_SCORERS, help="sentiment scorer (overrides config)")
-    parser.add_argument("--stars", choices=VALID_STARS, help="star-threshold preset (overrides config)")
-    parser.add_argument("--se", choices=VALID_SE, help="standard-error type (overrides config)")
-    parser.add_argument("--ttest", choices=VALID_TTEST, help="mean-test statistic (overrides config)")
+    parser.add_argument("--scorer", choices=CHOICES["scorer"], help="sentiment scorer (overrides config)")
+    parser.add_argument("--stars", choices=CHOICES["stars"], help="star-threshold preset (overrides config)")
+    parser.add_argument("--se", choices=CHOICES["se"], help="standard-error type (overrides config)")
+    parser.add_argument("--ttest", choices=CHOICES["ttest"], help="mean-test statistic (overrides config)")
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -457,7 +450,7 @@ def main(argv=None) -> int:
                 seed = seed if seed is not None else loaded.seed
                 out = out if out is not None else loaded.out
             return cmd_synth(out if out is not None else Path("synth-data"),
-                             seed if seed is not None else 0)
+                             seed if seed is not None else RunConfig.seed)
         config = _resolve_config(args)
         handler = {
             "ingest": cmd_ingest,

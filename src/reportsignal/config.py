@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from datetime import date as Date
 from importlib import resources
 from pathlib import Path
@@ -19,22 +19,14 @@ from .errors import ConfigurationError
 
 FORMAT_VERSION = 1
 
-VALID_SCORERS = ("external", "lexicon")
-VALID_STARS = ("table3", "table4")
-VALID_SE = ("classical", "robust")
-VALID_TTEST = ("welch", "pooled")
-VALID_VIX_MODES = ("diff", "logdiff")
-
-_PATH_KEYS = ("corpus", "bars", "indices", "industry", "calendar", "scores",
-              "lexicon", "risk_warnings", "out")
-_DATE_KEYS = ("train_start", "train_end", "test_start", "test_end")
-_KNOWN_KEYS = frozenset(
-    ("format_version", "scorer", "stars", "se", "ttest", "min_rows", "vix_mode",
-     "temperature", "tail_fraction", "max_error_rate", "infer_calendar", "seed")
-    + _PATH_KEYS
-    + _DATE_KEYS
-)
-_REQUIRED_KEYS = ("corpus", "bars", "indices", "industry") + _DATE_KEYS
+# The allowed values of each choice option, in the order ``validate`` checks them.
+CHOICES = {
+    "scorer": ("external", "lexicon"),
+    "stars": ("table3", "table4"),
+    "se": ("classical", "robust"),
+    "ttest": ("welch", "pooled"),
+    "vix_mode": ("diff", "logdiff"),
+}
 
 
 def packaged_data_path(name: str) -> Path:
@@ -42,22 +34,27 @@ def packaged_data_path(name: str) -> Path:
     return Path(str(resources.files("reportsignal").joinpath("data", name)))
 
 
-@dataclass
+@dataclass(kw_only=True)
 class RunConfig:
-    """Validated inputs and options for one pipeline run."""
+    """Validated inputs and options for one pipeline run.
+
+    The fields are the config-file schema, in file order: each field is a
+    key, a field without a default is a required key, and ``load_config``
+    and ``synthkit.write_dataset`` read the keys and defaults from here.
+    """
 
     corpus: Path
     bars: Path
     indices: Path
     industry: Path
-    train_start: Date
-    train_end: Date
-    test_start: Date
-    test_end: Date
     calendar: Path | None = None
     scores: Path | None = None
     lexicon: Path | None = None
     risk_warnings: Path | None = None
+    train_start: Date
+    train_end: Date
+    test_start: Date
+    test_end: Date
     scorer: str = "external"
     stars: str = "table3"
     se: str = "classical"
@@ -78,18 +75,10 @@ class RunConfig:
             self.risk_warnings = packaged_data_path("risk_warnings.txt")
 
     def validate(self) -> None:
-        if self.scorer not in VALID_SCORERS:
-            raise ConfigurationError(f"scorer must be one of {VALID_SCORERS}, got {self.scorer!r}")
-        if self.stars not in VALID_STARS:
-            raise ConfigurationError(f"stars must be one of {VALID_STARS}, got {self.stars!r}")
-        if self.se not in VALID_SE:
-            raise ConfigurationError(f"se must be one of {VALID_SE}, got {self.se!r}")
-        if self.ttest not in VALID_TTEST:
-            raise ConfigurationError(f"ttest must be one of {VALID_TTEST}, got {self.ttest!r}")
-        if self.vix_mode not in VALID_VIX_MODES:
-            raise ConfigurationError(
-                f"vix_mode must be one of {VALID_VIX_MODES}, got {self.vix_mode!r}"
-            )
+        for key, choices in CHOICES.items():
+            value = getattr(self, key)
+            if value not in choices:
+                raise ConfigurationError(f"{key} must be one of {choices}, got {value!r}")
         if self.min_rows < 1:
             raise ConfigurationError(f"min_rows must be >= 1, got {self.min_rows}")
         if not (self.temperature > 0.0) or not math.isfinite(self.temperature):
@@ -166,52 +155,33 @@ def load_config(path) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")
 
-    unknown = sorted(set(raw) - _KNOWN_KEYS)
+    schema = fields(RunConfig)
+    unknown = sorted(set(raw) - {"format_version", *(f.name for f in schema)})
     if unknown:
         raise ConfigurationError(f"unknown config keys: {', '.join(unknown)}")
-    missing = [key for key in _REQUIRED_KEYS if raw.get(key) is None]
+    missing = [f.name for f in schema if f.default is MISSING and raw.get(f.name) is None]
     if missing:
         raise ConfigurationError(f"missing config keys: {', '.join(missing)}")
 
     version = raw.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # True == 1, 1.0 == 1
         raise ConfigurationError(
             f"unsupported config format_version {version!r} (expected {FORMAT_VERSION})"
         )
 
+    # Paths resolve against the config's directory, defaults included;
+    # the annotations are strings under ``from __future__ import annotations``.
     base = config_path.parent
-
-    def resolve(key: str, default=None) -> Path | None:
-        value = raw.get(key)
-        if value is None:
-            return default
-        return base / _expect(str, value, key)
-
-    config = RunConfig(
-        corpus=resolve("corpus"),
-        bars=resolve("bars"),
-        indices=resolve("indices"),
-        industry=resolve("industry"),
-        calendar=resolve("calendar"),
-        scores=resolve("scores"),
-        lexicon=resolve("lexicon"),
-        risk_warnings=resolve("risk_warnings"),
-        train_start=_parse_date(raw["train_start"], "train_start"),
-        train_end=_parse_date(raw["train_end"], "train_end"),
-        test_start=_parse_date(raw["test_start"], "test_start"),
-        test_end=_parse_date(raw["test_end"], "test_end"),
-        scorer=_expect(str, raw.get("scorer", "external"), "scorer"),
-        stars=_expect(str, raw.get("stars", "table3"), "stars"),
-        se=_expect(str, raw.get("se", "classical"), "se"),
-        ttest=_expect(str, raw.get("ttest", "welch"), "ttest"),
-        min_rows=_expect(int, raw.get("min_rows", 50), "min_rows"),
-        vix_mode=_expect(str, raw.get("vix_mode", "diff"), "vix_mode"),
-        temperature=_expect(float, raw.get("temperature", 1.0), "temperature"),
-        tail_fraction=_expect(float, raw.get("tail_fraction", 0.25), "tail_fraction"),
-        max_error_rate=_expect(float, raw.get("max_error_rate", 0.1), "max_error_rate"),
-        infer_calendar=_expect(bool, raw.get("infer_calendar", False), "infer_calendar"),
-        out=resolve("out", base / "out"),
-        seed=_expect(int, raw.get("seed", 0), "seed"),
-    )
+    values = {}
+    for f in schema:
+        value = raw.get(f.name)
+        if f.type == "Date":
+            values[f.name] = _parse_date(value, f.name)
+        elif f.type.startswith("Path"):
+            value = f.default if value is None else _expect(str, value, f.name)
+            values[f.name] = None if value is None else base / value
+        else:
+            values[f.name] = _expect(type(f.default), raw.get(f.name, f.default), f.name)
+    config = RunConfig(**values)
     config.validate()
     return config

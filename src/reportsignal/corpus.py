@@ -6,7 +6,12 @@ Every input file is opened through ``open_input``. CSV inputs are framed by
 one-value-per-line inputs with ``#`` comments are read by ``read_lines``.
 Each reader keeps its own row checks and rejects. Every output CSV file is
 written by ``write_csv_rows`` (UTF-8, ``\n`` line ends, csv quoting, one
-header row); callers format their own cells.
+header row); callers format their own cells. The exception is
+``synthkit.write_dataset``'s ``bars.csv`` and ``indices.csv``, whose cells
+(ids, ISO dates, float reprs) never need quoting: it formats their lines
+itself; on the 1x ``bars.csv`` (63.6k rows, 2-CPU x86-64) that took
+0.26-0.37 s against 0.41-0.55 s through ``write_csv_rows``, for the same
+bytes.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header

@@ -55,7 +55,6 @@ import math
 import operator
 import os
 import zipfile
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
 from itertools import islice
@@ -129,13 +128,6 @@ class TradingCalendar:
             )
         return self.dates[i]
 
-    def next(self, d: Date) -> Date:
-        """First trading day strictly after ``d`` (d need not be a trading day)."""
-        i = bisect_right(self.dates, d)
-        if i == len(self.dates):
-            raise CalendarRangeError(f"no trading day after {d} on this calendar")
-        return self.dates[i]
-
     def locate(self, days: np.ndarray) -> np.ndarray:
         """Position of ``align(d)`` for each day ordinal; ``len(self)`` where
         no trading day is on or after it."""
@@ -144,7 +136,10 @@ class TradingCalendar:
     def align(self, d: Date) -> Date:
         """Map an arbitrary date onto the calendar: d itself when it is a
         trading day, otherwise the next one."""
-        return d if d in self._pos else self.next(d)
+        i = int(self.locate(d.toordinal()))
+        if i == len(self.dates):
+            raise CalendarRangeError(f"no trading day after {d} on this calendar")
+        return self.dates[i]
 
     def require_coverage(
         self,
@@ -221,7 +216,7 @@ class _DayGrid:
 
     def fence_position(self) -> int:
         """Calendar position of the fence: reads of earlier days cross it."""
-        return 0 if self.fence is None else bisect_left(self.calendar.dates, self.fence)
+        return 0 if self.fence is None else int(self.calendar.locate(self.fence.toordinal()))
 
     def fence_error(self, day: int) -> DataError:
         return DataError(

@@ -52,15 +52,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from datetime import date as Date, timedelta
 from functools import cache
 from pathlib import Path
 
 import numpy as np
 
+from .config import FORMAT_VERSION, RunConfig
 from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
-from .econometrics import NAMED_SECTORS, OTHER_SECTOR
+from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, RANGE_SCALE
 from .errors import ConfigurationError
 from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns
 from .metrics import _libm, garman_klass, recommendation_counts
@@ -389,7 +390,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     num7, num90 = recommendation_counts(corpus_index, [stock_ids[i] for i in rows_all.tolist()], cal_ordinals[t_all])
     market_x = np.column_stack((logret[SZSE], logret[SSE], logret[CSI500], vix_diff))
     x_all = np.column_stack(
-        (np.ones(t_all.size), pos_neg, np.empty((t_all.size, 3)), market_x[t_all - 1], num90 / 100.0, num7 / 100.0)
+        (np.ones(t_all.size), pos_neg, np.empty((t_all.size, 3)), market_x[t_all - 1], num90 * NUM_SCALE, num7 * NUM_SCALE)
     )
     del planted, pos_neg, t_all, num7, num90
 
@@ -409,7 +410,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             rows, x, noise, s = rows_all[lo:hi], x_all[lo:hi], noise_all[lo:hi], j - 1
             ind = industry_of[rows]
             close_s = closes[rows, s]
-            x[:, 3] = garman_klass(*_bar_shape(close_s, targets[rows, s], zc[rows, s]), close_s) * 100.0
+            x[:, 3] = garman_klass(*_bar_shape(close_s, targets[rows, s], zc[rows, s]), close_s) * RANGE_SCALE
             mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
             x[:, 4] = _libm(math.log, vols[rows, s] / mean60_s)
             x[:, 5] = _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s]
@@ -419,7 +420,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             low = y_range < RANGE_FLOOR_X100
             n_clamped += int(low.sum())
             y_range[low] = RANGE_FLOOR_X100
-            targets[rows, j] = y_range / 100.0
+            targets[rows, j] = y_range / RANGE_SCALE
             closes[rows, j] = close_s * _libm(math.exp, y_ret + ind_logret[ind, j])
             mean60_t = (vol_prefix[rows, j] - vol_prefix[rows, j - 60]) / 60.0
             vols[rows, j] = mean60_t * _libm(math.exp, y_dvol)
@@ -530,33 +531,20 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
         json.dump(dataset.truth, stream, indent=2)
         stream.write("\n")
 
-    config = {
-        "format_version": 1,
-        "corpus": "corpus.csv",
-        "bars": "bars.csv",
-        "indices": "indices.csv",
-        "industry": "industry.csv",
-        "calendar": "calendar.txt",
-        "scores": "scores.csv",
-        "lexicon": None,
-        "risk_warnings": None,
-        "train_start": dataset.train_range[0].isoformat(),
-        "train_end": dataset.train_range[1].isoformat(),
-        "test_start": dataset.test_range[0].isoformat(),
-        "test_end": dataset.test_range[1].isoformat(),
-        "scorer": "external",
-        "stars": "table3",
-        "se": "classical",
-        "ttest": "welch",
-        "min_rows": 50,
-        "vix_mode": "diff",
-        "temperature": 1.0,
-        "tail_fraction": 0.25,
-        "max_error_rate": 0.1,
-        "infer_calendar": False,
-        "out": "out",
-        "seed": seed,
-    }
+    # config.json: every RunConfig key at its default, then this dataset's
+    # files and ranges, an output directory beside them and the seed.
+    config = {"format_version": FORMAT_VERSION}
+    config.update((f.name, None if f.default is MISSING else f.default) for f in fields(RunConfig))
+    train, test = dataset.train_range, dataset.test_range
+    config.update(
+        {key: path.name for key, path in paths.items() if key in config},
+        train_start=train[0].isoformat(),
+        train_end=train[1].isoformat(),
+        test_start=test[0].isoformat(),
+        test_end=test[1].isoformat(),
+        out="out",
+        seed=seed,
+    )
     with open(paths["config"], "w", encoding="utf-8") as stream:
         json.dump(config, stream, indent=2)
         stream.write("\n")

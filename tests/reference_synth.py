@@ -1,6 +1,7 @@
 """The scalar generator: the per-stock x per-day loop that
-``synthkit.generate`` replaced with array code, kept verbatim as the
-reference its output must match byte for byte.
+``synthkit.generate`` replaced with array code, kept as the reference its
+output must match byte for byte. Like the generator, it scales the
+regressors by the panel's own ``RANGE_SCALE`` and ``NUM_SCALE``.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from datetime import date as Date
 
 import numpy as np
 
+from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
 from reportsignal.market import CSI500, SSE, SZSE, VIX
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
@@ -195,15 +197,15 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
                     1.0,
                     pos,
                     neg,
-                    gk[s] * 100.0,
+                    gk[s] * RANGE_SCALE,
                     math.log(vols[s] / mean60_s),
                     math.log(closes[s] / closes[s - 1]) - float(ind_ret[s]),
                     float(index_logret[SZSE][s]),
                     float(index_logret[SSE][s]),
                     float(index_logret[CSI500][s]),
                     float(vix_diff[s]),
-                    num90 / 100.0,
-                    num7 / 100.0,
+                    num90 * NUM_SCALE,
+                    num7 * NUM_SCALE,
                 )
                 y_range = math.fsum(b * v for b, v in zip(beta_r, x)) + eps_r
                 y_ret = math.fsum(b * v for b, v in zip(beta_e, x)) + eps_e
@@ -211,7 +213,7 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
                 if y_range < RANGE_FLOOR_X100:
                     y_range = RANGE_FLOOR_X100
                     n_clamped += 1
-                target = y_range / 100.0
+                target = y_range / RANGE_SCALE
                 close = closes[j - 1] * math.exp(y_ret + float(ind_ret[j]))
                 mean60_t = (vol_prefix[j] - vol_prefix[j - 60]) / 60.0
                 vol = mean60_t * math.exp(y_dvol)

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import pytest
 
 import reportsignal
 from reportsignal.cli import firewall_fence, main
-from reportsignal.config import packaged_data_path
+from reportsignal.config import FORMAT_VERSION, RunConfig, packaged_data_path
 from reportsignal.corpus import CORPUS_HEADER, read_csv_rows
 from reportsignal.econometrics import PANEL_HEADER
 from reportsignal.market import load_calendar
@@ -185,6 +186,23 @@ def test_synth_verb_writes_a_dataset(tmp_path):
     assert truth["seed"] == 3
 
 
+def test_readme_config_example_is_the_schema_at_its_defaults(dataset_dir):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1]
+    example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+    schema = fields(RunConfig)
+    assert list(example) == ["format_version", *(f.name for f in schema)]
+    assert example["format_version"] == FORMAT_VERSION
+    options = [f for f in schema if f.default is not MISSING and not f.type.startswith("Path")]
+    for f in options:
+        assert example[f.name] == f.default and type(example[f.name]) is type(f.default), f.name
+    assert example["lexicon"] is None and example["risk_warnings"] is None
+    # synth writes the same keys, each option at the same default
+    written = read_json(dataset_dir / "config.json")
+    assert list(written) == list(example)
+    assert all(written[f.name] == example[f.name] for f in options if f.name != "seed")
+
+
 def test_usage_errors_exit_one(dataset_dir, capsys):
     config = dataset_dir / "config.json"
     assert run("ingest") == 1  # no --config
@@ -219,6 +237,13 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
 
     version = write_config(lambda raw: raw.update(format_version=99))
     assert run("ingest", "--config", version) == 1
+    capsys.readouterr()
+
+    # JSON true equals 1 in Python, but it is not a format version
+    version = write_config(lambda raw: raw.update(format_version=True))
+    assert run("ingest", "--config", version) == 1
+    err = capsys.readouterr().err
+    assert err == "error: unsupported config format_version True (expected 1)\n", err
 
     missing = write_config(lambda raw: raw.update(corpus="gone.csv"))
     assert run("ingest", "--config", missing) == 1

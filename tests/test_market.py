@@ -75,15 +75,15 @@ def test_calendar_lookup_and_shift():
         cal.shift(cal.last(), 1)
 
 
-def test_calendar_next_previous_align():
+def test_calendar_align_and_locate():
     cal = calendar_of(10)
     saturday = Date(2019, 3, 9)
-    assert cal.next(saturday) == Date(2019, 3, 11)
-    assert cal.next(MONDAY) == Date(2019, 3, 5)
     assert cal.align(MONDAY) == MONDAY
     assert cal.align(saturday) == Date(2019, 3, 11)
-    with pytest.raises(CalendarRangeError):
-        cal.next(cal.last())
+    assert cal.align(Date(2019, 3, 3)) == MONDAY
+    assert cal.align(cal.last()) == cal.last()
+    with pytest.raises(CalendarRangeError, match="^no trading day after 2019-03-16 on this calendar$"):
+        cal.align(Date(2019, 3, 16))
     # the position of align(d) for each day ordinal, len(cal) past the last day
     days = [MONDAY, saturday, Date(2019, 3, 3), cal.last(), Date(2019, 3, 16)]
     assert cal.locate(np.array([d.toordinal() for d in days])).tolist() == [0, 5, 0, 9, 10]
