@@ -37,7 +37,6 @@ from .econometrics import (
 )
 from .errors import (
     ArgumentError,
-    CalendarRangeError,
     ConfigurationError,
     DataError,
     DomainError,

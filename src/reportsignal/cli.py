@@ -39,7 +39,7 @@ from .econometrics import (
     run_pooled_regressions,
     write_panel,
 )
-from .errors import CalendarRangeError, ConfigurationError, DataError, PipelineError
+from .errors import ConfigurationError, DataError, PipelineError
 from .labeling import LABELS, NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
 from .market import MarketData, TradingCalendar, load_market, read_snapshot, write_snapshot
 from .metrics import (
@@ -50,6 +50,7 @@ from .metrics import (
     NO_MAPPING,
     OFF_CALENDAR,
     OK,
+    VOLUME_WINDOW,
     first_failure,
     judged,
     label_window_return,
@@ -139,11 +140,8 @@ def firewall_fence(calendar: TradingCalendar, test_start: Date) -> Date:
     report counting followed by 60 trading days of volume history; reads
     below that point can only concern the training period.
     """
-    try:
-        anchor = calendar.align(test_start - timedelta(days=LONG_COUNT_WINDOW))
-        return calendar.shift(anchor, -60)
-    except CalendarRangeError:
-        return calendar.first()
+    anchor = int(calendar.locate((test_start - timedelta(days=LONG_COUNT_WINDOW)).toordinal()))
+    return calendar.dates[anchor - VOLUME_WINDOW] if VOLUME_WINDOW <= anchor < len(calendar) else calendar.first()
 
 
 # ---------------------------------------------------------------------------
@@ -403,21 +401,35 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigurationError(message)
 
 
-def _add_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", type=Path, help="run configuration JSON file")
-    parser.add_argument("--out", type=Path, help="output directory (overrides config)")
-    parser.add_argument("--seed", type=int, help="generator seed (overrides config)")
-    parser.add_argument("--scorer", choices=CHOICES["scorer"], help="sentiment scorer (overrides config)")
-    parser.add_argument("--stars", choices=CHOICES["stars"], help="star-threshold preset (overrides config)")
-    parser.add_argument("--se", choices=CHOICES["se"], help="standard-error type (overrides config)")
-    parser.add_argument("--ttest", choices=CHOICES["ttest"], help="mean-test statistic (overrides config)")
+# The flags that override a config field, by the field's name.
+_FLAGS = {
+    "out": {"type": Path, "help": "output directory (overrides config)"},
+    "seed": {"type": int, "help": "generator seed (overrides config)"},
+    "scorer": {"choices": CHOICES["scorer"], "help": "sentiment scorer (overrides config)"},
+    "stars": {"choices": CHOICES["stars"], "help": "star-threshold preset (overrides config)"},
+    "se": {"choices": CHOICES["se"], "help": "standard-error type (overrides config)"},
+    "ttest": {"choices": CHOICES["ttest"], "help": "mean-test statistic (overrides config)"},
+}
+
+# verb -> (handler, help text, the override flags it takes besides --config)
+VERBS = {
+    "synth": (cmd_synth, "generate a synthetic dataset with planted effects", ("out", "seed")),
+    "ingest": (cmd_ingest, "validate inputs and report what was read and rejected", ("out",)),
+    "label": (cmd_label, "rank-label training-range reports by market reaction", ("out",)),
+    "score": (cmd_score, "produce sentiment scores for the corpus", ("out", "scorer")),
+    "analyze": (
+        cmd_analyze,
+        "build the panel, run regressions and group tests",
+        ("out", "scorer", "stars", "se", "ttest"),
+    ),
+}
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: argparse.Namespace, flags) -> RunConfig:
     if args.config is None:
         raise ConfigurationError(f"{args.command} requires --config <file>")
     config = load_config(args.config)
-    for flag in ("out", "seed", "scorer", "stars", "se", "ttest"):
+    for flag in flags:
         if getattr(args, flag) is not None:
             setattr(config, flag, getattr(args, flag))
     config.validate()
@@ -431,14 +443,12 @@ def main(argv=None) -> int:
         description="Analyst-report sentiment and market-reaction pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for verb, text in (
-        ("synth", "generate a synthetic dataset with planted effects"),
-        ("ingest", "validate inputs and report what was read and rejected"),
-        ("label", "rank-label training-range reports by market reaction"),
-        ("score", "produce sentiment scores for the corpus"),
-        ("analyze", "build the panel, run regressions and group tests"),
-    ):
-        _add_flags(sub.add_parser(verb, help=text))
+    for verb, (_, text, flags) in VERBS.items():
+        # no abbreviations: synth's --seed would take --se
+        verb_parser = sub.add_parser(verb, help=text, allow_abbrev=False)
+        verb_parser.add_argument("--config", type=Path, help="run configuration JSON file")
+        for flag in flags:
+            verb_parser.add_argument(f"--{flag}", **_FLAGS[flag])
 
     try:
         args = parser.parse_args(argv)
@@ -451,14 +461,8 @@ def main(argv=None) -> int:
                 out = out if out is not None else loaded.out
             return cmd_synth(out if out is not None else Path("synth-data"),
                              seed if seed is not None else RunConfig.seed)
-        config = _resolve_config(args)
-        handler = {
-            "ingest": cmd_ingest,
-            "label": cmd_label,
-            "score": cmd_score,
-            "analyze": cmd_analyze,
-        }[args.command]
-        return handler(config)
+        handler, _, flags = VERBS[args.command]
+        return handler(_resolve_config(args, flags))
     except PipelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -33,10 +33,6 @@ class DomainError(DataError):
     """A value lies outside the mathematical domain of an operation."""
 
 
-class CalendarRangeError(DataError):
-    """A date falls outside the span of the trading calendar."""
-
-
 class ArgumentError(DataError):
     """An operation was invoked with unusable inputs (empty pool, n <= k, ...)."""
 

@@ -10,12 +10,15 @@ handle a leading byte-order mark):
     industry: stock_id,industry_index_id,sector_name
     calendar: one ISO date per line, ascending; '#' lines are comments
 
-Layout. Bars in memory are ``BarColumns``, one array per field with each
-bar's stock code and calendar position; ``load_market`` and
-``synthkit.generate`` both make them. ``BarStore`` and ``IndexStore`` are
-dense (id x trading-day) arrays of the raw values (open/high/low/close/
-volume, or levels) with a ``present`` mask; a stock's row holds its bars
-at their calendar positions. Nothing derived is precomputed per cell
+Layout. Market data in memory is columns: ``BarColumns`` holds one array
+per bar field and ``IndexColumns`` the index levels, each value with its
+id's code and its calendar position; ``load_market``, the snapshot reader
+and ``synthkit.generate`` all make them. A date becomes a calendar
+position one way, through ``TradingCalendar.locate`` (the first trading
+day on or after it). ``BarStore`` and ``IndexStore`` scatter the columns
+into dense (id x trading-day) arrays of the raw values (open/high/low/
+close/volume, or levels) with a ``present`` mask; a stock's row holds its
+bars at their calendar positions. Nothing derived is precomputed per cell
 except the running volume sums and bar counts that make any trailing
 volume window two lookups. The metric kernels in ``metrics`` gather the
 cells they need by (row, day) arrays.
@@ -64,13 +67,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import RowReject, open_input, read_csv_rows, read_lines
-from .errors import (
-    CalendarRangeError,
-    ConfigurationError,
-    DataError,
-    MappingError,
-    SchemaError,
-)
+from .errors import ConfigurationError, DataError, MappingError, SchemaError
 
 SSE = "SSE"
 SZSE = "SZSE"
@@ -88,7 +85,8 @@ BAR_BLOCK_ROWS = 512
 
 
 class TradingCalendar:
-    """Ascending list of trading days with O(1) date->position lookup."""
+    """Ascending list of trading days; ``locate`` turns dates, as day
+    ordinals, into calendar positions."""
 
     def __init__(self, dates: Iterable[Date]):
         ds = list(dates)
@@ -99,13 +97,9 @@ class TradingCalendar:
                 raise DataError(f"calendar dates not strictly increasing at {a} -> {b}")
         self.dates: tuple[Date, ...] = tuple(ds)
         self.ordinals = np.array([d.toordinal() for d in ds], dtype=np.int64)
-        self._pos = {d: i for i, d in enumerate(self.dates)}
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    def __contains__(self, d: Date) -> bool:
-        return d in self._pos
 
     def first(self) -> Date:
         return self.dates[0]
@@ -113,33 +107,15 @@ class TradingCalendar:
     def last(self) -> Date:
         return self.dates[-1]
 
-    def index(self, d: Date) -> int:
-        try:
-            return self._pos[d]
-        except KeyError:
-            raise CalendarRangeError(f"{d} is not a trading day on this calendar")
-
-    def shift(self, d: Date, offset: int) -> Date:
-        """Trading day ``offset`` steps from trading day ``d`` (negative = back)."""
-        i = self.index(d) + offset
-        if not (0 <= i < len(self.dates)):
-            raise CalendarRangeError(
-                f"shift of {d} by {offset} trading days leaves the calendar"
-            )
-        return self.dates[i]
-
     def locate(self, days: np.ndarray) -> np.ndarray:
-        """Position of ``align(d)`` for each day ordinal; ``len(self)`` where
-        no trading day is on or after it."""
+        """Position of the first trading day on or after each day ordinal;
+        ``len(self)`` where there is none."""
         return np.searchsorted(self.ordinals, days)
 
-    def align(self, d: Date) -> Date:
-        """Map an arbitrary date onto the calendar: d itself when it is a
-        trading day, otherwise the next one."""
-        i = int(self.locate(d.toordinal()))
-        if i == len(self.dates):
-            raise CalendarRangeError(f"no trading day after {d} on this calendar")
-        return self.dates[i]
+    def positions(self, days: np.ndarray) -> np.ndarray:
+        """Position of each day ordinal, or -1 where it is no trading day."""
+        at = self.locate(days)
+        return np.where(self.ordinals[np.minimum(at, len(self) - 1)] == days, at, -1)
 
     def require_coverage(
         self,
@@ -160,10 +136,8 @@ class TradingCalendar:
                 f"calendar starts {self.first()}, but needs to start on or before "
                 f"{need_start} ({lookback_days} days before first event {first_event})"
             )
-        try:
-            anchor = self.align(last_event)
-            self.shift(anchor, post_trading_days)
-        except CalendarRangeError:
+        anchor = int(self.locate(last_event.toordinal()))
+        if anchor == len(self) or not 0 <= anchor + post_trading_days < len(self):
             raise ConfigurationError(
                 f"calendar ends {self.last()}, too early for event {last_event} "
                 f"plus {post_trading_days} trading day(s)"
@@ -262,29 +236,26 @@ class BarStore(_DayGrid):
         np.cumsum(self.present, axis=1, out=self.bar_counts[:, 1:])
 
 
-def _keys(rows: list, calendar: TradingCalendar) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Ids in order of first row, and each (id, date, ...) row's id code and
-    calendar position."""
-    key, date = operator.itemgetter(0), operator.itemgetter(1)
-    codes = {k: i for i, k in enumerate(dict.fromkeys(map(key, rows)))}
-    try:
-        days = np.fromiter(map(calendar._pos.__getitem__, map(date, rows)), np.intp, len(rows))
-    except KeyError as exc:
-        raise CalendarRangeError(f"{exc.args[0]} is not a trading day on this calendar") from None
-    return list(codes), np.fromiter(map(codes.__getitem__, map(key, rows)), np.intp, len(rows)), days
+@dataclass(frozen=True, eq=False)
+class IndexColumns:
+    """Index levels as columns: ``indices`` codes into ``ids``, ``days``
+    calendar positions."""
+
+    ids: list[str]
+    indices: np.ndarray
+    days: np.ndarray
+    levels: np.ndarray
 
 
 class IndexStore(_DayGrid):
-    """Index levels per (index, trading day); rows dated off the calendar
-    are never read and are not kept."""
+    """Index levels per (index, trading day), from levels whose ``days``
+    are positions on ``calendar``."""
 
     data = "index"
 
-    def __init__(self, rows: Iterable[tuple[str, Date, float]], calendar: TradingCalendar):
-        rows = [row for row in rows if row[1] in calendar]
-        ids, codes, days = _keys(rows, calendar)
-        super().__init__(calendar, ids, codes, days)
-        self.levels = self._dense(codes, days, np.fromiter(map(operator.itemgetter(2), rows), float, len(rows)))
+    def __init__(self, levels: IndexColumns, calendar: TradingCalendar):
+        super().__init__(calendar, levels.ids, levels.indices, levels.days)
+        self.levels = self._dense(levels.indices, levels.days, levels.levels)
 
 
 class IndustryMap:
@@ -485,8 +456,7 @@ def load_market(
 
     # Calendar checks and duplicates come after every parse/check reject,
     # each in line order; the first bar of a (stock, day) wins.
-    position = np.array([calendar._pos.get(d, -1) for d in dates], dtype=np.intp)
-    days = position[date_codes]
+    days = calendar.positions(np.array([d.toordinal() for d in dates], dtype=np.int64))[date_codes]
     off_calendar = days < 0
     cell = np.where(off_calendar, -1, stocks * len(calendar) + days)
     duplicate = ~off_calendar
@@ -500,7 +470,10 @@ def load_market(
     keep = ~(off_calendar | duplicate)
     bars = BarColumns(ids, stocks[keep], days[keep], *(column[keep] for column in prices))
 
-    index_rows: list[tuple[str, Date, float]] = []
+    # each accepted index row's id, day ordinal and level
+    index_ids: list[str] = []
+    index_ordinals: list[int] = []
+    levels: list[float] = []
     index_rejects: list[RowReject] = []
     seen_index: set[tuple[str, Date]] = set()
     for line_no, row in read_csv_rows(indices_path, INDICES_HEADER):
@@ -525,7 +498,16 @@ def load_market(
             index_rejects.append(RowReject(line_no, f"duplicate level for {index_id} on {d}"))
             continue
         seen_index.add(key)
-        index_rows.append((index_id, d, level))
+        index_ids.append(index_id)
+        index_ordinals.append(d.toordinal())
+        levels.append(level)
+    # Levels dated off the calendar are never read: they are dropped, not
+    # rejected, and an index keeps a row only with a level on the calendar.
+    index_days = calendar.positions(np.array(index_ordinals, dtype=np.int64))
+    kept = np.flatnonzero(index_days >= 0)
+    index_codes: dict[str, int] = {}
+    indices = np.array([index_codes.setdefault(index_ids[i], len(index_codes)) for i in kept.tolist()], dtype=np.intp)
+    index_levels = IndexColumns(list(index_codes), indices, index_days[kept], np.array(levels)[kept])
 
     industry_rows: list[tuple[str, str, str]] = []
     mapped: set[str] = set()
@@ -545,10 +527,10 @@ def load_market(
     market = MarketData(
         calendar=calendar,
         bars=BarStore(bars, calendar),
-        indices=IndexStore(index_rows, calendar),
+        indices=IndexStore(index_levels, calendar),
         industry=IndustryMap(industry_rows),
     )
-    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_rows))
+    return MarketLoadResult(market, bar_rejects, index_rejects, len(bars), len(index_ids))
 
 
 SNAPSHOT = "market.npz"
@@ -610,10 +592,8 @@ def _snapshot_market(blob: bytes) -> MarketData:
         bar_ids, index_ids, industry_rows = json.loads(data["names"].tobytes())
         calendar = TradingCalendar(map(Date.fromordinal, data["calendar"].tolist()))
         bars = BarColumns(bar_ids, *data["bar_cells"], *data["bar_values"])
-        # Cells in row order give the ids in row order, as every index row holds a cell.
-        rows, days = data["index_cells"].tolist()
-        index_rows = zip(map(index_ids.__getitem__, rows), map(calendar.dates.__getitem__, days), data["levels"].tolist())
-        return MarketData(calendar, BarStore(bars, calendar), IndexStore(index_rows, calendar), IndustryMap(industry_rows))
+        levels = IndexColumns(index_ids, *data["index_cells"], data["levels"])
+        return MarketData(calendar, BarStore(bars, calendar), IndexStore(levels, calendar), IndustryMap(industry_rows))
 
 
 def read_snapshot(out_dir, **files) -> tuple[MarketData | None, str]:

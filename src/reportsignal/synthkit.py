@@ -33,8 +33,9 @@ value moves are filled at once; a loop over the days advances every
 stock and fills that day's block from the chain, then one ``fsum`` pass
 gives its three targets. Open, high and low follow for all bars in one
 pass after the loop, and the raveled arrays, stock after stock, are the
-dataset's ``market.BarColumns``: no per-bar object is ever made. The
-reports are gathered field by field into ``corpus.ReportColumns``.
+dataset's ``market.BarColumns``; the index walks, one after another, are
+its ``market.IndexColumns``. No per-bar or per-level object is ever made.
+The reports are gathered field by field into ``corpus.ReportColumns``.
 
 Every exp and log on the chain goes through libm (``math``) element by
 element (``metrics._libm``), as the pipeline computes it: numpy's own
@@ -63,7 +64,7 @@ from .config import FORMAT_VERSION, RunConfig
 from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, RANGE_SCALE
 from .errors import ConfigurationError
-from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns
+from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns, IndexColumns
 from .metrics import _libm, garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
@@ -236,7 +237,7 @@ class SynthDataset:
     records: ReportColumns
     scores: list[SentimentScore]
     bars: BarColumns
-    index_rows: list[tuple[str, Date, float]]
+    index_rows: IndexColumns  # so named because bench/run.py's fit_in_memory reads it by this name
     industry_rows: list[tuple[str, str, str]]
     calendar_dates: list[Date]
     train_range: tuple[Date, Date]
@@ -440,11 +441,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     )
 
     # --- assemble ------------------------------------------------------------
-    index_rows = [
-        (index_id, d, level)
-        for index_id in (SSE, SZSE, CSI500) + INDUSTRY_IDS + (VIX,)
-        for d, level in zip(cal_dates, index_levels[index_id].tolist())
-    ]
+    levels = IndexColumns(
+        list(index_levels),
+        np.repeat(np.arange(len(index_levels)), n_cal),
+        np.tile(np.arange(n_cal), len(index_levels)),
+        np.concatenate(list(index_levels.values())),
+    )
 
     industry_rows = [
         (sid, INDUSTRY_IDS[industry_of[i]], SECTORS[industry_of[i]])
@@ -481,7 +483,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         records=records,
         scores=scores,
         bars=bars,
-        index_rows=index_rows,
+        index_rows=levels,
         industry_rows=industry_rows,
         calendar_dates=cal_dates,
         train_range=train_range,
@@ -515,10 +517,11 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
         for stock, day, o, h, l, c, v in zip(*map(np.ndarray.tolist, columns)):
             stream.write(f"{bars.ids[stock]},{dates[day]},{o!r},{h!r},{l!r},{c!r},{v!r}\n")
 
+    levels = dataset.index_rows
     with open(paths["indices"], "w", encoding="utf-8", newline="") as stream:
         stream.write("index_id,date,level\n")
-        for index_id, d, level in dataset.index_rows:
-            stream.write(f"{index_id},{d.isoformat()},{level!r}\n")
+        for index, day, level in zip(*map(np.ndarray.tolist, (levels.indices, levels.days, levels.levels))):
+            stream.write(f"{levels.ids[index]},{dates[day]},{level!r}\n")
 
     write_csv_rows(paths["industry"], INDUSTRY_HEADER, dataset.industry_rows)
 

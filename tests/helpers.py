@@ -17,11 +17,11 @@ from reportsignal.labeling import LABELS, LABELS_HEADER, LabeledReport
 from reportsignal.market import (
     BarColumns,
     BarStore,
+    IndexColumns,
     IndexStore,
     IndustryMap,
     MarketData,
     TradingCalendar,
-    _keys,
 )
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import SynthSpec, generate
@@ -38,13 +38,28 @@ def weekdays(start: Date, count: int) -> list[Date]:
     return out
 
 
+def keys(rows: list, calendar: TradingCalendar) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Ids in order of first row, and each (id, date, ...) row's id code and
+    calendar position; every date must be a trading day."""
+    codes: dict[str, int] = {}
+    ids = np.array([codes.setdefault(row[0], len(codes)) for row in rows], dtype=np.intp)
+    days = calendar.positions(np.array([row[1].toordinal() for row in rows], dtype=np.int64))
+    assert (days >= 0).all(), "a row dated off the calendar"
+    return list(codes), ids, days
+
+
 def bar_columns(rows, calendar: TradingCalendar) -> BarColumns:
     """BarColumns of (stock, date, open, high, low, close, volume) rows
     dated on ``calendar``."""
     rows = list(rows)
-    ids, stocks, days = _keys(rows, calendar)
     prices = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), 5)
-    return BarColumns(ids, stocks, days, *prices.T)
+    return BarColumns(*keys(rows, calendar), *prices.T)
+
+
+def index_columns(rows, calendar: TradingCalendar) -> IndexColumns:
+    """IndexColumns of (index, date, level) rows dated on ``calendar``."""
+    rows = list(rows)
+    return IndexColumns(*keys(rows, calendar), np.array([row[2] for row in rows], dtype=float))
 
 
 def flat_bar(stock_id: str, d: Date, price: float = 100.0, volume: float = 1e6) -> tuple:
@@ -63,10 +78,10 @@ def ranges_of(bars):
     of its own, so rows that share a stock and a day stay apart."""
     bars = [(str(i), *bar[1:]) for i, bar in enumerate(bars)]
     calendar = TradingCalendar(sorted({bar[1] for bar in bars}))
-    store = BarStore(bar_columns(bars, calendar), calendar)
-    market = MarketData(calendar, store, IndexStore([], calendar), IndustryMap([]))
-    days = np.array([calendar.index(bar[1]) for bar in bars], dtype=np.intp)
-    return garman_klass_range(market, np.arange(len(bars)), days)
+    columns = bar_columns(bars, calendar)
+    no_levels = IndexStore(index_columns([], calendar), calendar)
+    market = MarketData(calendar, BarStore(columns, calendar), no_levels, IndustryMap([]))
+    return garman_klass_range(market, columns.stocks, columns.days)
 
 
 def estimate(fit, regressor: str) -> tuple[float, float, float, float]:

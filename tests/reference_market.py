@@ -1,6 +1,9 @@
 """The row-at-a-time market layer that the dense (stock x trading-day)
 stores, the gather kernels and the columnar panel replaced, kept verbatim
-as the reference their results must match: the ``DailyBar`` value with
+as the reference their results must match: the ``TradingCalendar`` with
+its date-keyed ``index``, ``shift`` and ``align`` and their
+``CalendarRangeError`` (``load_calendar`` reads the package's calendar
+file into it), the ``DailyBar`` value with
 its scalar bar rules (``check``), the bar loader, the per-stock series
 store, the index store, the scalar ``garman_klass`` formula and the four
 metric functions, the bisect ``CorpusIndex`` and the scalar
@@ -29,8 +32,8 @@ import numpy as np
 
 from reportsignal.corpus import ReportColumns, RowReject, read_csv_rows
 from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
+from reportsignal import market
 from reportsignal.errors import (
-    CalendarRangeError,
     ConfigurationError,
     DataError,
     DomainError,
@@ -46,11 +49,101 @@ from reportsignal.market import (
     SZSE,
     VIX,
     IndustryMap,
-    TradingCalendar,
-    load_calendar,
 )
 from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW
 from reportsignal.sentiment import SentimentScore, classify_majority
+
+
+class CalendarRangeError(DataError):
+    """A date falls outside the span of the trading calendar."""
+
+
+class TradingCalendar:
+    """Ascending list of trading days with O(1) date->position lookup."""
+
+    def __init__(self, dates: Iterable[Date]):
+        ds = list(dates)
+        if not ds:
+            raise DataError("trading calendar is empty")
+        for a, b in zip(ds, ds[1:]):
+            if a >= b:
+                raise DataError(f"calendar dates not strictly increasing at {a} -> {b}")
+        self.dates: tuple[Date, ...] = tuple(ds)
+        self.ordinals = np.array([d.toordinal() for d in ds], dtype=np.int64)
+        self._pos = {d: i for i, d in enumerate(self.dates)}
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __contains__(self, d: Date) -> bool:
+        return d in self._pos
+
+    def first(self) -> Date:
+        return self.dates[0]
+
+    def last(self) -> Date:
+        return self.dates[-1]
+
+    def index(self, d: Date) -> int:
+        try:
+            return self._pos[d]
+        except KeyError:
+            raise CalendarRangeError(f"{d} is not a trading day on this calendar")
+
+    def shift(self, d: Date, offset: int) -> Date:
+        """Trading day ``offset`` steps from trading day ``d`` (negative = back)."""
+        i = self.index(d) + offset
+        if not (0 <= i < len(self.dates)):
+            raise CalendarRangeError(
+                f"shift of {d} by {offset} trading days leaves the calendar"
+            )
+        return self.dates[i]
+
+    def locate(self, days: np.ndarray) -> np.ndarray:
+        """Position of ``align(d)`` for each day ordinal; ``len(self)`` where
+        no trading day is on or after it."""
+        return np.searchsorted(self.ordinals, days)
+
+    def align(self, d: Date) -> Date:
+        """Map an arbitrary date onto the calendar: d itself when it is a
+        trading day, otherwise the next one."""
+        i = int(self.locate(d.toordinal()))
+        if i == len(self.dates):
+            raise CalendarRangeError(f"no trading day after {d} on this calendar")
+        return self.dates[i]
+
+    def require_coverage(
+        self,
+        first_event: Date,
+        last_event: Date,
+        lookback_days: int = 90,
+        post_trading_days: int = 1,
+    ) -> None:
+        """Fail unless the calendar spans the event range plus margins.
+
+        The calendar must start at least ``lookback_days`` calendar days
+        before the first event and contain ``post_trading_days`` trading
+        days after the last event's release trading day.
+        """
+        need_start = first_event - timedelta(days=lookback_days)
+        if self.first() > need_start:
+            raise ConfigurationError(
+                f"calendar starts {self.first()}, but needs to start on or before "
+                f"{need_start} ({lookback_days} days before first event {first_event})"
+            )
+        try:
+            anchor = self.align(last_event)
+            self.shift(anchor, post_trading_days)
+        except CalendarRangeError:
+            raise ConfigurationError(
+                f"calendar ends {self.last()}, too early for event {last_event} "
+                f"plus {post_trading_days} trading day(s)"
+            )
+
+
+def load_calendar(path) -> TradingCalendar:
+    """The calendar file read by the package, as this module's calendar."""
+    return TradingCalendar(market.load_calendar(path).dates)
 
 
 @dataclass(frozen=True)

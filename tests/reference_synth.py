@@ -36,7 +36,8 @@ from tests.reference_market import (
 
 def generate_scalar(spec: SynthSpec) -> SynthDataset:
     """Generate one dataset with the scalar loops; its ``bars`` are a list
-    of DailyBar rows in stock, then day order."""
+    of DailyBar rows in stock, then day order, and its ``index_rows`` a
+    list of (index, date, level) rows in index, then day order."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
     n_cal = spec.warmup_days + spec.n_days + spec.post_days

@@ -15,11 +15,11 @@ from pathlib import Path
 import pytest
 
 import reportsignal
-from reportsignal.cli import firewall_fence, main
+from reportsignal.cli import VERBS, firewall_fence, main
 from reportsignal.config import FORMAT_VERSION, RunConfig, packaged_data_path
 from reportsignal.corpus import CORPUS_HEADER, read_csv_rows
 from reportsignal.econometrics import PANEL_HEADER
-from reportsignal.market import load_calendar
+from reportsignal.market import TradingCalendar, load_calendar
 from reportsignal.sentiment import SCORES_HEADER
 from reportsignal.synthkit import write_dataset
 from tests.helpers import read_panel, small_dataset
@@ -129,6 +129,31 @@ def test_full_pipeline_end_to_end(dataset_dir, tmp_path, capsys):
     assert len(rows) == report["panel"]["n_rows"]
 
 
+@pytest.mark.parametrize(
+    "test_start, fence",
+    [
+        pytest.param(Date(2019, 8, 1), Date(2019, 2, 8), id="trading-day"),
+        pytest.param(Date(2019, 8, 2), Date(2019, 2, 11), id="saturday"),
+        pytest.param(Date(2019, 8, 3), Date(2019, 2, 11), id="sunday"),
+        pytest.param(Date(2020, 1, 5), Date(2019, 7, 15), id="last-day"),
+        pytest.param(Date(2019, 6, 22), Date(2019, 1, 1), id="59-trading-days-in"),
+        pytest.param(Date(2019, 5, 1), Date(2019, 1, 1), id="22-trading-days-in"),
+        pytest.param(Date(2019, 4, 1), Date(2019, 1, 1), id="before-the-calendar"),
+        pytest.param(Date(2020, 1, 6), Date(2019, 1, 1), id="after-the-calendar"),
+        pytest.param(Date(2020, 1, 10), Date(2019, 1, 1), id="weekend-after-the-calendar"),
+    ],
+)
+def test_fence_is_60_trading_days_before_the_count_lookback(test_start, fence):
+    """The fence is 60 trading days before the trading day on or after
+    test_start - 90, or the calendar's first day when there is no such
+    day or it lies fewer than 60 trading days in. The calendar runs over
+    the weekdays of 2019-01-01 .. 2019-10-07."""
+    days = [Date(2019, 1, 1) + timedelta(days=i) for i in range(280)]
+    calendar = TradingCalendar([d for d in days if d.weekday() < 5])
+    assert (calendar.first(), calendar.last(), len(calendar)) == (Date(2019, 1, 1), Date(2019, 10, 7), 200)
+    assert firewall_fence(calendar, test_start) == fence
+
+
 def test_analyze_is_deterministic_across_runs(dataset_dir, tmp_path):
     config = dataset_dir / "config.json"
     assert run("analyze", "--config", config, "--out", tmp_path / "a") == 0
@@ -201,6 +226,45 @@ def test_readme_config_example_is_the_schema_at_its_defaults(dataset_dir):
     written = read_json(dataset_dir / "config.json")
     assert list(written) == list(example)
     assert all(written[f.name] == example[f.name] for f in options if f.name != "seed")
+
+
+def test_readme_flag_lists_are_the_verb_table():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    listed = {
+        verb: tuple(re.findall(r"`--(\w+)`", flags))
+        for verb, flags in re.findall(r"^- `(\w+)`: (.*)$", section, re.M)
+    }
+    assert listed == {verb: flags for verb, (_, _, flags) in VERBS.items()}
+
+
+# The override flags each verb takes, and a valid value of each flag.
+VERB_FLAGS = {
+    "synth": {"--out", "--seed"},
+    "ingest": {"--out"},
+    "label": {"--out"},
+    "score": {"--out", "--scorer"},
+    "analyze": {"--out", "--scorer", "--stars", "--se", "--ttest"},
+}
+FLAG_VALUES = {
+    "--out": "out",
+    "--seed": "5",
+    "--scorer": "lexicon",
+    "--stars": "table4",
+    "--se": "robust",
+    "--ttest": "pooled",
+}
+
+
+def test_each_verb_takes_only_the_flags_it_reads(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    for verb, flag in itertools.product(VERB_FLAGS, FLAG_VALUES):
+        assert run(verb, "--config", missing, flag, FLAG_VALUES[flag]) == 1, (verb, flag)
+        err = capsys.readouterr().err
+        if flag in VERB_FLAGS[verb]:
+            assert err.startswith(f"error: cannot read config file {missing}: ") and err.count("\n") == 1, err
+        else:
+            assert err == f"error: unrecognized arguments: {flag} {FLAG_VALUES[flag]}\n", (verb, err)
 
 
 def test_usage_errors_exit_one(dataset_dir, capsys):
@@ -373,9 +437,9 @@ def test_a_non_finite_panel_value_exits_two(dataset_dir, tmp_path, capsys):
     shutil.copytree(dataset_dir, clone)
     config = clone / "config.json"
     assert run("analyze", "--config", config, "--out", tmp_path / "clean") == 0
-    calendar = load_calendar(clone / "calendar.txt")
-    day = calendar.shift(Date.fromisoformat(read_json(config)["test_start"]), 2)
-    levels = {day.isoformat(): "-1e308", calendar.shift(day, 1).isoformat(): "1e308"}
+    dates = load_calendar(clone / "calendar.txt").dates
+    t = dates.index(Date.fromisoformat(read_json(config)["test_start"])) + 2
+    levels = {dates[t].isoformat(): "-1e308", dates[t + 1].isoformat(): "1e308"}
     indices = clone / "indices.csv"
     rows = indices.read_text(encoding="utf-8").splitlines()
     for i, row in enumerate(rows):
@@ -383,7 +447,7 @@ def test_a_non_finite_panel_value_exits_two(dataset_dir, tmp_path, capsys):
         if index_id == "VIX" and date in levels:
             rows[i] = f"VIX,{date},{levels[date]}"
     indices.write_text("\n".join(rows) + "\n", encoding="utf-8")
-    outcome_date = calendar.shift(day, 2)
+    outcome_date = dates[t + 2]
     first = next(row for row in read_panel(tmp_path / "clean" / "panel.csv") if row.outcome_date == outcome_date)
     capsys.readouterr()
     assert run("analyze", "--config", config, "--out", tmp_path / "out") == 2

@@ -310,9 +310,10 @@ def test_build_panel_accounts_for_every_pair():
         result.report_ids[:10], result.stock_ids, result.outcome_dates, column(result, "range_lag").tolist()
     ):
         record = next(r for r in in_range if r.report_id == report_id)
-        s_day = calendar.align(record.release_date)
-        assert outcome_date == calendar.shift(s_day, 1)
-        (i,) = np.flatnonzero((bar_ids == stock_id) & (bars.days == calendar.index(s_day)))
+        s = next(j for j, d in enumerate(calendar.dates) if d >= record.release_date)
+        s_day = calendar.dates[s]
+        assert outcome_date == calendar.dates[s + 1]
+        (i,) = np.flatnonzero((bar_ids == stock_id) & (bars.days == s))
         bar = (stock_id, s_day, bars.open[i], bars.high[i], bars.low[i], bars.close[i], bars.volume[i])
         assert range_lag == ranges_of([bar]).values[0] * 100.0
     # a report with no score is dropped once per cited stock

@@ -2,18 +2,13 @@
 
 import hashlib
 import math
+import re
 from datetime import date as Date
 
 import numpy as np
 import pytest
 
-from reportsignal.errors import (
-    CalendarRangeError,
-    ConfigurationError,
-    DataError,
-    MappingError,
-    SchemaError,
-)
+from reportsignal.errors import ConfigurationError, DataError, MappingError, SchemaError
 from reportsignal.market import (
     HASH_CHUNK,
     BarStore,
@@ -38,7 +33,7 @@ from reportsignal.metrics import (
     garman_klass_range,
     index_change,
 )
-from tests.helpers import bar_columns, gather, weekdays
+from tests.helpers import bar_columns, gather, index_columns, weekdays
 
 MONDAY = Date(2019, 3, 4)
 
@@ -56,37 +51,26 @@ def test_calendar_rejects_unsorted_or_empty_dates():
         TradingCalendar([Date(2019, 3, 5), MONDAY])
 
 
-def test_calendar_lookup_and_shift():
+def test_calendar_lookup():
     cal = calendar_of(10)
     assert len(cal) == 10
     assert cal.first() == MONDAY
     assert cal.last() == Date(2019, 3, 15)
-    assert MONDAY in cal and Date(2019, 3, 9) not in cal
-    assert cal.index(Date(2019, 3, 6)) == 2
-    assert cal.shift(MONDAY, 4) == Date(2019, 3, 8)
-    # Friday + 1 trading day skips the weekend
-    assert cal.shift(Date(2019, 3, 8), 1) == Date(2019, 3, 11)
-    assert cal.shift(Date(2019, 3, 11), -1) == Date(2019, 3, 8)
-    with pytest.raises(CalendarRangeError):
-        cal.index(Date(2019, 3, 9))
-    with pytest.raises(CalendarRangeError):
-        cal.shift(MONDAY, -1)
-    with pytest.raises(CalendarRangeError):
-        cal.shift(cal.last(), 1)
+    assert cal.ordinals.tolist() == [d.toordinal() for d in cal.dates]
 
 
-def test_calendar_align_and_locate():
+def test_calendar_locate_and_positions():
     cal = calendar_of(10)
     saturday = Date(2019, 3, 9)
-    assert cal.align(MONDAY) == MONDAY
-    assert cal.align(saturday) == Date(2019, 3, 11)
-    assert cal.align(Date(2019, 3, 3)) == MONDAY
-    assert cal.align(cal.last()) == cal.last()
-    with pytest.raises(CalendarRangeError, match="^no trading day after 2019-03-16 on this calendar$"):
-        cal.align(Date(2019, 3, 16))
-    # the position of align(d) for each day ordinal, len(cal) past the last day
-    days = [MONDAY, saturday, Date(2019, 3, 3), cal.last(), Date(2019, 3, 16)]
-    assert cal.locate(np.array([d.toordinal() for d in days])).tolist() == [0, 5, 0, 9, 10]
+    days = [MONDAY, Date(2019, 3, 6), saturday, Date(2019, 3, 3), Date(2019, 3, 11), cal.last(), Date(2019, 3, 16)]
+    ordinals = np.array([d.toordinal() for d in days])
+    # the position of the first trading day on or after each day ordinal,
+    # len(cal) past the last day
+    assert cal.locate(ordinals).tolist() == [0, 2, 5, 0, 5, 9, 10]
+    assert int(cal.locate(saturday.toordinal())) == 5
+    # exact positions: -1 for a weekend, and before or after the calendar
+    assert cal.positions(ordinals).tolist() == [0, 2, -1, -1, 5, 9, -1]
+    assert cal.positions(np.zeros(0, dtype=np.int64)).tolist() == []
 
 
 def test_calendar_coverage_requirements():
@@ -98,6 +82,40 @@ def test_calendar_coverage_requirements():
         cal.require_coverage(Date(2019, 4, 1), cal.last(), post_trading_days=1)
 
 
+@pytest.mark.parametrize(
+    "last_event, covered",
+    [
+        pytest.param(Date(2019, 4, 19), True, id="day-before-last"),
+        pytest.param(Date(2019, 4, 22), False, id="last-day"),
+        pytest.param(Date(2019, 4, 20), False, id="weekend-before-last-day"),
+        pytest.param(Date(2019, 4, 13), True, id="weekend-before-a-day-with-a-next"),
+        pytest.param(Date(2019, 4, 23), False, id="after-the-calendar"),
+    ],
+)
+def test_coverage_needs_a_trading_day_after_the_last_event(last_event, covered):
+    """The last event aligns to its trading day, which needs one more
+    trading day after it on the calendar (2019-01-01 .. Monday 2019-04-22)."""
+    cal = TradingCalendar(weekdays(Date(2019, 1, 1), 80))
+    assert cal.last() == Date(2019, 4, 22)
+    if covered:
+        cal.require_coverage(Date(2019, 4, 1), last_event)
+        return
+    text = f"calendar ends 2019-04-22, too early for event {last_event} plus 1 trading day(s)"
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(text)}$"):
+        cal.require_coverage(Date(2019, 4, 1), last_event)
+
+
+def test_coverage_needs_the_lookback_before_the_first_event():
+    cal = TradingCalendar(weekdays(Date(2019, 1, 1), 80))
+    cal.require_coverage(Date(2019, 4, 1), Date(2019, 4, 10), lookback_days=90)
+    text = (
+        "calendar starts 2019-01-01, but needs to start on or before 2018-12-31 "
+        "(90 days before first event 2019-03-31)"
+    )
+    with pytest.raises(ConfigurationError, match=f"^{re.escape(text)}$"):
+        cal.require_coverage(Date(2019, 3, 31), Date(2019, 4, 10), lookback_days=90)
+
+
 def market_with_closes(closes, stock_id="600000.SH", skip=()):
     """One stock on a flat industry index, its bars on consecutive weekdays
     except the positions in ``skip``; volumes are 1000, 2000, ..."""
@@ -107,9 +125,9 @@ def market_with_closes(closes, stock_id="600000.SH", skip=()):
         for i, (d, c) in enumerate(zip(cal.dates, closes))
         if i not in skip
     ]
-    rows = [("IND01", d, 1000.0) for d in cal.dates]
+    levels = index_columns([("IND01", d, 1000.0) for d in cal.dates], cal)
     bar_store = BarStore(bar_columns(bars, cal), cal)
-    return cal, MarketData(cal, bar_store, IndexStore(rows, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
+    return cal, MarketData(cal, bar_store, IndexStore(levels, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
 
 
 def test_bar_store_lookup_and_gaps():
@@ -169,7 +187,7 @@ def test_index_store_changes():
         ("VIX", cal.dates[0], 18.0),
         ("VIX", cal.dates[1], 21.5),
     ]
-    store = IndexStore(rows, cal)
+    store = IndexStore(index_columns(rows, cal), cal)
     market = MarketData(cal, BarStore(bar_columns([], cal), cal), store, IndustryMap([]))
     assert "VIX" in store and "DAX" not in store
     assert store.levels[store.row("CSI500"), 1] == 5100.0
@@ -351,6 +369,43 @@ def test_load_market_rejects_rows_with_extra_fields(tmp_path):
     result = load_market(bars, indices, industry, calendar)
     assert result.n_bars == 2
     assert [(r.line, r.reason) for r in result.bar_rejects] == [(3, "expected 7 fields, got 8")]
+
+
+def test_index_levels_off_the_calendar_count_but_are_not_kept(tmp_path):
+    """Levels on a weekend or after the last trading day are no rejects:
+    they count in n_index_rows and the store holds none of them. Index rows
+    follow each index's first level on the calendar, and an index with no
+    such level gets no row."""
+    days = weekdays(MONDAY, 6)  # Monday 2019-03-04 .. Monday 2019-03-11
+    index_rows = [
+        "DAX,2019-03-02,11000\n",     # Saturday before the calendar
+        f"CSI500,{days[0]},5000\n",
+        "FTSE,2019-03-09,7000\n",     # Saturday inside the calendar
+        f"DAX,{days[1]},11100\n",
+        "VIX,2019-03-12,20\n",        # after the calendar
+        "CSI500,2019-03-10,5050\n",   # Sunday inside the calendar
+        f"CSI500,{days[5]},5100\n",
+    ]
+    bars, indices, industry, calendar = write_market_files(
+        tmp_path,
+        [f"600000.SH,{d},100,101,99,100.5,1e6\n" for d in days],
+        index_rows,
+        ["600000.SH,IND01,Bank\n"],
+        calendar=days,
+    )
+    result = load_market(bars, indices, industry, calendar)
+    assert result.index_rejects == []
+    assert result.n_index_rows == 7
+    store = result.market.indices
+    assert list(store.rows) == ["CSI500", "DAX"]
+    assert "FTSE" not in store and "VIX" not in store and store.row("VIX") == -1
+    assert store.present.tolist() == [
+        [True, False, False, False, False, True],
+        [False, True, False, False, False, False],
+        [False] * 6,
+    ]
+    assert store.levels[store.row("CSI500")].tolist() == [5000.0, 0, 0, 0, 0, 5100.0]
+    assert store.levels[store.row("DAX"), 1] == 11100.0
 
 
 def test_load_market_rejects_bad_index_rows_but_allows_negative_vix(tmp_path):

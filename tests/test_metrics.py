@@ -6,7 +6,7 @@ from datetime import date as Date, timedelta
 
 import pytest
 
-from tests.helpers import bar_columns, flat_bar, gather, ranges_of, weekdays
+from tests.helpers import bar_columns, flat_bar, gather, index_columns, ranges_of, weekdays
 from tests.reference_market import ReportRecord, columns_of
 from reportsignal.corpus import CorpusIndex
 from reportsignal.market import (
@@ -85,7 +85,7 @@ def make_market(closes, index_levels, volumes=None):
     market = MarketData(
         cal,
         BarStore(bar_columns(bars, cal), cal),
-        IndexStore(rows, cal),
+        IndexStore(index_columns(rows, cal), cal),
         IndustryMap([("600000.SH", "IND01", "Bank")]),
     )
     return market, days

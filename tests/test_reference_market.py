@@ -174,7 +174,7 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
 
     if fenced:
         first, last = ds.test_range
-        fence = new.market.calendar.align(first + (last - first) / 2)
+        fence = old.market.calendar.align(first + (last - first) / 2)
         new.market.set_fence(fence)
         old.market.set_fence(fence)
     scores = {score.report_id: score for score in ds.scores}

@@ -15,7 +15,7 @@ from reportsignal.errors import ConfigurationError
 from reportsignal.market import TradingCalendar, load_market
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
-from tests.helpers import assemble, bar_columns, estimate, small_dataset, small_spec
+from tests.helpers import assemble, bar_columns, estimate, index_columns, small_dataset, small_spec
 from tests.reference_market import records_of
 from tests.reference_synth import generate_scalar
 
@@ -202,7 +202,10 @@ def test_generator_matches_scalar_reference(tmp_path):
     specs.append(SynthSpec(seed=0))
     for k, spec in enumerate(specs):
         scalar = generate_scalar(spec)
-        scalar = dataclasses.replace(scalar, bars=bar_columns(scalar.bars, TradingCalendar(scalar.calendar_dates)))
+        calendar = TradingCalendar(scalar.calendar_dates)
+        scalar = dataclasses.replace(
+            scalar, bars=bar_columns(scalar.bars, calendar), index_rows=index_columns(scalar.index_rows, calendar)
+        )
         want = write_dataset(scalar, tmp_path / f"scalar{k}", seed=spec.seed)
         got = write_dataset(generate(spec), tmp_path / f"array{k}", seed=spec.seed)
         for name, path in want.items():
