@@ -167,9 +167,7 @@ def cmd_ingest(config: RunConfig) -> int:
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     loaded = load_market(**files)
     market = loaded.market
-    market.calendar.require_coverage(
-        config.train_start, config.test_end, lookback_days=LONG_COUNT_WINDOW, post_trading_days=1
-    )
+    market.calendar.require_coverage(config.train_start, config.test_end)
 
     report = {
         "format_version": REPORT_FORMAT_VERSION,
@@ -296,9 +294,7 @@ def cmd_score(config: RunConfig) -> int:
 def cmd_analyze(config: RunConfig) -> int:
     out = _ensure_out(config.out)
     parse, market, market_source = _load_inputs(config)
-    market.calendar.require_coverage(
-        config.test_start, config.test_end, lookback_days=LONG_COUNT_WINDOW, post_trading_days=1
-    )
+    market.calendar.require_coverage(config.test_start, config.test_end)
     fence = firewall_fence(market.calendar, config.test_start)
     market.set_fence(fence)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -34,6 +35,7 @@ from .errors import ArgumentError, DataError, NumericalError, SingularityError
 from .labeling import NEGATIVE, POSITIVE
 from .market import CSI500, MarketData, SSE, SZSE, VIX
 from .metrics import (
+    BLOCK,
     DOMAIN,
     GAP,
     HISTORY,
@@ -248,11 +250,12 @@ def build_panel(
 
 
 def write_panel(panel: PanelBuildResult, path) -> None:
-    """Write the panel as CSV, each float as its shortest round-trip ``repr``,
-    formatted column by column as the rows are written."""
-    columns = [panel.report_ids, panel.stock_ids, map(Date.isoformat, panel.outcome_dates)]
-    columns += [map(repr, column) for column in panel.rows.T.tolist()]
-    write_csv_rows(path, PANEL_HEADER, zip(*columns))
+    """Write the panel as CSV, each float as its shortest round-trip ``repr``;
+    the values become Python floats ``BLOCK`` rows at a time."""
+    keys = zip(panel.report_ids, panel.stock_ids, map(Date.isoformat, panel.outcome_dates))
+    blocks = (panel.rows[at : at + BLOCK].tolist() for at in range(0, len(panel.rows), BLOCK))
+    rows = ((*key, *map(repr, values)) for key, values in zip(keys, chain.from_iterable(blocks)))
+    write_csv_rows(path, PANEL_HEADER, rows)
 
 
 # The incomplete beta fraction stops once a term moves it by less than

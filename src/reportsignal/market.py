@@ -40,7 +40,8 @@ plus ``market.json``, holding the sha256 of each market file, of the
 code they pass through (this module and the ``corpus`` readers it calls),
 and of the npz. ``read_snapshot`` rebuilds the market through the store
 constructors while the manifest matches, and otherwise says why not, so
-the caller parses the files.
+the caller parses the files. It hashes and loads the npz through one open
+file, safe since ``write_snapshot`` only ever replaces the npz whole.
 
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import hashlib
 import inspect
-import io
 import json
 import math
 import operator
@@ -82,6 +82,9 @@ INDUSTRY_HEADER = ("stock_id", "industry_index_id", "sector_name")
 # its first generation (700 containers by default) fills, so no collection
 # runs while bars.csv loads. 8,192-row blocks made 315 collections at 1x.
 BAR_BLOCK_ROWS = 512
+# Calendar days of history before the first event: the long recommendation
+# count window of ``metrics``, which the calendar must cover.
+LONG_COUNT_WINDOW = 90
 
 
 class TradingCalendar:
@@ -117,30 +120,19 @@ class TradingCalendar:
         at = self.locate(days)
         return np.where(self.ordinals[np.minimum(at, len(self) - 1)] == days, at, -1)
 
-    def require_coverage(
-        self,
-        first_event: Date,
-        last_event: Date,
-        lookback_days: int = 90,
-        post_trading_days: int = 1,
-    ) -> None:
-        """Fail unless the calendar spans the event range plus margins.
-
-        The calendar must start at least ``lookback_days`` calendar days
-        before the first event and contain ``post_trading_days`` trading
-        days after the last event's release trading day.
-        """
-        need_start = first_event - timedelta(days=lookback_days)
+    def require_coverage(self, first_event: Date, last_event: Date) -> None:
+        """Fail unless the calendar starts at least ``LONG_COUNT_WINDOW``
+        calendar days before the first event and holds a trading day after
+        the last event's release trading day."""
+        need_start = first_event - timedelta(days=LONG_COUNT_WINDOW)
         if self.first() > need_start:
             raise ConfigurationError(
                 f"calendar starts {self.first()}, but needs to start on or before "
-                f"{need_start} ({lookback_days} days before first event {first_event})"
+                f"{need_start} ({LONG_COUNT_WINDOW} days before first event {first_event})"
             )
-        anchor = int(self.locate(last_event.toordinal()))
-        if anchor == len(self) or not 0 <= anchor + post_trading_days < len(self):
+        if int(self.locate(last_event.toordinal())) + 1 >= len(self):
             raise ConfigurationError(
-                f"calendar ends {self.last()}, too early for event {last_event} "
-                f"plus {post_trading_days} trading day(s)"
+                f"calendar ends {self.last()}, too early for event {last_event} plus 1 trading day(s)"
             )
 
 
@@ -540,11 +532,16 @@ HASH_CHUNK = 1 << 20  # bytes of a file hashed at a time
 
 
 def _sha256(path, extra: bytes = b"") -> str:
-    """sha256 of a file's bytes followed by ``extra``, read a chunk at a time."""
-    digest = hashlib.sha256()
+    """sha256 of a file's bytes followed by ``extra``."""
     with open(path, "rb") as stream:
-        while chunk := stream.read(HASH_CHUNK):
-            digest.update(chunk)
+        return _digest(stream, extra)
+
+
+def _digest(stream, extra: bytes = b"") -> str:
+    """sha256 of the rest of an open binary file, a chunk at a time, then ``extra``."""
+    digest = hashlib.sha256()
+    while chunk := stream.read(HASH_CHUNK):
+        digest.update(chunk)
     digest.update(extra)
     return digest.hexdigest()
 
@@ -587,8 +584,8 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
     (out_dir / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _snapshot_market(blob: bytes) -> MarketData:
-    with np.load(io.BytesIO(blob), allow_pickle=False) as data:
+def _snapshot_market(stream) -> MarketData:
+    with np.load(stream, allow_pickle=False) as data:
         bar_ids, index_ids, industry_rows = json.loads(data["names"].tobytes())
         calendar = TradingCalendar(map(Date.fromordinal, data["calendar"].tolist()))
         bars = BarColumns(bar_ids, *data["bar_cells"], *data["bar_values"])
@@ -600,7 +597,12 @@ def read_snapshot(out_dir, **files) -> tuple[MarketData | None, str]:
     """The market that ``load_market(**files)`` would give, from the
     snapshot in ``out_dir``, or None when it has none for today's files and
     code; and where the market comes from: "snapshot", or why the files
-    are to be parsed ("csv: ...")."""
+    are to be parsed ("csv: ...").
+
+    The npz is hashed and then loaded through one open file, never held
+    whole. The bytes loaded are the bytes hashed: ``write_snapshot`` moves
+    a new npz into place (``os.replace``) and never writes into an old one.
+    """
     out_dir = Path(out_dir)
     try:
         manifest = json.loads((out_dir / MANIFEST).read_text(encoding="utf-8"))
@@ -613,9 +615,10 @@ def read_snapshot(out_dir, **files) -> tuple[MarketData | None, str]:
             changed = [name for name, value in _snapshot_key(**files).items() if manifest.get(name) != value]
             if changed:
                 return None, f"csv: stale snapshot ({', '.join(changed)})"
-            blob = (out_dir / SNAPSHOT).read_bytes()
-            if hashlib.sha256(blob).hexdigest() == manifest.get("npz"):
-                return _snapshot_market(blob), "snapshot"
+            with open(out_dir / SNAPSHOT, "rb") as stream:
+                if _digest(stream) == manifest.get("npz"):
+                    stream.seek(0)
+                    return _snapshot_market(stream), "snapshot"
     except (OSError, ValueError, KeyError, zipfile.BadZipFile):
         pass
     return None, "csv: unreadable snapshot"

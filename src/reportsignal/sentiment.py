@@ -35,7 +35,7 @@ LEXICON_HEADER = ("word", "label")
 SCORES_HEADER = ("report_id", "pos", "neu", "neg")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SentimentScore:
     """A point on the (pos, neu, neg) probability simplex for one report."""
 

@@ -11,7 +11,9 @@ metric functions, the bisect ``CorpusIndex`` and the scalar
 the ``MajoritySample`` value, the panel and majority build functions, and
 the label-pool loop of ``cli.cmd_label``. They run on ``ReportRecord``
 values, one per report, the corpus form that ``corpus.ReportColumns``
-replaced; ``records_of`` and ``columns_of`` convert between the two.
+replaced; ``records_of`` and ``columns_of`` convert between the two. Also
+the one-pass ``write_panel`` of an ``econometrics.PanelBuildResult``,
+which the block writer replaced.
 
 Two deliberate changes from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -30,8 +32,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from reportsignal.corpus import ReportColumns, RowReject, read_csv_rows
-from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
+from reportsignal.corpus import ReportColumns, RowReject, read_csv_rows, write_csv_rows
+from reportsignal.econometrics import NUM_SCALE, PANEL_HEADER, RANGE_SCALE
 from reportsignal import market
 from reportsignal.errors import (
     ConfigurationError,
@@ -274,6 +276,15 @@ class PanelBuildResult:
     @property
     def n_dropped(self) -> int:
         return sum(self.drops.values())
+
+
+
+def write_panel(panel, path) -> None:
+    """Write the panel as CSV, each float as its shortest round-trip ``repr``,
+    formatted column by column as the rows are written."""
+    columns = [panel.report_ids, panel.stock_ids, map(Date.isoformat, panel.outcome_dates)]
+    columns += [map(repr, column) for column in panel.rows.T.tolist()]
+    write_csv_rows(path, PANEL_HEADER, zip(*columns))
 
 
 

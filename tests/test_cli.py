@@ -577,6 +577,12 @@ def test_a_snapshot_never_changes_an_outcome(dataset_dir, tmp_path, capsys):
         npz = out / "market.npz"
         npz.write_bytes(npz.read_bytes()[: npz.stat().st_size // 2])
 
+    def flip(out):
+        npz = out / "market.npz"
+        data = bytearray(npz.read_bytes())
+        data[len(data) // 2] ^= 0x01
+        npz.write_bytes(data)
+
     def forget(out):
         (out / "market.json").unlink()
 
@@ -586,6 +592,7 @@ def test_a_snapshot_never_changes_an_outcome(dataset_dir, tmp_path, capsys):
         (out / "market.json").write_text(json.dumps(manifest), encoding="utf-8")
 
     assert analyze(truncate) == ("csv: unreadable snapshot", clean)
+    assert analyze(flip) == ("csv: unreadable snapshot", clean)
     assert analyze(forget) == ("csv: no snapshot", clean)
     assert analyze(recode) == ("csv: stale snapshot (code)", clean)
 

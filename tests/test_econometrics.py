@@ -30,9 +30,10 @@ from reportsignal.econometrics import (
 )
 from reportsignal.errors import ArgumentError, DataError, NumericalError, SchemaError, SingularityError
 from reportsignal.market import IndustryMap
+from reportsignal.metrics import BLOCK
 from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
-from tests.reference_market import records_of
+from tests.reference_market import records_of, write_panel as write_panel_one_pass
 
 
 def test_t_distribution_tail_anchors():
@@ -265,6 +266,23 @@ def test_panel_round_trip_is_exact(tmp_path):
     bad.write_text("a,b,c\n", encoding="utf-8")
     with pytest.raises(SchemaError):
         read_panel(bad)
+
+
+def test_panel_writer_gives_the_one_pass_bytes(tmp_path):
+    """write_panel formats ``BLOCK`` rows at a time; across the block seams,
+    and for floats whose ``repr`` takes the exponent form or a sign, it
+    writes the bytes of the one-pass writer it replaced."""
+    n = 2 * BLOCK + 3
+    panel = make_panel(n, random.Random(6))
+    panel.outcome_dates[BLOCK:] = [Date(2019, 3, 6)] * (n - BLOCK)
+    for row in (0, BLOCK - 1, BLOCK, 2 * BLOCK, n - 1):
+        panel.rows[row, :3] = [1e-05, 1e16, -0.0]
+    write_panel(panel, tmp_path / "blocks.csv")
+    write_panel_one_pass(panel, tmp_path / "one_pass.csv")
+    written = (tmp_path / "blocks.csv").read_bytes()
+    assert written == (tmp_path / "one_pass.csv").read_bytes()
+    assert written.count(b",1e-05,1e+16,-0.0,") == 5
+    assert written.count(b"\n") == n + 1
 
 
 def test_panel_design_column_order():

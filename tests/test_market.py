@@ -75,11 +75,11 @@ def test_calendar_locate_and_positions():
 
 def test_calendar_coverage_requirements():
     cal = TradingCalendar(weekdays(Date(2019, 1, 1), 80))
-    cal.require_coverage(Date(2019, 4, 1), Date(2019, 4, 10), lookback_days=90)
+    cal.require_coverage(Date(2019, 4, 1), Date(2019, 4, 10))
     with pytest.raises(ConfigurationError):
-        cal.require_coverage(Date(2019, 3, 1), Date(2019, 4, 10), lookback_days=90)
+        cal.require_coverage(Date(2019, 3, 1), Date(2019, 4, 10))
     with pytest.raises(ConfigurationError):
-        cal.require_coverage(Date(2019, 4, 1), cal.last(), post_trading_days=1)
+        cal.require_coverage(Date(2019, 4, 1), cal.last())
 
 
 @pytest.mark.parametrize(
@@ -107,13 +107,13 @@ def test_coverage_needs_a_trading_day_after_the_last_event(last_event, covered):
 
 def test_coverage_needs_the_lookback_before_the_first_event():
     cal = TradingCalendar(weekdays(Date(2019, 1, 1), 80))
-    cal.require_coverage(Date(2019, 4, 1), Date(2019, 4, 10), lookback_days=90)
+    cal.require_coverage(Date(2019, 4, 1), Date(2019, 4, 10))
     text = (
         "calendar starts 2019-01-01, but needs to start on or before 2018-12-31 "
         "(90 days before first event 2019-03-31)"
     )
     with pytest.raises(ConfigurationError, match=f"^{re.escape(text)}$"):
-        cal.require_coverage(Date(2019, 3, 31), Date(2019, 4, 10), lookback_days=90)
+        cal.require_coverage(Date(2019, 3, 31), Date(2019, 4, 10))
 
 
 def market_with_closes(closes, stock_id="600000.SH", skip=()):

@@ -4,6 +4,7 @@ import math
 import random
 from datetime import date as Date, timedelta
 
+import numpy as np
 import pytest
 
 from tests.helpers import bar_columns, flat_bar, gather, index_columns, ranges_of, weekdays
@@ -17,11 +18,13 @@ from reportsignal.market import (
     TradingCalendar,
 )
 from reportsignal.metrics import (
+    BLOCK,
     DOMAIN,
     GAP,
     HISTORY,
     OFF_CALENDAR,
     OK,
+    _libm,
     delta_volume,
     excess_return,
     label_window_return,
@@ -33,6 +36,16 @@ D0 = Date(2021, 3, 1)  # a Monday
 
 def bar(o, h, l, c, d=D0, sid="600000.SH", volume=1e6):
     return (sid, d, o, h, l, c, volume)
+
+
+@pytest.mark.parametrize("size", [1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+@pytest.mark.parametrize("fn, args", [(math.exp, ()), (math.log, ()), (pow, (2.0,))], ids=["exp", "log", "square"])
+def test_libm_blocks_keep_every_bit(size, fn, args):
+    """_libm maps ``fn`` over ``BLOCK`` values at a time; each value is what
+    ``fn`` gives it alone, across the block seams too."""
+    a = np.random.default_rng(size).uniform(0.01, 20.0, size)
+    expected = [fn(x, *args) for x in a.tolist()]
+    assert _libm(fn, a, *args).tobytes() == np.array(expected).tobytes()
 
 
 def test_garman_klass_known_values():

@@ -1,5 +1,6 @@
 """Unit tests for lexicon and external sentiment scoring."""
 
+import dataclasses
 import io
 import math
 from datetime import date as Date
@@ -46,6 +47,18 @@ def test_score_components_must_lie_on_the_simplex():
             parts[at] = infinite
             with pytest.raises(DomainError, match="outside"):
                 SentimentScore("r1", *parts)
+
+
+def test_a_score_is_a_small_frozen_value():
+    """Scores keep their fields in slots, with no per-instance ``__dict__``,
+    and stay frozen, comparable and hashable."""
+    score = SentimentScore("r1", 0.5, 0.25, 0.25)
+    assert not hasattr(score, "__dict__")
+    assert dataclasses.astuple(score) == ("r1", 0.5, 0.25, 0.25)
+    assert score == SentimentScore("r1", 0.5, 0.25, 0.25) != SentimentScore("r2", 0.5, 0.25, 0.25)
+    assert len({score, SentimentScore("r1", 0.5, 0.25, 0.25)}) == 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        score.pos = 0.25
 
 
 def test_lexicon_rejects_conflicting_and_empty_entries():
