@@ -10,18 +10,19 @@ handle a leading byte-order mark):
     industry: stock_id,industry_index_id,sector_name
     calendar: one ISO date per line, ascending; '#' lines are comments
 
-Layout. Market data in memory is columns: ``BarColumns`` holds one array
-per bar field and ``IndexColumns`` the index levels, each value with its
-id's code and its calendar position; ``load_market``, the snapshot reader
-and ``synthkit.generate`` all make them. A date becomes a calendar
-position one way, through ``TradingCalendar.locate`` (the first trading
-day on or after it). ``BarStore`` and ``IndexStore`` scatter the columns
-into dense (id x trading-day) arrays of the raw values (open/high/low/
-close/volume, or levels) with a ``present`` mask; a stock's row holds its
-bars at their calendar positions. Nothing derived is precomputed per cell
-except the running volume sums and bar counts that make any trailing
-volume window two lookups. The metric kernels in ``metrics`` gather the
-cells they need by (row, day) arrays.
+Layout. Market data has one form in memory: dense (id x trading-day)
+grids of raw values with a ``present`` mask, ``BarGrid`` for bars' open/
+high/low/close/volume and ``IndexGrid`` for index levels. Row i holds the
+i-th id's values at their calendar positions, absent cells hold 0.0, and
+a last, empty row stands for an unknown id. ``load_market`` scatters the
+rows it accepts into grids (``_scatter``, the only scatter); ``synthkit.
+generate`` fills its grids in place; the snapshot keeps them verbatim;
+``BarStore`` and ``IndexStore`` check their shape and hold them as they
+are. A date becomes a calendar position one way, ``TradingCalendar.
+locate`` (the first trading day on or after it). Nothing derived is
+precomputed per cell but the running volume sums and bar counts that
+make a trailing volume window two lookups. The metric kernels in
+``metrics`` gather the cells they need by (row, day) arrays.
 
 Loading. ``load_market`` reads bars.csv ``BAR_BLOCK_ROWS`` rows at a
 time: each block becomes columns, prices convert with
@@ -35,10 +36,10 @@ first those of parsing and bar rules, then those of calendar days and
 duplicates.
 
 Snapshot. ``write_snapshot`` saves a loaded market as ``market.npz``
-(day ordinals, the present cells with their values, ids and industry rows)
+(day ordinals, the bar and index grids verbatim, ids and industry rows)
 plus ``market.json``, holding the sha256 of each market file, of the
 code they pass through (this module and the ``corpus`` readers it calls),
-and of the npz. ``read_snapshot`` rebuilds the market through the store
+and of the npz. ``read_snapshot`` hands the grids to the store
 constructors while the manifest matches, and otherwise says why not, so
 the caller parses the files. It hashes and loads the npz through one open
 file, safe since ``write_snapshot`` only ever replaces the npz whole.
@@ -149,20 +150,14 @@ class _DayGrid:
 
     data = "market"
 
-    def __init__(self, calendar: TradingCalendar, ids: Iterable[str], codes, days):
+    def __init__(self, calendar: TradingCalendar, ids: Iterable[str], present: np.ndarray, *grids: np.ndarray):
         self.calendar = calendar
         self.fence: Date | None = None
         self.rows = {key: i for i, key in enumerate(ids)}
-        self.present = np.zeros((len(self.rows) + 1, len(calendar)), dtype=bool)
-        self.present[codes, days] = True
-
-    def _dense(self, codes, days, values) -> np.ndarray:
-        grid = np.zeros(self.present.shape)
-        grid[codes, days] = values
-        return grid
-
-    def __contains__(self, key: str) -> bool:
-        return key in self.rows
+        shape = (len(self.rows) + 1, len(calendar))
+        if any(grid.shape != shape for grid in (present, *grids)):
+            raise ValueError(f"{self.data} grids must be {shape[0]} x {shape[1]}: one row per id and one empty")
+        self.present = present
 
     def row(self, key: str) -> int:
         return self.rows.get(key, -1)
@@ -191,13 +186,12 @@ class _DayGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class BarColumns:
-    """Bars as columns: ``stocks`` codes into ``ids``, ``days`` calendar
-    positions; ``len()`` counts the bars."""
+class BarGrid:
+    """Bars as (stock x trading-day) grids with one last, empty row (module
+    docstring, Layout); ``len()`` counts the bars."""
 
     ids: list[str]
-    stocks: np.ndarray
-    days: np.ndarray
+    present: np.ndarray
     open: np.ndarray
     high: np.ndarray
     low: np.ndarray
@@ -205,19 +199,17 @@ class BarColumns:
     volume: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.days)
+        return int(np.count_nonzero(self.present))
 
 
 class BarStore(_DayGrid):
-    """Raw open/high/low/close/volume per (stock, trading day), from bars
-    whose ``days`` are positions on ``calendar``."""
+    """Raw open/high/low/close/volume per (stock, trading day), holding the
+    arrays of a ``BarGrid`` laid out on ``calendar``."""
 
-    def __init__(self, bars: BarColumns, calendar: TradingCalendar):
-        super().__init__(calendar, bars.ids, bars.stocks, bars.days)
-        self.open, self.high, self.low, self.close, self.volume = (
-            self._dense(bars.stocks, bars.days, column)
-            for column in (bars.open, bars.high, bars.low, bars.close, bars.volume)
-        )
+    def __init__(self, bars: BarGrid, calendar: TradingCalendar):
+        prices = (bars.open, bars.high, bars.low, bars.close, bars.volume)
+        super().__init__(calendar, bars.ids, bars.present, *prices)
+        self.open, self.high, self.low, self.close, self.volume = prices
         # Running sums along each row: absent cells hold 0.0 and adding
         # 0.0 leaves a sum's bits alone, so a window's sum is the one the
         # stock's own bars give (NaN-filled cells would poison it).
@@ -229,25 +221,24 @@ class BarStore(_DayGrid):
 
 
 @dataclass(frozen=True, eq=False)
-class IndexColumns:
-    """Index levels as columns: ``indices`` codes into ``ids``, ``days``
-    calendar positions."""
+class IndexGrid:
+    """Index levels as a dense (index x trading-day) array, laid out as a
+    ``BarGrid``."""
 
     ids: list[str]
-    indices: np.ndarray
-    days: np.ndarray
+    present: np.ndarray
     levels: np.ndarray
 
 
 class IndexStore(_DayGrid):
-    """Index levels per (index, trading day), from levels whose ``days``
-    are positions on ``calendar``."""
+    """Index levels per (index, trading day), holding the arrays of an
+    ``IndexGrid`` laid out on ``calendar``."""
 
     data = "index"
 
-    def __init__(self, levels: IndexColumns, calendar: TradingCalendar):
-        super().__init__(calendar, levels.ids, levels.indices, levels.days)
-        self.levels = self._dense(levels.indices, levels.days, levels.levels)
+    def __init__(self, levels: IndexGrid, calendar: TradingCalendar):
+        super().__init__(calendar, levels.ids, levels.present, levels.levels)
+        self.levels = levels.levels
 
 
 class IndustryMap:
@@ -257,12 +248,6 @@ class IndustryMap:
         self._map: dict[str, tuple[str, str]] = {}
         for stock_id, index_id, sector in rows:
             self._map[stock_id] = (index_id, sector)
-
-    def __contains__(self, stock_id: str) -> bool:
-        return stock_id in self._map
-
-    def __len__(self) -> int:
-        return len(self._map)
 
     def sector(self, stock_id: str) -> str:
         try:
@@ -419,6 +404,16 @@ class _BarReader:
         return tuple(np.concatenate(part) for part in zip(*self.blocks))
 
 
+def _scatter(ids: list[str], calendar: TradingCalendar, rows, days, *columns: np.ndarray) -> list:
+    """The fields of a ``BarGrid`` or ``IndexGrid``: ``ids``, the ``present``
+    mask of the (row, day) cells, and one grid per column of their values."""
+    shape = (len(ids) + 1, len(calendar))
+    grids = [np.zeros(shape, dtype=bool)] + [np.zeros(shape) for _ in columns]
+    for grid, values in zip(grids, (True, *columns)):
+        grid[rows, days] = values
+    return [ids, *grids]
+
+
 def load_market(
     bars_path,
     indices_path,
@@ -460,7 +455,7 @@ def load_market(
         reason = f"{d} is not a trading day" if off_calendar[i] else f"duplicate bar for {ids[stocks[i]]} on {d}"
         bar_rejects.append(RowReject(int(line_nos[i]), reason))
     keep = ~(off_calendar | duplicate)
-    bars = BarColumns(ids, stocks[keep], days[keep], *(column[keep] for column in prices))
+    bars = BarGrid(*_scatter(ids, calendar, stocks[keep], days[keep], *(column[keep] for column in prices)))
 
     # each accepted index row's id, day ordinal and level
     index_ids: list[str] = []
@@ -499,7 +494,7 @@ def load_market(
     kept = np.flatnonzero(index_days >= 0)
     index_codes: dict[str, int] = {}
     indices = np.array([index_codes.setdefault(index_ids[i], len(index_codes)) for i in kept.tolist()], dtype=np.intp)
-    index_levels = IndexColumns(list(index_codes), indices, index_days[kept], np.array(levels)[kept])
+    index_levels = IndexGrid(*_scatter(list(index_codes), calendar, indices, index_days[kept], np.array(levels)[kept]))
 
     industry_rows: list[tuple[str, str, str]] = []
     mapped: set[str] = set()
@@ -527,7 +522,7 @@ def load_market(
 
 SNAPSHOT = "market.npz"
 MANIFEST = "market.json"
-SNAPSHOT_FORMAT = 1
+SNAPSHOT_FORMAT = 2
 HASH_CHUNK = 1 << 20  # bytes of a file hashed at a time
 
 
@@ -565,7 +560,6 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
     """Save ``market``, just loaded by ``load_market(**files)``, in
     ``out_dir``: the npz first, moved into place whole, then the manifest."""
     out_dir, bars, indices = Path(out_dir), market.bars, market.indices
-    bar_cells, index_cells = np.nonzero(bars.present), np.nonzero(indices.present)
     # Strings travel as JSON text, since numpy's string arrays drop trailing NULs.
     industry_rows = [(stock_id, *link) for stock_id, link in market.industry._map.items()]
     names = json.dumps([list(bars.rows), list(indices.rows), industry_rows]).encode("utf-8")
@@ -574,10 +568,10 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
             stream,
             calendar=market.calendar.ordinals,
             names=np.frombuffer(names, np.uint8),
-            bar_cells=np.array(bar_cells),
-            bar_values=np.array([getattr(bars, name)[bar_cells] for name in BARS_HEADER[2:]]),
-            index_cells=np.array(index_cells),
-            levels=indices.levels[index_cells],
+            bar_present=bars.present,
+            **{name: getattr(bars, name) for name in BARS_HEADER[2:]},
+            index_present=indices.present,
+            levels=indices.levels,
         )
     os.replace(stream.name, out_dir / SNAPSHOT)
     manifest = _snapshot_key(**files) | {"npz": _sha256(out_dir / SNAPSHOT)}
@@ -588,8 +582,8 @@ def _snapshot_market(stream) -> MarketData:
     with np.load(stream, allow_pickle=False) as data:
         bar_ids, index_ids, industry_rows = json.loads(data["names"].tobytes())
         calendar = TradingCalendar(map(Date.fromordinal, data["calendar"].tolist()))
-        bars = BarColumns(bar_ids, *data["bar_cells"], *data["bar_values"])
-        levels = IndexColumns(index_ids, *data["index_cells"], data["levels"])
+        bars = BarGrid(bar_ids, data["bar_present"], *(data[name] for name in BARS_HEADER[2:]))
+        levels = IndexGrid(index_ids, data["index_present"], data["levels"])
         return MarketData(calendar, BarStore(bars, calendar), IndexStore(levels, calendar), IndustryMap(industry_rows))
 
 

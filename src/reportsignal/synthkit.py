@@ -26,16 +26,18 @@ two), and no stock is cited twice on one day, so outcome slots never
 collide.
 
 Array layout: each report day picks the token classes and words of its
-whole (reports x tokens) block at once. The bar chains are (stocks x
-days) arrays, drawn per stock. The planted rows are one (rows x
+whole (reports x tokens) block at once. The bars are made in place, in
+one block whose five (stocks + 1) x days planes are the dataset's
+``market.BarGrid`` (open, high, low, close, volume; the last row stays
+empty): the chains draw per stock, and a loop over the days advances
+the closes and volumes of every stock. The planted rows are one (rows x
 regressors) array, a block per outcome day, whose columns that no chain
-value moves are filled at once; a loop over the days advances every
-stock and fills that day's block from the chain, then one ``fsum`` pass
-gives its three targets. Open, high and low follow for all bars in one
-pass after the loop, and the raveled arrays, stock after stock, are the
-dataset's ``market.BarColumns``; the index walks, one after another, are
-its ``market.IndexColumns``. No per-bar or per-level object is ever made.
-The reports are gathered field by field into ``corpus.ReportColumns``.
+value moves are filled at once; the day loop fills that day's block from
+the chain, then one ``fsum`` pass gives its three targets. Open, high
+and low are written into their planes for all bars in one pass after the
+loop, and the index walks fill the rows of the ``market.IndexGrid``. No
+per-bar or per-level object is ever made. The reports are gathered field
+by field into ``corpus.ReportColumns``.
 
 Every exp and log on the chain goes through libm (``math``) element by
 element (``metrics._libm``), as the pipeline computes it: numpy's own
@@ -64,7 +66,7 @@ from .config import FORMAT_VERSION, RunConfig
 from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
 from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, RANGE_SCALE
 from .errors import ConfigurationError
-from .market import CSI500, INDUSTRY_HEADER, SSE, SZSE, VIX, BarColumns, IndexColumns
+from .market import BARS_HEADER, CSI500, INDICES_HEADER, INDUSTRY_HEADER, SSE, SZSE, VIX, BarGrid, IndexGrid
 from .metrics import _libm, garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
@@ -236,8 +238,8 @@ class SynthDataset:
 
     records: ReportColumns
     scores: list[SentimentScore]
-    bars: BarColumns
-    index_rows: IndexColumns  # so named because bench/run.py's fit_in_memory reads it by this name
+    bars: BarGrid
+    index_rows: IndexGrid  # so named because bench/run.py's fit_in_memory reads it by this name
     industry_rows: list[tuple[str, str, str]]
     calendar_dates: list[Date]
     train_range: tuple[Date, Date]
@@ -266,12 +268,16 @@ def _lexicon_word_lists() -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, 
     return tuple(lex.words(POSITIVE)), tuple(lex.words(NEUTRAL)), tuple(lex.words(NEGATIVE))
 
 
-def _bar_shape(close, target, z):
-    """Open, high and low around ``close`` for a range target (module docstring)."""
+def _bar_shape(close, target, z, out):
+    """Open, high and low around ``close`` for a range target (module
+    docstring), written into the three 1-D arrays of ``out``."""
     c = z * 0.4 * np.sqrt(target)
     m = np.sqrt((target + 0.3925 * c * c) / 2.006)
-    o = close / _libm(math.exp, c)
-    return o, o * _libm(math.exp, 0.5 * c + m), o * _libm(math.exp, 0.5 * c - m)
+    o, h, l = out
+    np.divide(close, _libm(math.exp, c), out=o)
+    np.multiply(o, _libm(math.exp, 0.5 * c + m), out=h)
+    np.multiply(o, _libm(math.exp, 0.5 * c - m), out=l)
+    return out
 
 
 def generate(spec: SynthSpec) -> SynthDataset:
@@ -287,15 +293,18 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # so its day-to-day differences never degenerate into a constant column.
     walks = [(SSE, 3300.0, spec.index_vol), (SZSE, 2100.0, spec.index_vol), (CSI500, 6000.0, spec.index_vol)]
     walks += [(index_id, 5000.0, spec.industry_vol) for index_id in INDUSTRY_IDS] + [(VIX, spec.vix_base, spec.vix_vol)]
-    index_levels: dict[str, np.ndarray] = {}
-    for index_id, base, vol in walks:
+    shape = (len(walks) + 1, n_cal)  # one row per index, then the empty one
+    levels = IndexGrid([walk[0] for walk in walks], np.zeros(shape, dtype=bool), np.zeros(shape))
+    levels.present[:-1] = True
+    for row, (_, base, vol) in zip(levels.levels, walks):
         steps = rng.normal(0.0, vol, n_cal - 1)
-        index_levels[index_id] = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+        row[:] = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
+    index_levels = dict(zip(levels.ids, levels.levels))
 
     # Log returns (VIX: differences), NaN on the first day.
     logret = {
-        index_id: np.concatenate(([math.nan], _libm(math.log, levels[1:] / levels[:-1])))
-        for index_id, levels in index_levels.items()
+        index_id: np.concatenate(([math.nan], _libm(math.log, walk[1:] / walk[:-1])))
+        for index_id, walk in index_levels.items()
         if index_id != VIX
     }
     vix_diff = np.concatenate(([math.nan], np.diff(index_levels[VIX])))
@@ -371,9 +380,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     corpus_index = CorpusIndex(records)
 
     # --- bar chains ----------------------------------------------------------
-    # (stock x day) arrays drawn stock by stock; targets start as natural ranges.
-    shape = (spec.n_stocks, n_cal)
-    growth, targets, zc, vols = (np.empty(shape) for _ in range(4))
+    # The bar grid's open/high/low/close/volume planes, the last row empty,
+    # whose closes and volumes the chain fills in place. The other (stock x
+    # day) arrays are drawn stock by stock; targets start as natural ranges.
+    grid = np.zeros((5, spec.n_stocks + 1, n_cal))
+    closes, vols = grid[3, :-1], grid[4, :-1]
+    growth, targets, zc = (np.empty(closes.shape) for _ in range(3))
     for i in range(spec.n_stocks):
         idio = rng.normal(0.0, spec.idio_vol, n_cal)
         targets[i] = spec.base_range * np.exp(rng.normal(0.0, spec.range_spread, n_cal))
@@ -396,7 +408,6 @@ def generate(spec: SynthSpec) -> SynthDataset:
     del planted, pos_neg, t_all, num7, num90
 
     betas = np.array([[spec.betas[k][key] for key in BETA_KEYS] for k in OUTCOME_KEYS])
-    closes = np.empty(shape)
     closes[:, 0] = close0
     vol_prefix = np.zeros((spec.n_stocks, n_cal + 1))
     vol_prefix[:, 1] = vols[:, 0]
@@ -411,7 +422,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
             rows, x, noise, s = rows_all[lo:hi], x_all[lo:hi], noise_all[lo:hi], j - 1
             ind = industry_of[rows]
             close_s = closes[rows, s]
-            x[:, 3] = garman_klass(*_bar_shape(close_s, targets[rows, s], zc[rows, s]), close_s) * RANGE_SCALE
+            shaped = _bar_shape(close_s, targets[rows, s], zc[rows, s], np.empty((3, rows.size)))
+            x[:, 3] = garman_klass(*shaped, close_s) * RANGE_SCALE
             mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
             x[:, 4] = _libm(math.log, vols[rows, s] / mean60_s)
             x[:, 5] = _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s]
@@ -430,24 +442,12 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # the blocks go with the last day's views of them, which keep them alive
     del growth, vol_prefix, rows_all, x_all, noise_all, rows, x, noise
 
-    closes, vols = closes.ravel(), vols.ravel()
-    bars = BarColumns(
-        stock_ids,
-        np.repeat(np.arange(spec.n_stocks), n_cal),
-        np.tile(np.arange(n_cal), spec.n_stocks),
-        *_bar_shape(closes, targets.ravel(), zc.ravel()),
-        closes,
-        vols,
-    )
+    # open, high and low into the grid's first three planes, each one flat
+    _bar_shape(closes.ravel(), targets.ravel(), zc.ravel(), [plane[:-1].reshape(-1) for plane in grid[:3]])
+    bars = BarGrid(stock_ids, np.zeros(grid.shape[1:], dtype=bool), *grid)
+    bars.present[:-1] = True
 
     # --- assemble ------------------------------------------------------------
-    levels = IndexColumns(
-        list(index_levels),
-        np.repeat(np.arange(len(index_levels)), n_cal),
-        np.tile(np.arange(n_cal), len(index_levels)),
-        np.concatenate(list(index_levels.values())),
-    )
-
     industry_rows = [
         (sid, INDUSTRY_IDS[industry_of[i]], SECTORS[industry_of[i]])
         for i, sid in enumerate(stock_ids)
@@ -492,6 +492,18 @@ def generate(spec: SynthSpec) -> SynthDataset:
     )
 
 
+def _write_grid(path, header: tuple[str, ...], grid: BarGrid | IndexGrid, planes, dates: list[str]) -> None:
+    """Write the present cells of ``grid`` as csv rows of id, ISO date and
+    the ``repr`` of each of ``planes`` (its value arrays) there, id by id in
+    day order; one id's values become Python floats at a time."""
+    with open(path, "w", encoding="utf-8", newline="") as stream:
+        stream.write(",".join(header) + "\n")
+        for row, key in enumerate(grid.ids):
+            have = grid.present[row]
+            for day, *values in zip(np.flatnonzero(have).tolist(), *(plane[row, have].tolist() for plane in planes)):
+                stream.write(f"{key},{dates[day]},{','.join(map(repr, values))}\n")
+
+
 def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Path]:
     """Write all dataset files plus a ready-to-run config; returns paths."""
     out = Path(out_dir)
@@ -509,19 +521,11 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
 
     serialize_corpus(dataset.records, paths["corpus"])
 
-    bars = dataset.bars
+    bars, levels = dataset.bars, dataset.index_rows
     dates = [d.isoformat() for d in dataset.calendar_dates]
-    columns = (bars.stocks, bars.days, bars.open, bars.high, bars.low, bars.close, bars.volume)
-    with open(paths["bars"], "w", encoding="utf-8", newline="") as stream:
-        stream.write("stock_id,date,open,high,low,close,volume\n")
-        for stock, day, o, h, l, c, v in zip(*map(np.ndarray.tolist, columns)):
-            stream.write(f"{bars.ids[stock]},{dates[day]},{o!r},{h!r},{l!r},{c!r},{v!r}\n")
-
-    levels = dataset.index_rows
-    with open(paths["indices"], "w", encoding="utf-8", newline="") as stream:
-        stream.write("index_id,date,level\n")
-        for index, day, level in zip(*map(np.ndarray.tolist, (levels.indices, levels.days, levels.levels))):
-            stream.write(f"{levels.ids[index]},{dates[day]},{level!r}\n")
+    prices = (bars.open, bars.high, bars.low, bars.close, bars.volume)
+    _write_grid(paths["bars"], BARS_HEADER, bars, prices, dates)
+    _write_grid(paths["indices"], INDICES_HEADER, levels, (levels.levels,), dates)
 
     write_csv_rows(paths["industry"], INDUSTRY_HEADER, dataset.industry_rows)
 

@@ -15,13 +15,14 @@ from reportsignal.econometrics import PANEL_HEADER
 from reportsignal.errors import SchemaError
 from reportsignal.labeling import LABELS, LABELS_HEADER, LabeledReport
 from reportsignal.market import (
-    BarColumns,
+    BarGrid,
     BarStore,
-    IndexColumns,
+    IndexGrid,
     IndexStore,
     IndustryMap,
     MarketData,
     TradingCalendar,
+    _scatter,
 )
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import SynthSpec, generate
@@ -48,18 +49,24 @@ def keys(rows: list, calendar: TradingCalendar) -> tuple[list[str], np.ndarray, 
     return list(codes), ids, days
 
 
-def bar_columns(rows, calendar: TradingCalendar) -> BarColumns:
-    """BarColumns of (stock, date, open, high, low, close, volume) rows
-    dated on ``calendar``."""
+def grid_of(rows, calendar: TradingCalendar, n_values: int) -> list:
+    """Ids, the present mask and one grid per value of (id, date, *values)
+    rows dated on ``calendar``, scattered as ``load_market`` does."""
     rows = list(rows)
-    prices = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), 5)
-    return BarColumns(*keys(rows, calendar), *prices.T)
+    ids, codes, days = keys(rows, calendar)
+    values = np.array([row[2:] for row in rows], dtype=float).reshape(len(rows), n_values)
+    return _scatter(ids, calendar, codes, days, *values.T)
 
 
-def index_columns(rows, calendar: TradingCalendar) -> IndexColumns:
-    """IndexColumns of (index, date, level) rows dated on ``calendar``."""
-    rows = list(rows)
-    return IndexColumns(*keys(rows, calendar), np.array([row[2] for row in rows], dtype=float))
+def bar_grid(rows, calendar: TradingCalendar) -> BarGrid:
+    """BarGrid of (stock, date, open, high, low, close, volume) rows dated
+    on ``calendar``."""
+    return BarGrid(*grid_of(rows, calendar, 5))
+
+
+def index_grid(rows, calendar: TradingCalendar) -> IndexGrid:
+    """IndexGrid of (index, date, level) rows dated on ``calendar``."""
+    return IndexGrid(*grid_of(rows, calendar, 1))
 
 
 def flat_bar(stock_id: str, d: Date, price: float = 100.0, volume: float = 1e6) -> tuple:
@@ -78,10 +85,10 @@ def ranges_of(bars):
     of its own, so rows that share a stock and a day stay apart."""
     bars = [(str(i), *bar[1:]) for i, bar in enumerate(bars)]
     calendar = TradingCalendar(sorted({bar[1] for bar in bars}))
-    columns = bar_columns(bars, calendar)
-    no_levels = IndexStore(index_columns([], calendar), calendar)
-    market = MarketData(calendar, BarStore(columns, calendar), no_levels, IndustryMap([]))
-    return garman_klass_range(market, columns.stocks, columns.days)
+    _, stocks, days = keys(bars, calendar)
+    no_levels = IndexStore(index_grid([], calendar), calendar)
+    market = MarketData(calendar, BarStore(bar_grid(bars, calendar), calendar), no_levels, IndustryMap([]))
+    return garman_klass_range(market, stocks, days)
 
 
 def estimate(fit, regressor: str) -> tuple[float, float, float, float]:

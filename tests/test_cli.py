@@ -591,10 +591,16 @@ def test_a_snapshot_never_changes_an_outcome(dataset_dir, tmp_path, capsys):
         manifest["code"] = "0" * 64
         (out / "market.json").write_text(json.dumps(manifest), encoding="utf-8")
 
+    def reformat(out):
+        manifest = read_json(out / "market.json")
+        manifest["format_version"] = 1
+        (out / "market.json").write_text(json.dumps(manifest), encoding="utf-8")
+
     assert analyze(truncate) == ("csv: unreadable snapshot", clean)
     assert analyze(flip) == ("csv: unreadable snapshot", clean)
     assert analyze(forget) == ("csv: no snapshot", clean)
     assert analyze(recode) == ("csv: stale snapshot (code)", clean)
+    assert analyze(reformat) == ("csv: stale snapshot (format_version)", clean)
 
     edit_line(clone / "bars.csv", lambda line: True, lambda line: "totally,wrong,header\n")
     source, outcome = analyze(untouched)

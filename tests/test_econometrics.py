@@ -323,7 +323,6 @@ def test_build_panel_accounts_for_every_pair():
     assert len(result.rows) > 0
     calendar = market.calendar
     bars = ds.bars
-    bar_ids = np.array(bars.ids)[bars.stocks]
     for report_id, stock_id, outcome_date, range_lag in zip(
         result.report_ids[:10], result.stock_ids, result.outcome_dates, column(result, "range_lag").tolist()
     ):
@@ -331,8 +330,9 @@ def test_build_panel_accounts_for_every_pair():
         s = next(j for j, d in enumerate(calendar.dates) if d >= record.release_date)
         s_day = calendar.dates[s]
         assert outcome_date == calendar.dates[s + 1]
-        (i,) = np.flatnonzero((bar_ids == stock_id) & (bars.days == s))
-        bar = (stock_id, s_day, bars.open[i], bars.high[i], bars.low[i], bars.close[i], bars.volume[i])
+        i = bars.ids.index(stock_id)
+        assert bars.present[i, s]
+        bar = (stock_id, s_day, bars.open[i, s], bars.high[i, s], bars.low[i, s], bars.close[i, s], bars.volume[i, s])
         assert range_lag == ranges_of([bar]).values[0] * 100.0
     # a report with no score is dropped once per cited stock
     missing = dict(scores)

@@ -33,7 +33,7 @@ from reportsignal.metrics import (
     garman_klass_range,
     index_change,
 )
-from tests.helpers import bar_columns, gather, index_columns, weekdays
+from tests.helpers import bar_grid, gather, index_grid, weekdays
 
 MONDAY = Date(2019, 3, 4)
 
@@ -125,8 +125,8 @@ def market_with_closes(closes, stock_id="600000.SH", skip=()):
         for i, (d, c) in enumerate(zip(cal.dates, closes))
         if i not in skip
     ]
-    levels = index_columns([("IND01", d, 1000.0) for d in cal.dates], cal)
-    bar_store = BarStore(bar_columns(bars, cal), cal)
+    levels = index_grid([("IND01", d, 1000.0) for d in cal.dates], cal)
+    bar_store = BarStore(bar_grid(bars, cal), cal)
     return cal, MarketData(cal, bar_store, IndexStore(levels, cal), IndustryMap([(stock_id, "IND01", "Bank")]))
 
 
@@ -187,9 +187,9 @@ def test_index_store_changes():
         ("VIX", cal.dates[0], 18.0),
         ("VIX", cal.dates[1], 21.5),
     ]
-    store = IndexStore(index_columns(rows, cal), cal)
-    market = MarketData(cal, BarStore(bar_columns([], cal), cal), store, IndustryMap([]))
-    assert "VIX" in store and "DAX" not in store
+    store = IndexStore(index_grid(rows, cal), cal)
+    market = MarketData(cal, BarStore(bar_grid([], cal), cal), store, IndustryMap([]))
+    assert store.row("VIX") == 1 and store.row("DAX") == -1
     assert store.levels[store.row("CSI500"), 1] == 5100.0
     csi500, vix = store.row("CSI500"), store.row("VIX")
     days = np.array([1, 2, 0])
@@ -210,8 +210,7 @@ def test_industry_map_defaults_blank_sectors_to_other():
     imap = IndustryMap(
         [("600000.SH", "IND01", "Bank"), ("000001.SZ", "IND02", "")]
     )
-    assert len(imap) == 2
-    assert "600000.SH" in imap and "999999.SH" not in imap
+    assert imap._map == {"600000.SH": ("IND01", "Bank"), "000001.SZ": ("IND02", "")}
     assert imap.sector("600000.SH") == "Bank"
     assert imap.sector("000001.SZ") == "Other"
     with pytest.raises(MappingError):
@@ -398,7 +397,7 @@ def test_index_levels_off_the_calendar_count_but_are_not_kept(tmp_path):
     assert result.n_index_rows == 7
     store = result.market.indices
     assert list(store.rows) == ["CSI500", "DAX"]
-    assert "FTSE" not in store and "VIX" not in store and store.row("VIX") == -1
+    assert store.row("FTSE") == store.row("VIX") == -1
     assert store.present.tolist() == [
         [True, False, False, False, False, True],
         [False, True, False, False, False, False],

@@ -7,7 +7,7 @@ from datetime import date as Date, timedelta
 import numpy as np
 import pytest
 
-from tests.helpers import bar_columns, flat_bar, gather, index_columns, ranges_of, weekdays
+from tests.helpers import bar_grid, flat_bar, gather, index_grid, ranges_of, weekdays
 from tests.reference_market import ReportRecord, columns_of
 from reportsignal.corpus import CorpusIndex
 from reportsignal.market import (
@@ -97,8 +97,8 @@ def make_market(closes, index_levels, volumes=None):
     rows = [("IND01", d, lvl) for d, lvl in zip(days, index_levels)]
     market = MarketData(
         cal,
-        BarStore(bar_columns(bars, cal), cal),
-        IndexStore(index_columns(rows, cal), cal),
+        BarStore(bar_grid(bars, cal), cal),
+        IndexStore(index_grid(rows, cal), cal),
         IndustryMap([("600000.SH", "IND01", "Bank")]),
     )
     return market, days

@@ -12,10 +12,10 @@ from reportsignal.econometrics import (
     run_pooled_regressions,
 )
 from reportsignal.errors import ConfigurationError
-from reportsignal.market import TradingCalendar, load_market
+from reportsignal.market import BarStore, IndexStore, TradingCalendar, load_market
 from reportsignal.metrics import garman_klass_range
 from reportsignal.synthkit import BETA_KEYS, SynthSpec, generate, write_dataset
-from tests.helpers import assemble, bar_columns, estimate, index_columns, small_dataset, small_spec
+from tests.helpers import assemble, bar_grid, estimate, index_grid, small_dataset, small_spec
 from tests.reference_market import records_of
 from tests.reference_synth import generate_scalar
 
@@ -193,6 +193,50 @@ def test_written_dataset_is_a_complete_run_directory(tmp_path):
     assert len(ds.bars) == len(rows)
 
 
+def test_a_bar_grid_with_holes_writes_and_loads_back(tmp_path):
+    """bars.csv holds a bar grid's present cells only, stock by stock in
+    day order; load_market gives back the same grids bit for bit, less the
+    row of a stock left with no bars. A store refuses a grid whose shape
+    does not fit its ids and calendar."""
+    ds = small_dataset(seed=4)
+    bars, levels = ds.bars, ds.index_rows
+    gone, holed, hole = 5, 2, 40
+    prices = (bars.open, bars.high, bars.low, bars.close, bars.volume)
+    for grid in (bars.present, *prices):
+        grid[gone] = 0
+        grid[holed, hole] = 0
+    paths = write_dataset(ds, tmp_path)
+
+    dates = [d.isoformat() for d in ds.calendar_dates]
+    want = [
+        ",".join([stock_id, dates[day], *(repr(float(grid[row, day])) for grid in prices)])
+        for row, stock_id in enumerate(bars.ids)
+        for day in np.flatnonzero(bars.present[row]).tolist()
+    ]
+    assert len(want) == len(bars) == bars.present[:-1].size - len(dates) - 1
+    assert paths["bars"].read_text(encoding="utf-8").splitlines()[1:] == want
+
+    loaded = load_market(paths["bars"], paths["indices"], paths["industry"], paths["calendar"])
+    assert loaded.n_bars == len(ds.bars)
+    kept = [row for row in range(len(bars.ids) + 1) if row != gone]
+    got = loaded.market.bars
+    assert list(got.rows) == [bars.ids[row] for row in kept[:-1]]
+    for name in ("present", "open", "high", "low", "close", "volume"):
+        a, b = getattr(got, name), getattr(bars, name)[kept]
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    got = loaded.market.indices
+    assert list(got.rows) == levels.ids
+    for name in ("present", "levels"):
+        a, b = getattr(got, name), getattr(levels, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+    calendar = TradingCalendar(ds.calendar_dates)
+    with pytest.raises(ValueError, match="market grids must be"):
+        BarStore(dataclasses.replace(bars, ids=bars.ids[:-1]), calendar)
+    with pytest.raises(ValueError, match="index grids must be"):
+        IndexStore(dataclasses.replace(levels, levels=levels.levels[:, 1:]), calendar)
+
+
 def test_generator_matches_scalar_reference(tmp_path):
     """The array generator writes the scalar loop's files byte for byte."""
     specs = [small_spec(seed=seed) for seed in range(5)]
@@ -204,7 +248,7 @@ def test_generator_matches_scalar_reference(tmp_path):
         scalar = generate_scalar(spec)
         calendar = TradingCalendar(scalar.calendar_dates)
         scalar = dataclasses.replace(
-            scalar, bars=bar_columns(scalar.bars, calendar), index_rows=index_columns(scalar.index_rows, calendar)
+            scalar, bars=bar_grid(scalar.bars, calendar), index_rows=index_grid(scalar.index_rows, calendar)
         )
         want = write_dataset(scalar, tmp_path / f"scalar{k}", seed=spec.seed)
         got = write_dataset(generate(spec), tmp_path / f"array{k}", seed=spec.seed)
