@@ -400,8 +400,9 @@ class _BarReader:
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Line numbers, stock codes, date codes and the five prices of every
-        accepted row, in line order."""
-        return tuple(np.concatenate(part) for part in zip(*self.blocks))
+        accepted row, in line order; the blocks are freed once joined."""
+        blocks, self.blocks = self.blocks, []
+        return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
 def _scatter(ids: list[str], calendar: TradingCalendar, rows, days, *columns: np.ndarray) -> list:

@@ -5,6 +5,10 @@ for reading (coefficient rows with significance stars, t-statistics in
 parentheses underneath), and a delimited file with full-precision values
 meant for diffing and downstream tooling. Significance stars come in two
 presets because the source tables use different thresholds.
+
+Outcomes and regressors follow ``econometrics``' schema; this module
+declares only layout. The three text tables share one frame, and the
+pooled and industry tables one coefficient cell and t cell.
 """
 
 from __future__ import annotations
@@ -29,7 +33,8 @@ STAR_PRESETS: dict[str, tuple[tuple[float, str], ...]] = {
     "table4": ((0.01, "***"), (0.05, "**"), (0.1, "*")),
 }
 
-OUTCOME_ORDER = ("range", "ret_ex", "delta_volume")
+# Width of a coefficient column in the pooled and industry tables.
+COLUMN_W = 16
 
 REGRESSION_CSV_HEADER = (
     "outcome",
@@ -89,6 +94,19 @@ def _cell(text: str, width: int) -> str:
     return text.rjust(width) if len(text) < width else " " + text
 
 
+def _framed(title: str, width: int, header: str, body: list[str], preset: Sequence[tuple[float, str]]) -> str:
+    """A text table: the title, a ``=`` rule, the header, the body between
+    two ``-`` rules, and the star legend."""
+    return "\n".join([title, "=" * width, header, "-" * width, *body, "-" * width, star_legend(preset)]) + "\n"
+
+
+def _estimate(fit: RegressionFit, i: int, preset: Sequence[tuple[float, str]]) -> tuple[str, str]:
+    """The coefficient-with-stars cell and the parenthesised t cell of a
+    fit's ``i``-th regressor."""
+    coef = format(fit.coef[i], ".4f") + star_marker(fit.p_values[i], preset)
+    return _cell(coef, COLUMN_W), _cell(f"({format(fit.t_stats[i], '.3f')})", COLUMN_W)
+
+
 def format_regression_table(
     fits: dict[str, RegressionFit],
     stars: str = "table3",
@@ -97,39 +115,23 @@ def format_regression_table(
     """Fixed-width table: one column per outcome, coefficient row with
     stars followed by a parenthesized t-statistic row per regressor."""
     preset = star_preset(stars)
-    outcomes = [key for key in OUTCOME_ORDER if key in fits]
+    outcomes = [key for key in OUTCOME_NAMES if key in fits]
     if not outcomes:
         raise ConfigurationError("no fits to format")
 
     name_w = max(len(n) for n in REGRESSOR_NAMES + ("Observations", "R-squared")) + 2
-    col_w = 16
-    header_cells = [OUTCOME_NAMES[key] for key in outcomes]
-    lines = [title]
-    width = name_w + col_w * len(outcomes)
-    lines.append("=" * width)
-    lines.append("".ljust(name_w) + "".join(_cell(h, col_w) for h in header_cells))
-    lines.append("-" * width)
-
-    reference = fits[outcomes[0]]
-    for i, regressor in enumerate(reference.regressors):
-        coef_cells = []
-        t_cells = []
-        for key in outcomes:
-            fit = fits[key]
-            marker = star_marker(fit.p_values[i], preset)
-            coef_cells.append(_cell(format(fit.coef[i], ".4f") + marker, col_w))
-            t_cells.append(_cell(f"({format(fit.t_stats[i], '.3f')})", col_w))
-        lines.append(regressor.ljust(name_w) + "".join(coef_cells))
-        lines.append("".ljust(name_w) + "".join(t_cells))
-
-    lines.append("-" * width)
-    obs_cells = [_cell(str(fits[key].n_obs), col_w) for key in outcomes]
-    r2_cells = [_cell(format(fits[key].r_squared, ".3f"), col_w) for key in outcomes]
-    lines.append("Observations".ljust(name_w) + "".join(obs_cells))
-    lines.append("R-squared".ljust(name_w) + "".join(r2_cells))
-    lines.append("-" * width)
-    lines.append(star_legend(preset))
-    return "\n".join(lines) + "\n"
+    width = name_w + COLUMN_W * len(outcomes)
+    header = " " * name_w + "".join(_cell(OUTCOME_NAMES[key], COLUMN_W) for key in outcomes)
+    body = []
+    for i, regressor in enumerate(fits[outcomes[0]].regressors):
+        coef_cells, t_cells = zip(*(_estimate(fits[key], i, preset) for key in outcomes))
+        body += [regressor.ljust(name_w) + "".join(coef_cells), " " * name_w + "".join(t_cells)]
+    body += [
+        "-" * width,
+        "Observations".ljust(name_w) + "".join(_cell(str(fits[key].n_obs), COLUMN_W) for key in outcomes),
+        "R-squared".ljust(name_w) + "".join(_cell(format(fits[key].r_squared, ".3f"), COLUMN_W) for key in outcomes),
+    ]
+    return _framed(title, width, header, body, preset)
 
 
 def regression_records(
@@ -138,7 +140,7 @@ def regression_records(
     """Full-precision rows for the machine-readable export."""
     preset = star_preset(stars)
     rows = []
-    for key in OUTCOME_ORDER:
+    for key in OUTCOME_NAMES:
         if key not in fits:
             continue
         fit = fits[key]
@@ -171,54 +173,30 @@ def format_industry_table(
     """Sector-by-sector sentiment coefficients: pos and neg columns per
     outcome, two lines per fitted sector (coefficients, then t-stats)."""
     preset = star_preset(stars)
-    columns = [
-        (key, regressor)
-        for key in OUTCOME_ORDER
-        for regressor in ("pos[t-1]", "neg[t-1]")
-    ]
+    columns = [(key, regressor) for key in OUTCOME_NAMES for regressor in ("pos[t-1]", "neg[t-1]")]
     name_w = 22
-    col_w = 16
-    width = name_w + 6 + col_w * len(columns)
-    lines = ["Industry-subset regressions"]
-    lines.append("=" * width)
-    head = "Sector".ljust(name_w) + "n".rjust(6)
-    for key, regressor in columns:
-        short = "pos" if regressor.startswith("pos") else "neg"
-        head += _cell(f"{short}:{OUTCOME_NAMES[key]}", col_w)
-    lines.append(head)
-    lines.append("-" * width)
-
+    width = name_w + 6 + COLUMN_W * len(columns)
+    header = "Sector".ljust(name_w) + "n".rjust(6) + "".join(
+        _cell(f"{regressor.removesuffix('[t-1]')}:{OUTCOME_NAMES[key]}", COLUMN_W) for key, regressor in columns
+    )
+    body = []
     for result in results:
+        lead = result.sector.ljust(name_w) + str(result.n_rows).rjust(6)
         if result.fits is None:
-            lines.append(
-                result.sector.ljust(name_w)
-                + str(result.n_rows).rjust(6)
-                + f"  skipped (n={result.n_rows} < min_rows={min_rows})"
-            )
+            body.append(lead + f"  skipped (n={result.n_rows} < min_rows={min_rows})")
             continue
-        coef_cells = []
-        t_cells = []
-        for key, regressor in columns:
-            fit = result.fits[key]
-            i = fit.regressors.index(regressor)
-            marker = star_marker(fit.p_values[i], preset)
-            coef_cells.append(_cell(format(fit.coef[i], ".4f") + marker, col_w))
-            t_cells.append(_cell(f"({format(fit.t_stats[i], '.3f')})", col_w))
-        lines.append(result.sector.ljust(name_w) + str(result.n_rows).rjust(6) + "".join(coef_cells))
-        lines.append("".ljust(name_w + 6) + "".join(t_cells))
-
-    lines.append("-" * width)
-    lines.append(star_legend(preset))
-    return "\n".join(lines) + "\n"
+        coef_cells, t_cells = zip(
+            *(_estimate(result.fits[key], result.fits[key].regressors.index(regressor), preset) for key, regressor in columns)
+        )
+        body += [lead + "".join(coef_cells), " " * (name_w + 6) + "".join(t_cells)]
+    return _framed("Industry-subset regressions", width, header, body, preset)
 
 
 def industry_records(results: Iterable[SectorResult], stars: str = "table4") -> list[tuple]:
     rows = []
     for result in results:
         if result.fits is None:
-            rows.append(
-                (result.sector, result.n_rows, "skipped", "", "", "", "", "", "", "", "", "")
-            )
+            rows.append((result.sector, result.n_rows, "skipped") + ("",) * len(REGRESSION_CSV_HEADER))
             continue
         for row in regression_records(result.fits, stars):
             rows.append((result.sector, result.n_rows, "fitted") + row)
@@ -236,7 +214,6 @@ def format_mean_test_table(
     """One row per variable: group means (sd, n), difference, t with stars."""
     preset = star_preset(stars)
     name_w = 14
-    lines = ["Group mean comparison: majority-positive vs majority-negative reports"]
     header = (
         "variable".ljust(name_w)
         + "mean(pos)".rjust(12)
@@ -248,16 +225,13 @@ def format_mean_test_table(
         + "diff".rjust(12)
         + "t-stat".rjust(12)
     )
-    width = len(header)
-    lines.append("=" * width)
-    lines.append(header)
-    lines.append("-" * width)
+    body = []
     for variable, result in zip(MAJORITY_VARIABLES, results):
         if result is None:
-            lines.append(variable.ljust(name_w) + "  skipped (a group has fewer than 2 rows)")
+            body.append(variable.ljust(name_w) + "  skipped (a group has fewer than 2 rows)")
             continue
         marker = star_marker(result.p_value, preset)
-        lines.append(
+        body.append(
             variable.ljust(name_w)
             + format(result.mean_a, ".4f").rjust(12)
             + format(result.std_a, ".4f").rjust(10)
@@ -268,9 +242,8 @@ def format_mean_test_table(
             + format(result.mean_a - result.mean_b, ".4f").rjust(12)
             + (format(result.t_stat, ".3f") + marker).rjust(12)
         )
-    lines.append("-" * width)
-    lines.append(star_legend(preset))
-    return "\n".join(lines) + "\n"
+    title = "Group mean comparison: majority-positive vs majority-negative reports"
+    return _framed(title, len(header), header, body, preset)
 
 
 def mean_test_records(

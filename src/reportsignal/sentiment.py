@@ -25,11 +25,10 @@ from datetime import date as Date
 from typing import Iterable, Mapping
 
 from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
-from .errors import ArgumentError, DataError, DomainError, SchemaError
+from .errors import ArgumentError, DataError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
 WORD_CLASSES = (POSITIVE, NEUTRAL, NEGATIVE)
-SIMPLEX_TOL = 1e-9
 
 LEXICON_HEADER = ("word", "label")
 SCORES_HEADER = ("report_id", "pos", "neu", "neg")
@@ -37,20 +36,13 @@ SCORES_HEADER = ("report_id", "pos", "neu", "neg")
 
 @dataclass(frozen=True, slots=True)
 class SentimentScore:
-    """A point on the (pos, neu, neg) probability simplex for one report."""
+    """A point on the (pos, neu, neg) probability simplex for one report,
+    put there by the softmax, the synthetic draw or the checked loader."""
 
     report_id: str
     pos: float
     neu: float
     neg: float
-
-    def __post_init__(self):
-        parts = (self.pos, self.neu, self.neg)
-        # a chained comparison fails on NaN and on either infinity
-        if not (0.0 <= self.pos <= 1.0 and 0.0 <= self.neu <= 1.0 and 0.0 <= self.neg <= 1.0):
-            raise DomainError(f"score components outside [0, 1]: {parts}")
-        if abs(sum(parts) - 1.0) > SIMPLEX_TOL:
-            raise DomainError(f"score components sum to {sum(parts)!r}, not 1")
 
 
 class SentimentLexicon:

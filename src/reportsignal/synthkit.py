@@ -18,6 +18,10 @@ the next day's OHLCV bar so that the pipeline re-derives those targets:
     (|c| <= 0.8 sqrt(target)), which keeps m >= |c|/2 and the bar valid
     for any planted return.
 
+The planted betas are keyed by ``econometrics``' schema: ``BETA_KEYS``
+are its ``REGRESSOR_NAMES`` without the ``[t-1]`` suffix, and
+``OUTCOME_KEYS`` the keys of its ``OUTCOME_NAMES``.
+
 Everything is driven by one seeded generator (numpy's default PCG64) in
 a fixed draw order, so a spec generates byte-identical files every time.
 Outcome days are the trading days following report days; report days get
@@ -64,7 +68,7 @@ import numpy as np
 
 from .config import FORMAT_VERSION, RunConfig
 from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
-from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, RANGE_SCALE
+from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, OUTCOME_NAMES, RANGE_SCALE, REGRESSOR_NAMES
 from .errors import ConfigurationError
 from .market import BARS_HEADER, CSI500, INDICES_HEADER, INDUSTRY_HEADER, SSE, SZSE, VIX, BarGrid, IndexGrid
 from .metrics import _libm, garman_klass, recommendation_counts
@@ -73,21 +77,8 @@ from .sentiment import SentimentScore, write_scores
 SECTORS = NAMED_SECTORS + (OTHER_SECTOR,)
 INDUSTRY_IDS = tuple(f"IND{i + 1:02d}" for i in range(len(SECTORS)))
 
-BETA_KEYS = (
-    "constant",
-    "pos",
-    "neg",
-    "range",
-    "dvolume",
-    "ret_ex",
-    "szse",
-    "sse",
-    "csi500",
-    "vix",
-    "num90",
-    "num7",
-)
-OUTCOME_KEYS = ("range", "ret_ex", "delta_volume")
+BETA_KEYS = tuple(name.removesuffix("[t-1]") for name in REGRESSOR_NAMES)
+OUTCOME_KEYS = tuple(OUTCOME_NAMES)
 
 # Planted defaults: reference point estimates for the three pooled
 # regressions, in their reporting scale (range x100, counts /100).  One

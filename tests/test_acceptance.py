@@ -21,6 +21,7 @@ files under ``tests/data/golden`` are regenerated with::
 import csv
 import io
 import math
+import os
 import subprocess
 import sys
 import time
@@ -31,6 +32,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reportsignal
 from reportsignal.config import packaged_data_path
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
@@ -75,10 +77,14 @@ def announce(name: str, elapsed: float, detail: str) -> None:
 
 
 def run_cli(*argv) -> None:
+    # the child imports the package under test, installed or not
+    src = str(Path(reportsignal.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "reportsignal", *[str(a) for a in argv]],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0, f"exit {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
 

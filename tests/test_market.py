@@ -10,12 +10,14 @@ import pytest
 
 from reportsignal.errors import ConfigurationError, DataError, MappingError, SchemaError
 from reportsignal.market import (
+    BAR_BLOCK_ROWS,
     HASH_CHUNK,
     BarStore,
     IndexStore,
     IndustryMap,
     MarketData,
     TradingCalendar,
+    _BarReader,
     _sha256,
     load_calendar,
     load_market,
@@ -368,6 +370,37 @@ def test_load_market_rejects_rows_with_extra_fields(tmp_path):
     result = load_market(bars, indices, industry, calendar)
     assert result.n_bars == 2
     assert [(r.line, r.reason) for r in result.bar_rejects] == [(3, "expected 7 fields, got 8")]
+
+
+def test_bar_reader_joins_its_blocks_and_then_holds_none(tmp_path):
+    """``columns()`` gives every block's accepted rows joined in line order,
+    the same arrays as concatenating the blocks, and leaves the reader
+    holding no block."""
+    days = weekdays(MONDAY, 3)
+    lines = [f" S{i // 3:04d} ,{days[i % 3]},100,101,99,100.5,{i}\n" for i in range(2 * BAR_BLOCK_ROWS + 7)]
+    bad = {
+        5: f"S0001,{days[0]},100,101\n",  # wrong width: its block reads row by row
+        BAR_BLOCK_ROWS + 3: f"S0002,{days[0]},abc,101,99,100.5,1\n",  # unparseable
+        BAR_BLOCK_ROWS + 9: f"S0003,{days[0]},100,100.2,99,100.5,1\n",  # high below close
+        2 * BAR_BLOCK_ROWS + 1: f"S0004,{days[0]},100,101,99,100.5,nan\n",
+    }
+    for i, line in bad.items():
+        lines[i] = line
+    path = tmp_path / "bars.csv"
+    path.write_text("stock_id,date,open,high,low,close,volume\n" + "".join(lines), encoding="utf-8")
+    reader = _BarReader()
+    reader.read(path)
+    blocks = list(reader.blocks)
+    columns = reader.columns()
+    assert reader.blocks == []
+    assert len(columns) == 8
+    for joined, parts in zip(columns, zip(*blocks)):
+        assert np.array_equal(joined, np.concatenate(parts))
+    assert [r.line for r in reader.rejects] == sorted(i + 2 for i in bad)
+    kept = [i for i in range(len(lines)) if i not in bad]
+    assert columns[0].tolist() == [i + 2 for i in kept]
+    assert columns[-1].tolist() == [float(i) for i in kept]
+    assert list(reader.stock_codes)[:2] == ["S0000", "S0001"]
 
 
 def test_index_levels_off_the_calendar_count_but_are_not_kept(tmp_path):

@@ -7,7 +7,7 @@ from datetime import date as Date
 
 import pytest
 
-from reportsignal.errors import ArgumentError, DataError, DomainError, SchemaError
+from reportsignal.errors import ArgumentError, DataError, SchemaError
 from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.sentiment import (
     SentimentLexicon,
@@ -31,22 +31,6 @@ def small_lexicon():
             ("bad", NEGATIVE),
         ]
     )
-
-
-def test_score_components_must_lie_on_the_simplex():
-    SentimentScore("r1", 0.5, 0.25, 0.25)
-    with pytest.raises(DomainError):
-        SentimentScore("r1", 0.5, 0.4, 0.2)
-    with pytest.raises(DomainError):
-        SentimentScore("r1", -0.1, 0.6, 0.5)
-    with pytest.raises(DomainError):
-        SentimentScore("r1", math.nan, 0.5, 0.5)
-    for infinite in (math.inf, -math.inf):
-        for at in range(3):
-            parts = [0.5, 0.25, 0.25]
-            parts[at] = infinite
-            with pytest.raises(DomainError, match="outside"):
-                SentimentScore("r1", *parts)
 
 
 def test_a_score_is_a_small_frozen_value():
@@ -162,6 +146,29 @@ def test_external_scores_accept_and_reject_rows():
     assert "duplicate report_id" in reasons[3]
     assert "outside [0, 1]" in reasons[4]
     assert "sum to" in reasons[5]
+
+
+def test_external_scores_reject_non_finite_components():
+    """A nan, inf or -inf in any component is outside [0, 1]: its row is
+    rejected with its line number, and a clean row beside them is kept."""
+    bad_rows = []
+    for at in range(3):
+        for bad in ("nan", "inf", "-inf"):
+            parts = ["0.5", "0.25", "0.25"]
+            parts[at] = bad
+            bad_rows.append(parts)
+    rows = bad_rows[:4] + [["0.5", "0.25", "0.25"]] + bad_rows[4:]
+    text = "report_id,pos,neu,neg\n" + "".join(f"r{i},{','.join(parts)}\n" for i, parts in enumerate(rows))
+    scores, rejects = load_external_scores(
+        io.StringIO(text), known_ids={f"r{i}" for i in range(len(rows))}, max_error_rate=1.0
+    )
+    assert scores == [SentimentScore("r4", 0.5, 0.25, 0.25)]
+    assert [(r.line, r.reason) for r in rejects] == [
+        (line_no, f"component outside [0, 1]: {parts}")
+        for line_no, parts in enumerate(rows, start=2)
+        if parts in bad_rows
+    ]
+    assert len(rejects) == 9
 
 
 def test_external_scores_are_renormalised_onto_the_simplex():
