@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import CHOICES, RunConfig, load_config
-from .corpus import CorpusIndex, ReportColumns, load_risk_warning_patterns, parse_corpus
+from .corpus import CorpusIndex, ReportColumns, load_risk_warning_patterns, parse_corpus, write_text
 from .econometrics import (
     build_majority_samples,
     build_panel,
@@ -97,9 +97,7 @@ def _ensure_out(path) -> Path:
 
 
 def _write_json(payload: dict, path: Path) -> None:
-    with open(path, "w", encoding="utf-8") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+    write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _reject_payload(rejects) -> dict:
@@ -336,13 +334,13 @@ def cmd_analyze(config: RunConfig) -> int:
         stars=config.stars,
         title=f"Pooled regressions ({config.se} standard errors)",
     )
-    (out / "regressions.txt").write_text(regression_text, encoding="utf-8")
+    write_text(out / "regressions.txt", regression_text)
     write_regression_csv(fits, out / "regressions.csv", stars=config.stars)
     industry_text = format_industry_table(sectors, stars="table4", min_rows=config.min_rows)
-    (out / "industry.txt").write_text(industry_text, encoding="utf-8")
+    write_text(out / "industry.txt", industry_text)
     write_industry_csv(sectors, out / "industry.csv", stars="table4")
     mean_text = format_mean_test_table(tests, stars=config.stars)
-    (out / "mean_tests.txt").write_text(mean_text, encoding="utf-8")
+    write_text(out / "mean_tests.txt", mean_text)
     write_mean_test_csv(tests, out / "mean_tests.csv", stars=config.stars)
     write_daily_sentiment(series, out / "daily_sentiment.dat")
     write_gnuplot_script("daily_sentiment.dat", out / "daily_sentiment.gp")

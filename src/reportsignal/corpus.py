@@ -1,17 +1,18 @@
-"""Analyst-report corpus: parsing and cleaning, plus the framing of every
-input and every output CSV file.
+"""Analyst-report corpus: parsing and cleaning, plus the opening of every
+input and output file and the framing of every CSV file.
 
 Every input file is opened through ``open_input``. CSV inputs are framed by
 ``read_csv_rows`` (header check, line numbers, blank rows, ``csv`` errors);
 one-value-per-line inputs with ``#`` comments are read by ``read_lines``.
-Each reader keeps its own row checks and rejects. Every output CSV file is
-written by ``write_csv_rows`` (UTF-8, ``\n`` line ends, csv quoting, one
-header row); callers format their own cells. The exception is
+Each reader keeps its own row checks and rejects. Every output file is
+opened through ``open_output`` (UTF-8 text with ``\n`` line ends, or
+bytes), which writes ``<path>.tmp`` and moves it into place, so an output
+appears whole or not at all; ``write_csv_rows`` writes the CSV ones (csv
+quoting, one header row) from cells the callers format. The exception is
 ``synthkit.write_dataset``'s ``bars.csv`` and ``indices.csv``, whose cells
 (ids, ISO dates, float reprs) never need quoting: it formats their lines
 itself; on the 1x ``bars.csv`` (63.6k rows, 2-CPU x86-64) that took
-0.26-0.37 s against 0.41-0.55 s through ``write_csv_rows``, for the same
-bytes.
+0.26-0.37 s against 0.41-0.55 s through ``write_csv_rows``, for the same bytes.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header
@@ -43,9 +44,10 @@ daily series align alike.
 from __future__ import annotations
 
 import csv
+import os
 import re
 import unicodedata
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date as Date
 from itertools import compress
@@ -54,7 +56,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ArgumentError, DataError, SchemaError
+from .errors import ArgumentError, ConfigurationError, DataError, SchemaError
 
 CORPUS_HEADER = ("report_id", "title", "abstract", "stock_codes", "release_date")
 
@@ -161,9 +163,31 @@ def read_lines(source) -> list[str]:
     return [line for line in lines if line and not line.startswith("#")]
 
 
+@contextmanager
+def open_output(path, mode: str = "w"):
+    """Open ``path`` for writing (``mode`` "w" as UTF-8 text, "wb" as bytes)
+    through ``<path>.tmp``, which replaces ``path`` once the block ends
+    cleanly and is removed otherwise. An OSError becomes a ConfigurationError."""
+    temp = f"{path}.tmp"
+    try:
+        with open(temp, mode, **({} if "b" in mode else {"encoding": "utf-8", "newline": ""})) as stream:
+            yield stream
+        os.replace(temp, path)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+    finally:
+        with suppress(OSError):
+            os.remove(temp)
+
+
+def write_text(path, text: str) -> None:
+    with open_output(path) as stream:
+        stream.write(text)
+
+
 def write_csv_rows(path, header: tuple[str, ...], rows: Iterable) -> None:
-    """Write ``header`` and then each row to a UTF-8 CSV file with ``\n`` line ends."""
-    with open(path, "w", encoding="utf-8", newline="") as stream:
+    """Write ``header`` and then each row to a CSV file through ``open_output``."""
+    with open_output(path) as stream:
         writer = csv.writer(stream, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)

@@ -96,6 +96,7 @@ NAMED_SECTORS = (
     "Capital Goods",
 )
 OTHER_SECTOR = "Other"
+SECTORS = NAMED_SECTORS + (OTHER_SECTOR,)
 
 
 # The panel's columns: the ids and outcome date of each row, then one
@@ -507,14 +508,13 @@ def run_industry_regressions(
     ``min_rows`` — or whose subset design is singular — are reported as
     skipped rather than fit.
     """
-    sectors = NAMED_SECTORS + (OTHER_SECTOR,)
     code_of = {
-        stock_id: sectors.index(canonical_sector(market.industry.sector(stock_id)))
+        stock_id: SECTORS.index(canonical_sector(market.industry.sector(stock_id)))
         for stock_id in dict.fromkeys(panel.stock_ids)
     }
     codes = np.array([code_of[stock_id] for stock_id in panel.stock_ids], dtype=np.intp)
     results = []
-    for code, sector in enumerate(sectors):
+    for code, sector in enumerate(SECTORS):
         subset = panel.rows[codes == code]
         if not len(subset):
             continue

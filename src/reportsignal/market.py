@@ -42,7 +42,7 @@ code they pass through (this module and the ``corpus`` readers it calls),
 and of the npz. ``read_snapshot`` hands the grids to the store
 constructors while the manifest matches, and otherwise says why not, so
 the caller parses the files. It hashes and loads the npz through one open
-file, safe since ``write_snapshot`` only ever replaces the npz whole.
+file, safe since ``write_snapshot`` replaces the npz whole (``open_output``).
 
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
@@ -57,7 +57,6 @@ import inspect
 import json
 import math
 import operator
-import os
 import zipfile
 from dataclasses import dataclass, field
 from datetime import date as Date, timedelta
@@ -67,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject, open_input, read_csv_rows, read_lines
+from .corpus import RowReject, open_input, open_output, read_csv_rows, read_lines, write_text
 from .errors import ConfigurationError, DataError, MappingError, SchemaError
 
 SSE = "SSE"
@@ -564,7 +563,7 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
     # Strings travel as JSON text, since numpy's string arrays drop trailing NULs.
     industry_rows = [(stock_id, *link) for stock_id, link in market.industry._map.items()]
     names = json.dumps([list(bars.rows), list(indices.rows), industry_rows]).encode("utf-8")
-    with open(out_dir / (SNAPSHOT + ".tmp"), "wb") as stream:
+    with open_output(out_dir / SNAPSHOT, "wb") as stream:
         np.savez(
             stream,
             calendar=market.calendar.ordinals,
@@ -574,9 +573,8 @@ def write_snapshot(market: MarketData, out_dir, **files) -> None:
             index_present=indices.present,
             levels=indices.levels,
         )
-    os.replace(stream.name, out_dir / SNAPSHOT)
     manifest = _snapshot_key(**files) | {"npz": _sha256(out_dir / SNAPSHOT)}
-    (out_dir / MANIFEST).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(out_dir / MANIFEST, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _snapshot_market(stream) -> MarketData:
@@ -595,8 +593,8 @@ def read_snapshot(out_dir, **files) -> tuple[MarketData | None, str]:
     are to be parsed ("csv: ...").
 
     The npz is hashed and then loaded through one open file, never held
-    whole. The bytes loaded are the bytes hashed: ``write_snapshot`` moves
-    a new npz into place (``os.replace``) and never writes into an old one.
+    whole. The bytes loaded are the bytes hashed: ``write_snapshot``
+    replaces the npz whole through ``open_output``, never writing into it.
     """
     out_dir = Path(out_dir)
     try:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from .corpus import write_csv_rows
+from .corpus import write_csv_rows, write_text
 from .econometrics import (
     MAJORITY_VARIABLES,
     MeanTestResult,
@@ -283,13 +283,8 @@ def write_mean_test_csv(
 
 def write_daily_sentiment(series, path) -> None:
     """Whitespace-delimited plot data: date, mean pos/neu/neg, row count."""
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write("# date mean_pos mean_neu mean_neg n_rows\n")
-        for day in series:
-            stream.write(
-                f"{day.date.isoformat()} {day.mean_pos!r} {day.mean_neu!r} "
-                f"{day.mean_neg!r} {day.n_rows}\n"
-            )
+    lines = (f"{day.date.isoformat()} {day.mean_pos!r} {day.mean_neu!r} {day.mean_neg!r} {day.n_rows}\n" for day in series)
+    write_text(path, "# date mean_pos mean_neu mean_neg n_rows\n" + "".join(lines))
 
 
 def write_gnuplot_script(data_filename: str, path) -> None:
@@ -305,5 +300,4 @@ def write_gnuplot_script(data_filename: str, path) -> None:
         f"     '{data_filename}' using 1:3 with lines title 'neutral', \\\n"
         f"     '{data_filename}' using 1:4 with lines title 'negative'\n"
     )
-    with open(path, "w", encoding="utf-8") as stream:
-        stream.write(script)
+    write_text(path, script)

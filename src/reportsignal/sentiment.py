@@ -71,9 +71,6 @@ class SentimentLexicon:
     def __len__(self) -> int:
         return len(self._classes)
 
-    def __contains__(self, word: str) -> bool:
-        return word in self._classes
-
     def words(self, label: str) -> list[str]:
         return sorted(w for w, c in self._classes.items() if c == label)
 

@@ -67,14 +67,13 @@ from pathlib import Path
 import numpy as np
 
 from .config import FORMAT_VERSION, RunConfig
-from .corpus import CorpusIndex, ReportColumns, serialize_corpus, write_csv_rows
-from .econometrics import NAMED_SECTORS, NUM_SCALE, OTHER_SECTOR, OUTCOME_NAMES, RANGE_SCALE, REGRESSOR_NAMES
+from .corpus import CorpusIndex, ReportColumns, open_output, serialize_corpus, write_csv_rows, write_text
+from .econometrics import NUM_SCALE, OUTCOME_NAMES, RANGE_SCALE, REGRESSOR_NAMES, SECTORS
 from .errors import ConfigurationError
 from .market import BARS_HEADER, CSI500, INDICES_HEADER, INDUSTRY_HEADER, SSE, SZSE, VIX, BarGrid, IndexGrid
 from .metrics import _libm, garman_klass, recommendation_counts
 from .sentiment import SentimentScore, write_scores
 
-SECTORS = NAMED_SECTORS + (OTHER_SECTOR,)
 INDUSTRY_IDS = tuple(f"IND{i + 1:02d}" for i in range(len(SECTORS)))
 
 BETA_KEYS = tuple(name.removesuffix("[t-1]") for name in REGRESSOR_NAMES)
@@ -487,7 +486,7 @@ def _write_grid(path, header: tuple[str, ...], grid: BarGrid | IndexGrid, planes
     """Write the present cells of ``grid`` as csv rows of id, ISO date and
     the ``repr`` of each of ``planes`` (its value arrays) there, id by id in
     day order; one id's values become Python floats at a time."""
-    with open(path, "w", encoding="utf-8", newline="") as stream:
+    with open_output(path) as stream:
         stream.write(",".join(header) + "\n")
         for row, key in enumerate(grid.ids):
             have = grid.present[row]
@@ -520,14 +519,11 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
 
     write_csv_rows(paths["industry"], INDUSTRY_HEADER, dataset.industry_rows)
 
-    with open(paths["calendar"], "w", encoding="utf-8") as stream:
-        stream.write("".join(d.isoformat() + "\n" for d in dataset.calendar_dates))
+    write_text(paths["calendar"], "".join(d.isoformat() + "\n" for d in dataset.calendar_dates))
 
     write_scores(dataset.scores, paths["scores"])
 
-    with open(paths["truth"], "w", encoding="utf-8") as stream:
-        json.dump(dataset.truth, stream, indent=2)
-        stream.write("\n")
+    write_text(paths["truth"], json.dumps(dataset.truth, indent=2) + "\n")
 
     # config.json: every RunConfig key at its default, then this dataset's
     # files and ranges, an output directory beside them and the seed.
@@ -543,8 +539,6 @@ def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Pa
         out="out",
         seed=seed,
     )
-    with open(paths["config"], "w", encoding="utf-8") as stream:
-        json.dump(config, stream, indent=2)
-        stream.write("\n")
+    write_text(paths["config"], json.dumps(config, indent=2) + "\n")
 
     return paths

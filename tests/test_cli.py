@@ -340,6 +340,35 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
         assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize(
+    "verb, name",
+    [
+        ("synth", "corpus.csv"),
+        ("ingest", "ingest_report.json"),
+        ("ingest", "market.npz"),
+        ("ingest", "market.json"),
+        ("label", "labels.csv"),
+        ("score", "scores.csv"),
+        ("analyze", "panel.csv"),
+        ("analyze", "industry.txt"),
+        ("analyze", "daily_sentiment.gp"),
+        ("analyze", "analyze_report.json"),
+    ],
+)
+def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsys, verb, name):
+    """With a directory where an output goes, the verb exits 1 with one
+    error line naming that path, and leaves no temporary file behind."""
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    argv = ("--seed", 13) if verb == "synth" else ("--config", dataset_dir / "config.json")
+    capsys.readouterr()
+    assert run(verb, *argv, "--out", out) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out / name}: ") and captured.err.count("\n") == 1, captured.err
+    assert "Traceback" not in captured.out + captured.err
+    assert list(out.glob("*.tmp")) == []
+
+
 def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):
     clone = tmp_path / "data"
     shutil.copytree(dataset_dir, clone)

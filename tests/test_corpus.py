@@ -1,4 +1,4 @@
-"""Unit tests for corpus parsing and cleaning, and for lexicon hit counting."""
+"""Unit tests for corpus parsing, cleaning and output files, and for lexicon hit counting."""
 
 import io
 import random
@@ -12,10 +12,12 @@ from reportsignal.corpus import (
     CorpusIndex,
     clean_text,
     load_risk_warning_patterns,
+    open_output,
     parse_corpus,
     serialize_corpus,
+    write_text,
 )
-from reportsignal.errors import ArgumentError, DataError, SchemaError
+from reportsignal.errors import ArgumentError, ConfigurationError, DataError, SchemaError
 from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.sentiment import SentimentLexicon, load_lexicon, prepare_report
 from reportsignal.synthkit import SynthSpec, generate
@@ -317,3 +319,32 @@ def test_pairs_expand_the_reports_of_a_date_range():
     assert report_of.tolist() == [0, 1, 1, 2, 3, 3]
     assert codes == reports.codes
     assert reports.pairs(Date(2019, 3, 11), Date(2019, 3, 31))[1] == []
+
+
+def test_open_output_replaces_a_file_whole_or_not_at_all(tmp_path):
+    target = tmp_path / "out.txt"
+    write_text(target, "old\n")
+    with pytest.raises(RuntimeError):
+        with open_output(target) as stream:
+            stream.write("half of a new file")
+            raise RuntimeError("stopped mid-write")
+    assert target.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [target]
+
+    # text is UTF-8 with "\n" line ends; "wb" round-trips bytes
+    write_text(target, "caf\u00e9\nend\n")
+    assert target.read_bytes() == b"caf\xc3\xa9\nend\n"
+    payload = bytes(range(256)) + b"\r\n"
+    with open_output(target, "wb") as stream:
+        stream.write(payload)
+    assert target.read_bytes() == payload
+    assert list(tmp_path.iterdir()) == [target]
+
+    # a path that cannot be written is a configuration error naming it
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    for blocked in (tmp_path / "missing" / "out.txt", taken):
+        with pytest.raises(ConfigurationError) as caught:
+            write_text(blocked, "x")
+        assert str(caught.value).startswith(f"cannot write {blocked}: ")
+    assert sorted(tmp_path.iterdir()) == [target, taken]

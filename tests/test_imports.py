@@ -1,9 +1,10 @@
 """Import checks: every module uses each name it imports, every public
-name has a caller outside the tests, only corpus frames CSV, and no
-package module needs scipy."""
+name has a caller outside the tests, only corpus frames CSV and opens
+output files, and no package module needs scipy."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -116,6 +117,59 @@ def test_only_corpus_frames_csv():
         if "csv" in imported_modules(path.read_text(encoding="utf-8"))
     ]
     assert importers == ["corpus.py"]
+
+
+# An open() mode that creates, truncates, appends to or updates a file.
+WRITE_MODE = re.compile(r"[rbt]*[wax+][rwxabt+]*")
+
+
+def output_calls(source: str) -> list[str]:
+    """Calls in ``source`` that write a file or move one into place: ``open``
+    with a mode that writes, ``write_text``/``write_bytes`` on a path, and
+    ``os.replace``/``os.rename``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+        if name == "open":
+            # open(path, mode) and Path.open(mode); a mode that is no literal counts
+            modes = node.args[1:] if isinstance(func, ast.Name) else node.args
+            modes = modes + [k.value for k in node.keywords if k.arg == "mode"]
+            writes = any(not isinstance(m, ast.Constant) or re.fullmatch(WRITE_MODE, str(m.value)) for m in modes)
+        else:
+            path_write = isinstance(func, ast.Attribute) and name in ("write_text", "write_bytes")
+            writes = path_write or ast.unparse(func) in ("os.replace", "os.rename")
+        if writes:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_only_corpus_opens_outputs():
+    """Every output file goes through corpus.open_output, the one writer
+    that moves a whole file into place and reports a failure as exit 1."""
+    sample = (
+        "open(p)\nopen(p, 'rb')\nopen(p, 'r', encoding='utf-8')\nopen(p, 'w')\nopen(p, mode='ab')\n"
+        "open(p, m)\np.open('r+')\nq.write_text(s)\nq.write_bytes(b)\nos.replace(a, b)\nos.rename(a, b)\n"
+        "s.replace(a, b)\nwrite_text(q, s)\n"
+    )
+    assert output_calls(sample) == [
+        "open(p, 'w')",
+        "open(p, mode='ab')",
+        "open(p, m)",
+        "p.open('r+')",
+        "q.write_text(s)",
+        "q.write_bytes(b)",
+        "os.replace(a, b)",
+        "os.rename(a, b)",
+    ]
+    writers = {
+        path.name: calls
+        for path in sorted((ROOT / "src" / "reportsignal").glob("*.py"))
+        if path.name != "corpus.py" and (calls := output_calls(path.read_text(encoding="utf-8")))
+    }
+    assert writers == {}
 
 
 def test_no_package_module_imports_scipy():
