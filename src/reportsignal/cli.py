@@ -11,8 +11,9 @@ Verbs:
 ``label`` and ``analyze`` read the market from that snapshot while it
 matches the market files and the code; their reports give the source.
 
-Every verb is also importable as a function taking a RunConfig, so the
-test-suite and library users can drive stages without a subprocess.
+Every verb is also a function of this module (``cmd_ingest(config)`` and
+so on), so tests and scripts can drive a stage without a subprocess; like
+every name of the package, it is imported from the module that defines it.
 Exit codes: 0 success, 1 configuration error, 2 data error, 3 numerical
 failure.
 """
@@ -41,12 +42,11 @@ from .econometrics import (
 )
 from .errors import ConfigurationError, DataError, PipelineError
 from .labeling import LABELS, NEGATIVE, NEUTRAL, POSITIVE, assign_labels, write_labels
-from .market import MarketData, TradingCalendar, load_market, read_snapshot, write_snapshot
+from .market import LONG_COUNT_WINDOW, MarketData, TradingCalendar, load_market, read_snapshot, write_snapshot
 from .metrics import (
     DOMAIN,
     GAP,
     HISTORY,
-    LONG_COUNT_WINDOW,
     NO_MAPPING,
     OFF_CALENDAR,
     OK,
@@ -184,8 +184,9 @@ def cmd_ingest(config: RunConfig) -> int:
         "train_range": [config.train_start.isoformat(), config.train_end.isoformat()],
         "test_range": [config.test_start.isoformat(), config.test_end.isoformat()],
     }
-    _write_json(report, out / "ingest_report.json")
+    # the report last: it is written only once the snapshot is
     write_snapshot(market, out, **files)
+    _write_json(report, out / "ingest_report.json")
     print(
         f"ingest: {len(parse.records)} reports ({len(parse.rejects)} rejected), "
         f"{loaded.n_bars} bars ({len(loaded.bar_rejects)} rejected), "

@@ -15,7 +15,8 @@ from datetime import date as Date
 from importlib import resources
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .corpus import open_input
+from .errors import ConfigurationError, DataError
 
 FORMAT_VERSION = 1
 
@@ -104,7 +105,7 @@ class RunConfig:
             raise ConfigurationError("no calendar file given and infer_calendar is false")
 
     def check_input_paths(self) -> None:
-        """Fail early if a configured input file is missing."""
+        """Fail early if a configured input file is missing or is no file."""
         checks = [
             ("corpus", self.corpus),
             ("bars", self.bars),
@@ -119,7 +120,8 @@ class RunConfig:
             checks.append(("scores", self.scores))
         for key, path in checks:
             if not Path(path).is_file():
-                raise ConfigurationError(f"{key} file does not exist: {path}")
+                problem = "path is not a file" if Path(path).exists() else "file does not exist"
+                raise ConfigurationError(f"{key} {problem}: {path}")
 
 
 def _expect(kind, value, key: str):
@@ -146,11 +148,13 @@ def load_config(path) -> RunConfig:
     """Parse, resolve, and validate a JSON run configuration."""
     config_path = Path(path)
     try:
-        with open(config_path, "r", encoding="utf-8-sig") as stream:
+        with open_input(config_path) as stream:
             raw = json.load(stream)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {config_path}: {exc}") from exc
-    except ValueError as exc:  # malformed JSON or bytes that are not UTF-8
+    except DataError as exc:  # bytes that are not UTF-8
+        raise ConfigurationError(f"config file {exc}") from None
+    except ValueError as exc:
         raise ConfigurationError(f"config file {config_path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigurationError("config file must contain a JSON object")

@@ -250,10 +250,9 @@ class IndustryMap:
 
     def sector(self, stock_id: str) -> str:
         try:
-            sector = self._map[stock_id][1]
+            return self._map[stock_id][1]
         except KeyError:
             raise MappingError(f"no industry mapping for stock {stock_id}")
-        return sector if sector else "Other"
 
 
 @dataclass

@@ -66,13 +66,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import FORMAT_VERSION, RunConfig
+from .config import FORMAT_VERSION, RunConfig, packaged_data_path
 from .corpus import CorpusIndex, ReportColumns, open_output, serialize_corpus, write_csv_rows, write_text
 from .econometrics import NUM_SCALE, OUTCOME_NAMES, RANGE_SCALE, REGRESSOR_NAMES, SECTORS
 from .errors import ConfigurationError
+from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 from .market import BARS_HEADER, CSI500, INDICES_HEADER, INDUSTRY_HEADER, SSE, SZSE, VIX, BarGrid, IndexGrid
-from .metrics import _libm, garman_klass, recommendation_counts
-from .sentiment import SentimentScore, write_scores
+from .metrics import VOLUME_WINDOW, _libm, garman_klass, recommendation_counts
+from .sentiment import SentimentScore, load_lexicon, write_scores
 
 INDUSTRY_IDS = tuple(f"IND{i + 1:02d}" for i in range(len(SECTORS)))
 
@@ -250,10 +251,6 @@ def _weekdays(start: Date, count: int) -> list[Date]:
 @cache
 def _lexicon_word_lists() -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
     """The packaged lexicon's (positive, neutral, negative) words, read once."""
-    from .config import packaged_data_path
-    from .sentiment import load_lexicon
-    from .labeling import POSITIVE, NEUTRAL, NEGATIVE
-
     lex = load_lexicon(packaged_data_path("lexicon.csv"))
     return tuple(lex.words(POSITIVE)), tuple(lex.words(NEUTRAL)), tuple(lex.words(NEGATIVE))
 
@@ -414,8 +411,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
             close_s = closes[rows, s]
             shaped = _bar_shape(close_s, targets[rows, s], zc[rows, s], np.empty((3, rows.size)))
             x[:, 3] = garman_klass(*shaped, close_s) * RANGE_SCALE
-            mean60_s = (vol_prefix[rows, s] - vol_prefix[rows, s - 60]) / 60.0
-            x[:, 4] = _libm(math.log, vols[rows, s] / mean60_s)
+            vol_mean_s = (vol_prefix[rows, s] - vol_prefix[rows, s - VOLUME_WINDOW]) / VOLUME_WINDOW
+            x[:, 4] = _libm(math.log, vols[rows, s] / vol_mean_s)
             x[:, 5] = _libm(math.log, close_s / closes[rows, s - 1]) - ind_logret[ind, s]
             # one fsum pass, row by row: the range, ret_ex and delta_volume sums of beta . x
             sums = map(math.fsum, (x[:, None, :] * betas).reshape(-1, len(BETA_KEYS)).tolist())
@@ -425,8 +422,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
             y_range[low] = RANGE_FLOOR_X100
             targets[rows, j] = y_range / RANGE_SCALE
             closes[rows, j] = close_s * _libm(math.exp, y_ret + ind_logret[ind, j])
-            mean60_t = (vol_prefix[rows, j] - vol_prefix[rows, j - 60]) / 60.0
-            vols[rows, j] = mean60_t * _libm(math.exp, y_dvol)
+            vol_mean_t = (vol_prefix[rows, j] - vol_prefix[rows, j - VOLUME_WINDOW]) / VOLUME_WINDOW
+            vols[rows, j] = vol_mean_t * _libm(math.exp, y_dvol)
         vol_prefix[:, j + 1] = vol_prefix[:, j] + vols[:, j]
     n_planted = rows_all.size
     # the blocks go with the last day's views of them, which keep them alive

@@ -47,12 +47,13 @@ from reportsignal.market import (
     CSI500,
     INDICES_HEADER,
     INDUSTRY_HEADER,
+    LONG_COUNT_WINDOW,
     SSE,
     SZSE,
     VIX,
     IndustryMap,
 )
-from reportsignal.metrics import LONG_COUNT_WINDOW, SHORT_COUNT_WINDOW, VOLUME_WINDOW
+from reportsignal.metrics import SHORT_COUNT_WINDOW, VOLUME_WINDOW
 from reportsignal.sentiment import SentimentScore, classify_majority
 
 

@@ -11,14 +11,13 @@ from datetime import date as Date
 
 import numpy as np
 
-from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE
+from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE, SECTORS
 from reportsignal.market import CSI500, SSE, SZSE, VIX
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
     BETA_KEYS,
     INDUSTRY_IDS,
     RANGE_FLOOR_X100,
-    SECTORS,
     SynthDataset,
     SynthSpec,
     _lexicon_word_lists,

@@ -43,11 +43,8 @@ from reportsignal.econometrics import (
     ols_fit,
     run_pooled_regressions,
 )
-from reportsignal.labeling import assign_labels
+from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE, assign_labels
 from reportsignal.sentiment import (
-    NEGATIVE,
-    NEUTRAL,
-    POSITIVE,
     SentimentScore,
     classify_majority,
     daily_average_sentiment,

@@ -313,6 +313,11 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
     assert run("ingest", "--config", missing) == 1
     assert "does not exist" in capsys.readouterr().err
 
+    (tmp_path / "cdir").mkdir()
+    directory = write_config(lambda raw: raw.update(corpus="cdir"))
+    assert run("ingest", "--config", directory) == 1
+    assert capsys.readouterr().err == f"error: corpus path is not a file: {tmp_path / 'cdir'}\n"
+
     occupied = tmp_path / "occupied"
     occupied.write_text("", encoding="utf-8")
     for argv in (("ingest", "--config", dataset_dir / "config.json"), ("synth",)):
@@ -323,6 +328,9 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
     not_json = tmp_path / "broken.json"
     not_json.write_text("{", encoding="utf-8")
     assert run("ingest", "--config", not_json) == 1
+    not_json.write_bytes(b"\xff")
+    assert run("ingest", "--config", not_json) == 1
+    assert capsys.readouterr().err.endswith("broken.json is not UTF-8 text (invalid start byte)\n")
 
     # calendar too short for the test range plus its lookback margins
     coverage = write_config(lambda raw: raw.update(test_end="2099-01-03"))
@@ -357,7 +365,8 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
 )
 def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsys, verb, name):
     """With a directory where an output goes, the verb exits 1 with one
-    error line naming that path, and leaves no temporary file behind."""
+    error line naming that path, and leaves no temporary file behind;
+    ingest writes no report when its snapshot fails."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
     argv = ("--seed", 13) if verb == "synth" else ("--config", dataset_dir / "config.json")
@@ -367,6 +376,8 @@ def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsy
     assert captured.err.startswith(f"error: cannot write {out / name}: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.out + captured.err
     assert list(out.glob("*.tmp")) == []
+    if verb == "ingest" and name != "ingest_report.json":
+        assert not (out / "ingest_report.json").exists()
 
 
 def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):

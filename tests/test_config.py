@@ -236,3 +236,6 @@ def test_a_file_that_is_not_an_object_or_not_json(tmp_path):
         load_config(path)
     with pytest.raises(ConfigurationError, match="cannot read config file"):
         load_config(Path(tmp_path / "absent.json"))
+    path.write_bytes(b'{"corpus": "\xff"}')
+    with pytest.raises(ConfigurationError, match=r"^config file .*config\.json is not UTF-8 text \(invalid start byte\)$"):
+        load_config(path)

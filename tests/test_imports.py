@@ -1,6 +1,7 @@
-"""Import checks: every module uses each name it imports, every public
-name has a caller outside the tests, only corpus frames CSV and opens
-output files, and no package module needs scipy."""
+"""Import checks: every module uses each name it imports, every name is
+imported from the module that defines it, every public name has a caller
+outside the tests, only corpus frames CSV and opens output files, and no
+package module needs scipy."""
 
 import ast
 import os
@@ -27,13 +28,7 @@ def unused_imports(source: str) -> list[str]:
 
 def test_no_module_imports_a_name_it_never_uses():
     assert unused_imports("import os\nfrom csv import reader as r, writer\nwriter\n") == ["os", "r"]
-    # Package __init__ modules import names to re-export them.
-    modules = [
-        path
-        for folder in (ROOT / "src" / "reportsignal", ROOT / "tests")
-        for path in sorted(folder.glob("*.py"))
-        if path.name != "__init__.py"
-    ]
+    modules = [path for folder in ("src/reportsignal", "tests") for path in sorted((ROOT / folder).glob("*.py"))]
     assert modules
     unused = {
         path.relative_to(ROOT).as_posix(): names
@@ -41,6 +36,59 @@ def test_no_module_imports_a_name_it_never_uses():
         if (names := unused_imports(path.read_text(encoding="utf-8")))
     }
     assert unused == {}
+
+
+def defined_names(tree: ast.Module) -> set[str]:
+    """Names a module binds at top level by def, class or assignment;
+    a name it only imports is not among them."""
+    names: set[str] = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            stored = (n for target in targets for n in ast.walk(target) if isinstance(n, ast.Name))
+            names.update(n.id for n in stored if isinstance(n.ctx, ast.Store))
+    return names
+
+
+def imported_from(path: Path, node: ast.ImportFrom) -> Path | None:
+    """The source file that ``from ... import`` in ``path`` reads, when it
+    is a module of the package or of the tests."""
+    parts = node.module.split(".") if node.module else []
+    if node.level:
+        folder = path.parents[node.level - 1]
+    elif parts[0] in ("reportsignal", "tests"):
+        folder = ROOT / "src" if parts[0] == "reportsignal" else ROOT
+    else:
+        return None
+    target = folder.joinpath(*parts)
+    return target / "__init__.py" if target.is_dir() else target.with_suffix(".py")
+
+
+def test_every_name_is_imported_from_the_module_that_defines_it():
+    """A name has one import path: ``from m import x`` names an ``x`` that
+    ``m`` defines, or a submodule of package ``m``, never a name ``m`` only
+    imports from elsewhere."""
+    sample = "import os\nfrom m import y\nA = B = 1\nC: int\nx, (z, w) = f()\nd[k] = 1\ndef g(): h = 1\n"
+    assert defined_names(ast.parse(sample + "class E: F = 1\n")) == {"A", "B", "C", "x", "z", "w", "g", "E"}
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("src/reportsignal", "tests", "bench")
+        for path in sorted((ROOT / folder).glob("*.py"))
+    }
+    defined = {path: defined_names(tree) for path, tree in trees.items()}
+    assert defined[ROOT / "src" / "reportsignal" / "__init__.py"] == {"__version__"}
+    indirect = [
+        f"{path.relative_to(ROOT).as_posix()}: from {'.' * node.level}{node.module or ''} import {alias.name}"
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (module := imported_from(path, node))
+        for alias in node.names
+        if alias.name not in defined[module]
+        and not (module.name == "__init__.py" and module.with_name(f"{alias.name}.py") in trees)
+    ]
+    assert indirect == []
 
 
 def public_definitions(tree: ast.Module) -> list[str]:
@@ -78,12 +126,11 @@ def referenced_names(tree: ast.Module) -> set[str]:
 
 def test_every_public_name_has_a_caller_outside_tests():
     """Each public function, class and method of the package is named by
-    some package or benchmark module; a name only tests use is dead API.
-    ``__init__`` re-exports are not callers."""
+    some package or benchmark module; a name only tests use is dead API."""
     sample = ast.parse("class A:\n    def f(self): pass\n    def _g(self): pass\ndef h(): pass\ndef _k(): pass\n")
     assert public_definitions(sample) == ["A", "A.f", "h"]
     assert referenced_names(ast.parse("import a.b as c\nx.y\ngetattr(m, 'z')\n")) >= {"c", "b", "x", "y", "z"}
-    package = [path for path in sorted((ROOT / "src" / "reportsignal").glob("*.py")) if path.name != "__init__.py"]
+    package = sorted((ROOT / "src" / "reportsignal").glob("*.py"))
     bench = [path for path in sorted((ROOT / "bench").glob("*.py")) if not path.name.startswith("test_")]
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
     used = set().union(*map(referenced_names, trees.values()))

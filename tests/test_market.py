@@ -8,6 +8,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
+from reportsignal.econometrics import OTHER_SECTOR, canonical_sector
 from reportsignal.errors import ConfigurationError, DataError, MappingError, SchemaError
 from reportsignal.market import (
     BAR_BLOCK_ROWS,
@@ -214,7 +215,8 @@ def test_industry_map_defaults_blank_sectors_to_other():
     )
     assert imap._map == {"600000.SH": ("IND01", "Bank"), "000001.SZ": ("IND02", "")}
     assert imap.sector("600000.SH") == "Bank"
-    assert imap.sector("000001.SZ") == "Other"
+    assert imap.sector("000001.SZ") == ""
+    assert canonical_sector(imap.sector("000001.SZ")) == OTHER_SECTOR
     with pytest.raises(MappingError):
         imap.sector("999999.SH")
 
