@@ -31,7 +31,15 @@ from pathlib import Path
 import numpy as np
 
 from .config import CHOICES, RunConfig, load_config
-from .corpus import CorpusIndex, ReportColumns, load_risk_warning_patterns, parse_corpus, write_text
+from .corpus import (
+    CorpusIndex,
+    ReportColumns,
+    RowReject,
+    load_risk_warning_patterns,
+    parse_corpus,
+    remove_output,
+    write_text,
+)
 from .econometrics import (
     build_majority_samples,
     build_panel,
@@ -100,7 +108,7 @@ def _write_json(payload: dict, path: Path) -> None:
     write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _reject_payload(rejects) -> dict:
+def _reject_payload(rejects: list[RowReject]) -> dict:
     listed = [asdict(r) for r in rejects[:_REJECT_CAP]]
     return {
         "n_rejects": len(rejects),
@@ -161,6 +169,7 @@ def cmd_synth(out_dir: Path, seed: int) -> int:
 
 def cmd_ingest(config: RunConfig) -> int:
     out = _ensure_out(config.out)
+    remove_output(out / "ingest_report.json")
     files = _market_files(config)
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     loaded = load_market(**files)
@@ -214,6 +223,7 @@ def label_pool(reports: ReportColumns, market: MarketData, start: Date, end: Dat
 
 def cmd_label(config: RunConfig) -> int:
     out = _ensure_out(config.out)
+    remove_output(out / "label_report.json")
     parse, market, market_source = _load_inputs(config)
     pool, drops = label_pool(parse.records, market, config.train_start, config.train_end)
     if not pool:
@@ -267,12 +277,13 @@ def _report_scores(config: RunConfig, reports: ReportColumns, hits_by_report):
         return scores, []
     if config.scores is None:
         raise ConfigurationError("scorer 'external' requires a scores path in the config")
-    accepted, rejects = load_external_scores(config.scores, set(reports.ids), max_error_rate=config.max_error_rate)
+    accepted, rejects = load_external_scores(config.scores, reports.ids, max_error_rate=config.max_error_rate)
     return {score.report_id: score for score in accepted}, rejects
 
 
 def cmd_score(config: RunConfig) -> int:
     out = _ensure_out(config.out)
+    remove_output(out / "score_report.json")
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     # The external scorer never opens the lexicon.
     hits = _report_hits(config, parse.records, range(len(parse.records))) if config.scorer == "lexicon" else {}
@@ -292,6 +303,7 @@ def cmd_score(config: RunConfig) -> int:
 
 def cmd_analyze(config: RunConfig) -> int:
     out = _ensure_out(config.out)
+    remove_output(out / "analyze_report.json")
     parse, market, market_source = _load_inputs(config)
     market.calendar.require_coverage(config.test_start, config.test_end)
     fence = firewall_fence(market.calendar, config.test_start)
@@ -337,9 +349,9 @@ def cmd_analyze(config: RunConfig) -> int:
     )
     write_text(out / "regressions.txt", regression_text)
     write_regression_csv(fits, out / "regressions.csv", stars=config.stars)
-    industry_text = format_industry_table(sectors, stars="table4", min_rows=config.min_rows)
+    industry_text = format_industry_table(sectors, min_rows=config.min_rows)
     write_text(out / "industry.txt", industry_text)
-    write_industry_csv(sectors, out / "industry.csv", stars="table4")
+    write_industry_csv(sectors, out / "industry.csv")
     mean_text = format_mean_test_table(tests, stars=config.stars)
     write_text(out / "mean_tests.txt", mean_text)
     write_mean_test_csv(tests, out / "mean_tests.csv", stars=config.stars)

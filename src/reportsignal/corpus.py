@@ -1,18 +1,20 @@
 """Analyst-report corpus: parsing and cleaning, plus the opening of every
 input and output file and the framing of every CSV file.
 
-Every input file is opened through ``open_input``. CSV inputs are framed by
-``read_csv_rows`` (header check, line numbers, blank rows, ``csv`` errors);
-one-value-per-line inputs with ``#`` comments are read by ``read_lines``.
-Each reader keeps its own row checks and rejects. Every output file is
-opened through ``open_output`` (UTF-8 text with ``\n`` line ends, or
-bytes), which writes ``<path>.tmp`` and moves it into place, so an output
-appears whole or not at all; ``write_csv_rows`` writes the CSV ones (csv
-quoting, one header row) from cells the callers format. The exception is
-``synthkit.write_dataset``'s ``bars.csv`` and ``indices.csv``, whose cells
-(ids, ISO dates, float reprs) never need quoting: it formats their lines
-itself; on the 1x ``bars.csv`` (63.6k rows, 2-CPU x86-64) that took
-0.26-0.37 s against 0.41-0.55 s through ``write_csv_rows``, for the same bytes.
+Every input file is opened by its path through ``open_input``. CSV inputs
+are framed by ``read_csv_rows`` (header check, line numbers, blank rows,
+``csv`` errors); one-value-per-line inputs with ``#`` comments are read by
+``read_lines``. Each reader keeps its own row checks and rejects. Every
+output file is opened through ``open_output`` (UTF-8 text with ``\n`` line
+ends, or bytes), which writes ``<path>.tmp`` and moves it into place, so an
+output appears whole or not at all; ``remove_output`` removes the report a
+previous run left, so a verb that fails leaves none. ``write_csv_rows``
+writes the CSV outputs (csv quoting, one header row) from cells the
+callers format. The exception is ``synthkit.write_dataset``'s ``bars.csv``
+and ``indices.csv``, whose cells (ids, ISO dates, float reprs) never need
+quoting: it formats their lines itself; on the 1x ``bars.csv`` (63.6k
+rows, 2-CPU x86-64) that took 0.26-0.37 s against 0.41-0.55 s through
+``write_csv_rows``, for the same bytes.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header
@@ -51,7 +53,6 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date as Date
 from itertools import compress
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -112,23 +113,17 @@ class ParseResult:
 
 
 @contextmanager
-def open_input(source):
-    """Open an input file path as text, or pass a text stream through.
-
-    Files are read as UTF-8 with an optional leading byte-order mark; a
-    byte sequence that is not UTF-8 raises DataError naming the file.
-    """
-    if not isinstance(source, (str, Path)):
-        yield source
-        return
+def open_input(path):
+    """Open an input file as UTF-8 text with an optional leading byte-order
+    mark; a byte sequence that is not UTF-8 raises DataError naming the file."""
     try:
-        with open(source, "r", encoding="utf-8-sig", newline="") as stream:
+        with open(path, "r", encoding="utf-8-sig", newline="") as stream:
             yield stream
     except UnicodeDecodeError as exc:
-        raise DataError(f"{source} is not UTF-8 text ({exc.reason})") from None
+        raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
 
 
-def read_csv_rows(source, header: tuple[str, ...]):
+def read_csv_rows(path, header: tuple[str, ...]):
     """Yield ``(line_no, row)`` for each non-blank row of a CSV input.
 
     The first row must match ``header`` once each cell is stripped; an
@@ -136,29 +131,28 @@ def read_csv_rows(source, header: tuple[str, ...]):
     from 2, blank rows counted but not yielded. Text the csv module cannot
     frame strictly (a quote left open to the end of the file, text after a
     closing quote, a field over its 131,072-character limit) raises
-    DataError naming the source and the line.
+    DataError naming the file and the line.
     """
-    name = source if isinstance(source, (str, Path)) else getattr(source, "name", "input stream")
     expected = ",".join(header)
-    with open_input(source) as stream:
+    with open_input(path) as stream:
         reader = csv.reader(stream, strict=True)
         try:
             actual = next(reader, None)
             if actual is None:
-                raise SchemaError(f"{name} is empty, expected header {expected}")
+                raise SchemaError(f"{path} is empty, expected header {expected}")
             if tuple(h.strip() for h in actual) != header:
-                raise SchemaError(f"{name} header {actual!r} does not match {expected}")
+                raise SchemaError(f"{path} header {actual!r} does not match {expected}")
             for line_no, row in enumerate(reader, start=2):
                 if row:
                     yield line_no, row
         except csv.Error as exc:
-            raise DataError(f"{name} line {reader.line_num}: malformed CSV ({exc})") from None
+            raise DataError(f"{path} line {reader.line_num}: malformed CSV ({exc})") from None
 
 
-def read_lines(source) -> list[str]:
+def read_lines(path) -> list[str]:
     """Stripped lines of a one-value-per-line input, without blank lines
     and '#' comment lines."""
-    with open_input(source) as stream:
+    with open_input(path) as stream:
         lines = [raw.strip() for raw in stream.read().splitlines()]
     return [line for line in lines if line and not line.startswith("#")]
 
@@ -174,10 +168,25 @@ def open_output(path, mode: str = "w"):
             yield stream
         os.replace(temp, path)
     except OSError as exc:
-        raise ConfigurationError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise _unwritable(path, exc) from None
     finally:
         with suppress(OSError):
             os.remove(temp)
+
+
+def remove_output(path) -> None:
+    """Remove the file a previous run left at ``path``, if any; an OSError
+    becomes the ConfigurationError that ``open_output`` raises."""
+    try:
+        os.remove(path)
+    except FileNotFoundError:
+        pass
+    except OSError as exc:
+        raise _unwritable(path, exc) from None
+
+
+def _unwritable(path, exc: OSError) -> ConfigurationError:
+    return ConfigurationError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def write_text(path, text: str) -> None:
@@ -193,8 +202,8 @@ def write_csv_rows(path, header: tuple[str, ...], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
-def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
-    """Parse a corpus file (path or text stream) into validated records.
+def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
+    """Parse a corpus file into validated records.
 
     Rows with the wrong field count, an empty report_id, malformed stock
     codes, or an unparseable date are rejected individually. A wrong
@@ -204,7 +213,7 @@ def parse_corpus(source, max_error_rate: float = 0.1) -> ParseResult:
     ids, titles, abstracts, days, codes, offsets = [], [], [], [], [], [0]
     rejects: list[RowReject] = []
     seen: set[str] = set()
-    for line_no, row in read_csv_rows(source, CORPUS_HEADER):
+    for line_no, row in read_csv_rows(path, CORPUS_HEADER):
         reason = None
         if len(row) != len(CORPUS_HEADER):
             reason = f"expected {len(CORPUS_HEADER)} fields, got {len(row)}"

@@ -360,24 +360,19 @@ def student_t_sf2(t_stat: float, df: float) -> float:
 class RegressionFit:
     """OLS estimates for one outcome, aligned with ``regressors``."""
 
-    name: str
     regressors: tuple[str, ...]
     coef: np.ndarray
     se: np.ndarray
     t_stats: np.ndarray
     p_values: np.ndarray
     n_obs: int
-    df_resid: int
     r_squared: float
-    rss: float
-    se_type: str
 
 
 def ols_fit(
     design: np.ndarray,
     response: np.ndarray,
-    regressors: Sequence[str] | None = None,
-    name: str = "",
+    regressors: Sequence[str],
     se_type: str = "classical",
 ) -> RegressionFit:
     """Least squares via QR with classical or HC1 standard errors.
@@ -394,12 +389,9 @@ def ols_fit(
     n, k = X.shape
     if y.shape != (n,):
         raise ArgumentError(f"response shape {y.shape} does not match design {X.shape}")
-    if regressors is None:
-        regressors = tuple(f"x{i}" for i in range(k))
-    else:
-        regressors = tuple(regressors)
-        if len(regressors) != k:
-            raise ArgumentError(f"{len(regressors)} names for {k} columns")
+    regressors = tuple(regressors)
+    if len(regressors) != k:
+        raise ArgumentError(f"{len(regressors)} names for {k} columns")
     if n <= k:
         raise ArgumentError(f"need more observations than parameters, got n={n}, k={k}")
     if se_type not in ("classical", "robust"):
@@ -410,7 +402,7 @@ def ols_fit(
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     bad = [regressors[j] for j in range(k) if diag[j] <= tol]
     if bad:
-        raise SingularityError(bad)
+        raise SingularityError(f"rank-deficient design matrix; offending columns: {', '.join(bad)}")
 
     qty = Q.T @ y
     coef = np.linalg.solve(R, qty)
@@ -437,19 +429,7 @@ def ols_fit(
     tss = float(y_centered @ y_centered)
     r_squared = 1.0 - rss / tss if tss > 0.0 else float("nan")
 
-    return RegressionFit(
-        name=name,
-        regressors=regressors,
-        coef=coef,
-        se=se,
-        t_stats=t_stats,
-        p_values=p_values,
-        n_obs=n,
-        df_resid=df_resid,
-        r_squared=r_squared,
-        rss=rss,
-        se_type=se_type,
-    )
+    return RegressionFit(regressors, coef, se, t_stats, p_values, n, r_squared)
 
 
 # The panel column of each regressor after the constant, and of each outcome.
@@ -477,10 +457,7 @@ def run_pooled_regressions(rows: np.ndarray, se_type: str = "classical") -> dict
     if not len(rows):
         raise ArgumentError("empty panel")
     X, outcomes = panel_design(rows)
-    return {
-        outcome: ols_fit(X, y, REGRESSOR_NAMES, name=outcome, se_type=se_type)
-        for outcome, y in outcomes.items()
-    }
+    return {outcome: ols_fit(X, y, REGRESSOR_NAMES, se_type=se_type) for outcome, y in outcomes.items()}
 
 
 @dataclass
@@ -533,7 +510,6 @@ def run_industry_regressions(
 class MeanTestResult:
     """Two-sample difference-in-means test for one variable."""
 
-    variable: str
     mean_a: float
     std_a: float
     n_a: int
@@ -550,7 +526,6 @@ def mean_difference_test(
     group_a: Sequence[float],
     group_b: Sequence[float],
     mode: str = "welch",
-    variable: str = "",
 ) -> MeanTestResult:
     """Two-sample t-test of mean(A) - mean(B).
 
@@ -592,7 +567,7 @@ def mean_difference_test(
     else:
         t_stat = diff / se
     p_value = student_t_sf2(t_stat, df)
-    return MeanTestResult(variable, mean_a, float(math.sqrt(va)), na, mean_b, float(math.sqrt(vb)), nb, t_stat, p_value, df, mode)
+    return MeanTestResult(mean_a, float(math.sqrt(va)), na, mean_b, float(math.sqrt(vb)), nb, t_stat, p_value, df, mode)
 
 
 # Variables of the group-comparison table: excess returns around the
@@ -669,7 +644,4 @@ def majority_group_tests(
     group_b = values[np.array([cls == NEGATIVE for cls in classes], dtype=bool)].T.copy()
     if group_a.shape[1] < 2 or group_b.shape[1] < 2:
         return [None] * len(MAJORITY_VARIABLES)
-    return [
-        mean_difference_test(a, b, mode=mode, variable=variable)
-        for variable, a, b in zip(MAJORITY_VARIABLES, group_a, group_b)
-    ]
+    return [mean_difference_test(a, b, mode=mode) for a, b in zip(group_a, group_b)]

@@ -45,8 +45,3 @@ class NumericalError(PipelineError):
 
 class SingularityError(NumericalError):
     """The regression design matrix is rank deficient."""
-
-    def __init__(self, columns, message: str | None = None):
-        self.columns = list(columns)
-        cols = ", ".join(self.columns) or "<unknown>"
-        super().__init__(message or f"rank-deficient design matrix; offending columns: {cols}")

@@ -4,7 +4,9 @@ Every analysis artifact is emitted twice: a fixed-width text table meant
 for reading (coefficient rows with significance stars, t-statistics in
 parentheses underneath), and a delimited file with full-precision values
 meant for diffing and downstream tooling. Significance stars come in two
-presets because the source tables use different thresholds.
+presets because the source tables use different thresholds: the pooled
+and mean-test tables take the configured preset, and the industry table
+always uses ``INDUSTRY_STARS`` (``table4``).
 
 Outcomes and regressors follow ``econometrics``' schema; this module
 declares only layout. The three text tables share one frame, and the
@@ -32,6 +34,7 @@ STAR_PRESETS: dict[str, tuple[tuple[float, str], ...]] = {
     "table3": ((0.001, "***"), (0.01, "**"), (0.05, "*")),
     "table4": ((0.01, "***"), (0.05, "**"), (0.1, "*")),
 }
+INDUSTRY_STARS = "table4"
 
 # Width of a coefficient column in the pooled and industry tables.
 COLUMN_W = 16
@@ -165,14 +168,10 @@ def write_regression_csv(fits: dict[str, RegressionFit], path, stars: str = "tab
     write_csv_rows(path, REGRESSION_CSV_HEADER, regression_records(fits, stars))
 
 
-def format_industry_table(
-    results: Iterable[SectorResult],
-    stars: str = "table4",
-    min_rows: int = 50,
-) -> str:
+def format_industry_table(results: Iterable[SectorResult], min_rows: int = 50) -> str:
     """Sector-by-sector sentiment coefficients: pos and neg columns per
     outcome, two lines per fitted sector (coefficients, then t-stats)."""
-    preset = star_preset(stars)
+    preset = star_preset(INDUSTRY_STARS)
     columns = [(key, regressor) for key in OUTCOME_NAMES for regressor in ("pos[t-1]", "neg[t-1]")]
     name_w = 22
     width = name_w + 6 + COLUMN_W * len(columns)
@@ -192,19 +191,19 @@ def format_industry_table(
     return _framed("Industry-subset regressions", width, header, body, preset)
 
 
-def industry_records(results: Iterable[SectorResult], stars: str = "table4") -> list[tuple]:
+def industry_records(results: Iterable[SectorResult]) -> list[tuple]:
     rows = []
     for result in results:
         if result.fits is None:
             rows.append((result.sector, result.n_rows, "skipped") + ("",) * len(REGRESSION_CSV_HEADER))
             continue
-        for row in regression_records(result.fits, stars):
+        for row in regression_records(result.fits, INDUSTRY_STARS):
             rows.append((result.sector, result.n_rows, "fitted") + row)
     return rows
 
 
-def write_industry_csv(results: Iterable[SectorResult], path, stars: str = "table4") -> None:
-    write_csv_rows(path, INDUSTRY_CSV_HEADER, industry_records(results, stars))
+def write_industry_csv(results: Iterable[SectorResult], path) -> None:
+    write_csv_rows(path, INDUSTRY_CSV_HEADER, industry_records(results))
 
 
 def format_mean_test_table(

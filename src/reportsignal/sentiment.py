@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
 from .errors import ArgumentError, DataError, SchemaError
@@ -48,10 +48,9 @@ class SentimentScore:
 class SentimentLexicon:
     """word -> sentiment class, and the greedy matcher that counts hits."""
 
-    def __init__(self, entries: Mapping[str, str] | Iterable[tuple[str, str]]):
-        items = entries.items() if isinstance(entries, Mapping) else entries
+    def __init__(self, entries: Iterable[tuple[str, str]]):
         mapping: dict[str, str] = {}
-        for word, label in items:
+        for word, label in entries:
             if label not in WORD_CLASSES:
                 raise DataError(f"lexicon word {word!r} has unknown class {label!r}")
             if not word:
@@ -154,7 +153,7 @@ def classify_majority(counts: tuple[int, int, int]) -> str:
 
 
 def load_external_scores(
-    source,
+    path,
     known_ids: Iterable[str],
     sum_tolerance: float = 1e-6,
     max_error_rate: float = 0.1,
@@ -171,7 +170,7 @@ def load_external_scores(
     scores: list[SentimentScore] = []
     rejects: list[RowReject] = []
     seen: set[str] = set()
-    for line_no, row in read_csv_rows(source, SCORES_HEADER):
+    for line_no, row in read_csv_rows(path, SCORES_HEADER):
         reason = None
         if len(row) != 4:
             reason = f"expected 4 fields, got {len(row)}"

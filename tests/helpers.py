@@ -128,6 +128,12 @@ def small_dataset(seed: int = 0, **overrides):
     return generate(small_spec(seed=seed, **overrides))
 
 
+def text_file(path, text: str):
+    """Write ``text`` to ``path`` as UTF-8 and return the path."""
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
 def read_labels(path) -> list[LabeledReport]:
     out = []
     for _, row in read_csv_rows(path, LABELS_HEADER):

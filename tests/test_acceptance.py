@@ -19,7 +19,6 @@ files under ``tests/data/golden`` are regenerated with::
 """
 
 import csv
-import io
 import math
 import os
 import subprocess
@@ -54,7 +53,7 @@ from reportsignal.sentiment import (
 )
 from reportsignal.synthkit import DEFAULT_BETAS, SynthSpec, default_betas, generate
 
-from tests.helpers import assemble, estimate, flat_bar, ranges_of, small_spec
+from tests.helpers import assemble, estimate, flat_bar, ranges_of, small_spec, text_file
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
 
@@ -326,7 +325,7 @@ def test_null_panels_rarely_show_significant_sentiment():
     )
 
 
-def test_scores_everywhere_stay_on_the_simplex():
+def test_scores_everywhere_stay_on_the_simplex(tmp_path):
     """10,000 scores from all three producers sum to 1 within 1e-9."""
     started = time.perf_counter()
     rng = np.random.default_rng(53)
@@ -353,7 +352,7 @@ def test_scores_everywhere_stay_on_the_simplex():
     for i, (p, u, m) in enumerate(messy):
         lines.append(f"e{i:04d},{p:.12g},{u:.12g},{m:.12g}")
     scores, rejects = load_external_scores(
-        io.StringIO("\n".join(lines) + "\n"),
+        text_file(tmp_path / "scores.csv", "\n".join(lines) + "\n"),
         known_ids=[f"e{i:04d}" for i in range(len(messy))],
         sum_tolerance=0.05,
     )

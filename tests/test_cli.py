@@ -366,9 +366,13 @@ def test_bad_configs_exit_one(dataset_dir, tmp_path, capsys):
 def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsys, verb, name):
     """With a directory where an output goes, the verb exits 1 with one
     error line naming that path, and leaves no temporary file behind;
-    ingest writes no report when its snapshot fails."""
+    a verb with a report leaves none, not even a previous run's."""
     out = tmp_path / "out"
     (out / name).mkdir(parents=True)
+    report = out / f"{verb}_report.json"
+    stale = verb != "synth" and report.name != name
+    if stale:
+        report.write_text("{}\n", encoding="utf-8")
     argv = ("--seed", 13) if verb == "synth" else ("--config", dataset_dir / "config.json")
     capsys.readouterr()
     assert run(verb, *argv, "--out", out) == 1
@@ -376,8 +380,8 @@ def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsy
     assert captured.err.startswith(f"error: cannot write {out / name}: ") and captured.err.count("\n") == 1, captured.err
     assert "Traceback" not in captured.out + captured.err
     assert list(out.glob("*.tmp")) == []
-    if verb == "ingest" and name != "ingest_report.json":
-        assert not (out / "ingest_report.json").exists()
+    if stale:
+        assert not report.exists()
 
 
 def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):

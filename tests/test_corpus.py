@@ -1,6 +1,5 @@
 """Unit tests for corpus parsing, cleaning and output files, and for lexicon hit counting."""
 
-import io
 import random
 from datetime import date as Date
 
@@ -22,18 +21,18 @@ from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.sentiment import SentimentLexicon, load_lexicon, prepare_report
 from reportsignal.synthkit import SynthSpec, generate
 from tests import reference_text
-from tests.helpers import small_dataset
+from tests.helpers import small_dataset, text_file
 from tests.reference_market import ReportRecord, columns_of, records_of
 from tests.reference_text import SegmentDictionary, segment
 
 
-def test_parse_happy_path():
+def test_parse_happy_path(tmp_path):
     text = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,Title one,Body one,600000.SH,2019-03-04\n"
         "r2,Title two,Body two,600000.SH;000001.SZ,2019-03-05\n"
     )
-    result = parse_corpus(io.StringIO(text))
+    result = parse_corpus(text_file(tmp_path / "corpus.csv", text))
     assert not result.rejects
     assert result.error_rate == 0.0
     records = records_of(result.records)
@@ -43,7 +42,7 @@ def test_parse_happy_path():
     assert records[1].stock_codes == ("600000.SH", "000001.SZ")
 
 
-def test_parse_rejects_bad_rows_individually():
+def test_parse_rejects_bad_rows_individually(tmp_path):
     text = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,t,a,600000.SH\n"
@@ -53,7 +52,7 @@ def test_parse_rejects_bad_rows_individually():
         "r5,t,a,600000.SH,2019-13-04\n"
         "r7,t,a,600000.SH,2019-03-04\n"
     )
-    result = parse_corpus(io.StringIO(text), max_error_rate=1.0)
+    result = parse_corpus(text_file(tmp_path / "corpus.csv", text), max_error_rate=1.0)
     assert result.records.ids == ["r7"]
     assert [r.line for r in result.rejects] == [2, 3, 4, 5, 6]
     reasons = [r.reason for r in result.rejects]
@@ -64,25 +63,25 @@ def test_parse_rejects_bad_rows_individually():
     assert "unparseable release_date" in reasons[4]
 
 
-def test_parse_fatal_conditions():
+def test_parse_fatal_conditions(tmp_path):
     with pytest.raises(SchemaError):
-        parse_corpus(io.StringIO(""))
+        parse_corpus(text_file(tmp_path / "corpus.csv", ""))
     with pytest.raises(SchemaError):
-        parse_corpus(io.StringIO("id,title,abstract,codes,date\n"))
+        parse_corpus(text_file(tmp_path / "corpus.csv", "id,title,abstract,codes,date\n"))
     duplicated = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,t,a,600000.SH,2019-03-04\n"
         "r1,t,a,600000.SH,2019-03-05\n"
     )
     with pytest.raises(DataError):
-        parse_corpus(io.StringIO(duplicated))
+        parse_corpus(text_file(tmp_path / "corpus.csv", duplicated))
     noisy = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,t,a,600000.SH,2019-03-04\n"
         "r2,t,a,bad-code,2019-03-04\n"
     )
     with pytest.raises(DataError):
-        parse_corpus(io.StringIO(noisy), max_error_rate=0.25)
+        parse_corpus(text_file(tmp_path / "corpus.csv", noisy), max_error_rate=0.25)
 
     # The reader is strict: text after a closing quote is malformed, not
     # glued onto the quoted field.
@@ -91,7 +90,7 @@ def test_parse_fatal_conditions():
         'r1,"abc"def,a,600000.SH,2019-03-04\n'
     )
     with pytest.raises(DataError, match="malformed CSV"):
-        parse_corpus(io.StringIO(stray))
+        parse_corpus(text_file(tmp_path / "corpus.csv", stray))
 
 
 def test_serialize_round_trips_commas_and_cjk(tmp_path):
@@ -217,7 +216,7 @@ def test_prepare_report_joins_title_and_abstract():
     title, abstract = "业绩突破", "公司有望 保持领先地位 风险提示 注意"
     # "注意" follows the risk-warning marker, so the cut text never holds it
     lexicon = SentimentLexicon(
-        {"突破": POSITIVE, "有望": POSITIVE, "领先地位": POSITIVE, "业绩": NEUTRAL, "注意": NEGATIVE}
+        [("突破", POSITIVE), ("有望", POSITIVE), ("领先地位", POSITIVE), ("业绩", NEUTRAL), ("注意", NEGATIVE)]
     )
     # the cleaned text "业绩突破 公司有望 保持领先地位" segments as
     # 业绩 突破 公 司 有望 保 持 领先地位
@@ -245,7 +244,7 @@ def test_lexicon_hits_match_the_reference_segmenter():
         # a single character, an inner space, and a leading space (which
         # never matches, since matching skips whitespace)
         words = (words - {""}) | {rng.choice("abcd"), "a b", " " + rng.choice("abcd")}
-        lexicon = SentimentLexicon({word: rng.choice(classes) for word in words})
+        lexicon = SentimentLexicon([(word, rng.choice(classes)) for word in words])
         long_words = sorted(word for word in words if len(word) > 1)
         for _ in range(20):
             pieces = rng.choices(sorted(words) + list(alphabet) + ["  ", "\t", " \t\n "], k=rng.randint(0, 12))

@@ -1,5 +1,6 @@
 """Import checks: every module uses each name it imports, every name is
 imported from the module that defines it, every public name has a caller
+outside the tests, every record field is read and every default is set
 outside the tests, only corpus frames CSV and opens output files, and no
 package module needs scipy."""
 
@@ -124,15 +125,21 @@ def referenced_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def package_and_benchmark_trees() -> tuple[list[Path], dict[Path, ast.Module]]:
+    """The package's modules, and the parsed trees of those and of the
+    benchmark modules that are not its tests."""
+    package = sorted((ROOT / "src" / "reportsignal").glob("*.py"))
+    bench = [path for path in sorted((ROOT / "bench").glob("*.py")) if not path.name.startswith("test_")]
+    return package, {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+
+
 def test_every_public_name_has_a_caller_outside_tests():
     """Each public function, class and method of the package is named by
     some package or benchmark module; a name only tests use is dead API."""
     sample = ast.parse("class A:\n    def f(self): pass\n    def _g(self): pass\ndef h(): pass\ndef _k(): pass\n")
     assert public_definitions(sample) == ["A", "A.f", "h"]
     assert referenced_names(ast.parse("import a.b as c\nx.y\ngetattr(m, 'z')\n")) >= {"c", "b", "x", "y", "z"}
-    package = sorted((ROOT / "src" / "reportsignal").glob("*.py"))
-    bench = [path for path in sorted((ROOT / "bench").glob("*.py")) if not path.name.startswith("test_")]
-    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in package + bench}
+    package, trees = package_and_benchmark_trees()
     used = set().union(*map(referenced_names, trees.values()))
     uncalled = [
         f"{path.name}::{name}"
@@ -141,6 +148,126 @@ def test_every_public_name_has_a_caller_outside_tests():
         if name.rpartition(".")[2] not in used
     ]
     assert uncalled == []
+
+
+def record_fields(tree: ast.Module) -> dict[str, list[str]]:
+    """The fields of each dataclass and NamedTuple a module defines, by class."""
+    records = {}
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and (
+            any(ast.unparse(d).partition("(")[0] == "dataclass" for d in node.decorator_list)
+            or any(ast.unparse(base) == "NamedTuple" for base in node.bases)
+        ):
+            annotated = (item for item in node.body if isinstance(item, ast.AnnAssign))
+            records[node.name] = [item.target.id for item in annotated if isinstance(item.target, ast.Name)]
+    return records
+
+
+def fields_read(tree: ast.Module, records: dict[str, list[str]]) -> set[str]:
+    """The fields ``tree`` reads: ``x.field``, ``getattr(x, "field")``, and
+    every field of a record class named in the parameter annotations of a
+    function that hands its values to ``asdict``."""
+    read: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr":
+            read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
+        elif isinstance(node, ast.FunctionDef) and any(
+            isinstance(call, ast.Call) and ast.unparse(call.func).rpartition(".")[2] == "asdict"
+            for call in ast.walk(node)
+        ):
+            annotated = [arg.annotation for arg in node.args.args if arg.annotation is not None]
+            named = {n.id for annotation in annotated for n in ast.walk(annotation) if isinstance(n, ast.Name)}
+            read.update(field for cls in named & records.keys() for field in records[cls])
+    return read
+
+
+def test_every_record_field_is_read_outside_tests():
+    """Each field of a package dataclass or NamedTuple is read by some
+    package or benchmark module; a field only tests read is dead output."""
+    sample = ast.parse(
+        "@dataclass(frozen=True)\nclass A:\n    a: int\n    b: int = 0\n"
+        "class B(NamedTuple):\n    c: int\nclass C:\n    d: int\n"
+    )
+    assert record_fields(sample) == {"A": ["a", "b"], "B": ["c"]}
+    reader = ast.parse("x.a\ngetattr(x, 'c')\ny.e = 1\ndef f(rows: list[A]):\n    return [asdict(r) for r in rows]\n")
+    assert fields_read(reader, {"A": ["a", "b"], "B": ["c", "d"]}) == {"a", "b", "c"}
+    package, trees = package_and_benchmark_trees()
+    records = {cls: fields for path in package for cls, fields in record_fields(trees[path]).items()}
+    read = set().union(*(fields_read(tree, records) for tree in trees.values()))
+    unread = [
+        f"{path.name}::{cls}.{field}"
+        for path in package
+        for cls, fields in record_fields(trees[path]).items()
+        for field in fields
+        if field not in read
+    ]
+    assert unread == []
+
+
+def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(callee, parameter, position) of each parameter with a default of a
+    module's top-level functions and its classes' methods. The callee of
+    ``__init__`` is its class; positions count from the first argument a
+    call passes (after ``self``), and a keyword-only parameter has none."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            functions = [(node.name, node, 0)]
+        elif isinstance(node, ast.ClassDef):
+            methods = (item for item in node.body if isinstance(item, ast.FunctionDef))
+            functions = [(node.name if func.name == "__init__" else func.name, func, 1) for func in methods]
+        else:
+            continue
+        for callee, func, skipped in functions:
+            positional = (func.args.posonlyargs + func.args.args)[skipped:]
+            with_default = positional[len(positional) - len(func.args.defaults) :]
+            found += [(callee, arg.arg, positional.index(arg)) for arg in with_default]
+            keyword = zip(func.args.kwonlyargs, func.args.kw_defaults)
+            found += [(callee, arg.arg, None) for arg, default in keyword if default is not None]
+    return found
+
+
+def arguments_set(tree: ast.Module) -> set[tuple[str, str | int]]:
+    """(callee, keyword) and (callee, position) of each argument a call in
+    ``tree`` passes; ``**mapping`` sets keyword "**" and ``*sequence``
+    position "*", which stand for any keyword and any position."""
+    found: set[tuple[str, str | int]] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
+            found.update((callee, "*" if isinstance(arg, ast.Starred) else i) for i, arg in enumerate(node.args))
+            found.update((callee, keyword.arg or "**") for keyword in node.keywords)
+    return found
+
+
+# Defaults that only tests set, each kept for the tests named.
+TEST_ONLY_DEFAULTS = {
+    ("delta_volume", "window"): "the hand-sized market fixtures pass 2-5 day windows through tests/helpers.gather",
+    ("load_external_scores", "sum_tolerance"): "the simplex acceptance test loads noisy scores with a 0.05 tolerance",
+}
+
+
+def test_every_default_is_set_outside_tests():
+    """Each parameter with a default is set by some package or benchmark
+    call, by keyword, by position, through ``*``/``**``, or by a call to
+    the class for ``__init__``; a default no such call overrides is an
+    option only tests use. ``TEST_ONLY_DEFAULTS`` names the kept ones."""
+    sample = ast.parse(
+        "def f(a, b=1, *, c=2): pass\nclass K:\n    def __init__(self, d=3): pass\n    def g(self, e, h=4): pass\n"
+    )
+    assert defaulted_parameters(sample) == [("f", "b", 1), ("f", "c", None), ("K", "d", 0), ("g", "h", 1)]
+    assert arguments_set(ast.parse("f(1, *r, c=2)\nK(**m)\n")) == {("f", 0), ("f", "*"), ("f", "c"), ("K", "**")}
+    package, trees = package_and_benchmark_trees()
+    passed = set().union(*map(arguments_set, trees.values()))
+    unset = {
+        (callee, name)
+        for path in package
+        for callee, name, position in defaulted_parameters(trees[path])
+        if not {(callee, name), (callee, "**"), (callee, "*"), (callee, position)} & passed
+    }
+    assert unset == set(TEST_ONLY_DEFAULTS)
 
 
 def imported_modules(source: str) -> set[str]:
@@ -231,7 +358,8 @@ def test_no_package_module_imports_scipy():
 
 
 def test_p_values_leave_scipy_unloaded():
-    """Computing p-values, as analyze does, loads no scipy module."""
+    """Computing p-values, as analyze does, loads no scipy module; a
+    ``None`` entry in ``sys.modules`` blocks an import and loads nothing."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     probe = (
@@ -239,7 +367,7 @@ def test_p_values_leave_scipy_unloaded():
         "from reportsignal.econometrics import mean_difference_test, student_t_sf2\n"
         "assert 0.0 < student_t_sf2(2.0, 65) < 0.05\n"
         "assert 0.0 < mean_difference_test([1.0, 2.0, 4.0], [0.0, 0.5, 1.5]).p_value < 1.0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m, loaded in sys.modules.items() if loaded is not None and m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr

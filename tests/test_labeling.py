@@ -1,7 +1,6 @@
 """Unit tests for rank-based labeling."""
 
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -55,10 +54,24 @@ def test_output_is_in_rank_order():
 
 
 def test_ties_break_by_report_id_then_stock():
-    pool = [("r2", "600000.SH", 1.0), ("r1", "600000.SH", 1.0), ("r1", "000001.SZ", 1.0)]
-    labeled = assign_labels(pool, upper_quantile=Fraction(1, 3), lower_quantile=0)
-    assert (labeled[0].report_id, labeled[0].stock_id) == ("r1", "000001.SZ")
-    assert labeled[0].label == POSITIVE
+    """In a pool of ten, four pairs tie for the three positive places and
+    six for the three negative ones: report_id, then stock_id, decides."""
+    tied = [("r3", "000001.SZ", 1.0), ("r2", "600000.SH", 1.0), ("r1", "600000.SH", 1.0), ("r1", "000001.SZ", 1.0)]
+    labeled = assign_labels(tied + pool_of([0.0] * 6))
+    assert [(item.report_id, item.stock_id, item.label) for item in labeled[:4]] == [
+        ("r1", "000001.SZ", POSITIVE),
+        ("r1", "600000.SH", POSITIVE),
+        ("r2", "600000.SH", POSITIVE),
+        ("r3", "000001.SZ", NEUTRAL),
+    ]
+    assert [(item.report_id, item.label) for item in labeled[4:]] == [
+        ("r000", NEUTRAL),
+        ("r001", NEUTRAL),
+        ("r002", NEUTRAL),
+        ("r003", NEGATIVE),
+        ("r004", NEGATIVE),
+        ("r005", NEGATIVE),
+    ]
 
 
 def test_labels_invariant_under_positive_rescaling():
@@ -82,21 +95,6 @@ def test_labels_invariant_under_input_permutation():
 def test_empty_pool_is_an_error():
     with pytest.raises(ArgumentError):
         assign_labels([])
-
-
-def test_overlapping_quantiles_are_an_error():
-    with pytest.raises(ArgumentError):
-        assign_labels(pool_of(range(10)), upper_quantile=0.6, lower_quantile=0.6)
-
-
-def test_quantile_outside_unit_interval_is_an_error():
-    with pytest.raises(ArgumentError):
-        assign_labels(pool_of(range(10)), upper_quantile=1.5)
-
-
-def test_degenerate_quantiles_are_allowed():
-    labeled = assign_labels(pool_of(range(4)), upper_quantile=0, lower_quantile=1)
-    assert label_counts(labeled) == {POSITIVE: 0, NEUTRAL: 0, NEGATIVE: 4}
 
 
 def test_labels_round_trip_exactly(tmp_path):

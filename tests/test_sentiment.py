@@ -1,7 +1,6 @@
 """Unit tests for lexicon and external sentiment scoring."""
 
 import dataclasses
-import io
 import math
 from datetime import date as Date
 
@@ -19,7 +18,7 @@ from reportsignal.sentiment import (
     load_lexicon,
     write_scores,
 )
-from tests.helpers import weekdays
+from tests.helpers import text_file, weekdays
 
 
 def small_lexicon():
@@ -123,7 +122,7 @@ def test_load_lexicon_schema_errors(tmp_path):
         load_lexicon(ragged)
 
 
-def test_external_scores_accept_and_reject_rows():
+def test_external_scores_accept_and_reject_rows(tmp_path):
     text = (
         "report_id,pos,neu,neg\n"
         "r1,0.5,0.3,0.2\n"
@@ -135,7 +134,7 @@ def test_external_scores_accept_and_reject_rows():
         "r5,0.5,0.3,0.1\n"
     )
     scores, rejects = load_external_scores(
-        io.StringIO(text), known_ids={"r1", "r2", "r3", "r4", "r5"}, max_error_rate=1.0
+        text_file(tmp_path / "scores.csv", text), known_ids={"r1", "r2", "r3", "r4", "r5"}, max_error_rate=1.0
     )
     assert [s.report_id for s in scores] == ["r1"]
     reasons = [r.reason for r in rejects]
@@ -148,7 +147,7 @@ def test_external_scores_accept_and_reject_rows():
     assert "sum to" in reasons[5]
 
 
-def test_external_scores_reject_non_finite_components():
+def test_external_scores_reject_non_finite_components(tmp_path):
     """A nan, inf or -inf in any component is outside [0, 1]: its row is
     rejected with its line number, and a clean row beside them is kept."""
     bad_rows = []
@@ -160,7 +159,7 @@ def test_external_scores_reject_non_finite_components():
     rows = bad_rows[:4] + [["0.5", "0.25", "0.25"]] + bad_rows[4:]
     text = "report_id,pos,neu,neg\n" + "".join(f"r{i},{','.join(parts)}\n" for i, parts in enumerate(rows))
     scores, rejects = load_external_scores(
-        io.StringIO(text), known_ids={f"r{i}" for i in range(len(rows))}, max_error_rate=1.0
+        text_file(tmp_path / "scores.csv", text), known_ids={f"r{i}" for i in range(len(rows))}, max_error_rate=1.0
     )
     assert scores == [SentimentScore("r4", 0.5, 0.25, 0.25)]
     assert [(r.line, r.reason) for r in rejects] == [
@@ -171,10 +170,10 @@ def test_external_scores_reject_non_finite_components():
     assert len(rejects) == 9
 
 
-def test_external_scores_are_renormalised_onto_the_simplex():
+def test_external_scores_are_renormalised_onto_the_simplex(tmp_path):
     text = "report_id,pos,neu,neg\nr1,0.25,0.25,0.25\nr2,-0.2,0.6,0.6\n"
     scores, rejects = load_external_scores(
-        io.StringIO(text), known_ids={"r1", "r2"}, sum_tolerance=0.5
+        text_file(tmp_path / "scores.csv", text), known_ids={"r1", "r2"}, sum_tolerance=0.5
     )
     assert not rejects
     assert scores[0].pos == scores[0].neu == scores[0].neg
@@ -182,17 +181,17 @@ def test_external_scores_are_renormalised_onto_the_simplex():
     assert (scores[1].pos, scores[1].neu, scores[1].neg) == (0.0, 0.5, 0.5)
 
 
-def test_external_scores_reject_rate_gate():
+def test_external_scores_reject_rate_gate(tmp_path):
     text = "report_id,pos,neu,neg\nr1,0.5,0.3,0.2\nzz,1,0,0\n"
     with pytest.raises(DataError):
-        load_external_scores(io.StringIO(text), known_ids={"r1"}, max_error_rate=0.2)
+        load_external_scores(text_file(tmp_path / "scores.csv", text), known_ids={"r1"}, max_error_rate=0.2)
 
 
-def test_external_scores_schema_errors():
+def test_external_scores_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
-        load_external_scores(io.StringIO(""), known_ids=set())
+        load_external_scores(text_file(tmp_path / "scores.csv", ""), known_ids=set())
     with pytest.raises(SchemaError):
-        load_external_scores(io.StringIO("id,p,n,m\n"), known_ids=set())
+        load_external_scores(text_file(tmp_path / "scores.csv", "id,p,n,m\n"), known_ids=set())
 
 
 def test_write_scores_round_trip(tmp_path):
