@@ -16,17 +16,20 @@ from importlib import resources
 from pathlib import Path
 
 from .corpus import open_input
+from .econometrics import SE_TYPES, TTEST_MODES
 from .errors import ConfigurationError, DataError
+from .metrics import CHANGE_MODES
+from .reporting import STAR_PRESETS
 
 FORMAT_VERSION = 1
 
 # The allowed values of each choice option, in the order ``validate`` checks them.
 CHOICES = {
     "scorer": ("external", "lexicon"),
-    "stars": ("table3", "table4"),
-    "se": ("classical", "robust"),
-    "ttest": ("welch", "pooled"),
-    "vix_mode": ("diff", "logdiff"),
+    "stars": tuple(STAR_PRESETS),
+    "se": SE_TYPES,
+    "ttest": TTEST_MODES,
+    "vix_mode": CHANGE_MODES,
 }
 
 

@@ -56,6 +56,8 @@ from .sentiment import SentimentScore, classify_majority
 
 RANGE_SCALE = 100.0
 NUM_SCALE = 1.0 / 100.0
+SE_TYPES = ("classical", "robust")  # ols_fit's standard errors
+TTEST_MODES = ("welch", "pooled")  # mean_difference_test's statistics
 
 # Regressor order of the main results table: constant, the two sentiment
 # probabilities, lagged outcomes, market controls, citation counts.
@@ -394,7 +396,7 @@ def ols_fit(
         raise ArgumentError(f"{len(regressors)} names for {k} columns")
     if n <= k:
         raise ArgumentError(f"need more observations than parameters, got n={n}, k={k}")
-    if se_type not in ("classical", "robust"):
+    if se_type not in SE_TYPES:
         raise ArgumentError(f"unknown se_type {se_type!r}")
 
     Q, R = np.linalg.qr(X)
@@ -543,7 +545,7 @@ def mean_difference_test(
     na, nb = len(a), len(b)
     if na < 2 or nb < 2:
         raise ArgumentError(f"each group needs >= 2 values, got {na} and {nb}")
-    if mode not in ("welch", "pooled"):
+    if mode not in TTEST_MODES:
         raise ArgumentError(f"unknown t-test mode {mode!r}")
     mean_a, mean_b = float(a.mean()), float(b.mean())
     va = float(a.var(ddof=1))

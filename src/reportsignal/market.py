@@ -38,11 +38,12 @@ duplicates.
 Snapshot. ``write_snapshot`` saves a loaded market as ``market.npz``
 (day ordinals, the bar and index grids verbatim, ids and industry rows)
 plus ``market.json``, holding the sha256 of each market file, of the
-code they pass through (this module and the ``corpus`` readers it calls),
-and of the npz. ``read_snapshot`` hands the grids to the store
-constructors while the manifest matches, and otherwise says why not, so
-the caller parses the files. It hashes and loads the npz through one open
-file, safe since ``write_snapshot`` replaces the npz whole (``open_output``).
+code they pass through (this module's bytes followed by ``corpus.py``'s,
+so any edit to either makes a snapshot stale), and of the npz.
+``read_snapshot`` hands the grids to the store constructors while the
+manifest matches, and otherwise says why not, so the caller parses the
+files. It hashes and loads the npz through one open file, safe since
+``write_snapshot`` replaces the npz whole (``open_output``).
 
 Fence. Each store accepts an optional ``fence`` date; as a calendar
 position it is one column bound, and a kernel row whose first failing
@@ -53,7 +54,6 @@ never touches pre-test history beyond its declared lookback.
 from __future__ import annotations
 
 import hashlib
-import inspect
 import json
 import math
 import operator
@@ -66,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject, open_input, open_output, read_csv_rows, read_lines, write_text
+from .corpus import RowReject, open_output, read_csv_rows, read_lines, write_text
 from .errors import ConfigurationError, DataError, MappingError, SchemaError
 
 SSE = "SSE"
@@ -550,8 +550,8 @@ def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, in
         "industry": _sha256(industry_path),
         "calendar": None if calendar_path is None else _sha256(calendar_path),
         "infer_calendar": infer_calendar,
-        # this module and the corpus readers the market files pass through
-        "code": _sha256(__file__, "".join(map(inspect.getsource, (open_input, read_csv_rows, read_lines))).encode()),
+        # this module and corpus, whose readers the market files pass through
+        "code": _sha256(__file__, Path(__file__).with_name("corpus.py").read_bytes()),
     }
 
 

@@ -59,6 +59,7 @@ from .market import LONG_COUNT_WINDOW, MarketData
 
 VOLUME_WINDOW = 60
 SHORT_COUNT_WINDOW = 7
+CHANGE_MODES = ("diff", "logdiff")  # index_change's modes
 # How many values (``_libm``) or panel rows (``write_panel``) become
 # Python objects at a time.
 BLOCK = 4096
@@ -150,7 +151,7 @@ def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff")
     Under 'logdiff', a level <= 0 on a row whose reads succeed raises
     DomainError naming the index and the date.
     """
-    if mode not in ("diff", "logdiff"):
+    if mode not in CHANGE_MODES:
         raise ConfigurationError(f"unknown change mode {mode!r}")
     indices = market.indices
     prev = days - 1

@@ -22,6 +22,9 @@ The planted betas are keyed by ``econometrics``' schema: ``BETA_KEYS``
 are its ``REGRESSOR_NAMES`` without the ``[t-1]`` suffix, and
 ``OUTCOME_KEYS`` the keys of its ``OUTCOME_NAMES``.
 
+A ``SynthSpec`` sets the sizes, seed, multi-stock rate, planted betas and
+noise; the market and text calibration are module constants.
+
 Everything is driven by one seeded generator (numpy's default PCG64) in
 a fixed draw order, so a spec generates byte-identical files every time.
 Outcome days are the trading days following report days; report days get
@@ -139,18 +142,36 @@ DEFAULT_NOISE = {"range": 0.035, "ret_ex": 0.113, "delta_volume": 0.158}
 
 RANGE_FLOOR_X100 = 1e-6  # planted range targets are clamped to stay positive
 
+# Market and text calibration, the same for every spec. First closes,
+# base volumes and natural range targets are BASE_* * exp(N(0, *_SPREAD)).
+START_DATE = Date(2021, 1, 4)
+POST_DAYS = 2  # trading days after the last report day
+SCORE_ALPHA = (2.0, 2.4, 2.0)  # Dirichlet concentrations of (pos, neu, neg)
+INDEX_VOL = 0.01  # daily sd of the market indices' log returns
+INDUSTRY_VOL = 0.012
+IDIO_VOL = 0.02  # daily sd of a stock's own log return
+VIX_BASE = 20.0
+VIX_VOL = 0.04  # daily sd of log(VIX); diff scale ~ base * vol
+BASE_PRICE = 30.0
+PRICE_SPREAD = 0.3
+BASE_VOLUME = 2e6
+VOLUME_BASE_SPREAD = 0.5
+VOLUME_SD = 0.35  # daily sd of log volume around its stock's base
+BASE_RANGE = 2.2e-4  # a Garman-Klass variance
+RANGE_SPREAD = 0.6
+TOKENS_PER_TITLE = 3
+TOKENS_PER_ABSTRACT = 12
+RISK_WARNING_RATE = 0.3  # share of abstracts that end with a risk warning
+
 
 def default_betas() -> dict[str, dict[str, float]]:
     return {k: dict(v) for k, v in DEFAULT_BETAS.items()}
 
 
-def default_noise() -> dict[str, float]:
-    return dict(DEFAULT_NOISE)
-
-
 @dataclass
 class SynthSpec:
-    """Sizing, planted coefficients, and noise scales for one dataset."""
+    """Sizes, seed, multi-stock rate, planted betas and noise scales of one
+    dataset; the market and text calibration are module constants."""
 
     n_stocks: int = 200
     n_days: int = 250
@@ -158,40 +179,13 @@ class SynthSpec:
     seed: int = 0
     train_days: int = 150
     warmup_days: int = 66
-    post_days: int = 2
     multi_stock_rate: float = 0.05
     betas: dict[str, dict[str, float]] = field(default_factory=default_betas)
-    noise: dict[str, float] = field(default_factory=default_noise)
-    score_alpha: tuple[float, float, float] = (2.0, 2.4, 2.0)
-    start_date: Date = Date(2021, 1, 4)
-    idio_vol: float = 0.02
-    index_vol: float = 0.01
-    industry_vol: float = 0.012
-    vix_base: float = 20.0
-    vix_vol: float = 0.04  # daily sd of log(VIX); diff scale ~ base * vol
-    base_price: float = 30.0
-    price_spread: float = 0.3
-    base_volume: float = 2e6
-    volume_base_spread: float = 0.5
-    volume_sd: float = 0.35
-    base_range: float = 2.2e-4
-    range_spread: float = 0.6
-    tokens_per_title: int = 3
-    tokens_per_abstract: int = 12
-    risk_warning_rate: float = 0.3
+    noise: dict[str, float] = field(default_factory=DEFAULT_NOISE.copy)
 
     def validate(self) -> None:
-        counts = {
-            "n_stocks": self.n_stocks,
-            "n_days": self.n_days,
-            "reports_per_day": self.reports_per_day,
-            "train_days": self.train_days,
-            "post_days": self.post_days,
-            "tokens_per_title": self.tokens_per_title,
-            "tokens_per_abstract": self.tokens_per_abstract,
-        }
-        for name, value in counts.items():
-            if value <= 0:
+        for name in ("n_stocks", "n_days", "reports_per_day", "train_days"):
+            if (value := getattr(self, name)) <= 0:
                 raise ConfigurationError(f"{name} must be positive, got {value}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
@@ -207,8 +201,6 @@ class SynthSpec:
             raise ConfigurationError("need n_stocks >= 4 * reports_per_day")
         if not (0.0 <= self.multi_stock_rate <= 1.0):
             raise ConfigurationError("multi_stock_rate must be in [0, 1]")
-        if not (0.0 <= self.risk_warning_rate <= 1.0):
-            raise ConfigurationError("risk_warning_rate must be in [0, 1]")
         if set(self.betas) != set(OUTCOME_KEYS):
             raise ConfigurationError(f"betas must have outcomes {OUTCOME_KEYS}")
         for outcome, vector in self.betas.items():
@@ -219,8 +211,6 @@ class SynthSpec:
         for outcome, scale in self.noise.items():
             if scale < 0.0 or not math.isfinite(scale):
                 raise ConfigurationError(f"noise[{outcome!r}] must be >= 0, got {scale}")
-        if len(self.score_alpha) != 3 or any(a <= 0 for a in self.score_alpha):
-            raise ConfigurationError("score_alpha must be 3 positive numbers")
 
 
 @dataclass
@@ -271,15 +261,15 @@ def generate(spec: SynthSpec) -> SynthDataset:
     """Generate one dataset; deterministic for a fixed spec and seed."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    n_cal = spec.warmup_days + spec.n_days + spec.post_days
-    cal_dates = _weekdays(spec.start_date, n_cal)
+    n_cal = spec.warmup_days + spec.n_days + POST_DAYS
+    cal_dates = _weekdays(START_DATE, n_cal)
     cal_ordinals = np.array([d.toordinal() for d in cal_dates], dtype=np.int64)
 
     # --- index level series ------------------------------------------------
     # Lognormal walks; the VIX one is always positive with no flat stretches,
     # so its day-to-day differences never degenerate into a constant column.
-    walks = [(SSE, 3300.0, spec.index_vol), (SZSE, 2100.0, spec.index_vol), (CSI500, 6000.0, spec.index_vol)]
-    walks += [(index_id, 5000.0, spec.industry_vol) for index_id in INDUSTRY_IDS] + [(VIX, spec.vix_base, spec.vix_vol)]
+    walks = [(SSE, 3300.0, INDEX_VOL), (SZSE, 2100.0, INDEX_VOL), (CSI500, 6000.0, INDEX_VOL)]
+    walks += [(index_id, 5000.0, INDUSTRY_VOL) for index_id in INDUSTRY_IDS] + [(VIX, VIX_BASE, VIX_VOL)]
     shape = (len(walks) + 1, n_cal)  # one row per index, then the empty one
     levels = IndexGrid([walk[0] for walk in walks], np.zeros(shape, dtype=bool), np.zeros(shape))
     levels.present[:-1] = True
@@ -300,8 +290,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
     # --- stocks -------------------------------------------------------------
     stock_ids = [f"{600000 + i}.SH" for i in range(spec.n_stocks)]
     industry_of = np.arange(spec.n_stocks) % len(SECTORS)
-    close0 = spec.base_price * np.exp(rng.normal(0.0, spec.price_spread, spec.n_stocks))
-    vbase = spec.base_volume * np.exp(rng.normal(0.0, spec.volume_base_spread, spec.n_stocks))
+    close0 = BASE_PRICE * np.exp(rng.normal(0.0, PRICE_SPREAD, spec.n_stocks))
+    vbase = BASE_VOLUME * np.exp(rng.normal(0.0, VOLUME_BASE_SPREAD, spec.n_stocks))
 
     # --- report schedule, scores, text, outcome noise ------------------------
     pos_words, neu_words, neg_words = _lexicon_word_lists()
@@ -311,7 +301,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     warning_tail = " 风险提示 后市存在波动"
     sd = np.array([spec.noise[k] for k in OUTCOME_KEYS])
     n_reports = spec.reports_per_day
-    n_tokens = spec.tokens_per_title + spec.tokens_per_abstract
+    n_tokens = TOKENS_PER_TITLE + TOKENS_PER_ABSTRACT
 
     # the reports' columns, and each day's counts of codes per report
     report_ids, titles, abstracts, codes, n_codes = [], [], [], [], []
@@ -322,7 +312,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
     for day_pos in range(spec.warmup_days, spec.warmup_days + spec.n_days):
         perm = rng.permutation(spec.n_stocks)
         multi_flags = rng.random(n_reports) < spec.multi_stock_rate
-        triples = rng.dirichlet(spec.score_alpha, n_reports)
+        triples = rng.dirichlet(SCORE_ALPHA, n_reports)
         class_u = rng.random((n_reports, n_tokens))
         word_u = rng.random((n_reports, n_tokens))
         warn_u = rng.random(n_reports)
@@ -350,11 +340,11 @@ def generate(spec: SynthSpec) -> SynthDataset:
         # the day's reports field by field, their cited codes in report order
         day_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
         report_ids += day_ids
-        titles += map("".join, tokens[:, : spec.tokens_per_title].tolist())
-        warned = (warn_u < spec.risk_warning_rate).tolist()
+        titles += map("".join, tokens[:, :TOKENS_PER_TITLE].tolist())
+        warned = (warn_u < RISK_WARNING_RATE).tolist()
         abstracts += [
             "".join(row) + (warning_tail if w else "")
-            for row, w in zip(tokens[:, spec.tokens_per_title :].tolist(), warned)
+            for row, w in zip(tokens[:, TOKENS_PER_TITLE:].tolist(), warned)
         ]
         codes += [stock_ids[s] for s in cited.tolist()]
         n_codes.append(n_cited)
@@ -374,10 +364,10 @@ def generate(spec: SynthSpec) -> SynthDataset:
     closes, vols = grid[3, :-1], grid[4, :-1]
     growth, targets, zc = (np.empty(closes.shape) for _ in range(3))
     for i in range(spec.n_stocks):
-        idio = rng.normal(0.0, spec.idio_vol, n_cal)
-        targets[i] = spec.base_range * np.exp(rng.normal(0.0, spec.range_spread, n_cal))
+        idio = rng.normal(0.0, IDIO_VOL, n_cal)
+        targets[i] = BASE_RANGE * np.exp(rng.normal(0.0, RANGE_SPREAD, n_cal))
         zc[i] = np.clip(rng.normal(0.0, 1.0, n_cal), -2.0, 2.0)
-        vnoise = rng.normal(0.0, spec.volume_sd, n_cal)
+        vnoise = rng.normal(0.0, VOLUME_SD, n_cal)
         growth[i] = _libm(math.exp, ind_logret[industry_of[i]] + idio)
         vols[i] = vbase[i] * _libm(math.exp, vnoise)
 

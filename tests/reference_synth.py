@@ -15,9 +15,27 @@ from reportsignal.econometrics import NUM_SCALE, RANGE_SCALE, SECTORS
 from reportsignal.market import CSI500, SSE, SZSE, VIX
 from reportsignal.sentiment import SentimentScore
 from reportsignal.synthkit import (
+    BASE_PRICE,
+    BASE_RANGE,
+    BASE_VOLUME,
     BETA_KEYS,
+    IDIO_VOL,
+    INDEX_VOL,
     INDUSTRY_IDS,
+    INDUSTRY_VOL,
+    POST_DAYS,
+    PRICE_SPREAD,
     RANGE_FLOOR_X100,
+    RANGE_SPREAD,
+    RISK_WARNING_RATE,
+    SCORE_ALPHA,
+    START_DATE,
+    TOKENS_PER_ABSTRACT,
+    TOKENS_PER_TITLE,
+    VIX_BASE,
+    VIX_VOL,
+    VOLUME_BASE_SPREAD,
+    VOLUME_SD,
     SynthDataset,
     SynthSpec,
     _lexicon_word_lists,
@@ -39,21 +57,21 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
     list of (index, date, level) rows in index, then day order."""
     spec.validate()
     rng = np.random.default_rng(spec.seed)
-    n_cal = spec.warmup_days + spec.n_days + spec.post_days
-    cal_dates = _weekdays(spec.start_date, n_cal)
+    n_cal = spec.warmup_days + spec.n_days + POST_DAYS
+    cal_dates = _weekdays(START_DATE, n_cal)
 
     # --- index level series ------------------------------------------------
     index_levels: dict[str, np.ndarray] = {}
     for index_id, base in ((SSE, 3300.0), (SZSE, 2100.0), (CSI500, 6000.0)):
-        steps = rng.normal(0.0, spec.index_vol, n_cal - 1)
+        steps = rng.normal(0.0, INDEX_VOL, n_cal - 1)
         index_levels[index_id] = base * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
     for index_id in INDUSTRY_IDS:
-        steps = rng.normal(0.0, spec.industry_vol, n_cal - 1)
+        steps = rng.normal(0.0, INDUSTRY_VOL, n_cal - 1)
         index_levels[index_id] = 5000.0 * np.exp(np.concatenate(([0.0], np.cumsum(steps))))
     # Lognormal walk: always positive with no flat stretches, so the
     # day-to-day VIX differences never degenerate into a constant column.
-    vix_steps = rng.normal(0.0, spec.vix_vol, n_cal - 1)
-    index_levels[VIX] = spec.vix_base * np.exp(
+    vix_steps = rng.normal(0.0, VIX_VOL, n_cal - 1)
+    index_levels[VIX] = VIX_BASE * np.exp(
         np.concatenate(([0.0], np.cumsum(vix_steps)))
     )
 
@@ -73,8 +91,8 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
     # --- stocks -------------------------------------------------------------
     stock_ids = [f"{600000 + i}.SH" for i in range(spec.n_stocks)]
     industry_of = [i % len(SECTORS) for i in range(spec.n_stocks)]
-    close0 = spec.base_price * np.exp(rng.normal(0.0, spec.price_spread, spec.n_stocks))
-    vbase = spec.base_volume * np.exp(rng.normal(0.0, spec.volume_base_spread, spec.n_stocks))
+    close0 = BASE_PRICE * np.exp(rng.normal(0.0, PRICE_SPREAD, spec.n_stocks))
+    vbase = BASE_VOLUME * np.exp(rng.normal(0.0, VOLUME_BASE_SPREAD, spec.n_stocks))
 
     # --- report schedule, scores, text, outcome noise ------------------------
     pos_words, neu_words, neg_words = _lexicon_word_lists()
@@ -89,7 +107,7 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
     sd_range = spec.noise["range"]
     sd_ret = spec.noise["ret_ex"]
     sd_dvol = spec.noise["delta_volume"]
-    n_tokens = spec.tokens_per_title + spec.tokens_per_abstract
+    n_tokens = TOKENS_PER_TITLE + TOKENS_PER_ABSTRACT
 
     prev_cited: set[int] = set()
     for day_pos in range(spec.warmup_days, spec.warmup_days + spec.n_days):
@@ -97,7 +115,7 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
         perm = rng.permutation(spec.n_stocks)
         n_reports = spec.reports_per_day
         multi_flags = rng.random(n_reports) < spec.multi_stock_rate
-        score_draws = rng.dirichlet(spec.score_alpha, n_reports)
+        score_draws = rng.dirichlet(SCORE_ALPHA, n_reports)
         class_u = rng.random((n_reports, n_tokens))
         word_u = rng.random((n_reports, n_tokens))
         warn_u = rng.random(n_reports)
@@ -128,9 +146,9 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
                 cls = 0 if u < cum1 else (1 if u < cum2 else 2)
                 words = class_words[cls]
                 tokens.append(words[min(int(word_u[r, t] * len(words)), len(words) - 1)])
-            title = "".join(tokens[: spec.tokens_per_title])
-            abstract = "".join(tokens[spec.tokens_per_title :])
-            if warn_u[r] < spec.risk_warning_rate:
+            title = "".join(tokens[:TOKENS_PER_TITLE])
+            abstract = "".join(tokens[TOKENS_PER_TITLE:])
+            if warn_u[r] < RISK_WARNING_RATE:
                 abstract += warning_tail
 
             report_id = f"R{day_pos:04d}{r:03d}"
@@ -167,10 +185,10 @@ def generate_scalar(spec: SynthSpec) -> SynthDataset:
 
     for idx, sid in enumerate(stock_ids):
         ind_ret = index_logret[INDUSTRY_IDS[industry_of[idx]]]
-        idio = rng.normal(0.0, spec.idio_vol, n_cal)
-        nat_range = spec.base_range * np.exp(rng.normal(0.0, spec.range_spread, n_cal))
+        idio = rng.normal(0.0, IDIO_VOL, n_cal)
+        nat_range = BASE_RANGE * np.exp(rng.normal(0.0, RANGE_SPREAD, n_cal))
         zc = np.clip(rng.normal(0.0, 1.0, n_cal), -2.0, 2.0)
-        vnoise = rng.normal(0.0, spec.volume_sd, n_cal)
+        vnoise = rng.normal(0.0, VOLUME_SD, n_cal)
 
         closes = [0.0] * n_cal
         vols = [0.0] * n_cal

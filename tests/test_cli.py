@@ -652,35 +652,39 @@ def test_a_snapshot_never_changes_an_outcome(dataset_dir, tmp_path, capsys):
     assert outcome[1].count("error:") == 1 and "bars.csv" in outcome[1]
 
 
-def test_only_the_market_readers_of_corpus_can_stale_a_snapshot(dataset_dir, tmp_path):
-    """The snapshot's code hash covers market.py and the corpus readers the
-    market files pass through (open_input, read_csv_rows, read_lines): in
-    a copy of the package, an edit elsewhere in corpus.py keeps ingest's
-    snapshot, and an edit inside a reader marks it stale."""
+def test_only_market_and_corpus_edits_can_stale_a_snapshot(dataset_dir, tmp_path):
+    """The snapshot's code hash covers market.py and corpus.py, whose
+    readers the market files pass through: in a copy of the package, an
+    edit to another module keeps ingest's snapshot, and an edit anywhere in
+    corpus.py, inside a reader or not, marks it stale."""
     config = dataset_dir / "config.json"
     assert run("ingest", "--config", config, "--out", tmp_path / "ingested") == 0
     package = tmp_path / "src" / "reportsignal"
     shutil.copytree(Path(reportsignal.__file__).parent, package, ignore=shutil.ignore_patterns("__pycache__"))
-    corpus_py = package / "corpus.py"
     env = dict(os.environ, PYTHONPATH=str(tmp_path / "src"), PYTHONDONTWRITEBYTECODE="1")
 
-    def label_after(old, new):
+    def label_after(name, old, new):
         """The market source of a ``label`` run by the copy, once its
-        corpus.py has ``old`` replaced by ``new``."""
-        text = corpus_py.read_text(encoding="utf-8")
+        module ``name`` has ``old`` replaced by ``new``; the module is
+        restored afterwards."""
+        module = package / name
+        text = module.read_text(encoding="utf-8")
         assert text.count(old) == 1
-        corpus_py.write_text(text.replace(old, new), encoding="utf-8")
+        module.write_text(text.replace(old, new), encoding="utf-8")
         out = tmp_path / f"label{len(list(tmp_path.glob('label*')))}"
         shutil.copytree(tmp_path / "ingested", out)
         argv = [sys.executable, "-m", "reportsignal", "label", "--config", str(config), "--out", str(out)]
-        subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        try:
+            subprocess.run(argv, env=env, check=True, capture_output=True, timeout=120)
+        finally:
+            module.write_text(text, encoding="utf-8")
         return read_json(out / "label_report.json")["market_source"]
 
-    # a line above the readers moves them, which must not matter either
-    assert label_after("@contextmanager\ndef open_input", "# moved\n@contextmanager\ndef open_input") == "snapshot"
-    assert label_after('"""Parse a corpus file', '"""Parse an edited corpus file') == "snapshot"
+    assert label_after("reporting.py", '"""Human-readable', '"""Edited human-readable') == "snapshot"
+    edited = label_after("corpus.py", '"""Parse a corpus file', '"""Parse an edited corpus file')
+    assert edited == "csv: stale snapshot (code)"
     reader = "        lines = [raw.strip() for raw in stream.read().splitlines()]"
-    assert label_after(reader, reader + "  # edited") == "csv: stale snapshot (code)"
+    assert label_after("corpus.py", reader, reader + "  # edited") == "csv: stale snapshot (code)"
 
 
 def test_unclosed_quote_in_corpus_exits_two(dataset_dir, tmp_path, capsys):

@@ -1,8 +1,8 @@
 """Import checks: every module uses each name it imports, every name is
 imported from the module that defines it, every public name has a caller
-outside the tests, every record field is read and every default is set
-outside the tests, only corpus frames CSV and opens output files, and no
-package module needs scipy."""
+outside the tests, every record field is read and every default, of a
+parameter or a field, is set outside the tests, only corpus frames CSV
+and opens output files, and no package module needs scipy."""
 
 import ast
 import os
@@ -268,6 +268,103 @@ def test_every_default_is_set_outside_tests():
         if not {(callee, name), (callee, "**"), (callee, "*"), (callee, position)} & passed
     }
     assert unset == set(TEST_ONLY_DEFAULTS)
+
+
+def defaulted_fields(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(class, field, position) of each field with a default of a module's
+    dataclasses and NamedTuples. The position is the field's place among
+    the arguments a call to the class takes; the fields of a keyword-only
+    class and a ``field(init=False)`` have none."""
+    found = []
+    records = record_fields(tree)
+    for node in tree.body:
+        if not (isinstance(node, ast.ClassDef) and node.name in records):
+            continue
+        kw_only = any("kw_only=True" in ast.unparse(d) for d in node.decorator_list)
+        position = 0
+        for item in node.body:
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                init = item.value is None or "init=False" not in ast.unparse(item.value)
+                if item.value is not None:
+                    found.append((node.name, item.target.id, position if init and not kw_only else None))
+                position += init
+    return found
+
+
+def splatted_keys(tree: ast.Module) -> set[tuple[str, str]]:
+    """(callee, key) for each callee that ``tree`` passes a ``**mapping``
+    and each key of a ``dict(...)`` or ``{...}`` in ``tree``."""
+    keys: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "dict":
+            keys.update(keyword.arg for keyword in node.keywords if keyword.arg)
+    splatted = {callee for callee, arg in arguments_set(tree) if arg == "**"}
+    return {(callee, key) for callee in splatted for key in keys}
+
+
+def built_from_schema(tree: ast.Module) -> set[str]:
+    """Classes that ``tree`` both lists with ``fields(Class)`` and calls
+    with ``**``, so filling every field from a mapping built over them."""
+    listed = {
+        ast.unparse(node.args[0])
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "fields" and node.args
+    }
+    return listed & {callee for callee, arg in arguments_set(tree) if arg == "**"}
+
+
+def stored_attributes(tree: ast.Module) -> set[str]:
+    """Attributes that ``tree`` assigns or assigns into: ``x.a = v``,
+    ``x.a += v`` and ``x.a[k] = v``."""
+    stored: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Attribute, ast.Subscript)) and isinstance(node.ctx, ast.Store):
+            while isinstance(node, ast.Subscript):
+                node = node.value
+            if isinstance(node, ast.Attribute):
+                stored.add(node.attr)
+    return stored
+
+
+# Field defaults that only tests set, each kept for the tests named.
+TEST_ONLY_FIELDS = {
+    ("SynthSpec", "noise"): "the zero-noise, heavy-noise and range-clamp tests set the outcome noise",
+    ("SynthSpec", "multi_stock_rate"): "the 0 and 1 extremes and their comparison with the scalar reference",
+}
+
+
+def test_every_field_default_is_set_outside_tests():
+    """Each field with a default of a package dataclass or NamedTuple is
+    set by some package or benchmark module: a call to the class passes it
+    by keyword or position, it is a key of a ``dict(...)`` or ``{...}`` in a
+    module that splats a mapping into the class, code assigns it or into
+    it, or the class is built from ``fields(Class)``; a default no such
+    code overrides is an option only tests use. ``TEST_ONLY_FIELDS`` names
+    the kept ones."""
+    sample = ast.parse(
+        "@dataclass\nclass A:\n    a: int\n    b: int = 0\n    c: list = field(init=False)\n    d: int = 1\n"
+        "@dataclass(kw_only=True)\nclass B:\n    e: int = 2\n"
+    )
+    assert defaulted_fields(sample) == [("A", "b", 1), ("A", "c", None), ("A", "d", 2), ("B", "e", None)]
+    splat = ast.parse("A(**m)\nm = dict(b=1)\nn = {'d': 2, k: 3}\nf(x=1)\n")
+    assert splatted_keys(splat) == {("A", "b"), ("A", "d")}
+    assert built_from_schema(ast.parse("fields(B)\nfields(A)\nB(**v)\nA(x=1)\n")) == {"B"}
+    assert stored_attributes(ast.parse("x.a = 1\ny.b[k][j] = 2\nz.c += 3\nw.d[k]\ne[x.f] = 4\n")) == {"a", "b", "c"}
+    package, trees = package_and_benchmark_trees()
+    passed = set().union(*map(arguments_set, trees.values()), *map(splatted_keys, trees.values()))
+    stored = set().union(*map(stored_attributes, trees.values()))
+    schema_built = set().union(*map(built_from_schema, trees.values()))
+    unset = {
+        (cls, name)
+        for path in package
+        for cls, name, position in defaulted_fields(trees[path])
+        if cls not in schema_built
+        and name not in stored
+        and not {(cls, name), (cls, "*"), (cls, position)} & passed
+    }
+    assert unset == set(TEST_ONLY_FIELDS)
 
 
 def imported_modules(source: str) -> set[str]:

@@ -4,10 +4,12 @@ import hashlib
 import math
 import re
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from reportsignal import corpus as corpus_module, market as market_module
 from reportsignal.econometrics import OTHER_SECTOR, canonical_sector
 from reportsignal.errors import ConfigurationError, DataError, MappingError, SchemaError
 from reportsignal.market import (
@@ -20,6 +22,7 @@ from reportsignal.market import (
     TradingCalendar,
     _BarReader,
     _sha256,
+    _snapshot_key,
     load_calendar,
     load_market,
 )
@@ -507,3 +510,12 @@ def test_file_digest_streams_the_file_then_the_extra_bytes(tmp_path):
     assert _sha256(path) == hashlib.sha256(data).hexdigest()
     path.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
     assert _sha256(path, b"tail") != hashlib.sha256(data + b"tail").hexdigest()
+
+
+def test_snapshot_code_digest_is_market_py_then_corpus_py(tmp_path):
+    """A snapshot's ``code`` key is the sha256 of market.py's bytes followed
+    by corpus.py's, so an edit to either module makes a snapshot stale."""
+    path = tmp_path / "any.csv"
+    path.write_bytes(b"x\n")
+    source = Path(market_module.__file__).read_bytes() + Path(corpus_module.__file__).read_bytes()
+    assert _snapshot_key(path, path, path)["code"] == hashlib.sha256(source).hexdigest()

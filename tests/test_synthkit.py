@@ -164,9 +164,6 @@ def test_spec_validation_rejects_bad_sizings():
         dict(train_days=30),          # must stay below n_days=30
         dict(reports_per_day=7),      # needs n_stocks >= 4 * 7
         dict(multi_stock_rate=1.5),
-        dict(risk_warning_rate=-0.1),
-        dict(score_alpha=(1.0, 1.0)),
-        dict(score_alpha=(1.0, 0.0, 1.0)),
     ]
     for overrides in cases:
         with pytest.raises(ConfigurationError):
