@@ -38,6 +38,7 @@ from .corpus import (
     load_risk_warning_patterns,
     parse_corpus,
     remove_output,
+    write_stdout,
     write_text,
 )
 from .econometrics import (
@@ -160,9 +161,9 @@ def cmd_synth(out_dir: Path, seed: int) -> int:
     _ensure_out(out_dir)
     dataset = generate(spec)
     write_dataset(dataset, out_dir, seed=seed)
-    print(
+    write_stdout(
         f"synth: seed {seed}: wrote {len(dataset.records)} reports, "
-        f"{len(dataset.bars)} bars, {len(dataset.calendar_dates)} trading days -> {out_dir}"
+        f"{len(dataset.bars)} bars, {len(dataset.calendar_dates)} trading days -> {out_dir}\n"
     )
     return 0
 
@@ -196,10 +197,10 @@ def cmd_ingest(config: RunConfig) -> int:
     # the report last: it is written only once the snapshot is
     write_snapshot(market, out, **files)
     _write_json(report, out / "ingest_report.json")
-    print(
+    write_stdout(
         f"ingest: {len(parse.records)} reports ({len(parse.rejects)} rejected), "
         f"{loaded.n_bars} bars ({len(loaded.bar_rejects)} rejected), "
-        f"{loaded.n_index_rows} index rows ({len(loaded.index_rejects)} rejected)"
+        f"{loaded.n_index_rows} index rows ({len(loaded.index_rejects)} rejected)\n"
     )
     return 0
 
@@ -209,15 +210,15 @@ def label_pool(reports: ReportColumns, market: MarketData, start: Date, end: Dat
     released in [start, end], plus the drops by reason: "release date
     beyond calendar" (no trading day on or after the release) before the
     kernel runs, then the kernel's ``LABEL_DROPS``."""
-    report_of, codes, released = reports.pairs(start, end)
+    report_of, cited, released = reports.pairs(start, end)
     days = market.calendar.locate(released)
     drops = [(days == len(market.calendar), "release date beyond calendar")]
     kept = np.flatnonzero(judged(drops))
-    returns = label_window_return(market, market.bars.rows_of(codes[i] for i in kept.tolist()), days[kept])
+    returns = label_window_return(market, market.bars.rows_of(reports.stocks)[cited[kept]], days[kept])
     status = first_failure(market, returns)
     ok = status == OK
-    rows = zip(report_of[kept[ok]].tolist(), kept[ok].tolist(), returns.values[ok].tolist())
-    pool = [(reports.ids[report], codes[i], window_return) for report, i, window_return in rows]
+    rows = zip(report_of[kept[ok]].tolist(), cited[kept[ok]].tolist(), returns.values[ok].tolist())
+    pool = [(reports.ids[report], reports.stocks[stock], window_return) for report, stock, window_return in rows]
     return pool, tally(drops, status, LABEL_DROPS)
 
 
@@ -241,10 +242,10 @@ def cmd_label(config: RunConfig) -> int:
         "train_range": [config.train_start.isoformat(), config.train_end.isoformat()],
     }
     _write_json(report, out / "label_report.json")
-    print(
+    write_stdout(
         f"label: {len(labeled)} pairs labeled "
         f"({counts[POSITIVE]} positive / {counts[NEUTRAL]} neutral / {counts[NEGATIVE]} negative), "
-        f"{sum(drops.values())} dropped"
+        f"{sum(drops.values())} dropped\n"
     )
     return 0
 
@@ -297,7 +298,7 @@ def cmd_score(config: RunConfig) -> int:
         **_reject_payload(rejects),
     }
     _write_json(report, out / "score_report.json")
-    print(f"score: {len(scores)} reports scored via {config.scorer} ({len(rejects)} rejected)")
+    write_stdout(f"score: {len(scores)} reports scored via {config.scorer} ({len(rejects)} rejected)\n")
     return 0
 
 
@@ -389,10 +390,10 @@ def cmd_analyze(config: RunConfig) -> int:
     }
     _write_json(report, out / "analyze_report.json")
 
-    sys.stdout.write(regression_text + "\n" + industry_text + "\n" + mean_text)
-    print(
+    write_stdout(
+        f"{regression_text}\n{industry_text}\n{mean_text}"
         f"analyze: {len(panel.rows)} panel rows ({panel.n_dropped} dropped), "
-        f"{len(classes)} majority samples, outputs in {out}"
+        f"{len(classes)} majority samples, outputs in {out}\n"
     )
     return 0
 

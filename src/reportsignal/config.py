@@ -15,7 +15,7 @@ from datetime import date as Date
 from importlib import resources
 from pathlib import Path
 
-from .corpus import open_input
+from .corpus import open_input, parse_date
 from .econometrics import SE_TYPES, TTEST_MODES
 from .errors import ConfigurationError, DataError
 from .metrics import CHANGE_MODES
@@ -142,7 +142,7 @@ def _expect(kind, value, key: str):
 def _parse_date(value, key: str) -> Date:
     text = _expect(str, value, key)
     try:
-        return Date.fromisoformat(text)
+        return parse_date(text)
     except ValueError:
         raise ConfigurationError(f"config key {key!r} is not an ISO date: {text!r}") from None
 

@@ -8,13 +8,15 @@ are framed by ``read_csv_rows`` (header check, line numbers, blank rows,
 output file is opened through ``open_output`` (UTF-8 text with ``\n`` line
 ends, or bytes), which writes ``<path>.tmp`` and moves it into place, so an
 output appears whole or not at all; ``remove_output`` removes the report a
-previous run left, so a verb that fails leaves none. ``write_csv_rows``
-writes the CSV outputs (csv quoting, one header row) from cells the
-callers format. The exception is ``synthkit.write_dataset``'s ``bars.csv``
-and ``indices.csv``, whose cells (ids, ISO dates, float reprs) never need
-quoting: it formats their lines itself; on the 1x ``bars.csv`` (63.6k
-rows, 2-CPU x86-64) that took 0.26-0.37 s against 0.41-0.55 s through
-``write_csv_rows``, for the same bytes.
+previous run left, so a verb that fails leaves none. A verb's summary goes
+to standard output last, through ``write_stdout``, which reports a failed
+write as ``open_output`` does. ``write_csv_rows`` writes the CSV outputs
+(csv quoting, one header row) from cells the callers format. The exception
+is ``synthkit.write_dataset``'s ``bars.csv`` and ``indices.csv``, whose
+cells (ids, ISO dates, float reprs) never need quoting: it formats their
+lines itself; on the 1x ``bars.csv`` (63.6k rows, 2-CPU x86-64) that took
+0.26-0.37 s against 0.41-0.55 s through ``write_csv_rows``, for the same
+bytes.
 
 Corpus files are UTF-8 CSV (a leading byte-order mark is allowed) with the
 exact header
@@ -22,7 +24,8 @@ exact header
     report_id,title,abstract,stock_codes,release_date
 
 where ``stock_codes`` holds one or more exchange codes joined by ``;``
-(e.g. ``600519.SH;000001.SZ``) and ``release_date`` is ISO ``YYYY-MM-DD``.
+(e.g. ``600519.SH;000001.SZ``), none twice, and ``release_date`` is ISO
+``YYYY-MM-DD``, the one date form every input takes (``parse_date``).
 Parsing is strict about the header (fatal) and lenient about rows: bad
 rows are collected as rejects and the parse only fails once the reject
 share exceeds ``max_error_rate``.
@@ -32,9 +35,9 @@ boilerplate risk-warning tails; ``sentiment`` counts the lexicon hits of
 the cleaned text.
 
 Layout. Reports in memory are ``ReportColumns``: ids, titles and
-abstracts as lists, release dates as day ordinals, and all cited codes as
-one flat list cut into each report's share by int64 offsets (compressed
-sparse rows); ``parse_corpus`` and ``synthkit.generate`` both make them.
+abstracts as lists, release dates as day ordinals, each cited code once
+in ``stocks``, and all citations as positions there, one flat array cut
+into each report's share by int64 offsets (compressed sparse rows).
 ``ReportColumns.pairs`` is the one expansion of reports into the (report,
 cited stock) pairs that every artifact and ``CorpusIndex`` observe. Each
 pair is dated on the trading day that ``TradingCalendar.locate`` gives
@@ -46,23 +49,25 @@ daily series align alike.
 from __future__ import annotations
 
 import csv
+import errno
 import os
 import re
+import sys
 import unicodedata
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date as Date
-from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigurationError, DataError, SchemaError
+from .errors import ConfigurationError, DataError, SchemaError
 
 CORPUS_HEADER = ("report_id", "title", "abstract", "stock_codes", "release_date")
 
 # Exchange code: numeric ticker, a dot, and an upper-case venue suffix.
 _STOCK_CODE_RE = re.compile(r"^[0-9]{1,6}\.[A-Z]{1,4}$")
+_DATE_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 # Unicode categories removed outright during cleaning: control and format
 # characters (zero-width joiners and friends).
@@ -71,26 +76,27 @@ _STRIP_CATEGORIES = ("Cc", "Cf")
 
 @dataclass(frozen=True, eq=False)
 class ReportColumns:
-    """Reports as columns: report ``i`` cites ``codes[offsets[i]:offsets[i + 1]]``
-    and was released on ordinal ``days[i]``; ``len()`` counts the reports."""
+    """Reports as columns; report ``i``, released on ordinal ``days[i]``,
+    cites the stocks at ``cited[offsets[i]:offsets[i + 1]]`` in ``stocks``."""
 
     ids: list[str]
     titles: list[str]
     abstracts: list[str]
     days: np.ndarray
-    codes: list[str]
+    stocks: list[str]
+    cited: np.ndarray
     offsets: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
-    def pairs(self, start: Date, end: Date) -> tuple[np.ndarray, list[str], np.ndarray]:
+    def pairs(self, start: Date, end: Date) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (report, cited stock) pairs of the reports released in
         [start, end], in report order and each report's citation order:
-        each pair's report position, stock code and release ordinal."""
+        each pair's report position, stock position and release ordinal."""
         report = np.repeat(np.arange(len(self)), np.diff(self.offsets))
         keep = ((self.days >= start.toordinal()) & (self.days <= end.toordinal()))[report]
-        return report[keep], list(compress(self.codes, keep.tolist())), self.days[report[keep]]
+        return report[keep], self.cited[keep], self.days[report[keep]]
 
 
 @dataclass(frozen=True)
@@ -194,6 +200,20 @@ def write_text(path, text: str) -> None:
         stream.write(text)
 
 
+def write_stdout(text: str) -> None:
+    """Write ``text`` to standard output and flush it; an OSError becomes
+    the ConfigurationError that ``open_output`` raises. When the reader of
+    a pipe has gone, standard output is first pointed at the null device,
+    so the interpreter's last flush writes nowhere."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise _unwritable("standard output", exc) from None
+
+
 def write_csv_rows(path, header: tuple[str, ...], rows: Iterable) -> None:
     """Write ``header`` and then each row to a CSV file through ``open_output``."""
     with open_output(path) as stream:
@@ -202,15 +222,24 @@ def write_csv_rows(path, header: tuple[str, ...], rows: Iterable) -> None:
         writer.writerows(rows)
 
 
-def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
-    """Parse a corpus file into validated records.
+def parse_date(text: str) -> Date:
+    """``text`` as a ``YYYY-MM-DD`` date in ASCII digits. Other forms, which
+    ``date.fromisoformat`` takes from Python 3.11 on (20210104, 2021-W01-1),
+    raise the ValueError it gives them on Python 3.10."""
+    if not _DATE_RE.fullmatch(text):
+        raise ValueError(f"Invalid isoformat string: {text!r}")
+    return Date.fromisoformat(text)
 
-    Rows with the wrong field count, an empty report_id, malformed stock
-    codes, or an unparseable date are rejected individually. A wrong
-    header, a duplicate report_id, or a reject share above
+
+def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
+    """Parse a corpus file into validated records, stocks in first-cited order.
+
+    Rows with the wrong field count, an empty report_id, malformed or
+    repeated stock codes, or an unparseable date are rejected individually.
+    A wrong header, a duplicate report_id, or a reject share above
     ``max_error_rate`` aborts the parse.
     """
-    ids, titles, abstracts, days, codes, offsets = [], [], [], [], [], [0]
+    ids, titles, abstracts, days, cited, offsets, positions = [], [], [], [], [], [0], {}
     rejects: list[RowReject] = []
     seen: set[str] = set()
     for line_no, row in read_csv_rows(path, CORPUS_HEADER):
@@ -223,15 +252,17 @@ def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
             if not report_id:
                 reason = "empty report_id"
             else:
-                cited = [c.strip() for c in codes_raw.split(";") if c.strip()]
-                bad = [c for c in cited if not _STOCK_CODE_RE.match(c)]
-                if not cited:
+                codes = [c.strip() for c in codes_raw.split(";") if c.strip()]
+                bad = [c for c in codes if not _STOCK_CODE_RE.match(c)]
+                if not codes:
                     reason = "no stock codes"
                 elif bad:
                     reason = f"malformed stock code {bad[0]!r}"
+                elif len(codes) > 1 and (again := [c for i, c in enumerate(codes) if c in codes[:i]]):
+                    reason = f"duplicate stock code {again[0]!r}"
                 else:
                     try:
-                        release = Date.fromisoformat(date_raw.strip())
+                        release = parse_date(date_raw.strip())
                     except ValueError:
                         reason = f"unparseable release_date {date_raw!r}"
         if reason is not None:
@@ -244,10 +275,12 @@ def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
         titles.append(title)
         abstracts.append(abstract)
         days.append(release.toordinal())
-        codes += cited
-        offsets.append(len(codes))
+        for code in codes:
+            cited.append(positions.setdefault(code, len(positions)))
+        offsets.append(len(cited))
 
-    records = ReportColumns(ids, titles, abstracts, np.array(days, np.int64), codes, np.array(offsets, np.int64))
+    days, cited, offsets = np.array(days, np.int64), np.array(cited, np.intp), np.array(offsets, np.int64)
+    records = ReportColumns(ids, titles, abstracts, days, list(positions), cited, offsets)
     result = ParseResult(records, rejects)
     if result.error_rate > max_error_rate:
         raise DataError(
@@ -259,8 +292,9 @@ def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
 
 def serialize_corpus(reports: ReportColumns, path) -> None:
     """Write reports back out in the corpus CSV format (round-trips with parse)."""
+    names = [reports.stocks[stock] for stock in reports.cited.tolist()]
     bounds = reports.offsets.tolist()
-    codes = (";".join(reports.codes[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    codes = (";".join(names[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     days = (Date.fromordinal(day).isoformat() for day in reports.days.tolist())
     write_csv_rows(path, CORPUS_HEADER, zip(reports.ids, reports.titles, reports.abstracts, codes, days))
 
@@ -284,8 +318,6 @@ def clean_text(
     is removed. The function is idempotent: cleaning a cleaned text is a
     no-op.
     """
-    if not (0.0 <= tail_fraction <= 1.0):
-        raise ArgumentError(f"tail_fraction must be in [0, 1], got {tail_fraction}")
     # Cc and Cf characters are never printable, so a printable text has none.
     if not raw.isprintable():
         raw = "".join(" " if unicodedata.category(ch) in _STRIP_CATEGORIES else ch for ch in raw)
@@ -306,19 +338,17 @@ def clean_text(
 
 
 class CorpusIndex:
-    """Each (cited stock, report) pair as one packed key, stock code times
-    2**32 plus release-day ordinal, sorted: the reports of a stock in a
-    window of days are one contiguous run of keys."""
+    """Each (cited stock, report) pair as one packed key, stock position
+    times 2**32 plus release-day ordinal, sorted: the reports of a stock in
+    a window of days are one contiguous run of keys."""
 
     def __init__(self, reports: ReportColumns):
-        self.codes: dict[str, int] = {}
-        _, stock_ids, days = reports.pairs(Date.min, Date.max)
-        codes = np.array([self.codes.setdefault(sid, len(self.codes)) for sid in stock_ids], np.int64)
-        self.keys = np.sort(codes << 32 | days)
+        _, stocks, days = reports.pairs(Date.min, Date.max)
+        self.keys = np.sort(self.keys_of(stocks, days))
 
-    def keys_of(self, stock_ids: Iterable[str], days: np.ndarray) -> np.ndarray:
-        """The keys of (stock, day ordinal) rows; a stock the index never
-        saw gets code -1, below every key. Ordinals stay far below 2**32,
-        so a key minus a window of days never reaches another stock's keys."""
-        codes = np.array([self.codes.get(sid, -1) for sid in stock_ids], dtype=np.int64)
-        return codes << 32 | np.asarray(days, dtype=np.int64)
+    @staticmethod
+    def keys_of(stocks: np.ndarray, days: np.ndarray) -> np.ndarray:
+        """The keys of (stock position, day ordinal) rows. Ordinals stay far
+        below 2**32, so a key minus a window of days never reaches another
+        stock's keys."""
+        return np.asarray(stocks, dtype=np.int64) << 32 | np.asarray(days, dtype=np.int64)

@@ -66,7 +66,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .corpus import RowReject, open_output, read_csv_rows, read_lines, write_text
+from .corpus import RowReject, open_output, parse_date, read_csv_rows, read_lines, write_text
 from .errors import ConfigurationError, DataError, MappingError, SchemaError
 
 SSE = "SSE"
@@ -287,7 +287,7 @@ def load_calendar(path) -> TradingCalendar:
     dates = []
     for line in read_lines(path):
         try:
-            dates.append(Date.fromisoformat(line))
+            dates.append(parse_date(line))
         except ValueError:
             raise DataError(f"calendar file {path}: unparseable date {line!r}")
     return TradingCalendar(dates)
@@ -308,7 +308,7 @@ def _parse_error(row: list[str]) -> str | None:
     if len(row) != len(BARS_HEADER):
         return f"expected {len(BARS_HEADER)} fields, got {len(row)}"
     try:
-        Date.fromisoformat(row[1].strip())
+        parse_date(row[1].strip())
         for text in row[2:]:
             float(text)
     except ValueError as exc:
@@ -364,7 +364,7 @@ class _BarReader:
         return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
 
     def _day_code(self, text: str) -> int:
-        return self.day_codes.setdefault(Date.fromisoformat(text.strip()), len(self.day_codes))
+        return self.day_codes.setdefault(parse_date(text.strip()), len(self.day_codes))
 
     def _block(self, block: list[tuple[int, list[str]]]) -> None:
         """Convert and check a block; raises ValueError when a row has the
@@ -468,7 +468,7 @@ def load_market(
             continue
         index_id = row[0].strip()
         try:
-            d = Date.fromisoformat(row[1].strip())
+            d = parse_date(row[1].strip())
             level = float(row[2])
         except ValueError as exc:
             index_rejects.append(RowReject(line_no, f"unparseable index row: {exc}"))

@@ -227,16 +227,16 @@ def delta_volume(
 
 
 def recommendation_counts(
-    index: CorpusIndex, stock_ids: Sequence[str], days: np.ndarray
+    index: CorpusIndex, positions: np.ndarray, days: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Report counts for each (stock, day ordinal d) row over trailing
-    calendar-day windows.
+    """Report counts for each (stock position, day ordinal d) row over
+    trailing calendar-day windows.
 
     Returns the integer arrays (short, long) of reports citing the stock
     released within [d - 7, d - 1] and [d - 90, d - 1], inclusive on both
     ends; day ``d`` itself is excluded.
     """
-    keys = index.keys_of(stock_ids, days)
+    keys = index.keys_of(positions, days)
     before = np.searchsorted(index.keys, keys)
     short = before - np.searchsorted(index.keys, keys - SHORT_COUNT_WINDOW)
     long = before - np.searchsorted(index.keys, keys - LONG_COUNT_WINDOW)

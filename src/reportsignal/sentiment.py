@@ -25,7 +25,7 @@ from datetime import date as Date
 from typing import Iterable
 
 from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
-from .errors import ArgumentError, DataError, SchemaError
+from .errors import DataError, SchemaError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
 
 WORD_CLASSES = (POSITIVE, NEUTRAL, NEGATIVE)
@@ -130,8 +130,6 @@ def lexicon_score(
     degenerate to the uniform score. Lower temperatures sharpen the
     distribution toward the argmax class.
     """
-    if not (temperature > 0.0) or not math.isfinite(temperature):
-        raise ArgumentError(f"temperature must be positive and finite, got {temperature}")
     if counts == (0, 0, 0):
         third = 1.0 / 3.0
         return SentimentScore(report_id, third, third, third)

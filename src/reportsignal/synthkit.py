@@ -303,8 +303,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
     n_reports = spec.reports_per_day
     n_tokens = TOKENS_PER_TITLE + TOKENS_PER_ABSTRACT
 
-    # the reports' columns, and each day's counts of codes per report
-    report_ids, titles, abstracts, codes, n_codes = [], [], [], [], []
+    # the reports' columns, and each day's counts of cited stocks per report
+    report_ids, titles, abstracts, n_codes = [], [], [], []
     scores: list[SentimentScore] = []
     # per report day: the stocks it cites, their (pos, neg) and scaled outcome noise
     planted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -337,7 +337,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         cls += class_u >= (triples[:, 0] + triples[:, 1])[:, None]
         n_cls = n_words[cls]
         tokens = words[first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)]
-        # the day's reports field by field, their cited codes in report order
+        # the day's reports field by field
         day_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
         report_ids += day_ids
         titles += map("".join, tokens[:, :TOKENS_PER_TITLE].tolist())
@@ -346,15 +346,11 @@ def generate(spec: SynthSpec) -> SynthDataset:
             "".join(row) + (warning_tail if w else "")
             for row, w in zip(tokens[:, TOKENS_PER_TITLE:].tolist(), warned)
         ]
-        codes += [stock_ids[s] for s in cited.tolist()]
         n_codes.append(n_cited)
         scores += map(SentimentScore, day_ids, *triples.T.tolist())
 
     report_days = np.repeat(cal_ordinals[spec.warmup_days : spec.warmup_days + spec.n_days], n_reports)
     offsets = np.concatenate(([0], *n_codes)).cumsum()
-    records = ReportColumns(report_ids, titles, abstracts, report_days, codes, offsets)
-    # the citation-count regressors come from the pipeline's own index
-    corpus_index = CorpusIndex(records)
 
     # --- bar chains ----------------------------------------------------------
     # The bar grid's open/high/low/close/volume planes, the last row empty,
@@ -376,8 +372,11 @@ def generate(spec: SynthSpec) -> SynthDataset:
     first = spec.warmup_days + 1
     bounds = np.cumsum([0] + [block[0].size for block in planted]).tolist()
     rows_all, pos_neg, noise_all = map(np.concatenate, zip(*planted))
+    # the citation-count regressors come from the pipeline's own index
+    records = ReportColumns(report_ids, titles, abstracts, report_days, stock_ids, rows_all, offsets)
+    corpus_index = CorpusIndex(records)
     t_all = np.repeat(np.arange(first, first + spec.n_days), np.diff(bounds))
-    num7, num90 = recommendation_counts(corpus_index, [stock_ids[i] for i in rows_all.tolist()], cal_ordinals[t_all])
+    num7, num90 = recommendation_counts(corpus_index, rows_all, cal_ordinals[t_all])
     market_x = np.column_stack((logret[SZSE], logret[SSE], logret[CSI500], vix_diff))
     x_all = np.column_stack(
         (np.ones(t_all.size), pos_neg, np.empty((t_all.size, 3)), market_x[t_all - 1], num90 * NUM_SCALE, num7 * NUM_SCALE)
@@ -417,7 +416,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         vol_prefix[:, j + 1] = vol_prefix[:, j] + vols[:, j]
     n_planted = rows_all.size
     # the blocks go with the last day's views of them, which keep them alive
-    del growth, vol_prefix, rows_all, x_all, noise_all, rows, x, noise
+    del growth, vol_prefix, x_all, noise_all, rows, x, noise
 
     # open, high and low into the grid's first three planes, each one flat
     _bar_shape(closes.ravel(), targets.ravel(), zc.ravel(), [plane[:-1].reshape(-1) for plane in grid[:3]])
@@ -446,7 +445,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         "n_days": spec.n_days,
         "reports_per_day": spec.reports_per_day,
         "n_reports": len(records),
-        "n_multi_stock_reports": len(codes) - len(report_ids),  # a multi-stock report cites two
+        "n_multi_stock_reports": n_planted - len(report_ids),  # a multi-stock report cites two
         "n_planted_outcomes": n_planted,
         "n_range_targets_clamped": n_clamped,
         "betas": {k: dict(v) for k, v in spec.betas.items()},

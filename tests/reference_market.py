@@ -162,9 +162,10 @@ class ReportRecord:
 
 def records_of(reports: ReportColumns) -> list[ReportRecord]:
     """One ``ReportRecord`` per report of ``reports``, in order."""
+    codes = [reports.stocks[stock] for stock in reports.cited.tolist()]
     bounds = reports.offsets.tolist()
     return [
-        ReportRecord(report_id, title, abstract, tuple(reports.codes[lo:hi]), Date.fromordinal(day))
+        ReportRecord(report_id, title, abstract, tuple(codes[lo:hi]), Date.fromordinal(day))
         for report_id, title, abstract, lo, hi, day in zip(
             reports.ids, reports.titles, reports.abstracts, bounds, bounds[1:], reports.days.tolist()
         )
@@ -172,14 +173,18 @@ def records_of(reports: ReportColumns) -> list[ReportRecord]:
 
 
 def columns_of(records: Iterable[ReportRecord]) -> ReportColumns:
-    """The ``ReportColumns`` of ``records``, in order."""
+    """The ``ReportColumns`` of ``records``, in order, with the cited codes
+    in first-cited order as the stock table."""
     records = list(records)
+    positions: dict[str, int] = {}
+    cited = [positions.setdefault(code, len(positions)) for record in records for code in record.stock_codes]
     return ReportColumns(
         [record.report_id for record in records],
         [record.title for record in records],
         [record.abstract for record in records],
         np.array([record.release_date.toordinal() for record in records], dtype=np.int64),
-        [code for record in records for code in record.stock_codes],
+        list(positions),
+        np.array(cited, dtype=np.intp),
         np.cumsum([0] + [len(record.stock_codes) for record in records], dtype=np.int64),
     )
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line pipeline."""
 
+import errno
 import itertools
 import json
 import os
@@ -382,6 +383,43 @@ def test_an_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path, capsy
     assert list(out.glob("*.tmp")) == []
     if stale:
         assert not report.exists()
+
+
+# The file each verb writes last, before its summary.
+LAST_OUTPUTS = {
+    "synth": "config.json",
+    "ingest": "ingest_report.json",
+    "label": "label_report.json",
+    "score": "score_report.json",
+    "analyze": "analyze_report.json",
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_standard_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path):
+    """Each verb writes its summary to standard output after its output
+    files. With standard output a full device, or (for ``analyze``) a pipe
+    whose reader has closed, the verb exits 1 with one error line, no
+    traceback and nothing from the interpreter's last flush, and its files
+    are all written. The children run side by side."""
+    env = dict(os.environ, PYTHONPATH=str(Path(reportsignal.__file__).parents[1]))
+    reader, closed_pipe = os.pipe()
+    os.close(reader)
+    cases = [(verb, errno.ENOSPC) for verb in LAST_OUTPUTS] + [("analyze", errno.EPIPE)]
+    children = []
+    with open("/dev/full", "w") as full:
+        for i, (verb, code) in enumerate(cases):
+            out = tmp_path / f"out{i}"
+            argv = ("--seed", 13) if verb == "synth" else ("--config", dataset_dir / "config.json")
+            command = [sys.executable, "-m", "reportsignal", verb, *map(str, argv), "--out", str(out)]
+            stdout = full if code == errno.ENOSPC else closed_pipe
+            child = subprocess.Popen(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+            children.append((out / LAST_OUTPUTS[verb], code, child))
+    os.close(closed_pipe)
+    for last_output, code, child in children:
+        _, err = child.communicate(timeout=120)
+        assert (child.returncode, err) == (1, f"error: cannot write standard output: {os.strerror(code)}\n")
+        assert last_output.exists()
 
 
 def test_corrupt_market_data_exits_two(dataset_dir, tmp_path, capsys):

@@ -112,6 +112,9 @@ for _key in ("train_start", "train_end", "test_start", "test_end"):
         (_key, None, Error(f"missing config keys: {_key}")),
         (_key, 20210406, wrong_type(_key, 20210406)),
         (_key, "2021-13-01", Error(f"config key {_key!r} is not an ISO date: '2021-13-01'")),
+        # forms that date.fromisoformat takes from Python 3.11 on
+        (_key, "20211101", Error(f"config key {_key!r} is not an ISO date: '20211101'")),
+        (_key, "2021-W44-1", Error(f"config key {_key!r} is not an ISO date: '2021-W44-1'")),
     ]
 CASES += [
     ("train_start", "2021-11-01", Date(2021, 11, 1)),

@@ -502,6 +502,32 @@ def test_load_calendar_rejects_garbage(tmp_path):
         load_calendar(path)
 
 
+@pytest.mark.parametrize("text", ["20190305", "2019-W10-2"])
+def test_market_dates_are_yyyy_mm_dd_only(tmp_path, text):
+    """A date in another form that ``date.fromisoformat`` takes on some
+    Python versions (basic, week) rejects its bar or index row and fails the
+    calendar, with the message Python 3.10 gives."""
+    days = weekdays(MONDAY, 2)
+    bars, indices, industry, calendar = write_market_files(
+        tmp_path,
+        [f"600000.SH,{days[0]},100,101,99,100.5,1e6\n", f"600000.SH,{text},100,101,99,100.5,1e6\n"],
+        [f"CSI500,{days[0]},5000\n", f"CSI500,{text},5000\n"],
+        ["600000.SH,IND01,Bank\n"],
+        calendar=days,
+    )
+    result = load_market(bars, indices, industry, calendar)
+    assert (result.n_bars, result.n_index_rows) == (1, 1)
+    assert [(r.line, r.reason) for r in result.bar_rejects] == [
+        (3, f"unparseable bar row: Invalid isoformat string: {text!r}")
+    ]
+    assert [(r.line, r.reason) for r in result.index_rejects] == [
+        (3, f"unparseable index row: Invalid isoformat string: {text!r}")
+    ]
+    calendar.write_text(f"{days[0]}\n{text}\n", encoding="utf-8")
+    with pytest.raises(DataError, match=re.escape(f"unparseable date {text!r}")):
+        load_calendar(calendar)
+
+
 def test_file_digest_streams_the_file_then_the_extra_bytes(tmp_path):
     data = np.random.default_rng(3).bytes(2 * HASH_CHUNK + 17)
     path = tmp_path / "big.bin"

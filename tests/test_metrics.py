@@ -9,7 +9,7 @@ import pytest
 
 from tests.helpers import bar_grid, flat_bar, gather, index_grid, ranges_of, weekdays
 from tests.reference_market import ReportRecord, columns_of
-from reportsignal.corpus import CorpusIndex
+from reportsignal.corpus import CorpusIndex, ReportColumns
 from reportsignal.market import (
     BarStore,
     IndexStore,
@@ -149,8 +149,10 @@ def test_recommendation_counts_inclusive_calendar_windows():
     days_before = (0, 1, 7, 8, 90, 91)
     records = [record(f"ab{k}", d - timedelta(days=k), (a, b)) for k in days_before]
     records += [record(f"b{k}", d - timedelta(days=k), (b,)) for k in days_before]
-    index = CorpusIndex(columns_of(records))
-    assert index.codes == {a: 0, b: 1}
+    reports = columns_of(records)
+    index = CorpusIndex(reports)
+    assert len(index.keys) == 18  # six reports cite both, six only b
+    assert np.bincount(index.keys >> 32).tolist() == [6, 12]  # by stock position
     table = [
         # stock, day, reports in [day-7, day-1], in [day-90, day-1]
         (a, d, 2, 4),  # d-1, d-7; and d-8, d-90
@@ -159,17 +161,23 @@ def test_recommendation_counts_inclusive_calendar_windows():
         (b, d + timedelta(days=1), 4, 8),  # d, d-1; d-7, d-8
         (a, d + timedelta(days=90), 0, 1),  # d only
         (b, d - timedelta(days=92), 0, 0),
-        ("999999.SZ", d, 0, 0),  # a stock no report cites
     ]
-    short, long = recommendation_counts(index, [row[0] for row in table], [row[1].toordinal() for row in table])
+    positions = [reports.stocks.index(row[0]) for row in table]
+    short, long = recommendation_counts(index, positions, [row[1].toordinal() for row in table])
     assert short.dtype.kind == long.dtype.kind == "i"
     assert list(zip(short.tolist(), long.tolist())) == [row[2:] for row in table]
 
 
-def test_recommendation_counts_unknown_stock_is_zero():
-    index = CorpusIndex(columns_of([record("r1", Date(2021, 6, 15))]))
-    short, long = recommendation_counts(index, ["000001.SZ"], [Date(2021, 6, 20).toordinal()])
-    assert (short.tolist(), long.tolist()) == ([0], [0])
+def test_recommendation_counts_uncited_stock_is_zero():
+    """A stock of the table that no report cites (the generator lists every
+    stock) counts zero, beside a cited one on each side of it."""
+    stocks = ["600000.SH", "000001.SZ", "600519.SH"]
+    reports = ReportColumns(
+        ["r1", "r2"], ["t"] * 2, ["a"] * 2, np.array([Date(2021, 6, 15).toordinal()] * 2), stocks,
+        np.array([0, 2]), np.array([0, 1, 2]),
+    )
+    short, long = recommendation_counts(CorpusIndex(reports), [0, 1, 2], [Date(2021, 6, 20).toordinal()] * 3)
+    assert (short.tolist(), long.tolist()) == ([1, 0, 1], [1, 0, 1])
 
 
 def test_label_window_return_is_three_day_mean():

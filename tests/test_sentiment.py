@@ -1,12 +1,11 @@
 """Unit tests for lexicon and external sentiment scoring."""
 
 import dataclasses
-import math
 from datetime import date as Date
 
 import pytest
 
-from reportsignal.errors import ArgumentError, DataError, SchemaError
+from reportsignal.errors import DataError, SchemaError
 from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.sentiment import (
     SentimentLexicon,
@@ -84,12 +83,6 @@ def test_lower_temperature_sharpens_toward_the_argmax():
     sharp = lexicon_score(hits, temperature=0.25)
     soft = lexicon_score(hits, temperature=4.0)
     assert sharp.pos > base.pos > soft.pos > 1.0 / 3.0
-
-
-def test_bad_temperatures_are_errors():
-    for temperature in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(ArgumentError):
-            lexicon_score((1, 0, 0), temperature=temperature)
 
 
 def test_majority_rule_ignores_neutral_words():

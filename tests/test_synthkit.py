@@ -106,7 +106,7 @@ def test_truth_payload_reflects_the_spec():
     assert truth["format_version"] == 1
     assert truth["seed"] == 7
     assert truth["n_reports"] == len(ds.records)
-    assert truth["n_planted_outcomes"] == len(ds.records.codes)
+    assert truth["n_planted_outcomes"] == len(ds.records.cited)
     assert truth["n_multi_stock_reports"] == sum(
         1 for r in records_of(ds.records) if len(r.stock_codes) == 2
     )
