@@ -206,6 +206,8 @@ def write_stdout(text: str) -> None:
     a pipe has gone, standard output is first pointed at the null device,
     so the interpreter's last flush writes nowhere."""
     try:
+        if sys.stdout is None:  # standard output was closed at start
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:

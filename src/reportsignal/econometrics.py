@@ -375,36 +375,28 @@ def ols_fit(
     regressors: Sequence[str],
     se_type: str = "classical",
 ) -> RegressionFit:
-    """Least squares via QR with classical or HC1 standard errors.
+    """Least squares via QR with classical or HC1 standard errors of an
+    (n, k) float ``design`` with k ``regressors`` names and an (n,) ``response``.
 
     Requires n > k and a full-column-rank design (checked against the R
     factor's diagonal with a size-scaled tolerance; offending columns are
     named in the error). t = coef/SE and two-sided p-values use n - k
     degrees of freedom.
     """
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    if X.ndim != 2:
-        raise ArgumentError(f"design must be 2-d, got shape {X.shape}")
-    n, k = X.shape
-    if y.shape != (n,):
-        raise ArgumentError(f"response shape {y.shape} does not match design {X.shape}")
-    regressors = tuple(regressors)
-    if len(regressors) != k:
-        raise ArgumentError(f"{len(regressors)} names for {k} columns")
+    n, k = design.shape
     if n <= k:
         raise ArgumentError(f"need more observations than parameters, got n={n}, k={k}")
 
-    Q, R = np.linalg.qr(X)
+    Q, R = np.linalg.qr(design)
     diag = np.abs(np.diag(R))
     tol = max(n, k) * np.finfo(float).eps * (diag.max() if diag.size else 0.0)
     bad = [regressors[j] for j in range(k) if diag[j] <= tol]
     if bad:
         raise SingularityError(f"rank-deficient design matrix; offending columns: {', '.join(bad)}")
 
-    qty = Q.T @ y
+    qty = Q.T @ response
     coef = np.linalg.solve(R, qty)
-    resid = y - X @ coef
+    resid = response - design @ coef
     rss = float(resid @ resid)
     df_resid = n - k
 
@@ -415,7 +407,7 @@ def ols_fit(
         cov = s2 * xtx_inv
     else:
         # HC1: White sandwich with the n/(n-k) small-sample correction.
-        meat = (X * (resid**2)[:, None]).T @ X
+        meat = (design * (resid**2)[:, None]).T @ design
         cov = xtx_inv @ meat @ xtx_inv * (n / df_resid)
 
     se = np.sqrt(np.diag(cov))
@@ -423,7 +415,7 @@ def ols_fit(
         t_stats = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
     p_values = np.array([student_t_sf2(float(t), df_resid) for t in t_stats])
 
-    y_centered = y - y.mean()
+    y_centered = response - response.mean()
     tss = float(y_centered @ y_centered)
     r_squared = 1.0 - rss / tss if tss > 0.0 else float("nan")
 
@@ -452,8 +444,6 @@ def panel_design(rows: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 
 def run_pooled_regressions(rows: np.ndarray, se_type: str = "classical") -> dict[str, RegressionFit]:
     """The three pooled regressions of a panel matrix: range, excess return, volume change."""
-    if not len(rows):
-        raise ArgumentError("empty panel")
     X, outcomes = panel_design(rows)
     return {outcome: ols_fit(X, y, REGRESSOR_NAMES, se_type=se_type) for outcome, y in outcomes.items()}
 
@@ -533,14 +523,12 @@ def mean_difference_test(
         df = (va/na + vb/nb)^2 / [(va/na)^2/(na-1) + (vb/nb)^2/(nb-1)];
 
     'pooled' assumes equal variances with df = na + nb - 2. Both groups
-    need at least two observations. Identical group means give t = 0
-    exactly; swapping the groups negates t.
+    need two observations, which ``majority_group_tests`` ensures.
+    Identical group means give t = 0 exactly; swapping the groups negates t.
     """
     a = np.asarray(group_a, dtype=float)
     b = np.asarray(group_b, dtype=float)
     na, nb = len(a), len(b)
-    if na < 2 or nb < 2:
-        raise ArgumentError(f"each group needs >= 2 values, got {na} and {nb}")
     mean_a, mean_b = float(a.mean()), float(b.mean())
     va = float(a.var(ddof=1))
     vb = float(b.var(ddof=1))

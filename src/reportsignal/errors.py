@@ -2,6 +2,8 @@
 
 Each class carries the CLI exit code of its branch: ConfigurationError
 (and any other PipelineError) -> 1, DataError -> 2, NumericalError -> 3.
+Each condition is checked once, where it enters: in ``RunConfig.validate``,
+a file reader or a verb's empty-result check.
 """
 
 
@@ -25,16 +27,12 @@ class SchemaError(DataError):
     """A file header or field layout does not match the documented schema."""
 
 
-class MappingError(DataError):
-    """A stock has no industry mapping."""
-
-
 class DomainError(DataError):
     """A value lies outside the mathematical domain of an operation."""
 
 
 class ArgumentError(DataError):
-    """An operation was invoked with unusable inputs (empty pool, n <= k, ...)."""
+    """An operation was invoked with unusable inputs (a fit with n <= k)."""
 
 
 class NumericalError(PipelineError):

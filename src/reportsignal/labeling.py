@@ -13,7 +13,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from .corpus import write_csv_rows
-from .errors import ArgumentError
 
 POSITIVE = "positive"
 NEUTRAL = "neutral"
@@ -45,8 +44,6 @@ def assign_labels(pool: Iterable[tuple[str, str, float]]) -> list[LabeledReport]
     entries in rank order.
     """
     entries = list(pool)
-    if not entries:
-        raise ArgumentError("cannot label an empty pool")
     n_cut = int(LABEL_SHARE * len(entries))
     entries.sort(key=lambda e: (-e[2], e[0], e[1]))
     labels = [POSITIVE] * n_cut + [NEUTRAL] * (len(entries) - 2 * n_cut) + [NEGATIVE] * n_cut

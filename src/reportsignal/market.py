@@ -27,13 +27,14 @@ make a trailing volume window two lookups. The metric kernels in
 Loading. ``load_market`` reads bars.csv ``BAR_BLOCK_ROWS`` rows at a
 time: each block becomes columns, prices convert with
 ``np.array(column, dtype=float)`` (which calls ``float()`` on every
-string), dates once per distinct text. One ordered table of array masks
-holds the bar rules (empty stock_id, then price, then volume, then the
-high/low bracket), and a row that breaks any is rejected for the first.
-Only a block with a row that does not read (wrong width, a field that
-does not parse) goes row by row to find it. Rejects come in line order:
-first those of parsing and bar rules, then those of calendar days and
-duplicates.
+string), dates to day ordinals once per distinct text; the ordinals are
+located on the calendar, and an inferred calendar is their distinct
+values. One ordered table of array masks holds the bar rules (empty
+stock_id, then price, then volume, then the high/low bracket), and a row
+that breaks any is rejected for the first. Only a block with a row that
+does not read (wrong width, a field that does not parse) goes row by row
+to find it. Rejects come in line order: first those of parsing and bar
+rules, then those of calendar days and duplicates.
 
 Snapshot. ``write_snapshot`` saves a loaded market as ``market.npz``
 (day ordinals, the bar and index grids verbatim, ids and industry rows)
@@ -67,7 +68,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import RowReject, open_output, parse_date, read_csv_rows, read_lines, write_text
-from .errors import ConfigurationError, DataError, MappingError, SchemaError
+from .errors import ConfigurationError, DataError, SchemaError
 
 SSE = "SSE"
 SZSE = "SZSE"
@@ -249,10 +250,7 @@ class IndustryMap:
             self._map[stock_id] = (index_id, sector)
 
     def sector(self, stock_id: str) -> str:
-        try:
-            return self._map[stock_id][1]
-        except KeyError:
-            raise MappingError(f"no industry mapping for stock {stock_id}")
+        return self._map[stock_id][1]
 
 
 @dataclass
@@ -328,10 +326,9 @@ class _BarReader:
 
     def __init__(self):
         self.stock_codes: dict[str, int] = {}
-        self.date_codes: dict[str, int] = {}  # raw date text -> day code
-        self.day_codes: dict[Date, int] = {}
+        self.ordinals: dict[str, int] = {}  # raw date text -> day ordinal
         self.rejects: list[RowReject] = []
-        # (line numbers, stock codes, date codes, *prices) of accepted rows
+        # (line numbers, stock codes, day ordinals, *prices) of accepted rows
         self.blocks: list[tuple] = [(np.zeros(0, dtype=np.intp),) * 3 + (np.zeros(0),) * 5]
 
     def read(self, path) -> None:
@@ -363,9 +360,6 @@ class _BarReader:
                 codes[text] = new_code(text)
         return np.fromiter(map(codes.__getitem__, texts), np.intp, len(texts))
 
-    def _day_code(self, text: str) -> int:
-        return self.day_codes.setdefault(parse_date(text.strip()), len(self.day_codes))
-
     def _block(self, block: list[tuple[int, list[str]]]) -> None:
         """Convert and check a block; raises ValueError when a row has the
         wrong width or a field does not parse."""
@@ -376,7 +370,7 @@ class _BarReader:
             raise ValueError("a row of the wrong width")
         columns = list(zip(*rows))
         prices = [np.array(column, dtype=float) for column in columns[2:]]
-        dates = self._codes(self.date_codes, columns[1], self._day_code)
+        dates = self._codes(self.ordinals, columns[1], lambda text: parse_date(text.strip()).toordinal())
         stock_ids = list(map(str.strip, columns[0]))
         stocks = self._codes(self.stock_codes, stock_ids, lambda _: len(self.stock_codes))
         o, h, l, c, v = prices
@@ -397,7 +391,7 @@ class _BarReader:
         self.blocks.append((line_nos[keep], stocks[keep], dates[keep], *(p[keep] for p in prices)))
 
     def columns(self) -> tuple[np.ndarray, ...]:
-        """Line numbers, stock codes, date codes and the five prices of every
+        """Line numbers, stock codes, day ordinals and the five prices of every
         accepted row, in line order; the blocks are freed once joined."""
         blocks, self.blocks = self.blocks, []
         return tuple(np.concatenate(part) for part in zip(*blocks))
@@ -432,17 +426,16 @@ def load_market(
 
     reader = _BarReader()
     reader.read(bars_path)
-    line_nos, stocks, date_codes, *prices = reader.columns()
-    dates = list(reader.day_codes)
+    line_nos, stocks, ordinals, *prices = reader.columns()
 
     if calendar_path is not None:
         calendar = load_calendar(calendar_path)
     else:
-        calendar = TradingCalendar(sorted(dates[code] for code in np.unique(date_codes).tolist()))
+        calendar = TradingCalendar(map(Date.fromordinal, np.unique(ordinals).tolist()))
 
     # Calendar checks and duplicates come after every parse/check reject,
     # each in line order; the first bar of a (stock, day) wins.
-    days = calendar.positions(np.array([d.toordinal() for d in dates], dtype=np.int64))[date_codes]
+    days = calendar.positions(ordinals)
     off_calendar = days < 0
     cell = np.where(off_calendar, -1, stocks * len(calendar) + days)
     duplicate = ~off_calendar
@@ -450,7 +443,7 @@ def load_market(
     ids = list(reader.stock_codes)
     bar_rejects = reader.rejects
     for i in np.flatnonzero(off_calendar | duplicate).tolist():
-        d = dates[date_codes[i]]
+        d = Date.fromordinal(int(ordinals[i]))
         reason = f"{d} is not a trading day" if off_calendar[i] else f"duplicate bar for {ids[stocks[i]]} on {d}"
         bar_rejects.append(RowReject(int(line_nos[i]), reason))
     keep = ~(off_calendar | duplicate)

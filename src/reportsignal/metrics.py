@@ -54,7 +54,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .corpus import CorpusIndex
-from .errors import ConfigurationError, DomainError
+from .errors import DomainError
 from .market import LONG_COUNT_WINDOW, MarketData
 
 VOLUME_WINDOW = 60
@@ -151,8 +151,6 @@ def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff")
     Under 'logdiff', a level <= 0 on a row whose reads succeed raises
     DomainError naming the index and the date.
     """
-    if mode not in CHANGE_MODES:
-        raise ConfigurationError(f"unknown change mode {mode!r}")
     indices = market.indices
     prev = days - 1
     checks = [

@@ -26,7 +26,6 @@ from .econometrics import (
     RegressionFit,
     SectorResult,
 )
-from .errors import ConfigurationError
 
 # Ascending p-value thresholds, strongest marker first; the first
 # threshold that p falls under wins.
@@ -70,15 +69,6 @@ MEAN_TEST_CSV_HEADER = (
 )
 
 
-def star_preset(name: str) -> tuple[tuple[float, str], ...]:
-    try:
-        return STAR_PRESETS[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown star preset {name!r}; expected one of {sorted(STAR_PRESETS)}"
-        ) from None
-
-
 def star_marker(p_value: float, preset: Sequence[tuple[float, str]]) -> str:
     """Return the marker of the tightest threshold that p_value beats."""
     for threshold, marker in preset:
@@ -117,22 +107,18 @@ def format_regression_table(
 ) -> str:
     """Fixed-width table: one column per outcome, coefficient row with
     stars followed by a parenthesized t-statistic row per regressor."""
-    preset = star_preset(stars)
-    outcomes = [key for key in OUTCOME_NAMES if key in fits]
-    if not outcomes:
-        raise ConfigurationError("no fits to format")
-
+    preset = STAR_PRESETS[stars]
     name_w = max(len(n) for n in REGRESSOR_NAMES + ("Observations", "R-squared")) + 2
-    width = name_w + COLUMN_W * len(outcomes)
-    header = " " * name_w + "".join(_cell(OUTCOME_NAMES[key], COLUMN_W) for key in outcomes)
+    width = name_w + COLUMN_W * len(OUTCOME_NAMES)
+    header = " " * name_w + "".join(_cell(name, COLUMN_W) for name in OUTCOME_NAMES.values())
     body = []
-    for i, regressor in enumerate(fits[outcomes[0]].regressors):
-        coef_cells, t_cells = zip(*(_estimate(fits[key], i, preset) for key in outcomes))
+    for i, regressor in enumerate(fits["range"].regressors):
+        coef_cells, t_cells = zip(*(_estimate(fits[key], i, preset) for key in OUTCOME_NAMES))
         body += [regressor.ljust(name_w) + "".join(coef_cells), " " * name_w + "".join(t_cells)]
     body += [
         "-" * width,
-        "Observations".ljust(name_w) + "".join(_cell(str(fits[key].n_obs), COLUMN_W) for key in outcomes),
-        "R-squared".ljust(name_w) + "".join(_cell(format(fits[key].r_squared, ".3f"), COLUMN_W) for key in outcomes),
+        "Observations".ljust(name_w) + "".join(_cell(str(fits[key].n_obs), COLUMN_W) for key in OUTCOME_NAMES),
+        "R-squared".ljust(name_w) + "".join(_cell(format(fits[key].r_squared, ".3f"), COLUMN_W) for key in OUTCOME_NAMES),
     ]
     return _framed(title, width, header, body, preset)
 
@@ -141,11 +127,9 @@ def regression_records(
     fits: dict[str, RegressionFit], stars: str = "table3"
 ) -> list[tuple]:
     """Full-precision rows for the machine-readable export."""
-    preset = star_preset(stars)
+    preset = STAR_PRESETS[stars]
     rows = []
     for key in OUTCOME_NAMES:
-        if key not in fits:
-            continue
         fit = fits[key]
         for i, regressor in enumerate(fit.regressors):
             rows.append(
@@ -171,7 +155,7 @@ def write_regression_csv(fits: dict[str, RegressionFit], path, stars: str = "tab
 def format_industry_table(results: Iterable[SectorResult], min_rows: int = 50) -> str:
     """Sector-by-sector sentiment coefficients: pos and neg columns per
     outcome, two lines per fitted sector (coefficients, then t-stats)."""
-    preset = star_preset(INDUSTRY_STARS)
+    preset = STAR_PRESETS[INDUSTRY_STARS]
     columns = [(key, regressor) for key in OUTCOME_NAMES for regressor in ("pos[t-1]", "neg[t-1]")]
     name_w = 22
     width = name_w + 6 + COLUMN_W * len(columns)
@@ -211,7 +195,7 @@ def format_mean_test_table(
     stars: str = "table3",
 ) -> str:
     """One row per variable: group means (sd, n), difference, t with stars."""
-    preset = star_preset(stars)
+    preset = STAR_PRESETS[stars]
     name_w = 14
     header = (
         "variable".ljust(name_w)
@@ -248,7 +232,7 @@ def format_mean_test_table(
 def mean_test_records(
     results: Sequence[MeanTestResult | None], stars: str = "table3"
 ) -> list[tuple]:
-    preset = star_preset(stars)
+    preset = STAR_PRESETS[stars]
     rows = []
     for variable, result in zip(MAJORITY_VARIABLES, results):
         if result is None:

@@ -26,9 +26,7 @@ from typing import Iterable
 
 from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
 from .errors import DataError, SchemaError
-from .labeling import NEGATIVE, NEUTRAL, POSITIVE
-
-WORD_CLASSES = (POSITIVE, NEUTRAL, NEGATIVE)
+from .labeling import LABELS, NEGATIVE, NEUTRAL, POSITIVE
 
 LEXICON_HEADER = ("word", "label")
 SCORES_HEADER = ("report_id", "pos", "neu", "neg")
@@ -51,7 +49,7 @@ class SentimentLexicon:
     def __init__(self, entries: Iterable[tuple[str, str]]):
         mapping: dict[str, str] = {}
         for word, label in entries:
-            if label not in WORD_CLASSES:
+            if label not in LABELS:
                 raise DataError(f"lexicon word {word!r} has unknown class {label!r}")
             if not word:
                 raise DataError("lexicon contains an empty word")
@@ -79,7 +77,7 @@ class SentimentLexicon:
         other position the longest lexicon word there, else the single
         character, is the next token."""
         classes, lengths = self._classes, self._lengths
-        counts = dict.fromkeys(WORD_CLASSES, 0)
+        counts = dict.fromkeys(LABELS, 0)
         i, n = 0, len(text)
         while i < n:
             if text[i].isspace():
@@ -127,12 +125,9 @@ def lexicon_score(
     1/temperature.
 
     softmax((pos, neu, neg) / temperature); zero hits across the board
-    degenerate to the uniform score. Lower temperatures sharpen the
-    distribution toward the argmax class.
+    give exp(0) three times, so exactly 1/3 each. Lower temperatures
+    sharpen the distribution toward the argmax class.
     """
-    if counts == (0, 0, 0):
-        third = 1.0 / 3.0
-        return SentimentScore(report_id, third, third, third)
     top = max(counts)
     exps = [math.exp((c - top) / temperature) for c in counts]
     total = math.fsum(exps)

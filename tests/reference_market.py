@@ -39,7 +39,6 @@ from reportsignal.errors import (
     ConfigurationError,
     DataError,
     DomainError,
-    MappingError,
     SchemaError,
 )
 from reportsignal.market import (
@@ -59,6 +58,10 @@ from reportsignal.sentiment import SentimentScore, classify_majority
 
 class CalendarRangeError(DataError):
     """A date falls outside the span of the trading calendar."""
+
+
+class MappingError(DataError):
+    """A stock has no industry mapping."""
 
 
 class TradingCalendar:

@@ -15,7 +15,7 @@ import unicodedata
 from typing import Iterable
 
 from reportsignal.errors import ArgumentError
-from reportsignal.sentiment import WORD_CLASSES
+from reportsignal.labeling import LABELS
 
 # Unicode categories removed outright during cleaning: control and format
 # characters (zero-width joiners and friends).
@@ -106,7 +106,7 @@ def segment(text: str, dictionary: SegmentDictionary) -> list[str]:
 def token_hits(text: str, lexicon) -> tuple[int, int, int]:
     """(positive, neutral, negative) counts of the tokens that ``segment``
     makes of ``text`` with the lexicon's words as its dictionary."""
-    classes = {word: label for label in WORD_CLASSES for word in lexicon.words(label)}
+    classes = {word: label for label in LABELS for word in lexicon.words(label)}
     tokens = segment(text, SegmentDictionary(classes))
-    pos, neu, neg = (sum(classes.get(token) == label for token in tokens) for label in WORD_CLASSES)
+    pos, neu, neg = (sum(classes.get(token) == label for token in tokens) for label in LABELS)
     return pos, neu, neg

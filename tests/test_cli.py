@@ -399,21 +399,25 @@ LAST_OUTPUTS = {
 def test_standard_output_that_cannot_be_written_exits_one(dataset_dir, tmp_path):
     """Each verb writes its summary to standard output after its output
     files. With standard output a full device, or (for ``analyze``) a pipe
-    whose reader has closed, the verb exits 1 with one error line, no
-    traceback and nothing from the interpreter's last flush, and its files
-    are all written. The children run side by side."""
+    whose reader has closed, or (for ``score``) closed before the verb
+    starts (``>&-``), the verb exits 1 with one error line, no traceback
+    and nothing from the interpreter's last flush, and its files are all
+    written. The children run side by side."""
     env = dict(os.environ, PYTHONPATH=str(Path(reportsignal.__file__).parents[1]))
     reader, closed_pipe = os.pipe()
     os.close(reader)
-    cases = [(verb, errno.ENOSPC) for verb in LAST_OUTPUTS] + [("analyze", errno.EPIPE)]
+    cases = [(verb, errno.ENOSPC) for verb in LAST_OUTPUTS] + [("analyze", errno.EPIPE), ("score", errno.EBADF)]
     children = []
     with open("/dev/full", "w") as full:
         for i, (verb, code) in enumerate(cases):
             out = tmp_path / f"out{i}"
             argv = ("--seed", 13) if verb == "synth" else ("--config", dataset_dir / "config.json")
             command = [sys.executable, "-m", "reportsignal", verb, *map(str, argv), "--out", str(out)]
-            stdout = full if code == errno.ENOSPC else closed_pipe
-            child = subprocess.Popen(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True)
+            stdout = {errno.ENOSPC: full, errno.EPIPE: closed_pipe, errno.EBADF: subprocess.DEVNULL}[code]
+            close_stdout = (lambda: os.close(1)) if code == errno.EBADF else None
+            child = subprocess.Popen(
+                command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, preexec_fn=close_stdout
+            )
             children.append((out / LAST_OUTPUTS[verb], code, child))
     os.close(closed_pipe)
     for last_output, code, child in children:
@@ -535,6 +539,27 @@ def test_a_non_finite_panel_value_exits_two(dataset_dir, tmp_path, capsys):
     assert run("analyze", "--config", config, "--out", tmp_path / "out") == 2
     err = capsys.readouterr().err
     assert err == f"error: row {first.report_id}/{first.stock_id}: vix_lag not finite\n"
+
+
+def test_a_range_without_pairs_exits_two(dataset_dir, tmp_path, capsys):
+    """A train or test range of one Saturday holds no pair: ``label`` ends
+    on its empty pool and ``analyze`` on its empty panel, each with exit 2
+    and one error line, before anything labels or fits them."""
+    clone = tmp_path / "data"
+    shutil.copytree(dataset_dir, clone)
+    raw = read_json(clone / "config.json")
+    cases = [
+        ("label", "train", "labeling pool is empty: no training-range pair survived"),
+        ("analyze", "test", "empty panel: all 0 test-range pairs dropped ({})"),
+    ]
+    for verb, which, message in cases:
+        start = Date.fromisoformat(raw[f"{which}_start"])
+        saturday = (start + timedelta(days=(5 - start.weekday()) % 7)).isoformat()
+        config = clone / f"{verb}.json"
+        config.write_text(json.dumps(raw | {f"{which}_start": saturday, f"{which}_end": saturday}), encoding="utf-8")
+        capsys.readouterr()
+        assert run(verb, "--config", config, "--out", tmp_path / verb) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_every_pair_is_a_sample_or_a_drop(dataset_dir, tmp_path):

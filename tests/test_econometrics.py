@@ -176,12 +176,6 @@ def test_ols_argument_validation():
     X = np.ones((3, 3))
     with pytest.raises(ArgumentError):
         ols_fit(X, np.ones(3), ["a", "b", "c"])  # n <= k
-    with pytest.raises(ArgumentError):
-        ols_fit(np.ones(5), np.ones(5), ["a"])  # 1-d design
-    with pytest.raises(ArgumentError):
-        ols_fit(np.ones((5, 2)), np.ones(4), ["a", "b"])  # length mismatch
-    with pytest.raises(ArgumentError):
-        ols_fit(np.ones((5, 2)), np.ones(5), ["only_one_name"])
 
 
 def make_panel(n, rng, stock_ids=None):
@@ -420,8 +414,6 @@ def test_mean_test_symmetries_and_degenerate_groups():
     constant = mean_difference_test([1.0, 1.0], [2.0, 2.0])
     assert constant.t_stat == -math.inf and constant.p_value == 0.0
     assert constant.df == 2.0
-    with pytest.raises(ArgumentError):
-        mean_difference_test([1.0], b)
 
 
 def test_majority_group_tests_compare_positive_vs_negative():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from reportsignal.errors import ArgumentError, SchemaError
+from reportsignal.errors import SchemaError
 from reportsignal.labeling import (
     NEGATIVE,
     NEUTRAL,
@@ -90,11 +90,6 @@ def test_labels_invariant_under_input_permutation():
     shuffled = pool[:]
     rng.shuffle(shuffled)
     assert assign_labels(pool) == assign_labels(shuffled)
-
-
-def test_empty_pool_is_an_error():
-    with pytest.raises(ArgumentError):
-        assign_labels([])
 
 
 def test_labels_round_trip_exactly(tmp_path):

@@ -6,21 +6,21 @@ import random
 from datetime import date as Date
 
 import numpy as np
-import pytest
 
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
+    OUTCOME_NAMES,
     REGRESSOR_NAMES,
     RegressionFit,
     SectorResult,
     mean_difference_test,
     run_pooled_regressions,
 )
-from reportsignal.errors import ConfigurationError
 from reportsignal.reporting import (
     INDUSTRY_CSV_HEADER,
     MEAN_TEST_CSV_HEADER,
     REGRESSION_CSV_HEADER,
+    STAR_PRESETS,
     format_industry_table,
     format_mean_test_table,
     format_regression_table,
@@ -29,7 +29,6 @@ from reportsignal.reporting import (
     regression_records,
     star_legend,
     star_marker,
-    star_preset,
     write_daily_sentiment,
     write_gnuplot_script,
     write_mean_test_csv,
@@ -40,7 +39,7 @@ from tests.test_econometrics import make_panel
 
 
 def test_star_thresholds_are_strict():
-    preset = star_preset("table3")
+    preset = STAR_PRESETS["table3"]
     assert star_marker(0.0009, preset) == "***"
     assert star_marker(0.001, preset) == "**"   # not < 0.001
     assert star_marker(0.009, preset) == "**"
@@ -48,7 +47,7 @@ def test_star_thresholds_are_strict():
     assert star_marker(0.049, preset) == "*"
     assert star_marker(0.05, preset) == ""
     assert star_marker(0.9, preset) == ""
-    loose = star_preset("table4")
+    loose = STAR_PRESETS["table4"]
     assert star_marker(0.009, loose) == "***"
     assert star_marker(0.04, loose) == "**"
     assert star_marker(0.09, loose) == "*"
@@ -56,14 +55,12 @@ def test_star_thresholds_are_strict():
 
 
 def test_star_legends():
-    assert star_legend(star_preset("table3")) == (
+    assert star_legend(STAR_PRESETS["table3"]) == (
         "* p-value < 0.05, ** p-value < 0.01, *** p-value < 0.001"
     )
-    assert star_legend(star_preset("table4")) == (
+    assert star_legend(STAR_PRESETS["table4"]) == (
         "* p-value < 0.1, ** p-value < 0.05, *** p-value < 0.01"
     )
-    with pytest.raises(ConfigurationError):
-        star_preset("table9")
 
 
 def pooled_fits(seed=21, n=120):
@@ -76,7 +73,7 @@ def test_regression_table_layout():
     lines = text.splitlines()
     assert lines[0] == "Pooled regressions (classical standard errors)"
     assert set(lines[1]) == {"="} and set(lines[3]) == {"-"}
-    assert text.endswith(star_legend(star_preset("table3")) + "\n")
+    assert text.endswith(star_legend(STAR_PRESETS["table3"]) + "\n")
     # one coefficient line and one (t) line per regressor
     coef_lines = [l for l in lines if l.strip().startswith(REGRESSOR_NAMES[1])]
     assert len(coef_lines) == 1
@@ -94,14 +91,6 @@ def test_regression_table_layout():
     assert all(len(l) <= width for l in lines[2:-1])
 
 
-def test_regression_table_respects_outcome_subsets():
-    fits = pooled_fits()
-    only_range = format_regression_table({"range": fits["range"]})
-    assert "ret_ex[t]" not in only_range.splitlines()[2]
-    with pytest.raises(ConfigurationError):
-        format_regression_table({})
-
-
 def test_cell_overflow_keeps_a_separating_space():
     fit = RegressionFit(
         regressors=("constant",),
@@ -112,7 +101,7 @@ def test_cell_overflow_keeps_a_separating_space():
         n_obs=5,
         r_squared=0.5,
     )
-    text = format_regression_table({"range": fit})
+    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit))
     line = next(l for l in text.splitlines() if l.startswith("constant"))
     # the 16-char column cannot hold the number; a single space must
     # still separate it from the name column
@@ -150,7 +139,7 @@ def test_industry_table_mixes_fits_and_skips():
     assert bank.split()[1] == "80"
     skipped = next(l for l in lines if l.startswith("Telecom"))
     assert "skipped (n=7 < min_rows=50)" in skipped
-    assert text.endswith(star_legend(star_preset("table4")) + "\n")
+    assert text.endswith(star_legend(STAR_PRESETS["table4"]) + "\n")
     rows = industry_records(results)
     fitted = [r for r in rows if r[2] == "fitted"]
     assert len(fitted) == 3 * len(REGRESSOR_NAMES)
@@ -173,7 +162,7 @@ def test_mean_test_table_rows_and_skips():
     assert str(result.n_a) in first.split() and str(result.n_b) in first.split()
     skipped = [l for l in lines if "skipped (a group has fewer than 2 rows)" in l]
     assert len(skipped) == len(MAJORITY_VARIABLES) - 1
-    assert text.endswith(star_legend(star_preset("table3")) + "\n")
+    assert text.endswith(star_legend(STAR_PRESETS["table3"]) + "\n")
 
 
 def test_mean_test_records_round_trip(tmp_path):
@@ -227,8 +216,8 @@ def test_infinite_t_statistics_render(tmp_path):
         n_obs=3,
         r_squared=1.0,
     )
-    text = format_regression_table({"range": fit})
+    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit))
     assert "(inf)" in text and "(-inf)" in text
     assert "4.0000***" in text
-    rows = regression_records({"range": fit})
+    rows = regression_records(dict.fromkeys(OUTCOME_NAMES, fit))
     assert rows[0][4] == "inf"
