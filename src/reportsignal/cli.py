@@ -217,9 +217,9 @@ def label_pool(reports: ReportColumns, market: MarketData, start: Date, end: Dat
     returns = label_window_return(market, market.bars.rows_of(reports.stocks)[cited[kept]], days[kept])
     status = first_failure(market, returns)
     ok = status == OK
-    rows = zip(report_of[kept[ok]].tolist(), cited[kept[ok]].tolist(), returns.values[ok].tolist())
-    pool = [(reports.ids[report], reports.stocks[stock], window_return) for report, stock, window_return in rows]
-    return pool, tally(drops, status, LABEL_DROPS)
+    report_ids = reports.ids.take(report_of[kept[ok]])
+    stock_ids = map(reports.stocks.__getitem__, cited[kept[ok]].tolist())
+    return list(zip(report_ids, stock_ids, returns.values[ok].tolist())), tally(drops, status, LABEL_DROPS)
 
 
 def cmd_label(config: RunConfig) -> int:
@@ -260,9 +260,10 @@ def _report_hits(config: RunConfig, reports: ReportColumns, positions) -> dict:
     patterns = load_risk_warning_patterns(config.risk_warnings)
     if len(lexicon) == 0:
         return {}
+    texts = zip(*(column.take(positions) for column in (reports.ids, reports.titles, reports.abstracts)))
     return {
-        reports.ids[i]: prepare_report(reports.titles[i], reports.abstracts[i], lexicon, patterns, config.tail_fraction)
-        for i in positions
+        report_id: prepare_report(title, abstract, lexicon, patterns, config.tail_fraction)
+        for report_id, title, abstract in texts
     }
 
 
@@ -313,7 +314,7 @@ def cmd_analyze(config: RunConfig) -> int:
     reports = parse.records
     corpus_index = CorpusIndex(reports)
     report_of, _, released = reports.pairs(config.test_start, config.test_end)
-    hits_by_report = _report_hits(config, reports, np.unique(report_of).tolist())
+    hits_by_report = _report_hits(config, reports, np.unique(report_of))
     scores, score_rejects = _report_scores(config, reports, hits_by_report)
 
     panel = build_panel(
@@ -333,7 +334,7 @@ def cmd_analyze(config: RunConfig) -> int:
 
     # One entry per test-range pair with a score and a release trading day.
     days = market.calendar.locate(released).tolist()
-    pair_scores = [scores.get(reports.ids[i]) for i in report_of.tolist()]
+    pair_scores = map(scores.get, reports.ids.take(report_of))
     series_entries = [
         (market.calendar.dates[day], score)
         for day, score in zip(days, pair_scores)

@@ -35,9 +35,10 @@ boilerplate risk-warning tails; ``sentiment`` counts the lexicon hits of
 the cleaned text.
 
 Layout. Reports in memory are ``ReportColumns``: ids, titles and
-abstracts as lists, release dates as day ordinals, each cited code once
-in ``stocks``, and all citations as positions there, one flat array cut
-into each report's share by int64 offsets (compressed sparse rows).
+abstracts as ``TextColumn``s, each one string cut into each report's text
+by int64 offsets (compressed sparse rows), release dates as day
+ordinals, each cited code once in ``stocks``, and all citations as
+positions there, one flat array cut by int64 offsets the same way.
 ``ReportColumns.pairs`` is the one expansion of reports into the (report,
 cited stock) pairs that every artifact and ``CorpusIndex`` observe. Each
 pair is dated on the trading day that ``TradingCalendar.locate`` gives
@@ -50,6 +51,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import operator
 import os
 import re
 import sys
@@ -57,7 +59,8 @@ import unicodedata
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from datetime import date as Date
-from typing import Iterable
+from functools import cache
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -75,13 +78,52 @@ _STRIP_CATEGORIES = ("Cc", "Cf")
 
 
 @dataclass(frozen=True, eq=False)
-class ReportColumns:
-    """Reports as columns; report ``i``, released on ordinal ``days[i]``,
-    cites the stocks at ``cited[offsets[i]:offsets[i + 1]]`` in ``stocks``."""
+class TextColumn:
+    """Texts packed as one string: text ``i`` is
+    ``text[offsets[i]:offsets[i + 1]]``, with ``offsets`` int64 and one
+    longer than the column. Reads like a list of ``str``: ``len``,
+    integer indexing and iteration, plus ``take``."""
 
-    ids: list[str]
-    titles: list[str]
-    abstracts: list[str]
+    text: str
+    offsets: np.ndarray
+
+    @classmethod
+    def pack(cls, texts: Iterable[str]) -> TextColumn:
+        """The column of ``texts``, in order."""
+        texts = list(texts)
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        return cls("".join(texts), np.concatenate(([0], lengths.cumsum())))
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, index: int) -> str:
+        """Text ``index``, counted from the end when negative, as in a list."""
+        i = range(len(self))[operator.index(index)]
+        return self.text[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self) -> Iterator[str]:
+        return self.take(range(len(self)))
+
+    def take(self, positions) -> Iterator[str]:
+        """The texts at ``positions`` (integers, indexed as in a list), in
+        order. Their offsets are gathered once; each text is cut out as the
+        iterator reaches it."""
+        positions = np.asarray(positions, dtype=np.intp)
+        starts, ends = memoryview(self.offsets[:-1][positions]), memoryview(self.offsets[1:][positions])
+        return map(self.text.__getitem__, map(slice, starts, ends))
+
+
+@dataclass(frozen=True, eq=False)
+class ReportColumns:
+    """Reports as columns; report ``i`` has id ``ids[i]``, title
+    ``titles[i]`` and abstract ``abstracts[i]``, is released on ordinal
+    ``days[i]`` and cites the stocks at ``cited[offsets[i]:offsets[i + 1]]``
+    in ``stocks``."""
+
+    ids: TextColumn
+    titles: TextColumn
+    abstracts: TextColumn
     days: np.ndarray
     stocks: list[str]
     cited: np.ndarray
@@ -233,19 +275,40 @@ def parse_date(text: str) -> Date:
     return Date.fromisoformat(text)
 
 
+def _codes_or_reason(text: str) -> tuple[str | None, tuple[str, ...]]:
+    """Why a ``stock_codes`` text is rejected (None if it is not), and its codes."""
+    codes = tuple(c.strip() for c in text.split(";") if c.strip())
+    if not codes:
+        return "no stock codes", codes
+    if bad := [c for c in codes if not _STOCK_CODE_RE.match(c)]:
+        return f"malformed stock code {bad[0]!r}", codes
+    if again := [c for i, c in enumerate(codes) if c in codes[:i]]:
+        return f"duplicate stock code {again[0]!r}", codes
+    return None, codes
+
+
+def _day_or_reason(text: str) -> tuple[str | None, int]:
+    """Why a ``release_date`` text is rejected (None if it is not), and its ordinal."""
+    try:
+        return None, parse_date(text.strip()).toordinal()
+    except ValueError:
+        return f"unparseable release_date {text!r}", 0
+
+
 def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
     """Parse a corpus file into validated records, stocks in first-cited order.
 
     Rows with the wrong field count, an empty report_id, malformed or
-    repeated stock codes, or an unparseable date are rejected individually.
+    repeated stock codes, or an unparseable date are rejected individually;
+    each distinct ``stock_codes`` and ``release_date`` text is checked once.
     A wrong header, a duplicate report_id, or a reject share above
     ``max_error_rate`` aborts the parse.
     """
-    ids, titles, abstracts, days, cited, offsets, positions = [], [], [], [], [], [0], {}
+    ids: dict[str, None] = {}  # in file order
+    titles, abstracts, days, cited, offsets, positions = [], [], [], [], [0], {}
     rejects: list[RowReject] = []
-    seen: set[str] = set()
+    codes_of, day_of = cache(_codes_or_reason), cache(_day_or_reason)
     for line_no, row in read_csv_rows(path, CORPUS_HEADER):
-        reason = None
         if len(row) != len(CORPUS_HEADER):
             reason = f"expected {len(CORPUS_HEADER)} fields, got {len(row)}"
         else:
@@ -254,33 +317,26 @@ def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
             if not report_id:
                 reason = "empty report_id"
             else:
-                codes = [c.strip() for c in codes_raw.split(";") if c.strip()]
-                bad = [c for c in codes if not _STOCK_CODE_RE.match(c)]
-                if not codes:
-                    reason = "no stock codes"
-                elif bad:
-                    reason = f"malformed stock code {bad[0]!r}"
-                elif len(codes) > 1 and (again := [c for i, c in enumerate(codes) if c in codes[:i]]):
-                    reason = f"duplicate stock code {again[0]!r}"
-                else:
-                    try:
-                        release = parse_date(date_raw.strip())
-                    except ValueError:
-                        reason = f"unparseable release_date {date_raw!r}"
+                reason, codes = codes_of(codes_raw)
+                if reason is None:
+                    reason, day = day_of(date_raw)
         if reason is not None:
             rejects.append(RowReject(line_no, reason))
             continue
-        if report_id in seen:
+        if report_id in ids:
             raise DataError(f"duplicate report_id {report_id!r} at line {line_no}")
-        seen.add(report_id)
-        ids.append(report_id)
+        ids[report_id] = None
         titles.append(title)
         abstracts.append(abstract)
-        days.append(release.toordinal())
+        days.append(day)
         for code in codes:
             cited.append(positions.setdefault(code, len(positions)))
         offsets.append(len(cited))
 
+    # each column packed in turn, its list freed before the next is packed
+    ids = TextColumn.pack(ids)
+    titles = TextColumn.pack(titles)
+    abstracts = TextColumn.pack(abstracts)
     days, cited, offsets = np.array(days, np.int64), np.array(cited, np.intp), np.array(offsets, np.int64)
     records = ReportColumns(ids, titles, abstracts, days, list(positions), cited, offsets)
     result = ParseResult(records, rejects)

@@ -194,7 +194,8 @@ def build_panel(
     """
     calendar, n_days = market.calendar, len(market.calendar)
     report_of, cited, released = reports.pairs(start, end)
-    pair_scores = [scores.get(reports.ids[i]) for i in report_of.tolist()]
+    pair_ids = list(reports.ids.take(report_of))
+    pair_scores = list(map(scores.get, pair_ids))
     days = calendar.locate(released)
     drops = [
         (np.array([score is None for score in pair_scores], dtype=bool), "no score"),
@@ -222,7 +223,7 @@ def build_panel(
 
     ok = np.flatnonzero(status == OK)
     accepted = kept[ok].tolist()
-    report_ids = [reports.ids[i] for i in report_of[accepted].tolist()]
+    report_ids = [pair_ids[i] for i in accepted]
     stock_ids = [reports.stocks[stock] for stock in cited[accepted].tolist()]
     outcome_days = t[ok]
     num7, num90 = recommendation_counts(corpus_index, cited[accepted], calendar.ordinals[outcome_days])
@@ -587,7 +588,7 @@ def build_majority_samples(
     data, like panel rows (``PAIR_DROPS``).
     """
     report_of, cited, released = reports.pairs(start, end)
-    pair_hits = [hits_by_report.get(reports.ids[i]) for i in report_of.tolist()]
+    pair_hits = list(map(hits_by_report.get, reports.ids.take(report_of)))
     days = market.calendar.locate(released)
     drops = [
         (np.array([hits is None for hits in pair_hits], dtype=bool), "no tokens"),

@@ -392,9 +392,11 @@ class _BarReader:
 
     def columns(self) -> tuple[np.ndarray, ...]:
         """Line numbers, stock codes, day ordinals and the five prices of every
-        accepted row, in line order; the blocks are freed once joined."""
-        blocks, self.blocks = self.blocks, []
-        return tuple(np.concatenate(part) for part in zip(*blocks))
+        accepted row, in line order; each column's blocks are freed once it
+        is joined, before the next column is."""
+        columns = list(zip(*self.blocks))
+        self.blocks = []
+        return tuple(np.concatenate(columns.pop(0)) for _ in range(len(columns)))
 
 
 def _scatter(ids: list[str], calendar: TradingCalendar, rows, days, *columns: np.ndarray) -> list:
@@ -447,7 +449,9 @@ def load_market(
         reason = f"{d} is not a trading day" if off_calendar[i] else f"duplicate bar for {ids[stocks[i]]} on {d}"
         bar_rejects.append(RowReject(int(line_nos[i]), reason))
     keep = ~(off_calendar | duplicate)
-    bars = BarGrid(*_scatter(ids, calendar, stocks[keep], days[keep], *(column[keep] for column in prices)))
+    # each joined price column is freed once its kept rows are copied
+    prices = [prices.pop(0)[keep] for _ in range(len(prices))]
+    bars = BarGrid(*_scatter(ids, calendar, stocks[keep], days[keep], *prices))
 
     # each accepted index row's id, day ordinal and level
     index_ids: list[str] = []

@@ -43,8 +43,10 @@ value moves are filled at once; the day loop fills that day's block from
 the chain, then one ``fsum`` pass gives its three targets. Open, high
 and low are written into their planes for all bars in one pass after the
 loop, and the index walks fill the rows of the ``market.IndexGrid``. No
-per-bar or per-level object is ever made. The reports are gathered field
-by field into ``corpus.ReportColumns``.
+per-bar or per-level object is ever made. Each report day joins its ids,
+titles and abstracts into one text per column and notes their lengths, so
+the reports' ``corpus.TextColumn``s are one join of the day texts; no
+list of every report's text is ever held.
 
 Every exp and log on the chain goes through libm (``math``) element by
 element (``metrics._libm``), as the pipeline computes it: numpy's own
@@ -70,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import FORMAT_VERSION, RunConfig, packaged_data_path
-from .corpus import CorpusIndex, ReportColumns, open_output, serialize_corpus, write_csv_rows, write_text
+from .corpus import CorpusIndex, ReportColumns, TextColumn, open_output, serialize_corpus, write_csv_rows, write_text
 from .econometrics import NUM_SCALE, OUTCOME_NAMES, RANGE_SCALE, REGRESSOR_NAMES, SECTORS
 from .errors import ConfigurationError
 from .labeling import NEGATIVE, NEUTRAL, POSITIVE
@@ -257,6 +259,12 @@ def _bar_shape(close, target, z, out):
     return out
 
 
+def _packed(days: list[tuple[str, np.ndarray]]) -> TextColumn:
+    """The text column of the (joined text, text lengths) of each report day."""
+    texts, lengths = zip(*days)
+    return TextColumn("".join(texts), np.concatenate(([0], *lengths)).cumsum())
+
+
 def generate(spec: SynthSpec) -> SynthDataset:
     """Generate one dataset; deterministic for a fixed spec and seed."""
     spec.validate()
@@ -295,16 +303,18 @@ def generate(spec: SynthSpec) -> SynthDataset:
 
     # --- report schedule, scores, text, outcome noise ------------------------
     pos_words, neu_words, neg_words = _lexicon_word_lists()
-    words = np.array(pos_words + neu_words + neg_words, dtype=object)
+    # the lexicon's words, then the two ends of an abstract: none or the warning tail
+    words = np.array(pos_words + neu_words + neg_words + ("", " 风险提示 后市存在波动"), dtype=object)
+    word_lengths = np.array([len(word) for word in words])
     n_words = np.array([len(pos_words), len(neu_words), len(neg_words)])
     first_word = np.cumsum(n_words) - n_words
-    warning_tail = " 风险提示 后市存在波动"
     sd = np.array([spec.noise[k] for k in OUTCOME_KEYS])
     n_reports = spec.reports_per_day
+    id_suffixes = [f"{r:03d}" for r in range(n_reports)]
     n_tokens = TOKENS_PER_TITLE + TOKENS_PER_ABSTRACT
 
-    # the reports' columns, and each day's counts of cited stocks per report
-    report_ids, titles, abstracts, n_codes = [], [], [], []
+    # per report day: (text, text lengths) of each text column, and counts of cited stocks
+    ids, titles, abstracts, n_codes = [], [], [], []
     scores: list[SentimentScore] = []
     # per report day: the stocks it cites, their (pos, neg) and scaled outcome noise
     planted: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -332,20 +342,19 @@ def generate(spec: SynthSpec) -> SynthDataset:
         cited_yesterday[:] = False
         cited_yesterday[cited] = True
 
-        # Token class 0/1/2 from the cumulative score, then a word of it.
+        # Token class 0/1/2 from the cumulative score, then a word of it;
+        # then the abstract's end. The day's (text, text lengths) per column.
         cls = (class_u >= triples[:, :1]).astype(np.intp)
         cls += class_u >= (triples[:, 0] + triples[:, 1])[:, None]
         n_cls = n_words[cls]
-        tokens = words[first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)]
-        # the day's reports field by field
-        day_ids = [f"R{day_pos:04d}{r:03d}" for r in range(n_reports)]
-        report_ids += day_ids
-        titles += map("".join, tokens[:, :TOKENS_PER_TITLE].tolist())
-        warned = (warn_u < RISK_WARNING_RATE).tolist()
-        abstracts += [
-            "".join(row) + (warning_tail if w else "")
-            for row, w in zip(tokens[:, TOKENS_PER_TITLE:].tolist(), warned)
-        ]
+        picked = np.empty((n_reports, n_tokens + 1), dtype=np.intp)
+        picked[:, :-1] = first_word[cls] + np.minimum((word_u * n_cls).astype(np.intp), n_cls - 1)
+        picked[:, -1] = len(words) - 2 + (warn_u < RISK_WARNING_RATE)
+        tokens, lengths = words[picked], word_lengths[picked]
+        day_ids = list(map(f"R{day_pos:04d}".__add__, id_suffixes))
+        ids.append(("".join(day_ids), np.fromiter(map(len, day_ids), np.int64, n_reports)))
+        titles.append(("".join(tokens[:, :TOKENS_PER_TITLE].ravel().tolist()), lengths[:, :TOKENS_PER_TITLE].sum(1)))
+        abstracts.append(("".join(tokens[:, TOKENS_PER_TITLE:].ravel().tolist()), lengths[:, TOKENS_PER_TITLE:].sum(1)))
         n_codes.append(n_cited)
         scores += map(SentimentScore, day_ids, *triples.T.tolist())
 
@@ -373,7 +382,8 @@ def generate(spec: SynthSpec) -> SynthDataset:
     bounds = np.cumsum([0] + [block[0].size for block in planted]).tolist()
     rows_all, pos_neg, noise_all = map(np.concatenate, zip(*planted))
     # the citation-count regressors come from the pipeline's own index
-    records = ReportColumns(report_ids, titles, abstracts, report_days, stock_ids, rows_all, offsets)
+    ids, titles, abstracts = map(_packed, (ids, titles, abstracts))
+    records = ReportColumns(ids, titles, abstracts, report_days, stock_ids, rows_all, offsets)
     corpus_index = CorpusIndex(records)
     t_all = np.repeat(np.arange(first, first + spec.n_days), np.diff(bounds))
     num7, num90 = recommendation_counts(corpus_index, rows_all, cal_ordinals[t_all])
@@ -445,7 +455,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
         "n_days": spec.n_days,
         "reports_per_day": spec.reports_per_day,
         "n_reports": len(records),
-        "n_multi_stock_reports": n_planted - len(report_ids),  # a multi-stock report cites two
+        "n_multi_stock_reports": n_planted - len(records),  # a multi-stock report cites two
         "n_planted_outcomes": n_planted,
         "n_range_targets_clamped": n_clamped,
         "betas": {k: dict(v) for k, v in spec.betas.items()},

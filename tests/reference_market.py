@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from reportsignal.corpus import ReportColumns, RowReject, read_csv_rows, write_csv_rows
+from reportsignal.corpus import ReportColumns, RowReject, TextColumn, read_csv_rows, write_csv_rows
 from reportsignal.econometrics import NUM_SCALE, PANEL_HEADER, RANGE_SCALE
 from reportsignal import market
 from reportsignal.errors import (
@@ -182,9 +182,9 @@ def columns_of(records: Iterable[ReportRecord]) -> ReportColumns:
     positions: dict[str, int] = {}
     cited = [positions.setdefault(code, len(positions)) for record in records for code in record.stock_codes]
     return ReportColumns(
-        [record.report_id for record in records],
-        [record.title for record in records],
-        [record.abstract for record in records],
+        TextColumn.pack(record.report_id for record in records),
+        TextColumn.pack(record.title for record in records),
+        TextColumn.pack(record.abstract for record in records),
         np.array([record.release_date.toordinal() for record in records], dtype=np.int64),
         list(positions),
         np.array(cited, dtype=np.intp),

@@ -9,7 +9,7 @@ import pytest
 
 from tests.helpers import bar_grid, flat_bar, gather, index_grid, ranges_of, weekdays
 from tests.reference_market import ReportRecord, columns_of
-from reportsignal.corpus import CorpusIndex, ReportColumns
+from reportsignal.corpus import CorpusIndex, ReportColumns, TextColumn
 from reportsignal.market import (
     BarStore,
     IndexStore,
@@ -173,8 +173,8 @@ def test_recommendation_counts_uncited_stock_is_zero():
     stock) counts zero, beside a cited one on each side of it."""
     stocks = ["600000.SH", "000001.SZ", "600519.SH"]
     reports = ReportColumns(
-        ["r1", "r2"], ["t"] * 2, ["a"] * 2, np.array([Date(2021, 6, 15).toordinal()] * 2), stocks,
-        np.array([0, 2]), np.array([0, 1, 2]),
+        TextColumn.pack(["r1", "r2"]), TextColumn.pack(["t"] * 2), TextColumn.pack(["a"] * 2),
+        np.array([Date(2021, 6, 15).toordinal()] * 2), stocks, np.array([0, 2]), np.array([0, 1, 2]),
     )
     short, long = recommendation_counts(CorpusIndex(reports), [0, 1, 2], [Date(2021, 6, 20).toordinal()] * 3)
     assert (short.tolist(), long.tolist()) == ([1, 0, 1], [1, 0, 1])

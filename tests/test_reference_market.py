@@ -85,7 +85,7 @@ def dataset():
     ds = small_dataset(seed=2)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     # every seventh report has no hit counts
-    skipped = set(ds.records.ids[::7])
+    skipped = set(list(ds.records.ids)[::7])
     records = reference.records_of(ds.records)
     return ds, {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records if r.report_id not in skipped}
 

@@ -65,7 +65,7 @@ def test_every_bar_is_valid_with_nonnegative_range(tmp_path):
 
 def test_scores_pair_with_records():
     ds = small_dataset(seed=4)
-    assert [s.report_id for s in ds.scores] == ds.records.ids
+    assert [s.report_id for s in ds.scores] == list(ds.records.ids)
     for record in records_of(ds.records):
         assert record.release_date.weekday() < 5
         assert ds.test_range[0] <= record.release_date <= ds.test_range[1] or (
