@@ -125,7 +125,6 @@ def _market_files(config: RunConfig) -> dict:
         "indices_path": config.indices,
         "industry_path": config.industry,
         "calendar_path": config.calendar,
-        "infer_calendar": config.infer_calendar,
     }
 
 

@@ -45,6 +45,8 @@ class RunConfig:
     The fields are the config-file schema, in file order: each field is a
     key, a field without a default is a required key, and ``load_config``
     and ``synthkit.write_dataset`` read the keys and defaults from here.
+    These are the only defaults of the run's options: the library
+    functions take each option from their caller.
     """
 
     corpus: Path

@@ -51,13 +51,12 @@ from __future__ import annotations
 
 import csv
 import errno
-import operator
 import os
 import re
 import sys
 import unicodedata
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date as Date
 from functools import cache
 from typing import Iterable, Iterator
@@ -81,8 +80,8 @@ _STRIP_CATEGORIES = ("Cc", "Cf")
 class TextColumn:
     """Texts packed as one string: text ``i`` is
     ``text[offsets[i]:offsets[i + 1]]``, with ``offsets`` int64 and one
-    longer than the column. Reads like a list of ``str``: ``len``,
-    integer indexing and iteration, plus ``take``."""
+    longer than the column. Has a ``len``, iterates in order, and
+    ``take`` reads the texts at given positions."""
 
     text: str
     offsets: np.ndarray
@@ -96,11 +95,6 @@ class TextColumn:
 
     def __len__(self) -> int:
         return len(self.offsets) - 1
-
-    def __getitem__(self, index: int) -> str:
-        """Text ``index``, counted from the end when negative, as in a list."""
-        i = range(len(self))[operator.index(index)]
-        return self.text[self.offsets[i] : self.offsets[i + 1]]
 
     def __iter__(self) -> Iterator[str]:
         return self.take(range(len(self)))
@@ -152,7 +146,7 @@ class RowReject:
 @dataclass
 class ParseResult:
     records: ReportColumns
-    rejects: list[RowReject] = field(default_factory=list)
+    rejects: list[RowReject]
 
     @property
     def error_rate(self) -> float:
@@ -295,7 +289,7 @@ def _day_or_reason(text: str) -> tuple[str | None, int]:
         return f"unparseable release_date {text!r}", 0
 
 
-def parse_corpus(path, max_error_rate: float = 0.1) -> ParseResult:
+def parse_corpus(path, max_error_rate: float) -> ParseResult:
     """Parse a corpus file into validated records, stocks in first-cited order.
 
     Rows with the wrong field count, an empty report_id, malformed or
@@ -362,11 +356,7 @@ def load_risk_warning_patterns(path) -> tuple[str, ...]:
     return tuple(read_lines(path))
 
 
-def clean_text(
-    raw: str,
-    risk_warning_patterns: Iterable[str] = (),
-    tail_fraction: float = 0.25,
-) -> str:
+def clean_text(raw: str, risk_warning_patterns: Iterable[str], tail_fraction: float) -> str:
     """Normalise report text and strip boilerplate risk-warning tails.
 
     Control/format characters become spaces, runs of whitespace collapse

@@ -11,13 +11,13 @@ divided by 100 — so coefficient magnitudes are comparable across tables
 while t-statistics are unaffected.
 
 OLS uses a QR decomposition (numerically stable orthogonal factorization)
-with classical standard errors s^2 (X'X)^-1 by default and HC1 robust
-errors behind a flag. Two-sided p-values come from the t-distribution CDF
-evaluated through the regularized incomplete beta function, computed here
-from its continued fraction (Numerical Recipes §6.4) by the modified Lentz
-algorithm (Lentz 1976), with the symmetry switch past the fraction's
-switch point and an asymptotic series for ln Gamma(a + 1/2) - ln Gamma(a)
-at large a.
+with classical standard errors s^2 (X'X)^-1 or HC1 robust errors, as
+the run's ``se`` option picks. Two-sided p-values come from the
+t-distribution CDF evaluated through the regularized incomplete beta
+function, computed here from its continued fraction (Numerical Recipes
+§6.4) by the modified Lentz algorithm (Lentz 1976), with the symmetry
+switch past the fraction's switch point and an asymptotic series for
+ln Gamma(a + 1/2) - ln Gamma(a) at large a.
 """
 
 from __future__ import annotations
@@ -370,12 +370,7 @@ class RegressionFit:
     r_squared: float
 
 
-def ols_fit(
-    design: np.ndarray,
-    response: np.ndarray,
-    regressors: Sequence[str],
-    se_type: str = "classical",
-) -> RegressionFit:
+def ols_fit(design: np.ndarray, response: np.ndarray, regressors: Sequence[str], se_type: str) -> RegressionFit:
     """Least squares via QR with classical or HC1 standard errors of an
     (n, k) float ``design`` with k ``regressors`` names and an (n,) ``response``.
 
@@ -463,8 +458,8 @@ def canonical_sector(raw: str) -> str:
 def run_industry_regressions(
     panel: PanelBuildResult,
     market: MarketData,
-    min_rows: int = 50,
-    se_type: str = "classical",
+    min_rows: int,
+    se_type: str,
 ) -> list[SectorResult]:
     """Per-sector regressions; small or degenerate sectors are skipped.
 
@@ -511,14 +506,10 @@ class MeanTestResult:
     mode: str
 
 
-def mean_difference_test(
-    group_a: Sequence[float],
-    group_b: Sequence[float],
-    mode: str = "welch",
-) -> MeanTestResult:
+def mean_difference_test(group_a: Sequence[float], group_b: Sequence[float], mode: str) -> MeanTestResult:
     """Two-sample t-test of mean(A) - mean(B).
 
-    'welch' (default) allows unequal variances and uses the
+    'welch' allows unequal variances and uses the
     Welch-Satterthwaite degrees of freedom
 
         df = (va/na + vb/nb)^2 / [(va/na)^2/(na-1) + (vb/nb)^2/(nb-1)];
@@ -615,9 +606,7 @@ def build_majority_samples(
     return classes, values, tally(drops, status, PAIR_DROPS)
 
 
-def majority_group_tests(
-    classes: Sequence[str], values: np.ndarray, mode: str = "welch"
-) -> list[MeanTestResult | None]:
+def majority_group_tests(classes: Sequence[str], values: np.ndarray, mode: str) -> list[MeanTestResult | None]:
     """Positive-group vs negative-group tests, one per table variable, over
     the samples of ``build_majority_samples``.
 

@@ -409,23 +409,13 @@ def _scatter(ids: list[str], calendar: TradingCalendar, rows, days, *columns: np
     return [ids, *grids]
 
 
-def load_market(
-    bars_path,
-    indices_path,
-    industry_path,
-    calendar_path=None,
-    infer_calendar: bool = False,
-) -> MarketLoadResult:
+def load_market(bars_path, indices_path, industry_path, calendar_path) -> MarketLoadResult:
     """Load all market files and assemble a MarketData bundle.
 
-    The calendar comes either from ``calendar_path`` or, with
-    ``infer_calendar``, from the union of bar dates. Invalid bar/index
-    rows are rejected row by row and reported; structural problems
-    (missing files, bad headers, no calendar source) are fatal.
+    The calendar comes from ``calendar_path`` or, when that is None, from
+    the union of bar dates. Invalid bar/index rows are rejected row by row
+    and reported; structural problems (missing files, bad headers) are fatal.
     """
-    if calendar_path is None and not infer_calendar:
-        raise ConfigurationError("no calendar file given and calendar inference disabled")
-
     reader = _BarReader()
     reader.read(bars_path)
     line_nos, stocks, ordinals, *prices = reader.columns()
@@ -537,7 +527,7 @@ def _digest(stream, extra: bytes = b"") -> str:
     return digest.hexdigest()
 
 
-def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, infer_calendar=False) -> dict:
+def _snapshot_key(bars_path, indices_path, industry_path, calendar_path) -> dict:
     """What a loaded market depends on: the market files, how the calendar
     is found, and the code that parses and checks them."""
     return {
@@ -546,7 +536,6 @@ def _snapshot_key(bars_path, indices_path, industry_path, calendar_path=None, in
         "indices": _sha256(indices_path),
         "industry": _sha256(industry_path),
         "calendar": None if calendar_path is None else _sha256(calendar_path),
-        "infer_calendar": infer_calendar,
         # this module and corpus, whose readers the market files pass through
         "code": _sha256(__file__, Path(__file__).with_name("corpus.py").read_bytes()),
     }

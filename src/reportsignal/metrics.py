@@ -142,12 +142,12 @@ def garman_klass_range(market: MarketData, stocks: np.ndarray, days: np.ndarray)
     return _checked(checks, days, garman_klass, o, h, l, c)
 
 
-def index_change(market: MarketData, rows, days: np.ndarray, mode: str = "diff") -> Gathered:
+def index_change(market: MarketData, rows, days: np.ndarray, mode: str) -> Gathered:
     """Day-over-day change of an index level; ``rows`` are index-store rows
     (-1 for an unknown index), one per day or one for all.
 
     mode 'diff' is the arithmetic first difference, 'logdiff' the log
-    difference; indices quoted in points (the fear gauge) default to 'diff'.
+    difference; the run's ``vix_mode`` picks it for the fear gauge.
     Under 'logdiff', a level <= 0 on a row whose reads succeed raises
     DomainError naming the index and the date.
     """

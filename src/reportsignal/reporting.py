@@ -100,11 +100,7 @@ def _estimate(fit: RegressionFit, i: int, preset: Sequence[tuple[float, str]]) -
     return _cell(coef, COLUMN_W), _cell(f"({format(fit.t_stats[i], '.3f')})", COLUMN_W)
 
 
-def format_regression_table(
-    fits: dict[str, RegressionFit],
-    stars: str = "table3",
-    title: str = "Pooled regressions",
-) -> str:
+def format_regression_table(fits: dict[str, RegressionFit], stars: str, title: str) -> str:
     """Fixed-width table: one column per outcome, coefficient row with
     stars followed by a parenthesized t-statistic row per regressor."""
     preset = STAR_PRESETS[stars]
@@ -123,9 +119,7 @@ def format_regression_table(
     return _framed(title, width, header, body, preset)
 
 
-def regression_records(
-    fits: dict[str, RegressionFit], stars: str = "table3"
-) -> list[tuple]:
+def regression_records(fits: dict[str, RegressionFit], stars: str) -> list[tuple]:
     """Full-precision rows for the machine-readable export."""
     preset = STAR_PRESETS[stars]
     rows = []
@@ -148,13 +142,14 @@ def regression_records(
     return rows
 
 
-def write_regression_csv(fits: dict[str, RegressionFit], path, stars: str = "table3") -> None:
+def write_regression_csv(fits: dict[str, RegressionFit], path, stars: str) -> None:
     write_csv_rows(path, REGRESSION_CSV_HEADER, regression_records(fits, stars))
 
 
-def format_industry_table(results: Iterable[SectorResult], min_rows: int = 50) -> str:
+def format_industry_table(results: Iterable[SectorResult], min_rows: int) -> str:
     """Sector-by-sector sentiment coefficients: pos and neg columns per
-    outcome, two lines per fitted sector (coefficients, then t-stats)."""
+    outcome, two lines per fitted sector (coefficients, then t-stats); a
+    skipped one has under ``min_rows`` rows or else no full-rank fit."""
     preset = STAR_PRESETS[INDUSTRY_STARS]
     columns = [(key, regressor) for key in OUTCOME_NAMES for regressor in ("pos[t-1]", "neg[t-1]")]
     name_w = 22
@@ -166,7 +161,8 @@ def format_industry_table(results: Iterable[SectorResult], min_rows: int = 50) -
     for result in results:
         lead = result.sector.ljust(name_w) + str(result.n_rows).rjust(6)
         if result.fits is None:
-            body.append(lead + f"  skipped (n={result.n_rows} < min_rows={min_rows})")
+            why = f" < min_rows={min_rows}" if result.n_rows < min_rows else ": no full-rank fit"
+            body.append(lead + f"  skipped (n={result.n_rows}{why})")
             continue
         coef_cells, t_cells = zip(
             *(_estimate(result.fits[key], result.fits[key].regressors.index(regressor), preset) for key, regressor in columns)
@@ -190,10 +186,7 @@ def write_industry_csv(results: Iterable[SectorResult], path) -> None:
     write_csv_rows(path, INDUSTRY_CSV_HEADER, industry_records(results))
 
 
-def format_mean_test_table(
-    results: Sequence[MeanTestResult | None],
-    stars: str = "table3",
-) -> str:
+def format_mean_test_table(results: Sequence[MeanTestResult | None], stars: str) -> str:
     """One row per variable: group means (sd, n), difference, t with stars."""
     preset = STAR_PRESETS[stars]
     name_w = 14
@@ -229,9 +222,7 @@ def format_mean_test_table(
     return _framed(title, len(header), header, body, preset)
 
 
-def mean_test_records(
-    results: Sequence[MeanTestResult | None], stars: str = "table3"
-) -> list[tuple]:
+def mean_test_records(results: Sequence[MeanTestResult | None], stars: str) -> list[tuple]:
     preset = STAR_PRESETS[stars]
     rows = []
     for variable, result in zip(MAJORITY_VARIABLES, results):
@@ -258,9 +249,7 @@ def mean_test_records(
     return rows
 
 
-def write_mean_test_csv(
-    results: Sequence[MeanTestResult | None], path, stars: str = "table3"
-) -> None:
+def write_mean_test_csv(results: Sequence[MeanTestResult | None], path, stars: str) -> None:
     write_csv_rows(path, MEAN_TEST_CSV_HEADER, mean_test_records(results, stars))
 
 

@@ -109,18 +109,14 @@ def prepare_report(
     title: str,
     abstract: str,
     lexicon: SentimentLexicon,
-    risk_warning_patterns: Iterable[str] = (),
-    tail_fraction: float = 0.25,
+    risk_warning_patterns: Iterable[str],
+    tail_fraction: float,
 ) -> tuple[int, int, int]:
     """Lexicon hits of a report's cleaned title+abstract concatenation."""
     return lexicon.hits(clean_text(f"{title} {abstract}", risk_warning_patterns, tail_fraction))
 
 
-def lexicon_score(
-    counts: tuple[int, int, int],
-    temperature: float = 1.0,
-    report_id: str = "",
-) -> SentimentScore:
+def lexicon_score(counts: tuple[int, int, int], temperature: float, report_id: str) -> SentimentScore:
     """Softmax of (positive, neutral, negative) hit counts scaled by
     1/temperature.
 
@@ -148,8 +144,8 @@ def classify_majority(counts: tuple[int, int, int]) -> str:
 def load_external_scores(
     path,
     known_ids: Iterable[str],
+    max_error_rate: float,
     sum_tolerance: float = 1e-6,
-    max_error_rate: float = 0.1,
 ) -> tuple[list[SentimentScore], list[RowReject]]:
     """Ingest model-produced scores from a report_id,pos,neu,neg CSV.
 

@@ -172,13 +172,13 @@ def default_betas() -> dict[str, dict[str, float]]:
 
 @dataclass
 class SynthSpec:
-    """Sizes, seed, multi-stock rate, planted betas and noise scales of one
+    """Seed, sizes, multi-stock rate, planted betas and noise scales of one
     dataset; the market and text calibration are module constants."""
 
+    seed: int
     n_stocks: int = 200
     n_days: int = 250
     reports_per_day: int = 40
-    seed: int = 0
     train_days: int = 150
     warmup_days: int = 66
     multi_stock_rate: float = 0.05
@@ -490,7 +490,7 @@ def _write_grid(path, header: tuple[str, ...], grid: BarGrid | IndexGrid, planes
                 stream.write(f"{key},{dates[day]},{','.join(map(repr, values))}\n")
 
 
-def write_dataset(dataset: SynthDataset, out_dir, seed: int = 0) -> dict[str, Path]:
+def write_dataset(dataset: SynthDataset, out_dir, seed: int) -> dict[str, Path]:
     """Write all dataset files plus a ready-to-run config; returns paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ import numpy as np
 import pytest
 
 import reportsignal
-from reportsignal.config import packaged_data_path
+from reportsignal.config import RunConfig, packaged_data_path
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
     OUTCOME_NAMES,
@@ -193,7 +193,7 @@ def test_regression_engine_matches_normal_equations():
         beta = rng.normal(size=k)
         y = X @ beta + rng.normal(size=n)
 
-        fit = ols_fit(X, y, tuple(f"x{j}" for j in range(k)))
+        fit = ols_fit(X, y, tuple(f"x{j}" for j in range(k)), "classical")
 
         xtx = X.T @ X
         coef = np.linalg.solve(xtx, X.T @ y)
@@ -354,6 +354,7 @@ def test_scores_everywhere_stay_on_the_simplex(tmp_path):
     scores, rejects = load_external_scores(
         text_file(tmp_path / "scores.csv", "\n".join(lines) + "\n"),
         known_ids=[f"e{i:04d}" for i in range(len(messy))],
+        max_error_rate=RunConfig.max_error_rate,
         sum_tolerance=0.05,
     )
     assert not rejects
@@ -387,16 +388,16 @@ def test_two_sample_test_reference_values():
     group_a = (2.1, 2.5, 2.3, 2.7)
     group_b = (1.1, 1.4, 1.2)
 
-    res = mean_difference_test(group_a, group_b)
+    res = mean_difference_test(group_a, group_b, "welch")
     assert abs(res.t_stat - 7.462) < 1e-3
     assert abs(res.t_stat - 7.4620250724463652) < 1e-12
     assert abs(res.df - 4.864321608040201) < 1e-12
     assert abs(res.p_value - 7.6854542580066421e-4) < 1e-15
 
-    identical = mean_difference_test(group_a, group_a)
+    identical = mean_difference_test(group_a, group_a, "welch")
     assert identical.t_stat == 0.0
 
-    swapped = mean_difference_test(group_b, group_a)
+    swapped = mean_difference_test(group_b, group_a, "welch")
     assert swapped.t_stat == -res.t_stat
     assert swapped.df == res.df
     assert swapped.p_value == res.p_value
@@ -468,7 +469,7 @@ def test_majority_vote_follows_word_count_sign():
                 else:
                     assert verdict == NEUTRAL
 
-                score = lexicon_score(hits, report_id="m")
+                score = lexicon_score(hits, RunConfig.temperature, "m")
                 counts = {POSITIVE: n_pos, NEUTRAL: n_neu, NEGATIVE: n_neg}
                 by_score = {POSITIVE: score.pos, NEUTRAL: score.neu, NEGATIVE: score.neg}
                 top = max(counts.values())
@@ -483,7 +484,7 @@ def test_majority_vote_follows_word_count_sign():
     # directional counts; both readings are deliberate, so the argmax
     # agreement above is scoped to directional leaders.
     hits = lexicon.hits(" ".join([pos_word] * 2 + [neu_word] * 5 + [neg_word]))
-    score = lexicon_score(hits, report_id="m")
+    score = lexicon_score(hits, RunConfig.temperature, "m")
     assert classify_majority(hits) == POSITIVE
     assert max(((score.pos, POSITIVE), (score.neu, NEUTRAL), (score.neg, NEGATIVE)))[1] == NEUTRAL
 

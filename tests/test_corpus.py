@@ -8,7 +8,7 @@ from datetime import date as Date
 import numpy as np
 import pytest
 
-from reportsignal.config import packaged_data_path
+from reportsignal.config import RunConfig, packaged_data_path
 from reportsignal.corpus import (
     CORPUS_HEADER,
     CorpusIndex,
@@ -49,7 +49,7 @@ def test_parse_happy_path(tmp_path):
         "r1,Title one,Body one,600000.SH,2019-03-04\n"
         "r2,Title two,Body two,600000.SH;000001.SZ,2019-03-05\n"
     )
-    result = parse_corpus(text_file(tmp_path / "corpus.csv", text))
+    result = parse_corpus(text_file(tmp_path / "corpus.csv", text), RunConfig.max_error_rate)
     assert not result.rejects
     assert result.error_rate == 0.0
     records = records_of(result.records)
@@ -91,16 +91,16 @@ def test_parse_rejects_bad_rows_individually(tmp_path):
 
 def test_parse_fatal_conditions(tmp_path):
     with pytest.raises(SchemaError):
-        parse_corpus(text_file(tmp_path / "corpus.csv", ""))
+        parse_corpus(text_file(tmp_path / "corpus.csv", ""), RunConfig.max_error_rate)
     with pytest.raises(SchemaError):
-        parse_corpus(text_file(tmp_path / "corpus.csv", "id,title,abstract,codes,date\n"))
+        parse_corpus(text_file(tmp_path / "corpus.csv", "id,title,abstract,codes,date\n"), RunConfig.max_error_rate)
     duplicated = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,t,a,600000.SH,2019-03-04\n"
         "r1,t,a,600000.SH,2019-03-05\n"
     )
     with pytest.raises(DataError):
-        parse_corpus(text_file(tmp_path / "corpus.csv", duplicated))
+        parse_corpus(text_file(tmp_path / "corpus.csv", duplicated), RunConfig.max_error_rate)
     noisy = (
         "report_id,title,abstract,stock_codes,release_date\n"
         "r1,t,a,600000.SH,2019-03-04\n"
@@ -116,7 +116,7 @@ def test_parse_fatal_conditions(tmp_path):
         'r1,"abc"def,a,600000.SH,2019-03-04\n'
     )
     with pytest.raises(DataError, match="malformed CSV"):
-        parse_corpus(text_file(tmp_path / "corpus.csv", stray))
+        parse_corpus(text_file(tmp_path / "corpus.csv", stray), RunConfig.max_error_rate)
 
 
 def test_serialize_round_trips_commas_and_cjk(tmp_path):
@@ -131,7 +131,7 @@ def test_serialize_round_trips_commas_and_cjk(tmp_path):
     ]
     path = tmp_path / "corpus.csv"
     serialize_corpus(columns_of(records), path)
-    assert records_of(parse_corpus(path).records) == records
+    assert records_of(parse_corpus(path, RunConfig.max_error_rate).records) == records
 
 
 def test_parse_then_serialize_gives_back_the_file(tmp_path):
@@ -144,7 +144,7 @@ def test_parse_then_serialize_gives_back_the_file(tmp_path):
         for i, (title, abstract) in enumerate(zip(texts, reversed(texts)))
     ]
     write_csv_rows(tmp_path / "corpus.csv", CORPUS_HEADER, rows)
-    reports = parse_corpus(tmp_path / "corpus.csv").records
+    reports = parse_corpus(tmp_path / "corpus.csv", RunConfig.max_error_rate).records
     assert (list(reports.ids), list(reports.titles), list(reports.abstracts)) == tuple(map(list, list(zip(*rows))[:3]))
     serialize_corpus(reports, tmp_path / "again.csv")
     assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "corpus.csv").read_bytes()
@@ -174,24 +174,16 @@ def test_each_line_with_a_bad_codes_or_date_text_is_rejected(tmp_path):
 
 
 def test_text_column_reads_like_a_list():
-    """``len``, indexing (bad indices included), iteration and ``take`` give
-    what a list of the same texts gives, CJK and astral characters too."""
+    """``len``, iteration and ``take`` (bad positions included) give what a
+    list of the same texts gives, CJK and astral characters too."""
     texts = ["r1", "", "盈利预测：增持", "astral \U00020000\U0001f600 end", "", "ascii"]
     column = TextColumn.pack(texts)
     assert column.offsets.dtype == np.int64
     assert len(column) == len(texts)
     assert list(column) == texts
-    every = range(-len(texts), len(texts))
-    assert [column[i] for i in every] == [texts[i] for i in every]
-    assert column[np.int64(2)] == texts[2]
-    for bad in (len(texts), -len(texts) - 1):
-        with pytest.raises(IndexError):
-            column[bad]
-    for bad in ("1", 1.0, None, slice(1, 3)):
-        with pytest.raises(TypeError):
-            column[bad]
     # unsorted, repeated, empty and negative positions
-    for positions in ([4, 2, 0, 3], [3, 3, 1, 3], [], [-1, -6], np.array([5, 0]), range(2, 5)):
+    every = range(-len(texts), len(texts))
+    for positions in ([4, 2, 0, 3], [3, 3, 1, 3], [], [-1, -6], np.array([5, 0]), range(2, 5), every):
         assert list(column.take(positions)) == [texts[i] for i in positions]
     with pytest.raises(IndexError):
         column.take([len(texts)])
@@ -204,7 +196,7 @@ def test_empty_text_columns():
         assert column.offsets.tolist() == [0] * (len(texts) + 1)
         assert list(column.take([])) == []
         with pytest.raises(IndexError):
-            column[len(texts)]
+            column.take([len(texts)])
 
 
 def test_the_parsed_corpus_keeps_its_texts_packed(tmp_path):
@@ -217,7 +209,7 @@ def test_the_parsed_corpus_keeps_its_texts_packed(tmp_path):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        reports = parse_corpus(path).records
+        reports = parse_corpus(path, RunConfig.max_error_rate).records
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -229,19 +221,19 @@ def test_clean_text_normalises_whitespace_and_control_chars():
     raw = "  First\tline\r\nsecond​line\x00end  "
     # ​ is a format character (Cf) and \x00 a control (Cc): both
     # become spaces, then whitespace runs collapse.
-    assert clean_text(raw) == "First line second line end"
+    assert clean_text(raw, (), RunConfig.tail_fraction) == "First line second line end"
 
 
 def test_clean_text_cuts_boilerplate_tails():
     body = "A" * 80
     text = f"{body} 风险提示 macro risks remain"
-    assert clean_text(text, ("风险提示",)) == body
+    assert clean_text(text, ("风险提示",), RunConfig.tail_fraction) == body
     # a marker in the body (outside the trailing fraction) is kept
     early = f"风险提示 {body}"
-    assert clean_text(early, ("风险提示",)) == early
+    assert clean_text(early, ("风险提示",), RunConfig.tail_fraction) == early
     # the earliest in-window marker wins even when listed last
     double = f"{body} 免责声明 x 风险提示 y"
-    assert clean_text(double, ("风险提示", "免责声明")) == body
+    assert clean_text(double, ("风险提示", "免责声明"), RunConfig.tail_fraction) == body
 
 
 def test_clean_text_cuts_repeatedly_until_no_marker_remains():
@@ -252,8 +244,8 @@ def test_clean_text_cuts_repeatedly_until_no_marker_remains():
 
 def test_clean_text_is_idempotent():
     raw = "Text​with  noise 风险提示 trailing risk boilerplate"
-    once = clean_text(raw, ("风险提示",))
-    assert clean_text(once, ("风险提示",)) == once
+    once = clean_text(raw, ("风险提示",), RunConfig.tail_fraction)
+    assert clean_text(once, ("风险提示",), RunConfig.tail_fraction) == once
 
 
 def test_clean_text_matches_the_scalar_reference():
@@ -325,7 +317,7 @@ def test_prepare_report_joins_title_and_abstract():
     # the cleaned text "业绩突破 公司有望 保持领先地位" segments as
     # 业绩 突破 公 司 有望 保 持 领先地位
     assert prepare_report(title, abstract, lexicon, ("风险提示",), tail_fraction=0.5) == (3, 1, 0)
-    assert prepare_report(title, abstract, lexicon) == (3, 1, 1)
+    assert prepare_report(title, abstract, lexicon, (), RunConfig.tail_fraction) == (3, 1, 1)
 
 
 def test_lexicon_hits_match_the_reference_segmenter():
@@ -335,7 +327,10 @@ def test_lexicon_hits_match_the_reference_segmenter():
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     patterns = load_risk_warning_patterns(packaged_data_path("risk_warnings.txt"))
     reports = small_dataset().records
-    texts = [clean_text(f"{title} {abstract}", patterns) for title, abstract in zip(reports.titles, reports.abstracts)]
+    texts = [
+        clean_text(f"{title} {abstract}", patterns, RunConfig.tail_fraction)
+        for title, abstract in zip(reports.titles, reports.abstracts)
+    ]
     assert any(lexicon.hits(text) != (0, 0, 0) for text in texts)
     for text in texts:
         assert lexicon.hits(text) == reference_text.token_hits(text, lexicon)
@@ -438,7 +433,7 @@ def test_parse_tables_each_cited_stock_once(tmp_path):
         "r3,t,a,600519.SH;000001.SZ,2019-03-06\n"
         "r4,t,a,600519.SH,2019-03-07\n"
     )
-    reports = parse_corpus(text_file(tmp_path / "corpus.csv", text)).records
+    reports = parse_corpus(text_file(tmp_path / "corpus.csv", text), RunConfig.max_error_rate).records
     assert reports.stocks == ["600000.SH", "000001.SZ", "600519.SH"]
     assert reports.cited.tolist() == [0, 1, 0, 2, 1, 2]
     assert reports.offsets.tolist() == [0, 1, 3, 5, 6]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from reportsignal import econometrics
-from reportsignal.config import packaged_data_path
+from reportsignal.config import RunConfig, packaged_data_path
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
     PANEL_HEADER,
@@ -105,7 +105,7 @@ def test_ols_on_a_hand_worked_example():
     p-values on n - k = 2 degrees of freedom."""
     X = np.column_stack([np.ones(4), np.arange(4.0)])
     y = np.array([1.0, 3.0, 4.0, 7.0])
-    fit = ols_fit(X, y, ["constant", "x"])
+    fit = ols_fit(X, y, ["constant", "x"], "classical")
     coef_c, se_c, t_c, p_c = estimate(fit, "constant")
     coef_x, se_x, t_x, p_x = estimate(fit, "x")
     assert abs(coef_x - 1.9) < 1e-12
@@ -125,7 +125,7 @@ def test_ols_matches_normal_equations_on_random_data():
     rng = np.random.default_rng(7)
     X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
     y = rng.normal(size=40)
-    fit = ols_fit(X, y, ["constant", "a", "b", "c", "d"])
+    fit = ols_fit(X, y, ["constant", "a", "b", "c", "d"], "classical")
     xtx = X.T @ X
     beta = np.linalg.solve(xtx, X.T @ y)
     assert np.allclose(fit.coef, beta, rtol=1e-10, atol=1e-12)
@@ -146,7 +146,7 @@ def test_robust_errors_match_the_direct_sandwich():
     meat = X.T @ np.diag(resid**2) @ X
     cov = xtx_inv @ meat @ xtx_inv * (60 / (60 - 4))
     assert np.allclose(fit.se, np.sqrt(np.diag(cov)), rtol=1e-10)
-    classical = ols_fit(X, y, ["constant", "a", "b", "c"])
+    classical = ols_fit(X, y, ["constant", "a", "b", "c"], "classical")
     assert not np.allclose(fit.se, classical.se)
 
 
@@ -155,7 +155,7 @@ def test_exact_fit_yields_infinite_t_statistics():
     # a true 0.0 and the zero-SE branch produces signed infinities
     X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     y = np.array([4.0, -5.0, 0.0])
-    fit = ols_fit(X, y, ["a", "b"])
+    fit = ols_fit(X, y, ["a", "b"], RunConfig.se)
     assert list(fit.coef) == [4.0, -5.0]
     resid = y - X @ fit.coef
     assert resid @ resid == 0.0
@@ -168,14 +168,14 @@ def test_singular_design_names_the_offending_column():
     x = np.arange(6.0)
     X = np.column_stack([np.ones(6), x, 2.0 * x])
     with pytest.raises(SingularityError) as exc:
-        ols_fit(X, np.ones(6), ["constant", "x", "x_doubled"])
+        ols_fit(X, np.ones(6), ["constant", "x", "x_doubled"], RunConfig.se)
     assert str(exc.value) == "rank-deficient design matrix; offending columns: x_doubled"
 
 
 def test_ols_argument_validation():
     X = np.ones((3, 3))
     with pytest.raises(ArgumentError):
-        ols_fit(X, np.ones(3), ["a", "b", "c"])  # n <= k
+        ols_fit(X, np.ones(3), ["a", "b", "c"], RunConfig.se)  # n <= k
 
 
 def make_panel(n, rng, stock_ids=None):
@@ -349,7 +349,7 @@ def test_industry_regressions_partition_and_skip():
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(panel, Bundle(), min_rows=50)
+    results = run_industry_regressions(panel, Bundle(), min_rows=50, se_type=RunConfig.se)
     by_sector = {r.sector: r for r in results}
     assert set(by_sector) == {"Bank", "Telecom", "Other"}
     assert [r.sector for r in results] == ["Telecom", "Bank", "Other"]
@@ -373,7 +373,7 @@ def test_industry_regressions_skip_singular_sectors():
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(panel, Bundle(), min_rows=50)
+    results = run_industry_regressions(panel, Bundle(), min_rows=50, se_type=RunConfig.se)
     assert results == [results[0]]
     assert results[0].sector == "Media"
     assert results[0].n_rows == 55
@@ -383,7 +383,7 @@ def test_industry_regressions_skip_singular_sectors():
 def test_welch_test_against_reference_values():
     a = [2.1, 2.5, 2.3, 2.7, 2.2]
     b = [1.1, 1.3, 1.2, 1.05, 1.4, 1.15]
-    res = mean_difference_test(a, b)
+    res = mean_difference_test(a, b, "welch")
     assert res.mode == "welch"
     assert (res.n_a, res.n_b) == (5, 6)
     assert abs(res.t_stat - 9.655497781750817) < 1e-12
@@ -405,13 +405,13 @@ def test_pooled_test_against_reference_values():
 def test_mean_test_symmetries_and_degenerate_groups():
     a = [1.0, 2.0, 3.0]
     b = [1.5, 2.5, 3.5, 0.5]
-    forward = mean_difference_test(a, b)
-    backward = mean_difference_test(b, a)
+    forward = mean_difference_test(a, b, RunConfig.ttest)
+    backward = mean_difference_test(b, a, RunConfig.ttest)
     assert forward.t_stat == -backward.t_stat
     assert forward.p_value == backward.p_value
-    same = mean_difference_test(a, list(a))
+    same = mean_difference_test(a, list(a), RunConfig.ttest)
     assert same.t_stat == 0.0 and same.p_value == 1.0
-    constant = mean_difference_test([1.0, 1.0], [2.0, 2.0])
+    constant = mean_difference_test([1.0, 1.0], [2.0, 2.0], RunConfig.ttest)
     assert constant.t_stat == -math.inf and constant.p_value == 0.0
     assert constant.df == 2.0
 
@@ -421,7 +421,7 @@ def test_majority_group_tests_compare_positive_vs_negative():
     classes = ["positive"] * 5 + ["negative"] * 4 + ["neutral"]
     rng.shuffle(classes)
     values = np.array([[rng.gauss(0, 0.02) for _ in MAJORITY_VARIABLES] for _ in classes])
-    results = majority_group_tests(classes, values)
+    results = majority_group_tests(classes, values, RunConfig.ttest)
     assert len(results) == len(MAJORITY_VARIABLES)
     # result j tests column j, the j-th MAJORITY_VARIABLES entry
     for j, res in enumerate(results):
@@ -430,12 +430,14 @@ def test_majority_group_tests_compare_positive_vs_negative():
         direct = mean_difference_test(
             [row[j] for row, cls in zip(values.tolist(), classes) if cls == "positive"],
             [row[j] for row, cls in zip(values.tolist(), classes) if cls == "negative"],
+            RunConfig.ttest,
         )
         assert (res.mean_a, res.mean_b) == (direct.mean_a, direct.mean_b)
         assert res.t_stat == direct.t_stat
     # a too-small group makes every variable untestable
     thin = [i for i, cls in enumerate(classes) if cls != "negative"] + [classes.index("negative")]
-    assert majority_group_tests([classes[i] for i in thin], values[thin]) == [None] * len(MAJORITY_VARIABLES)
+    untestable = majority_group_tests([classes[i] for i in thin], values[thin], RunConfig.ttest)
+    assert untestable == [None] * len(MAJORITY_VARIABLES)
 
 
 def test_majority_samples_from_a_generated_dataset():
@@ -443,7 +445,7 @@ def test_majority_samples_from_a_generated_dataset():
     market, _, _ = assemble(ds)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     records = records_of(ds.records)
-    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records}
+    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records}
     start, end = ds.test_range
     classes, values, drops = build_majority_samples(ds.records, hits, market, start, end)
     in_range = [r for r in records if start <= r.release_date <= end]

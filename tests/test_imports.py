@@ -1,8 +1,9 @@
 """Import checks: every module uses each name it imports, every name is
 imported from the module that defines it, every public name has a caller
 outside the tests, every record field is read and every default, of a
-parameter or a field, is set outside the tests, only corpus frames CSV
-and opens output files, and no package module needs scipy."""
+parameter or a field, is both set and relied on outside the tests, only
+corpus frames CSV and opens output files, and no package module needs
+scipy."""
 
 import ast
 import os
@@ -10,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -163,23 +165,47 @@ def record_fields(tree: ast.Module) -> dict[str, list[str]]:
     return records
 
 
-def fields_read(tree: ast.Module, records: dict[str, list[str]]) -> set[str]:
-    """The fields ``tree`` reads: ``x.field``, ``getattr(x, "field")``, and
-    every field of a record class named in the parameter annotations of a
-    function that hands its values to ``asdict``."""
-    read: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr":
-            read.update(arg.value for arg in node.args[1:2] if isinstance(arg, ast.Constant))
-        elif isinstance(node, ast.FunctionDef) and any(
-            isinstance(call, ast.Call) and ast.unparse(call.func).rpartition(".")[2] == "asdict"
-            for call in ast.walk(node)
-        ):
-            annotated = [arg.annotation for arg in node.args.args if arg.annotation is not None]
-            named = {n.id for annotation in annotated for n in ast.walk(annotation) if isinstance(n, ast.Name)}
-            read.update(field for cls in named & records.keys() for field in records[cls])
+def fields_read(tree: ast.Module, records: dict[str, list[str]]) -> set[tuple[str | None, str]]:
+    """The fields ``tree`` reads, as (class, field): ``x.field`` and
+    ``getattr(x, "field")``, and every field of a record class named in the
+    parameter annotations of a function that hands its values to
+    ``asdict``. The class is that of ``x`` where it is known: a parameter
+    annotated with a class, ``self`` in a record's method, ``e`` in
+    ``except C as e``, each unless the function or handler rebinds it.
+    Elsewhere it is None, which stands for every class."""
+    read: set[tuple[str | None, str]] = set()
+
+    def visit(node: ast.AST, known: dict[str, str], record: str | None) -> None:
+        bound: dict[str, str] = {}
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if record is not None and params and params[0].arg == "self":
+                bound["self"] = record
+            bound |= {arg.arg: arg.annotation.id for arg in params if isinstance(arg.annotation, ast.Name)}
+            known = {name: cls for name, cls in known.items() if name not in {arg.arg for arg in params}}
+            if any(
+                isinstance(call, ast.Call) and ast.unparse(call.func).rpartition(".")[2] == "asdict"
+                for call in ast.walk(node)
+            ):
+                annotated = [arg.annotation for arg in node.args.args if arg.annotation is not None]
+                named = {n.id for annotation in annotated for n in ast.walk(annotation) if isinstance(n, ast.Name)}
+                read.update((cls, field) for cls in named & records.keys() for field in records[cls])
+        elif isinstance(node, ast.ExceptHandler) and node.name and isinstance(node.type, ast.Name):
+            bound[node.name] = node.type.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add((known.get(node.value.id) if isinstance(node.value, ast.Name) else None, node.attr))
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "getattr" and len(node.args) > 1:
+            receiver, name = node.args[:2]
+            if isinstance(name, ast.Constant):
+                read.add((known.get(receiver.id) if isinstance(receiver, ast.Name) else None, name.value))
+        if bound:
+            rebound = {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+            known = known | {name: cls for name, cls in bound.items() if name not in rebound}
+        owner = node.name if isinstance(node, ast.ClassDef) and node.name in records else None
+        for child in ast.iter_child_nodes(node):
+            visit(child, known, owner)
+
+    visit(tree, {}, None)
     return read
 
 
@@ -192,7 +218,24 @@ def test_every_record_field_is_read_outside_tests():
     )
     assert record_fields(sample) == {"A": ["a", "b"], "B": ["c"]}
     reader = ast.parse("x.a\ngetattr(x, 'c')\ny.e = 1\ndef f(rows: list[A]):\n    return [asdict(r) for r in rows]\n")
-    assert fields_read(reader, {"A": ["a", "b"], "B": ["c", "d"]}) == {"a", "b", "c"}
+    assert fields_read(reader, {"A": ["a", "b"], "B": ["c", "d"]}) == {(None, "a"), (None, "c"), ("A", "a"), ("A", "b")}
+    # a receiver of known class reads that class's fields only
+    typed = ast.parse(
+        "def f(p: Path, q):\n    p.name\n    getattr(p, 'stem')\n    q.size\n"
+        "class A:\n    def g(self):\n        return self.a\n"
+        "try:\n    pass\nexcept E as e:\n    e.args\n"
+        "def h(p: Path):\n    p = other()\n    p.suffix\n"
+        "def k(p: Path):\n    return lambda p: p.root\n"
+    )
+    assert fields_read(typed, {"A": ["a"]}) == {
+        ("Path", "name"),
+        ("Path", "stem"),
+        (None, "size"),
+        ("A", "a"),
+        ("E", "args"),
+        (None, "suffix"),
+        (None, "root"),
+    }
     package, trees = package_and_benchmark_trees()
     records = {cls: fields for path in package for cls, fields in record_fields(trees[path]).items()}
     read = set().union(*(fields_read(tree, records) for tree in trees.values()))
@@ -201,7 +244,7 @@ def test_every_record_field_is_read_outside_tests():
         for path in package
         for cls, fields in record_fields(trees[path]).items()
         for field in fields
-        if field not in read
+        if not {(cls, field), (None, field)} & read
     ]
     assert unread == []
 
@@ -229,17 +272,22 @@ def defaulted_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     return found
 
 
-def arguments_set(tree: ast.Module) -> set[tuple[str, str | int]]:
-    """(callee, keyword) and (callee, position) of each argument a call in
-    ``tree`` passes; ``**mapping`` sets keyword "**" and ``*sequence``
-    position "*", which stand for any keyword and any position."""
-    found: set[tuple[str, str | int]] = set()
+def call_arguments(tree: ast.Module) -> Iterator[tuple[str, set[str | int]]]:
+    """(callee, arguments) of each call in ``tree``: the keywords and
+    positions it passes; ``**mapping`` passes keyword "**" and
+    ``*sequence`` position "*", which stand for any keyword and any
+    position."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Call):
             callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", "")
-            found.update((callee, "*" if isinstance(arg, ast.Starred) else i) for i, arg in enumerate(node.args))
-            found.update((callee, keyword.arg or "**") for keyword in node.keywords)
-    return found
+            positions = {"*" if isinstance(arg, ast.Starred) else i for i, arg in enumerate(node.args)}
+            yield callee, positions | {keyword.arg or "**" for keyword in node.keywords}
+
+
+def arguments_set(tree: ast.Module) -> set[tuple[str, str | int]]:
+    """(callee, keyword) and (callee, position) of each argument a call in
+    ``tree`` passes, as ``call_arguments`` gives them."""
+    return {(callee, argument) for callee, arguments in call_arguments(tree) for argument in arguments}
 
 
 # Defaults that only tests set, each kept for the tests named.
@@ -367,6 +415,60 @@ def test_every_field_default_is_set_outside_tests():
     assert unset == set(TEST_ONLY_FIELDS)
 
 
+def uninitialised_fields(tree: ast.Module) -> set[tuple[str, str]]:
+    """(class, field) of each ``field(init=False)`` of a module's classes."""
+    return {
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name) and item.value is not None
+        and "init=False" in ast.unparse(item.value)
+    }
+
+
+def defaults_relied_on(tree: ast.Module, defaults: Iterable[tuple[str, str, int | None]]) -> set[tuple[str, str]]:
+    """(callee, parameter) of each of ``defaults`` (as ``defaulted_parameters``
+    gives them) that a call in ``tree`` relies on: it names the callee and
+    passes the parameter neither by keyword, nor by position, nor through
+    ``*`` or ``**``."""
+    by_callee: dict[str, list[tuple[str, int | None]]] = {}
+    for callee, name, position in defaults:
+        by_callee.setdefault(callee, []).append((name, position))
+    return {
+        (callee, name)
+        for callee, arguments in call_arguments(tree)
+        for name, position in by_callee.get(callee, ())
+        if not {name, position, "*", "**"} & arguments
+    }
+
+
+def test_every_default_is_relied_on_outside_tests():
+    """Each default, of a parameter or a field, is one that some package or
+    benchmark call relies on by leaving the value out; a default that every
+    such call overrides only repeats the caller's value (a run option's
+    default lives in ``RunConfig``) and serves only tests. Fields set by
+    no call (``field(init=False)``) and classes built from their schema
+    are left out."""
+    defaults = [("f", "b", 1), ("f", "c", None), ("K", "d", 0), ("g", "h", 1)]
+    calls = ast.parse("f(1, 2, c=3)\nf(*r)\nf(1)\nK(**m)\nx.g(1, 2)\ng(e=1)\n")
+    assert defaults_relied_on(calls, defaults) == {("f", "b"), ("f", "c"), ("g", "h")}
+    assert defaults_relied_on(ast.parse("f(0, 1, c=2)\nK(d=1)\nh()\n"), defaults) == set()
+    sample = ast.parse("@dataclass\nclass A:\n    a: int = 0\n    b: list = field(init=False)\n    c: int = 1\n")
+    assert uninitialised_fields(sample) == {("A", "b")}
+    package, trees = package_and_benchmark_trees()
+    schema_built = set().union(*map(built_from_schema, trees.values()))
+    uninitialised = set().union(*map(uninitialised_fields, trees.values()))
+    defaults = [default for path in package for default in defaulted_parameters(trees[path])] + [
+        (cls, name, position)
+        for path in package
+        for cls, name, position in defaulted_fields(trees[path])
+        if cls not in schema_built and (cls, name) not in uninitialised
+    ]
+    relied = set().union(*(defaults_relied_on(tree, defaults) for tree in trees.values()))
+    assert sorted({(callee, name) for callee, name, _ in defaults} - relied) == []
+
+
 def imported_modules(source: str) -> set[str]:
     """Top-level names of the modules that ``source`` imports."""
     names: set[str] = set()
@@ -463,7 +565,7 @@ def test_p_values_leave_scipy_unloaded():
         "import sys\n"
         "from reportsignal.econometrics import mean_difference_test, student_t_sf2\n"
         "assert 0.0 < student_t_sf2(2.0, 65) < 0.05\n"
-        "assert 0.0 < mean_difference_test([1.0, 2.0, 4.0], [0.0, 0.5, 1.5]).p_value < 1.0\n"
+        "assert 0.0 < mean_difference_test([1.0, 2.0, 4.0], [0.0, 0.5, 1.5], 'welch').p_value < 1.0\n"
         "print(sorted(m for m, loaded in sys.modules.items() if loaded is not None and m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)

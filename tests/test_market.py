@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from reportsignal import corpus as corpus_module, market as market_module
+from reportsignal.config import RunConfig
 from reportsignal.econometrics import OTHER_SECTOR, canonical_sector
 from reportsignal.errors import ConfigurationError, DataError, SchemaError
 from reportsignal.market import (
@@ -200,9 +201,9 @@ def test_index_store_changes():
     csi500, vix = store.row("CSI500"), store.row("VIX")
     days = np.array([1, 2, 0])
     assert index_change(market, csi500, days, "logdiff").values[0] == math.log(5100 / 5000)
-    assert index_change(market, vix, days).values[0] == 3.5
+    assert index_change(market, vix, days, RunConfig.vix_mode).values[0] == 3.5
     assert index_change(market, csi500, days, "logdiff").status.tolist() == [OK, GAP, OFF_CALENDAR]
-    assert index_change(market, store.row("DAX"), days).status.tolist() == [GAP, GAP, OFF_CALENDAR]
+    assert index_change(market, store.row("DAX"), days, "diff").status.tolist() == [GAP, GAP, OFF_CALENDAR]
     store.fence = cal.dates[1]
     changed = index_change(market, csi500, days[:1], "logdiff")
     assert changed.status.tolist() == [INDEX_FENCE]
@@ -270,10 +271,8 @@ def test_load_market_can_infer_the_calendar_from_bars(tmp_path):
         [f"CSI500,{d},5000\n" for d in days],
         ["600000.SH,IND01,Bank\n"],
     )
-    result = load_market(bars, indices, industry, infer_calendar=True)
+    result = load_market(bars, indices, industry, None)
     assert result.market.calendar.dates == tuple(days)
-    with pytest.raises(ConfigurationError):
-        load_market(bars, indices, industry)
 
 
 def test_load_market_rejects_bad_bar_rows(tmp_path):
@@ -540,4 +539,4 @@ def test_snapshot_code_digest_is_market_py_then_corpus_py(tmp_path):
     path = tmp_path / "any.csv"
     path.write_bytes(b"x\n")
     source = Path(market_module.__file__).read_bytes() + Path(corpus_module.__file__).read_bytes()
-    assert _snapshot_key(path, path, path)["code"] == hashlib.sha256(source).hexdigest()
+    assert _snapshot_key(path, path, path, None)["code"] == hashlib.sha256(source).hexdigest()

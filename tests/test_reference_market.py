@@ -12,7 +12,7 @@ import pytest
 
 from reportsignal import market as market_module
 from reportsignal.cli import label_pool
-from reportsignal.config import packaged_data_path
+from reportsignal.config import RunConfig, packaged_data_path
 from reportsignal.corpus import CorpusIndex
 from reportsignal.econometrics import MAJORITY_VARIABLES, build_majority_samples, build_panel
 from reportsignal.errors import DataError
@@ -87,7 +87,11 @@ def dataset():
     # every seventh report has no hit counts
     skipped = set(list(ds.records.ids)[::7])
     records = reference.records_of(ds.records)
-    return ds, {r.report_id: prepare_report(r.title, r.abstract, lexicon) for r in records if r.report_id not in skipped}
+    return ds, {
+        r.report_id: prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction)
+        for r in records
+        if r.report_id not in skipped
+    }
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -148,7 +152,7 @@ def through_snapshot(market, out_dir, files):
 @pytest.mark.parametrize("messy", [False, True])
 def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows, snapshot):
     ds, hits = dataset
-    paths = write_dataset(ds, tmp_path)
+    paths = write_dataset(ds, tmp_path, seed=RunConfig.seed)
     if messy:
         edit_rows(paths["bars"], messy_bars)
         edit_rows(paths["indices"], messy_indices)
@@ -212,7 +216,7 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
 
 
 def test_snapshot_gives_the_parsed_market(tmp_path):
-    paths = write_dataset(generate(SynthSpec(seed=0)), tmp_path)
+    paths = write_dataset(generate(SynthSpec(seed=0)), tmp_path, seed=RunConfig.seed)
     files = market_files(paths)
     parsed = load_market(**files).market
     copy = through_snapshot(parsed, tmp_path, files)

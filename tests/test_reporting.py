@@ -7,6 +7,7 @@ from datetime import date as Date
 
 import numpy as np
 
+from reportsignal.config import RunConfig
 from reportsignal.econometrics import (
     MAJORITY_VARIABLES,
     OUTCOME_NAMES,
@@ -69,7 +70,7 @@ def pooled_fits(seed=21, n=120):
 
 def test_regression_table_layout():
     fits = pooled_fits()
-    text = format_regression_table(fits, title="Pooled regressions (classical standard errors)")
+    text = format_regression_table(fits, RunConfig.stars, "Pooled regressions (classical standard errors)")
     lines = text.splitlines()
     assert lines[0] == "Pooled regressions (classical standard errors)"
     assert set(lines[1]) == {"="} and set(lines[3]) == {"-"}
@@ -101,7 +102,7 @@ def test_cell_overflow_keeps_a_separating_space():
         n_obs=5,
         r_squared=0.5,
     )
-    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit))
+    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit), RunConfig.stars, "Pooled regressions")
     line = next(l for l in text.splitlines() if l.startswith("constant"))
     # the 16-char column cannot hold the number; a single space must
     # still separate it from the name column
@@ -110,10 +111,10 @@ def test_cell_overflow_keeps_a_separating_space():
 
 def test_regression_records_round_trip_full_precision(tmp_path):
     fits = pooled_fits()
-    rows = regression_records(fits)
+    rows = regression_records(fits, RunConfig.stars)
     assert len(rows) == 3 * len(REGRESSOR_NAMES)
     path = tmp_path / "regressions.csv"
-    write_regression_csv(fits, path)
+    write_regression_csv(fits, path, RunConfig.stars)
     with open(path, newline="") as stream:
         reader = csv.reader(stream)
         assert tuple(next(reader)) == REGRESSION_CSV_HEADER
@@ -130,6 +131,7 @@ def test_industry_table_mixes_fits_and_skips():
     results = [
         SectorResult("Bank", 80, fits),
         SectorResult("Telecom", 7, None),
+        SectorResult("Media", 60, None),
     ]
     text = format_industry_table(results, min_rows=50)
     lines = text.splitlines()
@@ -139,6 +141,9 @@ def test_industry_table_mixes_fits_and_skips():
     assert bank.split()[1] == "80"
     skipped = next(l for l in lines if l.startswith("Telecom"))
     assert "skipped (n=7 < min_rows=50)" in skipped
+    # a sector with enough rows is skipped when it has no full-rank fit
+    unfit = next(l for l in lines if l.startswith("Media"))
+    assert unfit.endswith("  skipped (n=60: no full-rank fit)")
     assert text.endswith(star_legend(STAR_PRESETS["table4"]) + "\n")
     rows = industry_records(results)
     fitted = [r for r in rows if r[2] == "fitted"]
@@ -151,9 +156,9 @@ def test_mean_test_table_rows_and_skips():
     rng = random.Random(23)
     a = [rng.gauss(0.01, 0.02) for _ in range(40)]
     b = [rng.gauss(-0.01, 0.02) for _ in range(30)]
-    result = mean_difference_test(a, b)
+    result = mean_difference_test(a, b, RunConfig.ttest)
     results = [result] + [None] * (len(MAJORITY_VARIABLES) - 1)
-    text = format_mean_test_table(results)
+    text = format_mean_test_table(results, RunConfig.stars)
     lines = text.splitlines()
     assert lines[0].startswith("Group mean comparison")
     first = next(l for l in lines if l.startswith("ret_ex[t] "))
@@ -168,9 +173,9 @@ def test_mean_test_table_rows_and_skips():
 def test_mean_test_records_round_trip(tmp_path):
     a = [1.0, 2.0, 3.0]
     b = [4.0, 5.0, 6.0, 7.0]
-    results = [mean_difference_test(a, b) if i % 2 == 0 else None for i in range(len(MAJORITY_VARIABLES))]
+    results = [mean_difference_test(a, b, "welch") if i % 2 == 0 else None for i in range(len(MAJORITY_VARIABLES))]
     path = tmp_path / "mean_tests.csv"
-    write_mean_test_csv(results, path)
+    write_mean_test_csv(results, path, RunConfig.stars)
     with open(path, newline="") as stream:
         reader = csv.reader(stream)
         assert tuple(next(reader)) == MEAN_TEST_CSV_HEADER
@@ -180,7 +185,7 @@ def test_mean_test_records_round_trip(tmp_path):
     assert float(rows[0][8]) == results[0].t_stat
     assert rows[0][12] == "welch"
     assert rows[1][1:] == [""] * (len(MEAN_TEST_CSV_HEADER) - 1)
-    records = mean_test_records(results)
+    records = mean_test_records(results, RunConfig.stars)
     assert all(len(r) == len(MEAN_TEST_CSV_HEADER) for r in records)
 
 
@@ -216,8 +221,8 @@ def test_infinite_t_statistics_render(tmp_path):
         n_obs=3,
         r_squared=1.0,
     )
-    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit))
+    text = format_regression_table(dict.fromkeys(OUTCOME_NAMES, fit), RunConfig.stars, "Pooled regressions")
     assert "(inf)" in text and "(-inf)" in text
     assert "4.0000***" in text
-    rows = regression_records(dict.fromkeys(OUTCOME_NAMES, fit))
+    rows = regression_records(dict.fromkeys(OUTCOME_NAMES, fit), RunConfig.stars)
     assert rows[0][4] == "inf"

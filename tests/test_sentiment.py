@@ -5,6 +5,7 @@ from datetime import date as Date
 
 import pytest
 
+from reportsignal.config import RunConfig
 from reportsignal.errors import DataError, SchemaError
 from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.sentiment import (
@@ -65,7 +66,7 @@ def test_lexicon_lookups():
 
 
 def test_softmax_of_counts_two_one_one():
-    score = lexicon_score((2, 1, 1))
+    score = lexicon_score((2, 1, 1), 1.0, "")
     # softmax(2, 1, 1) = (e/(e+2), 1/(e+2), 1/(e+2))
     assert abs(score.pos - 0.576116884765829) < 1e-12
     assert abs(score.neu - 0.211941557617085) < 1e-12
@@ -73,15 +74,15 @@ def test_softmax_of_counts_two_one_one():
 
 
 def test_zero_hits_degenerate_to_the_uniform_score():
-    score = lexicon_score((0, 0, 0), report_id="r9")
+    score = lexicon_score((0, 0, 0), RunConfig.temperature, "r9")
     assert score == SentimentScore("r9", 1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
 
 
 def test_lower_temperature_sharpens_toward_the_argmax():
     hits = (2, 1, 1)
-    base = lexicon_score(hits, temperature=1.0)
-    sharp = lexicon_score(hits, temperature=0.25)
-    soft = lexicon_score(hits, temperature=4.0)
+    base = lexicon_score(hits, 1.0, "")
+    sharp = lexicon_score(hits, 0.25, "")
+    soft = lexicon_score(hits, 4.0, "")
     assert sharp.pos > base.pos > soft.pos > 1.0 / 3.0
 
 
@@ -166,7 +167,10 @@ def test_external_scores_reject_non_finite_components(tmp_path):
 def test_external_scores_are_renormalised_onto_the_simplex(tmp_path):
     text = "report_id,pos,neu,neg\nr1,0.25,0.25,0.25\nr2,-0.2,0.6,0.6\n"
     scores, rejects = load_external_scores(
-        text_file(tmp_path / "scores.csv", text), known_ids={"r1", "r2"}, sum_tolerance=0.5
+        text_file(tmp_path / "scores.csv", text),
+        known_ids={"r1", "r2"},
+        max_error_rate=RunConfig.max_error_rate,
+        sum_tolerance=0.5,
     )
     assert not rejects
     assert scores[0].pos == scores[0].neu == scores[0].neg
@@ -182,9 +186,9 @@ def test_external_scores_reject_rate_gate(tmp_path):
 
 def test_external_scores_schema_errors(tmp_path):
     with pytest.raises(SchemaError):
-        load_external_scores(text_file(tmp_path / "scores.csv", ""), known_ids=set())
+        load_external_scores(text_file(tmp_path / "scores.csv", ""), set(), RunConfig.max_error_rate)
     with pytest.raises(SchemaError):
-        load_external_scores(text_file(tmp_path / "scores.csv", "id,p,n,m\n"), known_ids=set())
+        load_external_scores(text_file(tmp_path / "scores.csv", "id,p,n,m\n"), set(), RunConfig.max_error_rate)
 
 
 def test_write_scores_round_trip(tmp_path):
@@ -194,7 +198,7 @@ def test_write_scores_round_trip(tmp_path):
         SentimentScore("r2", 1.0, 0.0, 0.0),
     ]
     write_scores(original, path)
-    loaded, rejects = load_external_scores(path, known_ids={"r1", "r2"})
+    loaded, rejects = load_external_scores(path, {"r1", "r2"}, RunConfig.max_error_rate)
     assert not rejects
     assert loaded == original
 

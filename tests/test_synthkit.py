@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from reportsignal.config import RunConfig
 from reportsignal.econometrics import (
     REGRESSOR_NAMES,
     build_panel,
@@ -30,7 +31,7 @@ def run_recovery(ds):
 
 def load_written(ds, directory):
     """``load_market`` over the market files of ``ds`` written to ``directory``."""
-    paths = write_dataset(ds, directory)
+    paths = write_dataset(ds, directory, seed=RunConfig.seed)
     return load_market(paths["bars"], paths["indices"], paths["industry"], paths["calendar"])
 
 
@@ -202,7 +203,7 @@ def test_a_bar_grid_with_holes_writes_and_loads_back(tmp_path):
     for grid in (bars.present, *prices):
         grid[gone] = 0
         grid[holed, hole] = 0
-    paths = write_dataset(ds, tmp_path)
+    paths = write_dataset(ds, tmp_path, seed=RunConfig.seed)
 
     dates = [d.isoformat() for d in ds.calendar_dates]
     want = [
