@@ -2,8 +2,9 @@
 
 Verbs:
   synth    generate a synthetic dataset with planted effects
-  ingest   parse and validate all inputs, report counts and rejects, and
-           save the validated market as a snapshot in the output directory
+  ingest   parse and validate the corpus and market files (the others are
+           only checked to exist), report counts and rejects, and save
+           the validated market as a snapshot in the output directory
   label    rank-label the training-range reports by market reaction
   score    produce sentiment scores (lexicon scorer or external file)
   analyze  build the panel, fit the regressions, run the group tests
@@ -249,33 +250,32 @@ def cmd_label(config: RunConfig) -> int:
     return 0
 
 
-def _report_hits(config: RunConfig, reports: ReportColumns, positions) -> dict:
+def _report_hits(config: RunConfig, reports: ReportColumns, positions: np.ndarray) -> np.ndarray:
     """The (positive, neutral, negative) lexicon hits of the cleaned text of
-    the reports at ``positions`` by report id (none when the lexicon has
-    no entries)."""
+    each report, one int64 row per report: those at ``positions`` counted,
+    the rest -1, as every row is when the lexicon has no entries."""
     lexicon = load_lexicon(config.lexicon)
     if config.scorer == "lexicon" and len(lexicon) == 0:
         raise ConfigurationError(f"lexicon file {config.lexicon} has no entries")
     patterns = load_risk_warning_patterns(config.risk_warnings)
-    if len(lexicon) == 0:
-        return {}
-    texts = zip(*(column.take(positions) for column in (reports.ids, reports.titles, reports.abstracts)))
-    return {
-        report_id: prepare_report(title, abstract, lexicon, patterns, config.tail_fraction)
-        for report_id, title, abstract in texts
-    }
+    hits = np.full((len(reports), 3), -1, dtype=np.int64)
+    if len(lexicon):
+        texts = zip(reports.titles.take(positions), reports.abstracts.take(positions))
+        counts = (prepare_report(title, abstract, lexicon, patterns, config.tail_fraction) for title, abstract in texts)
+        hits[positions] = np.fromiter(counts, np.dtype((np.int64, 3)), len(positions))
+    return hits
 
 
-def _report_scores(config: RunConfig, reports: ReportColumns, hits_by_report):
-    """The score of each report by report id, from the lexicon hits in
-    ``hits_by_report`` or from the external scores file of ``reports``,
-    and that file's rejected rows."""
+def _report_scores(config: RunConfig, reports: ReportColumns, hits):
+    """The score of each report by report id, from the counted rows of the
+    lexicon ``hits`` or from the external scores file of ``reports``, and
+    that file's rejected rows."""
     if config.scorer == "lexicon":
-        scores = {
-            report_id: lexicon_score(hits, config.temperature, report_id)
-            for report_id, hits in hits_by_report.items()
-        }
-        return scores, []
+        counted = np.flatnonzero(hits[:, 0] >= 0)
+        return {
+            report_id: lexicon_score(counts, config.temperature, report_id)
+            for report_id, counts in zip(reports.ids.take(counted), hits[counted].tolist())
+        }, []
     if config.scores is None:
         raise ConfigurationError("scorer 'external' requires a scores path in the config")
     accepted, rejects = load_external_scores(config.scores, reports.ids, max_error_rate=config.max_error_rate)
@@ -287,7 +287,7 @@ def cmd_score(config: RunConfig) -> int:
     remove_output(out / "score_report.json")
     parse = parse_corpus(config.corpus, max_error_rate=config.max_error_rate)
     # The external scorer never opens the lexicon.
-    hits = _report_hits(config, parse.records, range(len(parse.records))) if config.scorer == "lexicon" else {}
+    hits = _report_hits(config, parse.records, np.arange(len(parse.records))) if config.scorer == "lexicon" else None
     scores, rejects = _report_scores(config, parse.records, hits)
 
     write_scores(scores.values(), out / "scores.csv")
@@ -313,8 +313,8 @@ def cmd_analyze(config: RunConfig) -> int:
     reports = parse.records
     corpus_index = CorpusIndex(reports)
     report_of, _, released = reports.pairs(config.test_start, config.test_end)
-    hits_by_report = _report_hits(config, reports, np.unique(report_of))
-    scores, score_rejects = _report_scores(config, reports, hits_by_report)
+    hits = _report_hits(config, reports, np.unique(report_of))
+    scores, score_rejects = _report_scores(config, reports, hits)
 
     panel = build_panel(
         reports, scores, market, corpus_index, config.test_start, config.test_end, vix_mode=config.vix_mode
@@ -325,10 +325,8 @@ def cmd_analyze(config: RunConfig) -> int:
         )
 
     fits = run_pooled_regressions(panel.rows, se_type=config.se)
-    sectors = run_industry_regressions(panel, market, min_rows=config.min_rows, se_type=config.se)
-    classes, samples, majority_drops = build_majority_samples(
-        reports, hits_by_report, market, config.test_start, config.test_end
-    )
+    sectors = run_industry_regressions(panel, reports.stocks, market, min_rows=config.min_rows, se_type=config.se)
+    classes, samples, majority_drops = build_majority_samples(reports, hits, market, config.test_start, config.test_end)
     tests = majority_group_tests(classes, samples, mode=config.ttest)
 
     # One entry per test-range pair with a score and a release trading day.
@@ -342,7 +340,7 @@ def cmd_analyze(config: RunConfig) -> int:
     n_series_skipped = len(days) - len(series_entries)
     series = daily_average_sentiment(series_entries)
 
-    write_panel(panel, out / "panel.csv")
+    write_panel(panel, reports, market.calendar, out / "panel.csv")
     regression_text = format_regression_table(
         fits,
         stars=config.stars,
@@ -359,7 +357,6 @@ def cmd_analyze(config: RunConfig) -> int:
     write_daily_sentiment(series, out / "daily_sentiment.dat")
     write_gnuplot_script("daily_sentiment.dat", out / "daily_sentiment.gp")
 
-    majority_counts = dict.fromkeys(LABELS, 0) | Counter(classes)
     report = {
         "format_version": REPORT_FORMAT_VERSION,
         "fence": fence.isoformat(),
@@ -377,7 +374,7 @@ def cmd_analyze(config: RunConfig) -> int:
         },
         "majority": {
             "n_samples": len(classes),
-            "counts": majority_counts,
+            "counts": {label: int(np.count_nonzero(classes == label)) for label in LABELS},
             "drops": majority_drops,
         },
         "scores": {"n_available": len(scores), **_reject_payload(score_rejects)},

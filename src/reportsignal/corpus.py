@@ -44,7 +44,8 @@ cited stock) pairs that every artifact and ``CorpusIndex`` observe. Each
 pair is dated on the trading day that ``TradingCalendar.locate`` gives
 its release ordinal (the release date when it trades, else the next
 trading day), so the label pool, the panel, the majority samples and the
-daily series align alike.
+daily series align alike. Analysis rows stay positions up to the writers:
+text and dates appear only where a file is written or an error names a row.
 """
 
 from __future__ import annotations

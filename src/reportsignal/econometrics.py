@@ -5,24 +5,26 @@ market metrics measured on the release trading day, outcomes measured on
 the next trading day. It is columnar: one float64 matrix with a column
 per field, built from the gather kernels' arrays, its row checks run as
 masks over the matrix, and the regressions select its columns and rows.
+Its row keys stay positions until ``write_panel`` writes them as text.
 The majority samples are a matrix too. Presentation scaling lives here —
 intraday range variance is multiplied by 100 and recommendation counts
 divided by 100 — so coefficient magnitudes are comparable across tables
 while t-statistics are unaffected.
 
-OLS uses a QR decomposition (numerically stable orthogonal factorization)
-with classical standard errors s^2 (X'X)^-1 or HC1 robust errors, as
-the run's ``se`` option picks. Two-sided p-values come from the
-t-distribution CDF evaluated through the regularized incomplete beta
-function, computed here from its continued fraction (Numerical Recipes
-§6.4) by the modified Lentz algorithm (Lentz 1976), with the symmetry
-switch past the fraction's switch point and an asymptotic series for
-ln Gamma(a + 1/2) - ln Gamma(a) at large a.
+OLS factors each design once by QR (a numerically stable orthogonal
+factorization), with classical standard errors s^2 (X'X)^-1 or HC1
+robust errors, as the run's ``se`` option picks. Two-sided p-values
+come from the t-distribution CDF evaluated through the regularized
+incomplete beta function, computed here from its continued fraction
+(Numerical Recipes §6.4) by the modified Lentz algorithm (Lentz 1976),
+with the symmetry switch past the fraction's switch point and an
+asymptotic series for ln Gamma(a + 1/2) - ln Gamma(a) at large a.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date as Date
 from itertools import chain
@@ -33,7 +35,7 @@ import numpy as np
 from .corpus import CorpusIndex, ReportColumns, write_csv_rows
 from .errors import ArgumentError, DataError, NumericalError, SingularityError
 from .labeling import NEGATIVE, POSITIVE
-from .market import CSI500, MarketData, SSE, SZSE, VIX
+from .market import CSI500, MarketData, SSE, SZSE, TradingCalendar, VIX
 from .metrics import (
     BLOCK,
     DOMAIN,
@@ -130,13 +132,14 @@ class PanelBuildResult:
     """The regression panel, one row per (report, stock) observation.
 
     ``rows`` is a float64 matrix with one column per ``PANEL_HEADER[3:]``
-    field, range values scaled by 100 and citation counts by 1/100; the
-    ids and outcome date of row ``i`` are entry ``i`` of the three lists.
+    field, range values scaled by 100 and citation counts by 1/100; row
+    ``i`` is report ``reports[i]`` on stock ``stocks[i]`` (positions in
+    ``ReportColumns``), with outcomes on calendar day ``outcome_days[i]``.
     """
 
-    report_ids: list[str]
-    stock_ids: list[str]
-    outcome_dates: list[Date]
+    reports: np.ndarray
+    stocks: np.ndarray
+    outcome_days: np.ndarray
     rows: np.ndarray
     drops: dict[str, int]
     n_flagged_negative_range: int
@@ -157,7 +160,7 @@ PAIR_DROPS = {
 }
 
 
-def _check_rows(report_ids: Sequence[str], stock_ids: Sequence[str], rows: np.ndarray) -> None:
+def _check_rows(reports: ReportColumns, report_of: np.ndarray, stocks: np.ndarray, rows: np.ndarray) -> None:
     """Raise DataError for the first row whose pos+neg exceeds one or that
     holds a non-finite value, naming the first failing check in that order."""
     pos_neg = rows[:, 0] + rows[:, 1]
@@ -166,7 +169,7 @@ def _check_rows(report_ids: Sequence[str], stock_ids: Sequence[str], rows: np.nd
     bad = np.flatnonzero(over | ~finite.all(axis=1))
     if bad.size:
         i = bad[0]
-        row = f"row {report_ids[i]}/{stock_ids[i]}"
+        row = f"row {next(reports.ids.take([report_of[i]]))}/{reports.stocks[stocks[i]]}"
         if over[i]:
             raise DataError(f"{row}: pos+neg = {float(pos_neg[i])}")
         raise DataError(f"{row}: {PANEL_HEADER[3 + np.flatnonzero(~finite[i])[0]]} not finite")
@@ -194,8 +197,7 @@ def build_panel(
     """
     calendar, n_days = market.calendar, len(market.calendar)
     report_of, cited, released = reports.pairs(start, end)
-    pair_ids = list(reports.ids.take(report_of))
-    pair_scores = list(map(scores.get, pair_ids))
+    pair_scores = list(map(scores.get, reports.ids.take(report_of)))
     days = calendar.locate(released)
     drops = [
         (np.array([score is None for score in pair_scores], dtype=bool), "no score"),
@@ -223,10 +225,8 @@ def build_panel(
 
     ok = np.flatnonzero(status == OK)
     accepted = kept[ok].tolist()
-    report_ids = [pair_ids[i] for i in accepted]
-    stock_ids = [reports.stocks[stock] for stock in cited[accepted].tolist()]
-    outcome_days = t[ok]
-    num7, num90 = recommendation_counts(corpus_index, cited[accepted], calendar.ordinals[outcome_days])
+    report_of, cited, outcome_days = report_of[accepted], cited[accepted], t[ok]
+    num7, num90 = recommendation_counts(corpus_index, cited, calendar.ordinals[outcome_days])
     range_lag, retex_lag, dvol_lag, outcome_range, outcome_retex, outcome_dvol, *index_changes = (
         part.values[ok] for part in parts
     )
@@ -245,20 +245,26 @@ def build_panel(
             num7 * NUM_SCALE,
         )
     )
-    _check_rows(report_ids, stock_ids, rows)
+    _check_rows(reports, report_of, cited, rows)
     flagged = int(np.count_nonzero((range_lag < 0.0) | (outcome_range < 0.0)))
-    outcome_dates = [calendar.dates[day] for day in outcome_days.tolist()]
     return PanelBuildResult(
-        report_ids, stock_ids, outcome_dates, rows, tally(drops, status, PAIR_DROPS), flagged, len(days)
+        report_of, cited, outcome_days, rows, tally(drops, status, PAIR_DROPS), flagged, len(days)
     )
 
 
-def write_panel(panel: PanelBuildResult, path) -> None:
+def write_panel(panel: PanelBuildResult, reports: ReportColumns, calendar: TradingCalendar, path) -> None:
     """Write the panel as CSV, each float as its shortest round-trip ``repr``;
-    the values become Python floats ``BLOCK`` rows at a time."""
-    keys = zip(panel.report_ids, panel.stock_ids, map(Date.isoformat, panel.outcome_dates))
-    blocks = (panel.rows[at : at + BLOCK].tolist() for at in range(0, len(panel.rows), BLOCK))
-    rows = ((*key, *map(repr, values)) for key, values in zip(keys, chain.from_iterable(blocks)))
+    the keys become text and the values Python floats ``BLOCK`` rows at a time."""
+    dates = [day.isoformat() for day in calendar.dates]
+    parts = [slice(at, at + BLOCK) for at in range(0, len(panel.rows), BLOCK)]
+    ids = chain.from_iterable(reports.ids.take(panel.reports[part]) for part in parts)
+    stocks = chain.from_iterable(panel.stocks[part].tolist() for part in parts)
+    days = chain.from_iterable(panel.outcome_days[part].tolist() for part in parts)
+    values = chain.from_iterable(panel.rows[part].tolist() for part in parts)
+    rows = (
+        (report_id, reports.stocks[stock], dates[day], *map(repr, row))
+        for report_id, stock, day, row in zip(ids, stocks, days, values)
+    )
     write_csv_rows(path, PANEL_HEADER, rows)
 
 
@@ -370,9 +376,12 @@ class RegressionFit:
     r_squared: float
 
 
-def ols_fit(design: np.ndarray, response: np.ndarray, regressors: Sequence[str], se_type: str) -> RegressionFit:
+def ols_fit(
+    design: np.ndarray, responses: Mapping[str, np.ndarray], regressors: Sequence[str], se_type: str
+) -> dict[str, RegressionFit]:
     """Least squares via QR with classical or HC1 standard errors of an
-    (n, k) float ``design`` with k ``regressors`` names and an (n,) ``response``.
+    (n, k) float ``design`` with k ``regressors`` names: one fit of each
+    (n,) response in ``responses``, by its name, from one factorization.
 
     Requires n > k and a full-column-rank design (checked against the R
     factor's diagonal with a size-scaled tolerance; offending columns are
@@ -390,32 +399,31 @@ def ols_fit(design: np.ndarray, response: np.ndarray, regressors: Sequence[str],
     if bad:
         raise SingularityError(f"rank-deficient design matrix; offending columns: {', '.join(bad)}")
 
-    qty = Q.T @ response
-    coef = np.linalg.solve(R, qty)
-    resid = response - design @ coef
-    rss = float(resid @ resid)
     df_resid = n - k
-
     r_inv = np.linalg.solve(R, np.eye(k))
     xtx_inv = r_inv @ r_inv.T
-    s2 = rss / df_resid
-    if se_type == "classical":
-        cov = s2 * xtx_inv
-    else:
-        # HC1: White sandwich with the n/(n-k) small-sample correction.
-        meat = (design * (resid**2)[:, None]).T @ design
-        cov = xtx_inv @ meat @ xtx_inv * (n / df_resid)
+    fits = {}
+    for name, response in responses.items():
+        coef = np.linalg.solve(R, Q.T @ response)
+        resid = response - design @ coef
+        rss = float(resid @ resid)
+        if se_type == "classical":
+            cov = rss / df_resid * xtx_inv
+        else:
+            # HC1: White sandwich with the n/(n-k) small-sample correction.
+            meat = (design * (resid**2)[:, None]).T @ design
+            cov = xtx_inv @ meat @ xtx_inv * (n / df_resid)
 
-    se = np.sqrt(np.diag(cov))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_stats = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
-    p_values = np.array([student_t_sf2(float(t), df_resid) for t in t_stats])
+        se = np.sqrt(np.diag(cov))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_stats = np.where(se > 0.0, coef / se, np.inf * np.sign(coef))
+        p_values = np.array([student_t_sf2(float(t), df_resid) for t in t_stats])
 
-    y_centered = response - response.mean()
-    tss = float(y_centered @ y_centered)
-    r_squared = 1.0 - rss / tss if tss > 0.0 else float("nan")
-
-    return RegressionFit(regressors, coef, se, t_stats, p_values, n, r_squared)
+        y_centered = response - response.mean()
+        tss = float(y_centered @ y_centered)
+        r_squared = 1.0 - rss / tss if tss > 0.0 else float("nan")
+        fits[name] = RegressionFit(regressors, coef, se, t_stats, p_values, n, r_squared)
+    return fits
 
 
 # The panel column of each regressor after the constant, and of each outcome.
@@ -441,7 +449,7 @@ def panel_design(rows: np.ndarray) -> tuple[np.ndarray, dict[str, np.ndarray]]:
 def run_pooled_regressions(rows: np.ndarray, se_type: str = "classical") -> dict[str, RegressionFit]:
     """The three pooled regressions of a panel matrix: range, excess return, volume change."""
     X, outcomes = panel_design(rows)
-    return {outcome: ols_fit(X, y, REGRESSOR_NAMES, se_type=se_type) for outcome, y in outcomes.items()}
+    return ols_fit(X, outcomes, REGRESSOR_NAMES, se_type=se_type)
 
 
 @dataclass
@@ -457,36 +465,31 @@ def canonical_sector(raw: str) -> str:
 
 def run_industry_regressions(
     panel: PanelBuildResult,
+    stocks: Sequence[str],
     market: MarketData,
     min_rows: int,
     se_type: str,
 ) -> list[SectorResult]:
     """Per-sector regressions; small or degenerate sectors are skipped.
 
-    Sector membership comes from the industry map with unnamed sectors
-    grouped as "Other"; the per-sector row counts always partition the
-    panel, and each sector keeps the panel's row order. Sectors below
-    ``min_rows`` — or whose subset design is singular — are reported as
-    skipped rather than fit.
+    Each distinct stock (``panel.stocks`` indexes the codes ``stocks``)
+    takes its sector from the industry map once, unnamed sectors grouped
+    as "Other"; the per-sector row counts always partition the panel, and
+    each sector keeps the panel's row order. Sectors below ``min_rows`` —
+    or whose subset design is singular — are reported as skipped.
     """
-    code_of = {
-        stock_id: SECTORS.index(canonical_sector(market.industry.sector(stock_id)))
-        for stock_id in dict.fromkeys(panel.stock_ids)
-    }
-    codes = np.array([code_of[stock_id] for stock_id in panel.stock_ids], dtype=np.intp)
+    distinct, inverse = np.unique(panel.stocks, return_inverse=True)
+    sector_of = [SECTORS.index(canonical_sector(market.industry.sector(stocks[s]))) for s in distinct.tolist()]
+    codes = np.array(sector_of, dtype=np.intp)[inverse]
     results = []
     for code, sector in enumerate(SECTORS):
         subset = panel.rows[codes == code]
-        if not len(subset):
-            continue
-        if len(subset) < min_rows:
-            results.append(SectorResult(sector, len(subset), None))
-            continue
-        try:
-            fits = run_pooled_regressions(subset, se_type=se_type)
-        except (SingularityError, ArgumentError):
-            fits = None
-        results.append(SectorResult(sector, len(subset), fits))
+        fits = None
+        if len(subset) >= min_rows:
+            with suppress(SingularityError, ArgumentError):
+                fits = run_pooled_regressions(subset, se_type=se_type)
+        if len(subset):
+            results.append(SectorResult(sector, len(subset), fits))
     return results
 
 
@@ -560,29 +563,28 @@ MAJORITY_VARIABLES = (
 
 def build_majority_samples(
     reports: ReportColumns,
-    hits_by_report: Mapping[str, tuple[int, int, int]],
+    hits: np.ndarray,
     market: MarketData,
     start: Date,
     end: Date,
-) -> tuple[list[str], np.ndarray, dict[str, int]]:
+) -> tuple[np.ndarray, np.ndarray, dict[str, int]]:
     """Join majority classes to release-day metrics for each (report, stock)
     pair of the reports released in [start, end].
 
     Returns the majority class of each sample, a float64 matrix with one
     row per sample and one column per ``MAJORITY_VARIABLES`` entry (t is
     the release trading day itself, range scaled by 100), and the drops.
-    ``hits_by_report`` holds the (positive, neutral, negative) lexicon hits
-    of each report's cleaned text. Before any kernel runs, a pair is
-    dropped for "no tokens" (its report has no hit counts), then for
+    Row ``i`` of ``hits`` holds the (positive, neutral, negative) lexicon
+    hits of report ``i``'s cleaned text, or -1s. Before any kernel runs, a
+    pair is dropped for "no tokens" (its report's hits are -1s), then for
     "missing market data" (the release trading day is the calendar's first
     or last, or there is none); the kernels drop the rest that miss market
     data, like panel rows (``PAIR_DROPS``).
     """
     report_of, cited, released = reports.pairs(start, end)
-    pair_hits = list(map(hits_by_report.get, reports.ids.take(report_of)))
     days = market.calendar.locate(released)
     drops = [
-        (np.array([hits is None for hits in pair_hits], dtype=bool), "no tokens"),
+        (hits[report_of, 0] < 0, "no tokens"),
         ((days < 1) | (days >= len(market.calendar) - 1), "missing market data"),
     ]
     kept = np.flatnonzero(judged(drops))
@@ -602,11 +604,10 @@ def build_majority_samples(
     ok = np.flatnonzero(status == OK)
     values = np.column_stack([part.values[ok] for part in parts])
     values[:, -1] *= RANGE_SCALE
-    classes = [classify_majority(pair_hits[i]) for i in kept[ok].tolist()]
-    return classes, values, tally(drops, status, PAIR_DROPS)
+    return classify_majority(hits[report_of[kept[ok]]]), values, tally(drops, status, PAIR_DROPS)
 
 
-def majority_group_tests(classes: Sequence[str], values: np.ndarray, mode: str) -> list[MeanTestResult | None]:
+def majority_group_tests(classes: np.ndarray, values: np.ndarray, mode: str) -> list[MeanTestResult | None]:
     """Positive-group vs negative-group tests, one per table variable, over
     the samples of ``build_majority_samples``.
 
@@ -614,8 +615,8 @@ def majority_group_tests(classes: Sequence[str], values: np.ndarray, mode: str) 
     samples; neutral-class samples never participate.
     """
     # one contiguous row per variable, in sample order
-    group_a = values[np.array([cls == POSITIVE for cls in classes], dtype=bool)].T.copy()
-    group_b = values[np.array([cls == NEGATIVE for cls in classes], dtype=bool)].T.copy()
+    group_a = values[classes == POSITIVE].T.copy()
+    group_b = values[classes == NEGATIVE].T.copy()
     if group_a.shape[1] < 2 or group_b.shape[1] < 2:
         return [None] * len(MAJORITY_VARIABLES)
     return [mean_difference_test(a, b, mode=mode) for a, b in zip(group_a, group_b)]

@@ -11,7 +11,7 @@ the probability simplex; a report with no lexicon hit scores the
 uninformative (1/3, 1/3, 1/3). External model scores are ingested from
 CSV and renormalised onto the simplex. The majority rule is the blunt
 classifier used for group comparisons: positive hits versus negative
-hits, neutral words ignored.
+hits, neutral words ignored, for each row of a matrix of hits.
 
 Lexicon (``word,label``) and score (``report_id,pos,neu,neg``) files are
 CSV with a header, opened and framed by ``corpus.read_csv_rows``.
@@ -23,6 +23,8 @@ import math
 from dataclasses import dataclass
 from datetime import date as Date
 from typing import Iterable
+
+import numpy as np
 
 from .corpus import RowReject, clean_text, read_csv_rows, write_csv_rows
 from .errors import DataError, SchemaError
@@ -131,14 +133,11 @@ def lexicon_score(counts: tuple[int, int, int], temperature: float, report_id: s
     return SentimentScore(report_id, pos, neu, neg)
 
 
-def classify_majority(counts: tuple[int, int, int]) -> str:
-    """Sign of (positive hits - negative hits); neutral words never vote."""
-    pos, _, neg = counts
-    if pos > neg:
-        return POSITIVE
-    if neg > pos:
-        return NEGATIVE
-    return NEUTRAL
+def classify_majority(hits: np.ndarray) -> np.ndarray:
+    """The class of each (positive, neutral, negative) row of ``hits``: the
+    sign of (positive hits - negative hits); neutral words never vote."""
+    # signs 0, 1 and -1 index the classes
+    return np.array([NEUTRAL, POSITIVE, NEGATIVE])[np.sign(hits[:, 0] - hits[:, 2])]
 
 
 def load_external_scores(

@@ -8,12 +8,15 @@ its scalar bar rules (``check``), the bar loader, the per-stock series
 store, the index store, the scalar ``garman_klass`` formula and the four
 metric functions, the bisect ``CorpusIndex`` and the scalar
 ``recommendation_counts``, the ``PanelRow`` value with its row checks and
-the ``MajoritySample`` value, the panel and majority build functions, and
-the label-pool loop of ``cli.cmd_label``. They run on ``ReportRecord``
+the ``MajoritySample`` value, the panel and majority build functions,
+the label-pool loop of ``cli.cmd_label``, and the majority rule
+``classify_majority`` of one hit triple, which ``sentiment`` now applies
+to a whole matrix. They run on ``ReportRecord``
 values, one per report, the corpus form that ``corpus.ReportColumns``
 replaced; ``records_of`` and ``columns_of`` convert between the two. Also
-the one-pass ``write_panel`` of an ``econometrics.PanelBuildResult``,
-which the block writer replaced.
+the one-pass ``write_panel``, which the block writer replaced, of a panel
+in the old ``econometrics.PanelBuildResult`` layout, whose row keys are
+text: ``report_ids``, ``stock_ids`` and ``outcome_dates`` lists.
 
 Two deliberate changes from the old code: ``build_majority_samples`` counts
 "no tokens" once per (report, stock) pair, not once per report, so its
@@ -52,8 +55,9 @@ from reportsignal.market import (
     VIX,
     IndustryMap,
 )
+from reportsignal.labeling import NEGATIVE, NEUTRAL, POSITIVE
 from reportsignal.metrics import SHORT_COUNT_WINDOW, VOLUME_WINDOW
-from reportsignal.sentiment import SentimentScore, classify_majority
+from reportsignal.sentiment import SentimentScore
 
 
 class CalendarRangeError(DataError):
@@ -810,6 +814,16 @@ def build_panel(
                 )
             )
     return PanelBuildResult(rows, drops, flagged, n_pairs)
+
+
+def classify_majority(counts: tuple[int, int, int]) -> str:
+    """Sign of (positive hits - negative hits); neutral words never vote."""
+    pos, _, neg = counts
+    if pos > neg:
+        return POSITIVE
+    if neg > pos:
+        return NEGATIVE
+    return NEUTRAL
 
 
 def build_majority_samples(

@@ -6,7 +6,8 @@ engine against a brute-force normal-equations oracle, planted-effect
 recovery through the real command line, false-positive calibration on
 null panels, simplex preservation everywhere scores are produced, the
 two-sample test against frozen reference values, report layout against
-golden files, and the majority-vote classifier.
+golden files, the sha256 of every output of the seed-0 chain, and the
+majority-vote classifier.
 
 Every test finishes by printing one PASS line with its measured numbers;
 run ``pytest tests/test_acceptance.py -v -s`` to see them.  The golden
@@ -16,13 +17,21 @@ files under ``tests/data/golden`` are regenerated with::
     reportsignal ingest --config /tmp/golden/data/config.json --out /tmp/golden/run
     reportsignal analyze --config /tmp/golden/data/config.json --out /tmp/golden/run
     cp /tmp/golden/run/{regressions,industry,mean_tests}.txt tests/data/golden/
+
+and ``tests/data/golden/digests.json``, the digests of ``CHAIN``, with::
+
+    PYTHONPATH=src python -m tests.test_acceptance
 """
 
 import csv
+import hashlib
+import json
 import math
 import os
+import platform
 import subprocess
 import sys
+import tempfile
 import time
 from collections import Counter
 from datetime import date as Date, timedelta
@@ -56,6 +65,19 @@ from reportsignal.synthkit import DEFAULT_BETAS, SynthSpec, default_betas, gener
 from tests.helpers import assemble, estimate, flat_bar, ranges_of, small_spec, text_file
 
 GOLDEN_DIR = Path(__file__).parent / "data" / "golden"
+DIGESTS = GOLDEN_DIR / "digests.json"
+
+# The seed-0 chain at the default scale, (name, verb arguments) in order,
+# every path relative to one base directory: the dataset, then each verb
+# on it, with analyze under both scorers.
+CHAIN = (
+    ("synth", ("synth", "--out", "data", "--seed", "0")),
+    ("ingest", ("ingest", "--config", "data/config.json", "--out", "run")),
+    ("label", ("label", "--config", "data/config.json", "--out", "run")),
+    ("score", ("score", "--config", "data/config.json", "--out", "run", "--scorer", "lexicon")),
+    ("analyze", ("analyze", "--config", "data/config.json", "--out", "run")),
+    ("analyze_lexicon", ("analyze", "--config", "data/config.json", "--out", "run_lexicon", "--scorer", "lexicon")),
+)
 
 # The five planted sentiment coefficients the pipeline must recover:
 # (pooled-regression outcome, regressor, planted value).
@@ -72,34 +94,64 @@ def announce(name: str, elapsed: float, detail: str) -> None:
     print(f"ACCEPTANCE {name}: PASS ({detail}; {elapsed:.2f}s)")
 
 
-def run_cli(*argv) -> None:
+def run_cli(base: Path, *argv) -> subprocess.CompletedProcess:
+    """Run one verb as a child process in ``base``; it must succeed."""
     # the child imports the package under test, installed or not
     src = str(Path(reportsignal.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-m", "reportsignal", *[str(a) for a in argv]],
+        [sys.executable, "-m", "reportsignal", *argv],
         capture_output=True,
-        text=True,
+        cwd=base,
         env=env,
     )
     assert proc.returncode == 0, f"exit {proc.returncode}\n{proc.stdout}\n{proc.stderr}"
+    return proc
+
+
+def run_chain(base: Path) -> dict:
+    """Each verb of ``CHAIN`` run in ``base``, its finished process by name."""
+    return {name: run_cli(base, *argv) for name, argv in CHAIN}
+
+
+def chain_digests(base: Path, procs: dict) -> dict:
+    """The sha256 of every file under ``base`` (``market.json`` without its
+    ``code`` key, which hashes the package source) and of each verb's
+    stdout and stderr, each verb's exit code, and the Python and numpy
+    versions that produced them."""
+    files = {}
+    for path in sorted(p for p in base.rglob("*") if p.is_file()):
+        data = path.read_bytes()
+        if path.name == "market.json":
+            manifest = json.loads(data)
+            del manifest["code"]
+            data = json.dumps(manifest, sort_keys=True).encode()
+        files[path.relative_to(base).as_posix()] = hashlib.sha256(data).hexdigest()
+    verbs = {
+        name: {
+            "exit": proc.returncode,
+            "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+            "stderr": hashlib.sha256(proc.stderr).hexdigest(),
+        }
+        for name, proc in procs.items()
+    }
+    return {"python": platform.python_version(), "numpy": np.__version__, "files": files, "verbs": verbs}
 
 
 @pytest.fixture(scope="module")
 def cli_run(tmp_path_factory):
-    """One full command-line pass over the default dataset, seed 0.
+    """One full command-line pass of ``CHAIN`` over the default dataset,
+    seed 0: the output directory of its ``analyze``, the chain's wall time,
+    and its digests.
 
-    Shared by the recovery cross-check and the golden-file comparison so
-    the (deliberately full-sized) dataset is generated only once.
+    Shared by the recovery cross-check, the golden-file comparison and the
+    digest check, so the (deliberately full-sized) dataset is generated
+    only once.
     """
     base = tmp_path_factory.mktemp("acceptance")
-    data = base / "data"
-    out = base / "run"
     started = time.perf_counter()
-    run_cli("synth", "--out", data, "--seed", 0)
-    run_cli("ingest", "--config", data / "config.json", "--out", out)
-    run_cli("analyze", "--config", data / "config.json", "--out", out)
-    return out, time.perf_counter() - started
+    procs = run_chain(base)
+    return base / "run", time.perf_counter() - started, chain_digests(base, procs)
 
 
 def high_precision_range(opn, high, low, close):
@@ -193,7 +245,7 @@ def test_regression_engine_matches_normal_equations():
         beta = rng.normal(size=k)
         y = X @ beta + rng.normal(size=n)
 
-        fit = ols_fit(X, y, tuple(f"x{j}" for j in range(k)), "classical")
+        fit = ols_fit(X, {"y": y}, tuple(f"x{j}" for j in range(k)), "classical")["y"]
 
         xtx = X.T @ X
         coef = np.linalg.solve(xtx, X.T @ y)
@@ -259,7 +311,7 @@ def test_pipeline_recovers_planted_coefficients(cli_run):
     assert recovered >= 95, f"only {recovered}/100 seeds recovered; failing {failing}"
 
     # Cross-check: the same numbers must come out of the real CLI run.
-    out, _cli_elapsed = cli_run
+    out, _cli_elapsed, _digests = cli_run
     from_csv = {}
     with open(out / "regressions.csv", encoding="utf-8", newline="") as stream:
         for row in csv.DictReader(stream):
@@ -410,7 +462,7 @@ def test_two_sample_test_reference_values():
 def test_report_tables_match_golden_files(cli_run):
     """The rendered tables are byte-identical to the golden copies and
     keep the expected layout."""
-    out, cli_elapsed = cli_run
+    out, cli_elapsed, _digests = cli_run
     started = time.perf_counter()
 
     for name in ("regressions.txt", "industry.txt", "mean_tests.txt"):
@@ -454,38 +506,40 @@ def test_majority_vote_follows_word_count_sign():
     neu_word = lexicon.words(NEUTRAL)[0]
     neg_word = lexicon.words(NEGATIVE)[0]
 
+    fixtures = [(n_pos, n_neu, n_neg) for n_pos in range(7) for n_neu in range(7) for n_neg in range(7)]
+    all_hits = [
+        lexicon.hits(" ".join([pos_word] * n_pos + [neu_word] * n_neu + [neg_word] * n_neg))
+        for n_pos, n_neu, n_neg in fixtures
+    ]
+    # the 343 fixtures classified as one matrix
+    verdicts = classify_majority(np.array(all_hits)).tolist()
     agreements = 0
-    for n_pos in range(7):
-        for n_neu in range(7):
-            for n_neg in range(7):
-                tokens = [pos_word] * n_pos + [neu_word] * n_neu + [neg_word] * n_neg
-                hits = lexicon.hits(" ".join(tokens))
-                assert hits == (n_pos, n_neu, n_neg)
-                verdict = classify_majority(hits)
-                if n_pos > n_neg:
-                    assert verdict == POSITIVE
-                elif n_neg > n_pos:
-                    assert verdict == NEGATIVE
-                else:
-                    assert verdict == NEUTRAL
+    for (n_pos, n_neu, n_neg), hits, verdict in zip(fixtures, all_hits, verdicts):
+        assert hits == (n_pos, n_neu, n_neg)
+        if n_pos > n_neg:
+            assert verdict == POSITIVE
+        elif n_neg > n_pos:
+            assert verdict == NEGATIVE
+        else:
+            assert verdict == NEUTRAL
 
-                score = lexicon_score(hits, RunConfig.temperature, "m")
-                counts = {POSITIVE: n_pos, NEUTRAL: n_neu, NEGATIVE: n_neg}
-                by_score = {POSITIVE: score.pos, NEUTRAL: score.neu, NEGATIVE: score.neg}
-                top = max(counts.values())
-                leaders = [label for label, count in counts.items() if count == top]
-                if len(leaders) == 1:
-                    assert max(by_score, key=by_score.get) == leaders[0]
-                    if leaders[0] != NEUTRAL:
-                        assert verdict == leaders[0]
-                        agreements += 1
+        score = lexicon_score(hits, RunConfig.temperature, "m")
+        counts = {POSITIVE: n_pos, NEUTRAL: n_neu, NEGATIVE: n_neg}
+        by_score = {POSITIVE: score.pos, NEUTRAL: score.neu, NEGATIVE: score.neg}
+        top = max(counts.values())
+        leaders = [label for label, count in counts.items() if count == top]
+        if len(leaders) == 1:
+            assert max(by_score, key=by_score.get) == leaders[0]
+            if leaders[0] != NEUTRAL:
+                assert verdict == leaders[0]
+                agreements += 1
 
     # A neutral-dominated report can still lean positive on the
     # directional counts; both readings are deliberate, so the argmax
     # agreement above is scoped to directional leaders.
     hits = lexicon.hits(" ".join([pos_word] * 2 + [neu_word] * 5 + [neg_word]))
     score = lexicon_score(hits, RunConfig.temperature, "m")
-    assert classify_majority(hits) == POSITIVE
+    assert classify_majority(np.array([hits]))[0] == POSITIVE
     assert max(((score.pos, POSITIVE), (score.neu, NEUTRAL), (score.neg, NEGATIVE)))[1] == NEUTRAL
 
     elapsed = time.perf_counter() - started
@@ -495,3 +549,40 @@ def test_majority_vote_follows_word_count_sign():
         elapsed,
         f"343 count fixtures exact; {agreements} directional argmax agreements",
     )
+
+
+def test_chain_outputs_match_their_digests(cli_run):
+    """Every file the seed-0 chain writes, and each verb's stdout, stderr
+    and exit code, keep the digests in ``digests.json``. They hold for the
+    libm, BLAS and float ``repr`` of the platform that recorded them; a
+    difference names each changed entry and both Python and numpy versions."""
+    _out, cli_elapsed, got = cli_run
+    started = time.perf_counter()
+    want = json.loads(DIGESTS.read_text(encoding="utf-8"))
+    changed = [
+        f"{kind} {name}"
+        for kind in ("files", "verbs")
+        for name in sorted(want[kind].keys() | got[kind].keys())
+        if want[kind].get(name) != got[kind].get(name)
+    ]
+    assert not changed, (
+        f"{', '.join(changed)} differ from {DIGESTS.name}, recorded under Python {want['python']} "
+        f"and numpy {want['numpy']}; this run is under Python {got['python']} and numpy {got['numpy']}"
+    )
+    elapsed = time.perf_counter() - started
+    announce(
+        "output digests",
+        cli_elapsed + elapsed,
+        f"{len(got['files'])} files and {len(got['verbs'])} verbs of the seed-0 chain unchanged",
+    )
+
+
+def write_digests() -> None:
+    """Run ``CHAIN`` in a fresh directory and record its digests in ``DIGESTS``."""
+    with tempfile.TemporaryDirectory() as base:
+        digests = chain_digests(Path(base), run_chain(Path(base)))
+    DIGESTS.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    write_digests()

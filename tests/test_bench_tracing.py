@@ -8,6 +8,8 @@ import importlib.util
 import os
 from pathlib import Path
 
+import numpy as np
+
 from reportsignal.config import RunConfig, packaged_data_path
 from reportsignal.econometrics import build_majority_samples, build_panel
 from reportsignal.sentiment import load_lexicon, prepare_report
@@ -50,7 +52,7 @@ def test_panel_and_majority_read_offs_match_the_ledgers():
     start, end = ds.test_range
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     records = records_of(ds.records)
-    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records}
+    hits = np.array([prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records])
     n_pairs = sum(len(r.stock_codes) for r in records if start <= r.release_date <= end)
 
     panel = build_panel(ds.records, scores, market, corpus_index, start, end)

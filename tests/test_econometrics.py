@@ -28,8 +28,9 @@ from reportsignal.econometrics import (
     student_t_sf2,
     write_panel,
 )
+from reportsignal.corpus import TextColumn
 from reportsignal.errors import ArgumentError, DataError, NumericalError, SchemaError, SingularityError
-from reportsignal.market import IndustryMap
+from reportsignal.market import IndustryMap, TradingCalendar
 from reportsignal.metrics import BLOCK
 from reportsignal.sentiment import load_lexicon, prepare_report
 from tests.helpers import assemble, estimate, ranges_of, read_panel, small_dataset
@@ -105,7 +106,7 @@ def test_ols_on_a_hand_worked_example():
     p-values on n - k = 2 degrees of freedom."""
     X = np.column_stack([np.ones(4), np.arange(4.0)])
     y = np.array([1.0, 3.0, 4.0, 7.0])
-    fit = ols_fit(X, y, ["constant", "x"], "classical")
+    fit = ols_fit(X, {"y": y}, ["constant", "x"], "classical")["y"]
     coef_c, se_c, t_c, p_c = estimate(fit, "constant")
     coef_x, se_x, t_x, p_x = estimate(fit, "x")
     assert abs(coef_x - 1.9) < 1e-12
@@ -125,7 +126,7 @@ def test_ols_matches_normal_equations_on_random_data():
     rng = np.random.default_rng(7)
     X = np.column_stack([np.ones(40), rng.normal(size=(40, 4))])
     y = rng.normal(size=40)
-    fit = ols_fit(X, y, ["constant", "a", "b", "c", "d"], "classical")
+    fit = ols_fit(X, {"y": y}, ["constant", "a", "b", "c", "d"], "classical")["y"]
     xtx = X.T @ X
     beta = np.linalg.solve(xtx, X.T @ y)
     assert np.allclose(fit.coef, beta, rtol=1e-10, atol=1e-12)
@@ -139,14 +140,14 @@ def test_robust_errors_match_the_direct_sandwich():
     rng = np.random.default_rng(8)
     X = np.column_stack([np.ones(60), rng.normal(size=(60, 3))])
     y = rng.normal(size=60) * (1.0 + np.abs(X[:, 1]))
-    fit = ols_fit(X, y, ["constant", "a", "b", "c"], se_type="robust")
+    fit = ols_fit(X, {"y": y}, ["constant", "a", "b", "c"], se_type="robust")["y"]
     xtx_inv = np.linalg.inv(X.T @ X)
     beta = xtx_inv @ X.T @ y
     resid = y - X @ beta
     meat = X.T @ np.diag(resid**2) @ X
     cov = xtx_inv @ meat @ xtx_inv * (60 / (60 - 4))
     assert np.allclose(fit.se, np.sqrt(np.diag(cov)), rtol=1e-10)
-    classical = ols_fit(X, y, ["constant", "a", "b", "c"], "classical")
+    classical = ols_fit(X, {"y": y}, ["constant", "a", "b", "c"], "classical")["y"]
     assert not np.allclose(fit.se, classical.se)
 
 
@@ -155,7 +156,7 @@ def test_exact_fit_yields_infinite_t_statistics():
     # a true 0.0 and the zero-SE branch produces signed infinities
     X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     y = np.array([4.0, -5.0, 0.0])
-    fit = ols_fit(X, y, ["a", "b"], RunConfig.se)
+    fit = ols_fit(X, {"y": y}, ["a", "b"], RunConfig.se)["y"]
     assert list(fit.coef) == [4.0, -5.0]
     resid = y - X @ fit.coef
     assert resid @ resid == 0.0
@@ -168,19 +169,30 @@ def test_singular_design_names_the_offending_column():
     x = np.arange(6.0)
     X = np.column_stack([np.ones(6), x, 2.0 * x])
     with pytest.raises(SingularityError) as exc:
-        ols_fit(X, np.ones(6), ["constant", "x", "x_doubled"], RunConfig.se)
+        ols_fit(X, {"y": np.ones(6)}, ["constant", "x", "x_doubled"], RunConfig.se)
     assert str(exc.value) == "rank-deficient design matrix; offending columns: x_doubled"
 
 
 def test_ols_argument_validation():
     X = np.ones((3, 3))
     with pytest.raises(ArgumentError):
-        ols_fit(X, np.ones(3), ["a", "b", "c"], RunConfig.se)  # n <= k
+        ols_fit(X, {"y": np.ones(3)}, ["a", "b", "c"], RunConfig.se)  # n <= k
 
 
-def make_panel(n, rng, stock_ids=None):
+# The calendar whose positions the panels below hold as outcome days.
+CALENDAR = TradingCalendar([Date(2019, 3, 5), Date(2019, 3, 6)])
+
+
+def panel_reports(n, stock_codes=("600000.SH",)):
+    """The report ids (r0000, r0001, ...) and the stock table that the
+    positions of a ``make_panel`` panel of ``n`` rows index."""
+    return SimpleNamespace(ids=TextColumn.pack(f"r{i:04d}" for i in range(n)), stocks=list(stock_codes))
+
+
+def make_panel(n, rng, stocks=None):
     """A panel of ``n`` random rows drawn row by row, each row's fields in
-    header order, all with one outcome date."""
+    header order: row ``i`` is report ``i`` on stock ``stocks[i]``
+    (position 0 by default), all with outcome day 0 of ``CALENDAR``."""
     draws = {
         "pos_lag": lambda: rng.uniform(0, 0.6),
         "neg_lag": lambda: rng.uniform(0, 0.4),
@@ -200,9 +212,9 @@ def make_panel(n, rng, stock_ids=None):
     assert tuple(draws) == PANEL_HEADER[3:]
     rows = np.array([[draw() for draw in draws.values()] for _ in range(n)]).reshape(n, len(draws))
     return PanelBuildResult(
-        [f"r{i:04d}" for i in range(n)],
-        stock_ids or ["600000.SH"] * n,
-        [Date(2019, 3, 5)] * n,
+        np.arange(n),
+        np.zeros(n, dtype=np.intp) if stocks is None else np.array(stocks, dtype=np.intp),
+        np.zeros(n, dtype=np.intp),
         rows,
         {},
         0,
@@ -223,8 +235,9 @@ def test_panel_row_validation():
     market, corpus_index, scores = assemble(ds)
     start, end = ds.test_range
     clean = build_panel(ds.records, scores, market, corpus_index, start, end)
-    single = [i for i, rid in enumerate(clean.report_ids) if clean.report_ids.count(rid) == 1]
+    single = [i for i, report in enumerate(clean.reports.tolist()) if np.count_nonzero(clean.reports == report) == 1]
     rows = {"a": single[1], "b": single[-2]}
+    ids = list(ds.records.ids)
     cases = [
         # (pos, neg) stand-ins by row, the failing row, its problem
         ({"a": (0.7, 0.6), "b": (math.nan, 0.1)}, "a", f"pos+neg = {0.7 + 0.6}"),
@@ -236,21 +249,21 @@ def test_panel_row_validation():
     for stand_ins, failing, problem in cases:
         altered = dict(scores)
         for name, (pos, neg) in stand_ins.items():
-            altered[clean.report_ids[rows[name]]] = SimpleNamespace(pos=pos, neg=neg)
+            altered[ids[clean.reports[rows[name]]]] = SimpleNamespace(pos=pos, neg=neg)
         i = rows[failing]
         with pytest.raises(DataError) as caught:
             build_panel(ds.records, altered, market, corpus_index, start, end)
-        assert str(caught.value) == f"row {clean.report_ids[i]}/{clean.stock_ids[i]}: {problem}"
+        assert str(caught.value) == f"row {ids[clean.reports[i]]}/{ds.records.stocks[clean.stocks[i]]}: {problem}"
 
 
 def test_panel_round_trip_is_exact(tmp_path):
     panel = make_panel(20, random.Random(4))
     path = tmp_path / "panel.csv"
-    write_panel(panel, path)
+    write_panel(panel, panel_reports(20), CALENDAR, path)
     rows = read_panel(path)
-    assert [(r.report_id, r.stock_id, r.outcome_date) for r in rows] == list(
-        zip(panel.report_ids, panel.stock_ids, panel.outcome_dates)
-    )
+    assert [(r.report_id, r.stock_id, r.outcome_date) for r in rows] == [
+        (f"r{i:04d}", "600000.SH", Date(2019, 3, 5)) for i in range(20)
+    ]
     read_back = np.array([[getattr(r, name) for name in PANEL_HEADER[3:]] for r in rows])
     assert read_back.tobytes() == panel.rows.tobytes()
     bad = tmp_path / "bad.csv"
@@ -260,16 +273,24 @@ def test_panel_round_trip_is_exact(tmp_path):
 
 
 def test_panel_writer_gives_the_one_pass_bytes(tmp_path):
-    """write_panel formats ``BLOCK`` rows at a time; across the block seams,
-    and for floats whose ``repr`` takes the exponent form or a sign, it
-    writes the bytes of the one-pass writer it replaced."""
+    """write_panel turns positions into text and formats ``BLOCK`` rows at a
+    time; across the block seams, and for floats whose ``repr`` takes the
+    exponent form or a sign, it writes the bytes of the one-pass writer it
+    replaced, which took the row keys as text."""
     n = 2 * BLOCK + 3
-    panel = make_panel(n, random.Random(6))
-    panel.outcome_dates[BLOCK:] = [Date(2019, 3, 6)] * (n - BLOCK)
+    panel = make_panel(n, random.Random(6), [i % 2 for i in range(n)])
+    panel.outcome_days[BLOCK:] = 1
     for row in (0, BLOCK - 1, BLOCK, 2 * BLOCK, n - 1):
         panel.rows[row, :3] = [1e-05, 1e16, -0.0]
-    write_panel(panel, tmp_path / "blocks.csv")
-    write_panel_one_pass(panel, tmp_path / "one_pass.csv")
+    reports = panel_reports(n, ("600000.SH", "000001.SZ"))
+    write_panel(panel, reports, CALENDAR, tmp_path / "blocks.csv")
+    as_text = SimpleNamespace(
+        report_ids=list(reports.ids),
+        stock_ids=[reports.stocks[stock] for stock in panel.stocks.tolist()],
+        outcome_dates=[CALENDAR.dates[day] for day in panel.outcome_days.tolist()],
+        rows=panel.rows,
+    )
+    write_panel_one_pass(as_text, tmp_path / "one_pass.csv")
     written = (tmp_path / "blocks.csv").read_bytes()
     assert written == (tmp_path / "one_pass.csv").read_bytes()
     assert written.count(b",1e-05,1e+16,-0.0,") == 5
@@ -314,9 +335,12 @@ def test_build_panel_accounts_for_every_pair():
     assert len(result.rows) > 0
     calendar = market.calendar
     bars = ds.bars
-    for report_id, stock_id, outcome_date, range_lag in zip(
-        result.report_ids[:10], result.stock_ids, result.outcome_dates, column(result, "range_lag").tolist()
-    ):
+    keys = zip(
+        ds.records.ids.take(result.reports[:10]),
+        map(ds.records.stocks.__getitem__, result.stocks.tolist()),
+        map(calendar.dates.__getitem__, result.outcome_days.tolist()),
+    )
+    for (report_id, stock_id, outcome_date), range_lag in zip(keys, column(result, "range_lag").tolist()):
         record = next(r for r in in_range if r.report_id == report_id)
         s = next(j for j, d in enumerate(calendar.dates) if d >= record.release_date)
         s_day = calendar.dates[s]
@@ -335,21 +359,22 @@ def test_build_panel_accounts_for_every_pair():
 
 def industry_panel_and_map(counts, rng):
     """A panel with ``counts[sector]`` rows on one stock of each sector,
-    the sectors' rows interleaved, and the industry map of those stocks."""
+    the sectors' rows interleaved, the stock table its positions index and
+    the industry map of those stocks."""
     entries = [(f"{600000 + i}.SH", f"IND{i:02d}", sector) for i, sector in enumerate(counts)]
-    stock_ids = [sid for (sid, _, sector) in entries for _ in range(counts[sector])]
-    rng.shuffle(stock_ids)
-    return make_panel(len(stock_ids), rng, stock_ids), IndustryMap(entries)
+    stocks = [i for i, sector in enumerate(counts) for _ in range(counts[sector])]
+    rng.shuffle(stocks)
+    return make_panel(len(stocks), rng, stocks), [sid for sid, _, _ in entries], IndustryMap(entries)
 
 
 def test_industry_regressions_partition_and_skip():
     rng = random.Random(7)
-    panel, imap = industry_panel_and_map({"Bank": 60, "Telecom": 3, "Weird": 5}, rng)
+    panel, table, imap = industry_panel_and_map({"Bank": 60, "Telecom": 3, "Weird": 5}, rng)
 
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(panel, Bundle(), min_rows=50, se_type=RunConfig.se)
+    results = run_industry_regressions(panel, table, Bundle(), min_rows=50, se_type=RunConfig.se)
     by_sector = {r.sector: r for r in results}
     assert set(by_sector) == {"Bank", "Telecom", "Other"}
     assert [r.sector for r in results] == ["Telecom", "Bank", "Other"]
@@ -359,7 +384,7 @@ def test_industry_regressions_partition_and_skip():
     assert by_sector["Telecom"].fits is None and by_sector["Telecom"].n_rows == 3
     assert by_sector["Other"].fits is None and by_sector["Other"].n_rows == 5
     # the sector's rows in panel order, bit for bit
-    bank = [i for i, sid in enumerate(panel.stock_ids) if imap.sector(sid) == "Bank"]
+    bank = [i for i, stock in enumerate(panel.stocks.tolist()) if imap.sector(table[stock]) == "Bank"]
     direct = run_pooled_regressions(panel.rows[bank])
     for outcome, fit in by_sector["Bank"].fits.items():
         assert fit.coef.tobytes() == direct[outcome].coef.tobytes()
@@ -367,13 +392,13 @@ def test_industry_regressions_partition_and_skip():
 
 def test_industry_regressions_skip_singular_sectors():
     rng = random.Random(8)
-    panel, imap = industry_panel_and_map({"Media": 55}, rng)
+    panel, table, imap = industry_panel_and_map({"Media": 55}, rng)
     column(panel, "vix_lag")[:] = 0.0
 
     class Bundle:
         industry = imap
 
-    results = run_industry_regressions(panel, Bundle(), min_rows=50, se_type=RunConfig.se)
+    results = run_industry_regressions(panel, table, Bundle(), min_rows=50, se_type=RunConfig.se)
     assert results == [results[0]]
     assert results[0].sector == "Media"
     assert results[0].n_rows == 55
@@ -421,7 +446,7 @@ def test_majority_group_tests_compare_positive_vs_negative():
     classes = ["positive"] * 5 + ["negative"] * 4 + ["neutral"]
     rng.shuffle(classes)
     values = np.array([[rng.gauss(0, 0.02) for _ in MAJORITY_VARIABLES] for _ in classes])
-    results = majority_group_tests(classes, values, RunConfig.ttest)
+    results = majority_group_tests(np.array(classes), values, RunConfig.ttest)
     assert len(results) == len(MAJORITY_VARIABLES)
     # result j tests column j, the j-th MAJORITY_VARIABLES entry
     for j, res in enumerate(results):
@@ -436,7 +461,7 @@ def test_majority_group_tests_compare_positive_vs_negative():
         assert res.t_stat == direct.t_stat
     # a too-small group makes every variable untestable
     thin = [i for i, cls in enumerate(classes) if cls != "negative"] + [classes.index("negative")]
-    untestable = majority_group_tests([classes[i] for i in thin], values[thin], RunConfig.ttest)
+    untestable = majority_group_tests(np.array(classes)[thin], values[thin], RunConfig.ttest)
     assert untestable == [None] * len(MAJORITY_VARIABLES)
 
 
@@ -445,7 +470,7 @@ def test_majority_samples_from_a_generated_dataset():
     market, _, _ = assemble(ds)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
     records = records_of(ds.records)
-    hits = {r.report_id: prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records}
+    hits = np.array([prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records])
     start, end = ds.test_range
     classes, values, drops = build_majority_samples(ds.records, hits, market, start, end)
     in_range = [r for r in records if start <= r.release_date <= end]

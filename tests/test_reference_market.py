@@ -82,16 +82,17 @@ def messy_industry(rows):
 
 @pytest.fixture(scope="module")
 def dataset():
+    """The dataset, and its reports' lexicon hits as the matrix by report
+    position and as the reference's dict of triples by report id."""
     ds = small_dataset(seed=2)
     lexicon = load_lexicon(packaged_data_path("lexicon.csv"))
-    # every seventh report has no hit counts
-    skipped = set(list(ds.records.ids)[::7])
     records = reference.records_of(ds.records)
-    return ds, {
-        r.report_id: prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction)
-        for r in records
-        if r.report_id not in skipped
-    }
+    hits = np.array([prepare_report(r.title, r.abstract, lexicon, (), RunConfig.tail_fraction) for r in records])
+    hits[::7] = -1  # every seventh report has no hit counts
+    hits[3::7] = (1, 5, 1)  # ties: neutral words never vote
+    hits[5::7] = (0, 0, 0)
+    by_id = {r.report_id: tuple(row) for r, row in zip(records, hits.tolist()) if row[0] >= 0}
+    return ds, hits, by_id
 
 
 def outcome(fn, *args, **kwargs) -> str:
@@ -102,18 +103,22 @@ def outcome(fn, *args, **kwargs) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def panel_as_rows(*args, **kwargs):
+def panel_as_rows(reports, scores, market, *args, **kwargs):
     """``build_panel``'s result in the reference's form, one ``PanelRow``
     per row, whose ``repr`` shows every value to the last bit."""
-    panel = build_panel(*args, **kwargs)
-    ids = zip(panel.report_ids, panel.stock_ids, panel.outcome_dates)
+    panel = build_panel(reports, scores, market, *args, **kwargs)
+    ids = zip(
+        reports.ids.take(panel.reports),
+        map(reports.stocks.__getitem__, panel.stocks.tolist()),
+        map(market.calendar.dates.__getitem__, panel.outcome_days.tolist()),
+    )
     rows = [reference.PanelRow(*row_ids, *values) for row_ids, values in zip(ids, panel.rows.tolist())]
     return reference.PanelBuildResult(rows, panel.drops, panel.n_flagged_negative_range, panel.n_pairs)
 
 
 def majority_lists(*args):
     classes, values, drops = build_majority_samples(*args)
-    return classes, values.tolist(), drops
+    return classes.tolist(), values.tolist(), drops
 
 
 def reference_majority_lists(*args):
@@ -151,7 +156,7 @@ def through_snapshot(market, out_dir, files):
 @pytest.mark.parametrize("fenced", [False, True])
 @pytest.mark.parametrize("messy", [False, True])
 def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset, messy, fenced, block_rows, snapshot):
-    ds, hits = dataset
+    ds, hits, hits_by_id = dataset
     paths = write_dataset(ds, tmp_path, seed=RunConfig.seed)
     if messy:
         edit_rows(paths["bars"], messy_bars)
@@ -196,7 +201,7 @@ def test_dense_core_matches_the_scalar_reference(tmp_path, monkeypatch, dataset,
         compared.append(
             (
                 outcome(majority_lists, ds.records, hits, new.market, start, end),
-                outcome(reference_majority_lists, records, hits, old.market, *old_bounds),
+                outcome(reference_majority_lists, records, hits_by_id, old.market, *old_bounds),
             )
         )
     compared.append(

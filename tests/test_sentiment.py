@@ -3,6 +3,7 @@
 import dataclasses
 from datetime import date as Date
 
+import numpy as np
 import pytest
 
 from reportsignal.config import RunConfig
@@ -87,11 +88,14 @@ def test_lower_temperature_sharpens_toward_the_argmax():
 
 
 def test_majority_rule_ignores_neutral_words():
-    assert classify_majority((2, 0, 1)) == POSITIVE
-    assert classify_majority((1, 0, 2)) == NEGATIVE
-    assert classify_majority((1, 0, 1)) == NEUTRAL
-    assert classify_majority((0, 3, 0)) == NEUTRAL
-    assert classify_majority((0, 0, 0)) == NEUTRAL
+    triples = [(2, 0, 1), (1, 0, 2), (1, 0, 1), (0, 3, 0), (0, 0, 0)]
+    verdict = dict(zip(triples, classify_majority(np.array(triples)).tolist()))
+    assert verdict[(2, 0, 1)] == POSITIVE
+    assert verdict[(1, 0, 2)] == NEGATIVE
+    assert verdict[(1, 0, 1)] == NEUTRAL
+    assert verdict[(0, 3, 0)] == NEUTRAL
+    assert verdict[(0, 0, 0)] == NEUTRAL
+    assert classify_majority(np.empty((0, 3), dtype=np.int64)).tolist() == []
 
 
 def test_load_lexicon_round_trip(tmp_path):
